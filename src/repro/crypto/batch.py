@@ -75,22 +75,37 @@ class BatchVerification:
 _Parsed = Tuple[int, int, group.Point, int, group.Point, bytes]
 
 
-def _parse_item(index: int, item: BatchItem) -> Optional[_Parsed]:
+def _decode_point(data: bytes) -> Optional[group.Point]:
+    """The non-identity point ``data`` encodes, or ``None``."""
+    try:
+        point = group.deserialize_point(data)
+    except SignatureError:
+        return None
+    return None if point.is_identity else point
+
+
+def _parse_item(
+    index: int, item: BatchItem, keys: dict[bytes, Optional[group.Point]]
+) -> Optional[_Parsed]:
     """Screen one item exactly as :func:`schnorr.verify` would.
 
     Malformed inputs (bad lengths, off-curve points, identity points,
     out-of-range scalars) are rejected here so they can never poison the
-    aggregate equation for well-formed neighbours.
+    aggregate equation for well-formed neighbours.  ``keys`` memoizes
+    public-key decompression (a modular square root) for the duration
+    of one :func:`verify_batch` call; an undecodable key is remembered as
+    ``None`` and rejects exactly the items that carry it.
     """
     public_key, message, signature = item
     if len(signature) != schnorr.SIGNATURE_SIZE:
         return None
-    try:
-        r_point = group.deserialize_point(signature[:33])
-        q_point = group.deserialize_point(public_key)
-    except SignatureError:
+    if public_key not in keys:
+        keys[public_key] = _decode_point(public_key)
+    q_point = keys[public_key]
+    if q_point is None:
         return None
-    if r_point.is_identity or q_point.is_identity:
+    r_point = _decode_point(signature[:33])
+    if r_point is None:
         return None
     s = int.from_bytes(signature[33:], "big")
     if s >= group.N:
@@ -112,22 +127,23 @@ def _aggregate_holds(entries: Sequence[_Parsed], rng: random.Random) -> bool:
     """One random-linear-combination probe over ``entries``."""
     s_coefficient = 0
     terms: list[tuple[int, group.Point]] = []
-    #: public key -> (folded coefficient, negated point); insertion
-    #: ordered, so the term order is deterministic
+    #: public key -> [folded coefficient, point]; insertion ordered, so
+    #: the term order is deterministic
     q_terms: dict[bytes, list] = {}
     for _index, s, r_point, e, q_point, public_key in entries:
         a = rng.getrandbits(RANDOMIZER_BITS) | 1
         s_coefficient = (s_coefficient + a * s) % group.N
-        terms.append((a, group.point_neg(r_point)))
+        terms.append((a, r_point))
         held = q_terms.get(public_key)
         if held is None:
-            q_terms[public_key] = [a * e % group.N, group.point_neg(q_point)]
+            q_terms[public_key] = [a * e % group.N, q_point]
         else:
             held[0] = (held[0] + a * e) % group.N
-    terms.append((s_coefficient, group.GENERATOR))
-    for coefficient, negated_q in q_terms.values():
-        terms.append((coefficient, negated_q))
-    return group.multi_scalar_mul(terms).is_identity
+    for coefficient, q_point in q_terms.values():
+        terms.append((coefficient, q_point))
+    # the G side stays out of the multi-scalar multiplication: the
+    # fixed-base table computes it in a fraction of a bucket pass
+    return group.scalar_mul(s_coefficient) == group.multi_scalar_mul(terms)
 
 
 def _check_single(entry: _Parsed) -> bool:
@@ -177,9 +193,10 @@ def verify_batch(
     all pass the same value or none).
     """
     outcome = BatchVerification(valid=[False] * len(items))
+    keys: dict[bytes, Optional[group.Point]] = {}
     parsed = [
         entry
-        for entry in (_parse_item(i, item) for i, item in enumerate(items))
+        for entry in (_parse_item(i, item, keys) for i, item in enumerate(items))
         if entry is not None
     ]
     if not parsed:

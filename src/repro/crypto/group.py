@@ -2,9 +2,12 @@
 
 A minimal, dependency-free implementation of the secp256k1 short
 Weierstrass curve (y^2 = x^3 + 7 over F_p) sufficient for Schnorr
-signatures: point addition, doubling, scalar multiplication (double-and-add
-over Jacobian-free affine coordinates with modular inverses via
-:func:`pow`), and compressed-point (de)serialization.
+signatures: point addition, doubling, scalar and multi-scalar
+multiplication, and compressed-point (de)serialization.  The public API
+speaks affine :class:`Point`; the multiplication kernels run on Jacobian
+coordinates underneath (one modular inversion per result), with a
+precomputed window table for the generator and mixed Jacobian+affine
+addition wherever one operand is known to be affine.
 
 This is *real* public-key cryptography, not a mock - signatures produced by
 one node genuinely verify (or fail to) on another.  It is not constant-time
@@ -62,9 +65,9 @@ def point_add(p1: Point, p2: Point) -> Point:
     if x1 == x2 and (y1 + y2) % P == 0:
         return IDENTITY
     if p1 == p2:
-        slope = (3 * x1 * x1 + A) * pow(2 * y1, P - 2, P) % P
+        slope = (3 * x1 * x1 + A) * pow(2 * y1, -1, P) % P
     else:
-        slope = (y2 - y1) * pow(x2 - x1, P - 2, P) % P
+        slope = (y2 - y1) * pow(x2 - x1, -1, P) % P
     x3 = (slope * slope - x1 - x2) % P
     y3 = (slope * (x1 - x3) - y1) % P
     return Point(x3, y3)
@@ -77,13 +80,22 @@ def point_neg(point: Point) -> Point:
     return Point(point.x, (-point.y) % P)
 
 
-# -- Jacobian-coordinate fast path -------------------------------------------
+# -- Jacobian-coordinate kernels ---------------------------------------------
 #
-# Affine point_add pays one modular inversion (a full pow(x, P-2, P))
-# per addition, which made every scalar multiplication cost hundreds of
-# inversions.  Scalar and multi-scalar multiplication therefore run on
-# Jacobian triples (X, Y, Z) ~ (X/Z^2, Y/Z^3) internally - a handful of
-# modular multiplications per step and exactly ONE inversion at the end.
+# Affine point_add pays one modular inversion per addition.  Scalar and
+# multi-scalar multiplication therefore run on Jacobian triples
+# (X, Y, Z) ~ (X/Z^2, Y/Z^3) internally - a handful of modular
+# multiplications per step and exactly ONE inversion at the end.  Three
+# kernels sit on top of that:
+#
+# * ``_G_TABLE``: every ``digit * 16^w * G`` precomputed in affine form,
+#   so ``k * G`` is at most 64 additions and no doublings;
+# * ``_jac_add_affine``: mixed addition (Z2 = 1), 11 field
+#   multiplications instead of the 16 of ``_jac_add`` - used by the table
+#   walk and by Pippenger's bucket accumulation, whose inputs are affine;
+# * ``_jac_add`` / ``_jac_double``: the general case (bucket folding,
+#   variable-base double-and-add).
+#
 # The public API still speaks affine :class:`Point` and produces
 # bit-identical results.
 
@@ -91,18 +103,11 @@ def point_neg(point: Point) -> Point:
 _JAC_IDENTITY = (0, 1, 0)
 
 
-def _jac_from(point: Point) -> tuple[int, int, int]:
-    if point.is_identity:
-        return _JAC_IDENTITY
-    assert point.x is not None and point.y is not None
-    return (point.x, point.y, 1)
-
-
 def _jac_to_affine(p: tuple[int, int, int]) -> Point:
     x, y, z = p
     if z == 0:
         return IDENTITY
-    z_inv = pow(z, P - 2, P)
+    z_inv = pow(z, -1, P)
     z_inv2 = z_inv * z_inv % P
     return Point(x * z_inv2 % P, y * z_inv2 * z_inv % P)
 
@@ -111,14 +116,11 @@ def _jac_double(p: tuple[int, int, int]) -> tuple[int, int, int]:
     x1, y1, z1 = p
     if z1 == 0 or y1 == 0:
         return _JAC_IDENTITY
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = b * b % P
-    d = 2 * ((x1 + b) * (x1 + b) - a - c) % P
-    e = 3 * a % P
-    f = e * e % P
-    x3 = (f - 2 * d) % P
-    y3 = (e * (d - x3) - 8 * c) % P
+    yy = y1 * y1 % P
+    s = 4 * x1 * yy % P
+    m = 3 * x1 * x1 % P
+    x3 = (m * m - 2 * s) % P
+    y3 = (m * (s - x3) - 8 * yy * yy) % P
     z3 = 2 * y1 * z1 % P
     return (x3, y3, z3)
 
@@ -142,24 +144,85 @@ def _jac_add(
         if s1 != s2:
             return _JAC_IDENTITY
         return _jac_double(p)
-    h = (u2 - u1) % P
-    i = 4 * h * h % P
-    j = h * i % P
-    r = 2 * (s2 - s1) % P
-    v = u1 * i % P
-    x3 = (r * r - j - 2 * v) % P
-    y3 = (r * (v - x3) - 2 * s1 * j) % P
-    z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) % P * h % P
+    h = u2 - u1
+    r = s2 - s1
+    hh = h * h % P
+    hhh = h * hh % P
+    v = u1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    y3 = (r * (v - x3) - s1 * hhh) % P
+    z3 = z1 * z2 * h % P
     return (x3, y3, z3)
 
 
+def _jac_add_affine(
+    p: tuple[int, int, int], q: tuple[int, int]
+) -> tuple[int, int, int]:
+    """Mixed addition: Jacobian ``p`` plus the affine, non-identity ``q``."""
+    x1, y1, z1 = p
+    x2, y2 = q
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % P
+    u2 = x2 * z1z1 % P
+    s2 = y2 * z1 * z1z1 % P
+    if u2 == x1:
+        if s2 != y1:
+            return _JAC_IDENTITY
+        return _jac_double(p)
+    h = u2 - x1
+    r = s2 - y1
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    y3 = (r * (v - x3) - y1 * hhh) % P
+    z3 = z1 * h % P
+    return (x3, y3, z3)
+
+
+def _build_generator_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``table[w][d - 1] == d * 16^w * G`` as affine ``(x, y)`` pairs."""
+    rows = []
+    base = GENERATOR
+    for _ in range(64):  # 4-bit windows over a 256-bit scalar
+        row = [base]
+        for _ in range(14):
+            row.append(point_add(row[-1], base))
+        rows.append(tuple((p.x, p.y) for p in row))
+        base = point_add(row[-1], base)
+    return tuple(rows)
+
+
+#: built once at import and never written again, so pipeline workers
+#: share it without a lock (64 rows x 15 points, about 180 kB)
+_G_TABLE = _build_generator_table()
+
+
+def _generator_mul(k: int) -> tuple[int, int, int]:
+    """``k * G`` for ``0 <= k < N``: one mixed addition per non-zero nibble."""
+    acc = _JAC_IDENTITY
+    for row in _G_TABLE:
+        digit = k & 15
+        if digit:
+            acc = _jac_add_affine(acc, row[digit - 1])
+        k >>= 4
+    return acc
+
+
 def scalar_mul(k: int, point: Point = GENERATOR) -> Point:
-    """Double-and-add scalar multiplication ``k * point``."""
+    """Scalar multiplication ``k * point``.
+
+    The generator takes the fixed-base table walk; any other point takes
+    Jacobian double-and-add.
+    """
     k %= N
     if k == 0 or point.is_identity:
         return IDENTITY
+    if point == GENERATOR:
+        return _jac_to_affine(_generator_mul(k))
     result = _JAC_IDENTITY
-    addend = _jac_from(point)
+    addend = (point.x, point.y, 1)
     while k:
         if k & 1:
             result = _jac_add(result, addend)
@@ -187,11 +250,12 @@ def multi_scalar_mul(terms: Sequence[tuple[int, Point]]) -> Point:
         for k, p in reduced:
             acc = point_add(acc, scalar_mul(k, p))
         return acc
-    window = min(12, max(2, len(reduced).bit_length() - 1))
+    # the fold below pays two general additions per bucket per window,
+    # so the window stays two bits under log2(n)
+    window = min(12, max(2, len(reduced).bit_length() - 2))
     max_bits = max(k.bit_length() for k, _ in reduced)
     num_windows = (max_bits + window - 1) // window
     mask = (1 << window) - 1
-    jac_points = [_jac_from(p) for _, p in reduced]
     result = _JAC_IDENTITY
     for w in range(num_windows - 1, -1, -1):
         if result[2]:
@@ -199,11 +263,14 @@ def multi_scalar_mul(terms: Sequence[tuple[int, Point]]) -> Point:
                 result = _jac_double(result)
         buckets: list[Optional[tuple[int, int, int]]] = [None] * mask
         shift = w * window
-        for (k, _), jac in zip(reduced, jac_points):
+        # every input point is affine, so accumulation is mixed addition
+        for k, p in reduced:
             digit = (k >> shift) & mask
             if digit:
                 held = buckets[digit - 1]
-                buckets[digit - 1] = jac if held is None else _jac_add(held, jac)
+                buckets[digit - 1] = (
+                    (p.x, p.y, 1) if held is None else _jac_add_affine(held, p)
+                )
         # fold buckets highest-first: sum(digit * bucket[digit]) with one
         # running partial sum instead of a scalar_mul per bucket
         running = _JAC_IDENTITY

@@ -53,7 +53,7 @@ class KeyPair:
         return address_of(self.public_key)
 
     def sign(self, message: bytes) -> bytes:
-        return schnorr.sign(self.private_key, message)
+        return schnorr.sign(self.private_key, message, self.public_key)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         return schnorr.verify(self.public_key, message, signature)

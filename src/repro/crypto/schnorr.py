@@ -13,6 +13,8 @@ benchmark harness rely on.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..common.errors import SignatureError
 from ..common.hashing import sha256
 from . import group
@@ -24,21 +26,27 @@ def _hash_to_scalar(*parts: bytes) -> int:
     return int.from_bytes(sha256(b"".join(parts)), "big") % group.N
 
 
-def sign(private_key: int, message: bytes) -> bytes:
-    """Sign ``message``; returns a 65-byte signature ``R || s``."""
+def sign(
+    private_key: int, message: bytes, public_key: Optional[bytes] = None
+) -> bytes:
+    """Sign ``message``; returns a 65-byte signature ``R || s``.
+
+    ``public_key`` is the compressed encoding of ``private_key * G``; a
+    caller that already holds it (:class:`~repro.crypto.keys.KeyPair`)
+    passes it to save the scalar multiplication that derives it.
+    """
     if not 0 < private_key < group.N:
         raise SignatureError("private key out of range")
     d_bytes = private_key.to_bytes(32, "big")
     k = _hash_to_scalar(b"nonce", d_bytes, message)
     if k == 0:  # pragma: no cover - probability ~2^-256
         k = 1
-    r_point = group.scalar_mul(k)
-    q_point = group.scalar_mul(private_key)
-    e = _hash_to_scalar(
-        group.serialize_point(r_point), group.serialize_point(q_point), message
-    )
+    r_bytes = group.serialize_point(group.scalar_mul(k))
+    if public_key is None:
+        public_key = group.serialize_point(group.scalar_mul(private_key))
+    e = _hash_to_scalar(r_bytes, public_key, message)
     s = (k + e * private_key) % group.N
-    return group.serialize_point(r_point) + s.to_bytes(32, "big")
+    return r_bytes + s.to_bytes(32, "big")
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -63,7 +63,6 @@ class LedgerPipeline:
         packager: str = "consensus",
         sig_cache_entries: int = 4096,
         workers: int = 1,
-        batch_verify: Optional[bool] = None,
         rejected_cap: int = 256,
     ) -> None:
         if workers < 1:
@@ -87,12 +86,6 @@ class LedgerPipeline:
         )
         #: validate/apply concurrency; 1 = run inline, no pool is created
         self.workers = workers
-        #: aggregate (random-linear-combination) Schnorr verification -
-        #: by default the worker pool drives it, so a single-worker
-        #: pipeline keeps the per-signature serial path bit-for-bit
-        self.batch_verify = (
-            batch_verify if batch_verify is not None else workers > 1
-        )
         self._executor: Optional[ThreadPoolExecutor] = None
         #: serializes pool creation against close(); without it a close()
         #: racing _pool() can observe the pre-assignment executor and leak
@@ -338,11 +331,12 @@ class LedgerPipeline:
 
         Cache-aware (the verified-signature LRU answers with the *stored*
         verdict, never a blanket yes), deduplicated within the batch, and
-        batched: cache misses go through the aggregate Schnorr check
-        (:func:`repro.crypto.batch.verify_batch`), split into contiguous
-        chunks across the worker pool when the batch is big enough.  The
-        result is aligned with ``txs`` and agrees exactly with calling
-        ``tx.verify_signature()`` on each transaction.
+        batched: cache misses always go through the aggregate Schnorr
+        check (:func:`repro.crypto.batch.verify_batch`) - inline with one
+        worker, split into contiguous chunks across the pool with more
+        when the batch is big enough.  The result is aligned with ``txs``
+        and agrees exactly with calling ``tx.verify_signature()`` on each
+        transaction.
         """
         results: list[Optional[bool]] = [None] * len(txs)
         keys = [tx.hash() for tx in txs]
@@ -371,10 +365,7 @@ class LedgerPipeline:
             pending_by_key[keys[index]] = index
             pending.append(index)
         if pending:
-            if self.batch_verify:
-                flags = self._batch_verify([txs[i] for i in pending])
-            else:
-                flags = [txs[i].verify_signature() for i in pending]
+            flags = self._batch_verify([txs[i] for i in pending])
             for index, ok in zip(pending, flags):
                 results[index] = ok
                 if ok:

@@ -1,5 +1,7 @@
 """Tests for secp256k1 group math, Schnorr signatures and key pairs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,21 @@ from repro.crypto import (
     Point,
     address_of,
     is_on_curve,
+    multi_scalar_mul,
     point_add,
     scalar_mul,
     sign,
     verify,
 )
-from repro.crypto.group import N, P, deserialize_point, point_neg, serialize_point
+from repro.crypto.group import (
+    N,
+    P,
+    _jac_add_affine,
+    _jac_to_affine,
+    deserialize_point,
+    point_neg,
+    serialize_point,
+)
 
 
 class TestGroup:
@@ -68,7 +79,107 @@ class TestGroup:
             deserialize_point(b"\x02" + (5).to_bytes(32, "big"))
 
 
+def affine_ladder(k, point):
+    """Reference ``k * point``: double-and-add on affine ``point_add`` alone."""
+    result = IDENTITY
+    while k:
+        if k & 1:
+            result = point_add(result, point)
+        point = point_add(point, point)
+        k >>= 1
+    return result
+
+
+class TestKernels:
+    """Each fast kernel against the affine reference it must agree with."""
+
+    def test_fixed_base_matches_affine_ladder(self):
+        rng = random.Random("fixed-base")
+        scalars = [0, 1, 2, 15, 16, N - 1, N, N + 1]
+        # single nibbles in the lowest, a middle and the highest table row
+        scalars += [1 << 4, 15 << 128, 1 << 252, 15 << 252]
+        scalars += [rng.randrange(1, N) for _ in range(12)]
+        for k in scalars:
+            assert scalar_mul(k) == affine_ladder(k % N, GENERATOR), hex(k)
+
+    def test_fixed_base_agrees_with_the_variable_base_path(self):
+        # an equal point that is not the GENERATOR object still takes the table
+        copy = Point(GENERATOR.x, GENERATOR.y)
+        other = scalar_mul(7)
+        for k in (3, 2**130 + 5, N - 2):
+            assert scalar_mul(k, copy) == scalar_mul(k)
+            assert scalar_mul(k, other) == affine_ladder(k, other)
+            assert scalar_mul(k, other) == scalar_mul(7 * k)
+
+    def test_mixed_addition_edge_cases(self):
+        point = scalar_mul(0xC0FFEE)
+        pair = (point.x, point.y)
+        negated = point_neg(point)
+        identity = (0, 1, 0)
+        # identity on the Jacobian side
+        assert _jac_to_affine(_jac_add_affine(identity, pair)) == point
+        # P + P falls through to doubling, at Z == 1 and at Z != 1
+        assert _jac_to_affine(_jac_add_affine((*pair, 1), pair)) == point_add(point, point)
+        z = 0xABCDEF
+        scaled = (point.x * z * z % P, point.y * z * z * z % P, z)
+        assert _jac_to_affine(_jac_add_affine(scaled, pair)) == point_add(point, point)
+        # P + (-P) is the identity; a sum that lands on it normalizes to IDENTITY
+        assert _jac_to_affine(_jac_add_affine(scaled, (negated.x, negated.y))) == IDENTITY
+        # the generic case
+        other = scalar_mul(0xBEEF)
+        mixed = _jac_add_affine(scaled, (other.x, other.y))
+        assert _jac_to_affine(mixed) == point_add(point, other)
+
+    def test_multi_scalar_mul_edge_terms(self):
+        point = scalar_mul(99)
+        # identity points and zero scalars on either side of real terms
+        terms = [(5, IDENTITY), (0, point), (3, point), (N, GENERATOR),
+                 (4, point_neg(point)), (2, point), (1, IDENTITY)]
+        assert multi_scalar_mul(terms) == point
+        # P and -P in one bucket, then the same point twice in one bucket
+        assert multi_scalar_mul([(6, point), (6, point_neg(point)), (1, GENERATOR)]) == GENERATOR
+        assert multi_scalar_mul([(6, point), (6, point), (6, point)]) == scalar_mul(18, point)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 2**128), st.integers(0, 2**256)),
+                st.integers(0, 4),
+            ),
+            max_size=24,
+        )
+    )
+    def test_multi_scalar_mul_is_the_sum_of_scalar_muls(self, picks):
+        # five points, so lists beyond that repeat points across terms
+        points = [scalar_mul(k) for k in (1, 2, 3, N - 1, 0xDEADBEEF)]
+        terms = [(k, points[which]) for k, which in picks]
+        expected = IDENTITY
+        for k, point in terms:
+            expected = point_add(expected, scalar_mul(k, point))
+        assert multi_scalar_mul(terms) == expected
+
+
 class TestSchnorr:
+    #: (key seed, message, signature hex) captured before ``sign`` took the
+    #: public key as an argument and before the fixed-base table existed
+    PINNED = [
+        ("alice", b"sebdb signature vector one",
+         "0355deb170a74e41806cc719947b976e6ce94c40fd74fc94a8af874c5277376e6b"
+         "8d3efaefcd3451a16c6d435f22b44a4ee9e91ab4001f5594b390efbd48c6f3ae"),
+        ("org-7", bytes(range(200)),
+         "03aa20bf106a5f7b2fa2db5b0d7b5413cce893fa85cb817741328bcc74543847f2"
+         "d016f61c4773bf56b5c4f62ee128962c71b916700f4a9e9ac8cc272f9869aaaa"),
+    ]
+
+    def test_signature_bytes_are_pinned(self):
+        for seed, message, expected in self.PINNED:
+            kp = KeyPair.from_seed(seed)
+            assert kp.sign(message).hex() == expected
+            # with and without the public key handed in
+            assert sign(kp.private_key, message).hex() == expected
+            assert sign(kp.private_key, message, kp.public_key).hex() == expected
+
     def test_sign_verify(self):
         kp = KeyPair.from_seed("alice")
         sig = sign(kp.private_key, b"hello")

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.crypto import KeyPair, multi_scalar_mul, verify, verify_batch
 from repro.crypto.batch import derive_seed
 from repro.crypto.group import GENERATOR, IDENTITY, N, point_add, scalar_mul
@@ -119,3 +122,64 @@ class TestVerifyBatch:
         # the content-derived seed is itself stable
         assert derive_seed(items) == seed
         assert verify_batch(items).valid == first.valid
+
+
+class TestHostileBytes:
+    """Neither verifier may raise on any bytes, and they must agree per item."""
+
+    @staticmethod
+    def assert_agreement(items):
+        expected = [verify(pk, m, s) for pk, m, s in items]
+        assert verify_batch(items).valid == expected
+        return expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # lengths around the real encodings, so parsing gets past
+                # the length checks and into decompression often enough
+                st.one_of(st.binary(max_size=40), st.binary(min_size=33, max_size=33)),
+                st.binary(max_size=16),
+                st.one_of(st.binary(max_size=70), st.binary(min_size=65, max_size=65)),
+            ),
+            max_size=6,
+        )
+    )
+    def test_arbitrary_triples(self, items):
+        self.assert_agreement(items)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_single_byte_mutations_of_valid_triples(self, data):
+        items = make_items(6, signers=2, tag="hostile")
+        for _ in range(data.draw(st.integers(1, 3))):
+            victim = data.draw(st.integers(0, len(items) - 1))
+            field = data.draw(st.integers(0, 2))
+            mutated = bytearray(items[victim][field])
+            position = data.draw(st.integers(0, len(mutated) - 1))
+            mutated[position] ^= data.draw(st.integers(1, 255))
+            triple = list(items[victim])
+            triple[field] = bytes(mutated)
+            items[victim] = tuple(triple)
+        self.assert_agreement(items)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 32), st.integers(1, 255))
+    def test_mutated_key_shared_by_several_items(self, position, flip):
+        # three signers; every item of signer 0 carries the same mutated
+        # key, so the per-call key memo sees it repeatedly - whatever it
+        # remembers must reject those items and nothing else
+        items = make_items(9, signers=3, tag="shared")
+        good_key = items[0][0]
+        mutated = bytearray(good_key)
+        mutated[position] ^= flip
+        bad_key = bytes(mutated)
+        items = [
+            (bad_key if pk == good_key else pk, m, s) for pk, m, s in items
+        ]
+        expected = self.assert_agreement(items)
+        assert expected == [pk != bad_key for pk, _m, _s in items]
+        # and the memo is per call: the intact batch verifies afterwards
+        intact = [(good_key if pk == bad_key else pk, m, s) for pk, m, s in items]
+        assert verify_batch(intact).all_valid

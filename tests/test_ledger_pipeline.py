@@ -10,6 +10,7 @@ from repro.common.clock import Clock
 from repro.common.codec import Writer
 from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, LedgerError, StorageError
+from repro.crypto import KeyPair
 from repro.faults.checker import InvariantChecker
 from repro.ledger import (
     STAGES,
@@ -19,12 +20,14 @@ from repro.ledger import (
     CommitRecord,
     LedgerPipeline,
 )
+from repro.model import make_genesis
 from repro.model.block import Block
 from repro.model.catalog import Catalog
 from repro.model.transaction import Transaction
 from repro.node import FullNode
 from repro.node.stats import collect_stats
 from repro.storage.blockstore import BlockStore
+from tests.conftest import DONATE
 
 
 def durable_config(tmp_path, **overrides):
@@ -176,6 +179,55 @@ class TestSignatureValidation:
         assert node.apply_batch([bad]) is None
         assert node.store.height == height
         assert node.ledger.stats.wal_begun == node.ledger.stats.wal_committed
+
+
+class TestSingleValidatePath:
+    """One worker or many, cache misses go through the aggregate check."""
+
+    @staticmethod
+    def batch_with_one_forgery():
+        signers = [KeyPair.from_seed(f"validate-path-{i}") for i in range(4)]
+        batch = [
+            Transaction.create("donate", (f"d{i}", "edu", float(i + 1)),
+                               ts=i + 1, keypair=signers[i % 4])
+            for i in range(32)
+        ]
+        forger = KeyPair.from_seed("validate-path-forger")
+        batch[13] = dataclasses.replace(
+            batch[13], sig=forger.sign(batch[13].signing_payload())
+        )
+        return batch
+
+    def test_default_node_aggregates_and_rejects_exactly_the_forgery(self):
+        batch = self.batch_with_one_forgery()
+        genesis = make_genesis(0, [DONATE])
+        node = FullNode("n0", verify_signatures=True, genesis=genesis)
+        assert node.ledger.workers == 1
+        node.apply_batch(batch)
+        stats = node.ledger.stats
+        assert stats.sig_aggregate_checks > 0
+        assert stats.validate_chunks == 1
+        assert stats.txs_rejected == 1
+        assert node.rejected_transactions == [batch[13]]
+        # the reference filters one signature at a time and verifies nothing
+        reference = FullNode("ref", verify_signatures=False, genesis=genesis)
+        reference.apply_batch([tx for tx in batch if tx.verify_signature()])
+        assert reference.ledger.stats.sig_checks == 0
+        assert node.store.height == reference.store.height == 2
+        for height in range(node.store.height):
+            assert (node.store.read_block(height).to_bytes()
+                    == reference.store.read_block(height).to_bytes()), height
+
+    def test_adoption_still_refuses_a_forged_signature(self):
+        batch = self.batch_with_one_forgery()
+        genesis = make_genesis(0, [DONATE])
+        source = FullNode("src", verify_signatures=False, genesis=genesis)
+        source.apply_batch(batch)  # an unverifying peer commits the forgery
+        sink = FullNode("sink", verify_signatures=True, genesis=genesis)
+        with pytest.raises(StorageError, match="invalid signature"):
+            sink.accept_block(source.store.read_block(1))
+        assert sink.store.height == 1
+        assert sink.ledger.stats.sig_aggregate_checks > 0
 
 
 # -- validate stage: the honest cache and the bounded reject buffer ----------
