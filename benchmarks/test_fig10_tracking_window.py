@@ -10,8 +10,6 @@ import pytest
 from conftest import save_series
 from repro.bench.generator import build_tracking_dataset, create_standard_indexes
 from repro.bench.harness import fig10_tracking_window
-from repro.query.plan import AccessPath
-from repro.query.tracking import trace_transactions
 
 EXPONENTS = [1, 2, 3, 4]
 NUM_BLOCKS = 100
@@ -41,10 +39,9 @@ def test_fig10_shapes(benchmark, series):
 
     def two_index_q3():
         dataset.store.clear_caches()
-        return trace_transactions(
-            dataset.node.store, dataset.node.indexes,
-            operator="org1", operation="transfer",
-            method=AccessPath.LAYERED, use_operation_index=True,
+        return dataset.node.query(
+            "TRACE OPERATOR = 'org1', OPERATION = 'transfer'",
+            method="layered",
         )
 
     result = benchmark(two_index_q3)

@@ -18,8 +18,10 @@ from ..baselines.chainsql import ChainSQLBaseline
 from ..mht.vo import verify_query_vo
 from ..node.auth import AuthQueryServer
 from ..node.fullnode import FullNode
-from ..query.plan import AccessPath
-from ..sqlparser.nodes import TimeWindow
+from ..query.engine import run_plan
+from ..query.plan import AccessPath, TraceDecision
+from ..query.result import QueryResult
+from ..sqlparser.parser import parse
 from .generator import (
     GAUSSIAN,
     RESULT_HIGH,
@@ -261,8 +263,6 @@ def fig10_tracking_window(
     paper's ``start = ts(1000 - 1000/2^(i-1))``.
     """
     exponents = window_exponents or [1, 2, 3, 4]
-    from ..query.tracking import trace_transactions
-
     series: Series = {k: [] for k in ("SIU", "SIG", "TIU", "TIG")}
     for distribution in DISTRIBUTIONS:
         dataset = build_tracking_dataset(
@@ -273,21 +273,37 @@ def fig10_tracking_window(
         create_standard_indexes(dataset)
         for exponent in exponents:
             start_block = num_blocks - num_blocks // (2 ** (exponent - 1))
-            window = TimeWindow(start=start_block * 1_000, end=None)
+            sql = (
+                f"TRACE [{start_block * 1_000}, ] "
+                f"OPERATOR = 'org1', OPERATION = 'transfer'"
+            )
             for two_index in (False, True):
                 label = ("TI" if two_index else "SI") + (
                     "U" if distribution == UNIFORM else "G"
                 )
                 _, meas = _timed(
                     dataset.node,
-                    lambda ti=two_index, w=window: trace_transactions(
-                        dataset.node.store, dataset.node.indexes,
-                        operator="org1", operation="transfer", window=w,
-                        method=AccessPath.LAYERED, use_operation_index=ti,
+                    lambda ti=two_index, q=sql: (
+                        dataset.node.query(q, method="layered") if ti
+                        else trace_single_index(dataset.node, q)
                     ),
                 )
                 series[label].append((f"TW{exponent}", meas.total_ms))
     return series
+
+
+def trace_single_index(node: FullNode, sql: str) -> QueryResult:
+    """Fig 10's SI* variant of a layered TRACE: only the SenID index
+    prunes, the Tname condition becomes a residual filter.
+
+    It is a pinned decision outside the space the optimizer enumerates,
+    so it enters at the same (IR, decision) seam the optimizer uses.
+    """
+    planner = node.engine.planner
+    return run_plan(planner.build(
+        planner.lower(parse(sql)),
+        TraceDecision(AccessPath.LAYERED, use_operation_index=False),
+    ))
 
 
 def fig11_range_datasize(
@@ -622,8 +638,6 @@ def fig21_chainsql_two_dim(
     two-index tracking stays flat.
     """
     counts = operator_tx_counts or [500, 1_000, 2_000, 4_000]
-    from ..query.tracking import trace_transactions
-
     series: Series = {"SEBDB": [], "ChainSQL": []}
     for operator_txs in counts:
         dataset = build_tracking_dataset(
@@ -635,10 +649,9 @@ def fig21_chainsql_two_dim(
         create_standard_indexes(dataset)
         result, meas = _timed(
             dataset.node,
-            lambda: trace_transactions(
-                dataset.node.store, dataset.node.indexes,
-                operator="org1", operation="transfer",
-                method=AccessPath.LAYERED,
+            lambda: dataset.node.query(
+                "TRACE OPERATOR = 'org1', OPERATION = 'transfer'",
+                method="layered",
             ),
         )
         assert len(result) == result_size, len(result)

@@ -75,6 +75,14 @@ class QueryError(SebdbError):
     """Semantic error while planning or executing a query."""
 
 
+class ForcedPathError(QueryError, ValueError):
+    """A forced access path the statement cannot take (no usable index).
+
+    Also a :class:`ValueError`: that is what forcing an unusable path
+    raised before it joined the hierarchy, and callers catch it as such.
+    """
+
+
 class ConsensusError(SebdbError):
     """Consensus engine failure (no quorum, byzantine behaviour, ...)."""
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from ..common.clock import Clock
 from ..common.config import SebdbConfig
-from ..common.errors import CatalogError, QueryError, StorageError
+from ..common.errors import StorageError
 from ..consensus.base import Checkpoint, ConsensusEngine, ReplyCallback
 from ..crypto.keys import KeyPair
 from ..index.manager import IndexManager
@@ -23,18 +23,17 @@ from ..ledger import CRASH_TORN, CheckpointRecord, CommitLog, LedgerPipeline
 from ..model.block import Block
 from ..model.catalog import Catalog
 from ..model.genesis import make_genesis
-from ..model.schema import TableSchema
-from ..model.transaction import Transaction, schema_sync_transaction
+from ..model.transaction import Transaction
 from ..offchain.adapter import OffChainDatabase
 from ..query.engine import MethodArg, QueryEngine
 from ..query.result import QueryResult
 from ..sqlparser import nodes
-from ..sqlparser.parser import bind, parse
 from ..storage.blockstore import BlockStore
 from .access import AccessController
+from .base import SqlNode
 
 
-class FullNode:
+class FullNode(SqlNode):
     """One heavy SEBDB participant (stores everything, runs consensus)."""
 
     def __init__(
@@ -128,49 +127,6 @@ class FullNode:
             self.apply_batch([tx])
             if on_reply is not None:
                 on_reply(self.clock.now_ms())
-
-    def create_table(
-        self,
-        schema_or_sql: Union[TableSchema, str],
-        keypair: Optional[KeyPair] = None,
-    ) -> TableSchema:
-        """CREATE: replicate a schema through a special transaction."""
-        if isinstance(schema_or_sql, str):
-            stmt = parse(schema_or_sql)
-            if not isinstance(stmt, nodes.CreateTable):
-                raise QueryError("create_table expects a CREATE statement")
-            schema = TableSchema.create(stmt.table, stmt.columns)
-        else:
-            schema = schema_or_sql
-        if schema.name in self.catalog:
-            raise CatalogError(f"table {schema.name!r} already exists")
-        tx = schema_sync_transaction(
-            schema, ts=int(self.clock.now_ms()), keypair=keypair or self.keypair
-        )
-        self.submit_transaction(tx)
-        return schema
-
-    def insert(
-        self,
-        table: str,
-        values: Sequence[Any],
-        keypair: Optional[KeyPair] = None,
-        sender: Optional[str] = None,
-        ts: Optional[int] = None,
-        on_reply: Optional[ReplyCallback] = None,
-    ) -> Transaction:
-        """INSERT: validate against the schema, sign, submit."""
-        schema = self.catalog.get(table)
-        validated = schema.validate_app_values(tuple(values))
-        tx = Transaction.create(
-            schema.name,
-            validated,
-            ts=ts if ts is not None else int(self.clock.now_ms()),
-            keypair=keypair,
-            sender=sender if keypair is None else None,
-        )
-        self.submit_transaction(tx, on_reply)
-        return tx
 
     # -- consensus callback ------------------------------------------------------
 
@@ -409,36 +365,8 @@ class FullNode:
         channel_member: Optional[str] = None,
     ) -> QueryResult:
         """Execute a read statement against local state."""
-        statement = parse(sql) if isinstance(sql, str) else sql
-        if params:
-            statement = bind(statement, tuple(params))
-        if self.access is not None and channel_member is not None:
-            for table in _tables_of(statement):
-                self.access.check_read(channel_member, table)
+        statement = self._read_statement(sql, params, channel_member)
         return self.engine.execute(statement, method=method)
-
-    def execute(
-        self,
-        sql: str,
-        params: tuple[Any, ...] = (),
-        method: MethodArg = None,
-        keypair: Optional[KeyPair] = None,
-        sender: Optional[str] = None,
-    ) -> Optional[QueryResult]:
-        """One-stop SQL entry point: routes writes to consensus, reads to
-        the engine.  Returns ``None`` for writes (they commit async)."""
-        statement = parse(sql)
-        if params:
-            statement = bind(statement, tuple(params))
-        if isinstance(statement, nodes.CreateTable):
-            self.create_table(sql, keypair=keypair)
-            return None
-        if isinstance(statement, nodes.Insert):
-            self.insert(
-                statement.table, statement.values, keypair=keypair, sender=sender
-            )
-            return None
-        return self.query(statement, method=method)
 
     # -- index administration ------------------------------------------------------------
 
@@ -462,12 +390,3 @@ class FullNode:
         """
         return self.indexes.refresh_statistics()
 
-
-def _tables_of(statement: nodes.Statement) -> list[str]:
-    if isinstance(statement, nodes.Explain):
-        return _tables_of(statement.statement)
-    if isinstance(statement, nodes.Select):
-        return [t.name for t in statement.tables]
-    if isinstance(statement, nodes.Trace):
-        return [statement.operation] if statement.operation else []
-    return []

@@ -1,8 +1,6 @@
 """Query processing: planner, streaming physical operators, engine."""
 
 from .engine import QueryEngine
-from .join_onchain import join_onchain
-from .join_onoff import join_onoff
 from .operators import extract_constraints, predicate_matches
 from .physical import OperatorStats, PhysicalOperator, render_plan
 from .plan import (
@@ -12,9 +10,7 @@ from .plan import (
     Planner,
     choose_access_path,
 )
-from .range_scan import select_transactions
 from .result import QueryResult
-from .tracking import trace_transactions
 
 __all__ = [
     "AccessPath",
@@ -27,10 +23,6 @@ __all__ = [
     "QueryResult",
     "choose_access_path",
     "extract_constraints",
-    "join_onchain",
-    "join_onoff",
     "predicate_matches",
     "render_plan",
-    "select_transactions",
-    "trace_transactions",
 ]

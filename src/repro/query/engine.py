@@ -6,27 +6,31 @@ database.  CREATE and INSERT are write operations that must travel through
 consensus; the node (:mod:`repro.node.fullnode`) owns those and raises
 here.
 
-Every read statement is compiled by :class:`~repro.query.plan.Planner`
-into a tree of streaming operators (:mod:`repro.query.physical`) and
-executed by pulling rows through it.  Costs are attributed to a per-query
-:class:`~repro.storage.costmodel.CostTracker` created at plan time, so two
-interleaved queries each see exactly their own I/O (the old global
-snapshot-delta accounting double-counted under interleaving).
+Every read statement is lowered to the logical IR, decided by
+:class:`~repro.query.optimizer.Optimizer` and compiled by
+:meth:`~repro.query.plan.Planner.build` into a tree of streaming
+operators (:mod:`repro.query.physical`), then executed by pulling rows
+through it (:func:`run_plan` / :func:`explain_plan`, which the shard
+coordinator also calls on its fan-out plans).  Costs are attributed to a
+per-query :class:`~repro.storage.costmodel.CostTracker` created at plan
+time, so two interleaved queries each see exactly their own I/O (the old
+global snapshot-delta accounting double-counted under interleaving).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Union
 
-from ..common.errors import CatalogError, QueryError
+from ..common.errors import QueryError
 from ..index.manager import IndexManager
 from ..model.catalog import Catalog
 from ..offchain.adapter import OffChainDatabase
 from ..sqlparser import nodes
 from ..sqlparser.parser import bind, parse
 from ..storage.blockstore import BlockStore
+from .logical import LScan
 from .optimizer import Optimizer
-from .plan import AccessPath, PhysicalPlan, Planner, choose_access_path
+from .plan import AccessPath, PhysicalPlan, Planner, rank_access_paths
 from .result import QueryResult
 
 MethodArg = Union[AccessPath, str, None]
@@ -43,6 +47,33 @@ def _resolve_method(method: MethodArg) -> Optional[AccessPath]:
         ) from exc
 
 
+def run_plan(plan: PhysicalPlan, stream: bool = False) -> QueryResult:
+    """Execute a compiled plan: a lazy result, drained unless ``stream``."""
+    result = QueryResult(
+        columns=plan.columns,
+        access_path=plan.access_path,
+        plan=plan,
+        stream=plan.root.execute(),
+    )
+    if not stream:
+        result._drain()  # noqa: SLF001 - the result's own engine
+    return result
+
+
+def explain_plan(plan: PhysicalPlan, analyze: bool) -> QueryResult:
+    """Render a compiled plan as EXPLAIN [ANALYZE] output."""
+    if analyze:
+        # run the statement to completion, then annotate the tree
+        for _ in plan.root.execute():
+            pass
+    return QueryResult(
+        columns=("QUERY PLAN",),
+        rows=[(line,) for line in plan.render(analyze=analyze)],
+        access_path=plan.access_path,
+        plan=plan,
+    )
+
+
 class QueryEngine:
     """Executes read statements against one full node's state."""
 
@@ -53,10 +84,6 @@ class QueryEngine:
         catalog: Catalog,
         offchain: Optional[OffChainDatabase] = None,
     ) -> None:
-        self._store = store
-        self._indexes = indexes
-        self._catalog = catalog
-        self._offchain = offchain
         self._planner = Planner(store, indexes, catalog, offchain)
         self._optimizer = Optimizer(self._planner)
 
@@ -96,7 +123,10 @@ class QueryEngine:
             statement = bind(statement, tuple(params))
         resolved = _resolve_method(method)
         if isinstance(statement, nodes.Explain):
-            return self._execute_explain(statement, resolved)
+            return explain_plan(
+                self._optimizer.plan(statement.statement, resolved),
+                statement.analyze,
+            )
         if isinstance(statement, (nodes.CreateTable, nodes.Insert)):
             raise QueryError(
                 "CREATE/INSERT are write statements - submit them through "
@@ -106,8 +136,7 @@ class QueryEngine:
             statement, (nodes.Select, nodes.Trace, nodes.GetBlock)
         ):
             raise QueryError(f"unsupported statement {type(statement).__name__}")
-        plan = self._optimizer.plan(statement, resolved)
-        return self._run(plan, stream)
+        return run_plan(self._optimizer.plan(statement, resolved), stream)
 
     def plan(
         self,
@@ -145,23 +174,21 @@ class QueryEngine:
             raise QueryError("EXPLAIN supports SELECT statements")
         if len(statement.tables) != 1 or statement.tables[0].source != "onchain":
             raise QueryError("EXPLAIN supports single on-chain tables")
-        from .operators import extract_constraints
-
-        schema = self._catalog.get(statement.tables[0].name)
-        constraints = extract_constraints(statement.where)
-        choice = choose_access_path(
-            self._store, self._indexes, schema.name, constraints
+        scan = self._planner.lower(statement).unwrap_source()
+        assert isinstance(scan, LScan)
+        schema, constraints = scan.schema, scan.constraints
+        ranked = rank_access_paths(
+            self._planner.store, self._planner.indexes, schema.name,
+            dict(constraints),
         )
-        alternatives = {}
-        for path in AccessPath:
-            try:
-                alt = choose_access_path(
-                    self._store, self._indexes, schema.name, constraints,
-                    forced=path,
-                )
-                alternatives[path.value] = alt.est_cost_ms
-            except ValueError:
-                alternatives[path.value] = None  # path not applicable
+        choice = ranked[0]
+        alternatives = {
+            # the cheapest entry per path; None when not applicable
+            path.value: next(
+                (c.est_cost_ms for c in ranked if c.path is path), None
+            )
+            for path in AccessPath
+        }
         return {
             "table": schema.name,
             "access_path": choice.path.value,
@@ -173,39 +200,3 @@ class QueryEngine:
                 name: (c.low, c.high) for name, c in constraints.items()
             },
         }
-
-    # -- execution --------------------------------------------------------------
-
-    def _run(self, plan: PhysicalPlan, stream: bool) -> QueryResult:
-        result = QueryResult(
-            columns=plan.columns,
-            access_path=plan.access_path,
-            plan=plan,
-            stream=plan.root.execute(),
-        )
-        if not stream:
-            result._drain()  # noqa: SLF001 - the result's own engine
-        return result
-
-    def _execute_explain(
-        self, stmt: nodes.Explain, method: Optional[AccessPath]
-    ) -> QueryResult:
-        plan = self._optimizer.plan(stmt.statement, method)
-        if stmt.analyze:
-            # run the statement to completion, then annotate the tree
-            for _ in plan.root.execute():
-                pass
-        lines = plan.render(analyze=stmt.analyze)
-        return QueryResult(
-            columns=("QUERY PLAN",),
-            rows=[(line,) for line in lines],
-            access_path=plan.access_path,
-            plan=plan,
-        )
-
-    def _require_offchain(self) -> OffChainDatabase:
-        if self._offchain is None:
-            raise CatalogError(
-                "this node has no off-chain database attached"
-            )
-        return self._offchain

@@ -7,8 +7,7 @@ the WHERE clause into per-side pushdowns plus a residual.  Everything the
 planner and optimizer need to enumerate physical alternatives lives here;
 nothing in this module knows about access paths, operators, or I/O.
 
-Normalization performed during lowering (these used to be ad-hoc
-statement walks scattered over ``plan.py`` and the query facades):
+Normalization performed during lowering:
 
 * **WHERE split**: conjuncts of a join's WHERE that touch only one side
   become that side's scan predicate (an intake filter pushed inside the
@@ -240,12 +239,11 @@ def scan_node(
     schema: TableSchema,
     predicate: Optional[nodes.Predicate],
     window: Optional[nodes.TimeWindow],
-    table: Optional[nodes.TableRef] = None,
+    table: nodes.TableRef,
 ) -> LScan:
-    """An :class:`LScan` with its constraints extracted - the facade-level
-    binder for callers that hold a schema + predicate rather than SQL."""
+    """An :class:`LScan` with its constraints extracted."""
     return LScan(
-        table=table if table is not None else nodes.TableRef(schema.name),
+        table=table,
         schema=schema,
         predicate=predicate,
         constraints=extract_constraints(predicate),

@@ -1,8 +1,8 @@
 """Row-level operators: predicate evaluation, projection, constraints.
 
 These are the relational primitives section V re-implements over the
-blockchain storage pattern - the physical access paths live in
-:mod:`tracking`, :mod:`range_scan`, :mod:`join_onchain`, :mod:`join_onoff`.
+blockchain storage pattern - the physical access paths and join
+algorithms that evaluate them are the operators of :mod:`physical`.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...index.manager import IndexManager
 from ...sqlparser import nodes
 from ..logical import LBlockLookup, LJoin, LOffScan, LScan, LTrace, LogicalPlan
 from ..plan import (
@@ -35,8 +36,8 @@ from ..plan import (
     SelectDecision,
     TraceDecision,
     avg_block_size,
-    choose_access_path,
     estimate_matching_tuples,
+    pick_access_path,
     rank_access_paths,
 )
 from .candidates import Candidate, attach
@@ -59,6 +60,18 @@ def estimate_scan_rows(planner: Planner, scan: LScan) -> int:
         est = estimate_matching_tuples(index, constraint, tuples)
         best = est if best is None else min(best, est)
     return best if best is not None else tuples
+
+
+def default_trace_path(indexes: IndexManager, trace: LTrace) -> AccessPath:
+    """Algorithm 1's structural rule: layered when the index each given
+    dimension needs exists (``senid`` for an operator, ``tname`` for an
+    operation on its own), else the table-level bitmaps."""
+    layered_ok = not (
+        (trace.operator is not None and indexes.layered("senid") is None)
+        or (trace.operation is not None and trace.operator is None
+            and indexes.layered("tname") is None)
+    )
+    return AccessPath.LAYERED if layered_ok else AccessPath.BITMAP
 
 
 class Optimizer:
@@ -139,14 +152,9 @@ class Optimizer:
             dict(scan.constraints),
         )
         if method is not None:
-            # choose_access_path keeps the forced-layered error semantics
-            forced = choose_access_path(
-                planner.store, planner.indexes, scan.schema.name,
-                dict(scan.constraints), forced=method,
-            )
-            ranked = [forced] + [
-                c for c in ranked if _choice_key(c) != _choice_key(forced)
-            ]
+            # a forced layered path no index can serve is an error here
+            forced = pick_access_path(ranked, scan.schema.name, method)
+            ranked = [forced] + [c for c in ranked if c is not forced]
         return [self._select_candidate(lplan, choice) for choice in ranked]
 
     def _select_candidate(
@@ -309,17 +317,10 @@ class Optimizer:
         paper's TRACE variants are defined by index availability, not
         cost), so the chosen candidate leads even when the model ranks a
         scan cheaper on a short chain; the alternatives trail, costed."""
-        planner = self._planner
-        indexes = planner.indexes
-        layered_ok = not (
-            (trace.operator is not None and indexes.layered("senid") is None)
-            or (trace.operation is not None and trace.operator is None
-                and indexes.layered("tname") is None)
+        chosen = (
+            method if method is not None
+            else default_trace_path(self._planner.indexes, trace)
         )
-        default = (
-            AccessPath.LAYERED if layered_ok else AccessPath.BITMAP
-        )
-        chosen = method if method is not None else default
         order = [chosen] + [
             p for p in (AccessPath.LAYERED, AccessPath.BITMAP, AccessPath.SCAN)
             if p is not chosen
@@ -377,13 +378,6 @@ class Optimizer:
         )
 
 
-def _choice_key(choice: PathChoice) -> tuple:
-    return (
-        choice.path,
-        choice.index.column if choice.index is not None else None,
-    )
-
-
 def _forced_join_label(method: AccessPath, kind: str) -> str:
     if method is AccessPath.LAYERED:
         return "join:merge(layered)"
@@ -391,4 +385,4 @@ def _forced_join_label(method: AccessPath, kind: str) -> str:
     return f"join:hash({method.value}, build={side})"
 
 
-__all__ = ["Optimizer", "estimate_scan_rows"]
+__all__ = ["Optimizer", "default_trace_path", "estimate_scan_rows"]

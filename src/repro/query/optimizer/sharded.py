@@ -1,8 +1,12 @@
-"""Costed fan-out choices for sharded SELECTs.
+"""Costed fan-out plans for statements that span shards.
 
-The shard coordinator used to special-case routing: prune shards by the
-partition key, then fan out with one hard-coded plan shape.  Here those
-become enumerated candidates like any other decision:
+A statement that genuinely spans shards compiles to one subplan per
+shard (each built by that shard's own Planner against its own store,
+indexes and scoped tracker) under a single ShardMerge.  The routing
+decision - which shards, and whether to fan out at all - belongs to the
+ShardRouter (:mod:`repro.shard.routing`); this module enumerates the
+fan-out shapes over the shards it is handed, like any other decision,
+and assembles the chosen one:
 
 * **per-shard-best** (the chosen default) - every shard picks its own
   cheapest access path, ordered statements sort per shard and k-way
@@ -25,52 +29,119 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ...common.errors import QueryError
 from ...sqlparser import nodes
-from .. import plan as planmod
-from ..logical import LScan
-from ..plan import AccessPath, PathChoice, PhysicalPlan, Planner, rank_access_paths
+from ...storage.costmodel import CostTracker
+from .. import physical as phys
+from ..aggregates import aggregate_columns, resolve_order_index
+from ..logical import LAggregate, LScan, LSort, LTrace, LogicalPlan
+from ..operators import projected_columns
+from ..plan import (
+    AccessPath,
+    FanoutTracker,
+    PathChoice,
+    PhysicalPlan,
+    Planner,
+    TraceDecision,
+    finish_pipeline,
+    pick_access_path,
+    rank_access_paths,
+)
 from .candidates import Candidate, attach
+from .core import default_trace_path
 
 ShardPlanners = Sequence[tuple[int, Planner]]
+
+#: one shard's lowered statement, its scan source and that scan's
+#: cost-ranked access paths
+ShardRanking = tuple[LogicalPlan, LScan, list[PathChoice]]
 
 
 def _shard_rankings(
     shard_planners: ShardPlanners, stmt: nodes.Select
-) -> list[list[PathChoice]]:
-    """Per-shard access-path rankings for the statement's single table."""
-    rankings: list[list[PathChoice]] = []
+) -> list[ShardRanking]:
+    """Lower the statement on every shard and rank its access paths."""
+    rankings: list[ShardRanking] = []
     for _sid, planner in shard_planners:
         lplan = planner.lower(stmt)
         scan = lplan.unwrap_source()
-        assert isinstance(scan, LScan)
-        rankings.append(rank_access_paths(
+        if not isinstance(scan, LScan):
+            raise QueryError(
+                "sharded fan-out supports single on-chain tables"
+            )
+        rankings.append((lplan, scan, rank_access_paths(
             planner.store, planner.indexes, scan.schema.name,
             dict(scan.constraints),
-        ))
+        )))
     return rankings
 
 
-def _path_cost(
-    rankings: list[list[PathChoice]], path: Optional[AccessPath]
-) -> Optional[tuple[float, int, int]]:
-    """(total ms, total est rows, total seeks) of a uniform path across
-    shards - or of each shard's cheapest when ``path`` is None.  Returns
-    None when some shard cannot serve the path (layered without a usable
-    index)."""
-    total_ms = 0.0
-    total_rows = 0
-    total_seeks = 0
-    for ranked in rankings:
-        if path is None:
-            choice: Optional[PathChoice] = ranked[0]
+def _build_fanout(
+    shard_planners: ShardPlanners,
+    rankings: list[ShardRanking],
+    choices: list[PathChoice],
+    sort_below_merge: bool,
+) -> PhysicalPlan:
+    """Assemble one fan-out plan: a scan leaf per shard, built from the
+    access path already chosen for it, merged and finished.
+
+    With ``sort_below_merge`` an ordered statement sorts per shard and
+    k-way merges (ShardMerge's ordered mode), so a downstream LIMIT still
+    stops per-shard I/O after at most ``limit + 1`` rows each; the LIMIT
+    additionally pushes into each shard below the merge (the global top-k
+    is a subset of the per-shard top-k's) unless DISTINCT intervenes.
+    Without it the unsorted streams concatenate and the ordinary pipeline
+    tail sorts once above the merge (byte-identical output: the ordered
+    merge breaks ties on shard position, exactly a stable sort over the
+    shard-ordered concat).  Aggregates pull the concatenated transaction
+    streams through one blocking Aggregate.
+    """
+    shard_ids = [sid for sid, _planner in shard_planners]
+    trackers: list[CostTracker] = []
+    inputs: list[phys.PhysicalOperator] = []
+    for (_sid, planner), (_lplan, scan, _paths), choice in zip(
+        shard_planners, rankings, choices
+    ):
+        trackers.append(planner.store.cost.tracker())
+        inputs.append(planner.scan_leaf(scan, choice, trackers[-1]))
+    # every shard holds the same catalog: the first lowering speaks for all
+    lplan, first_scan, _paths = rankings[0]
+    stmt, schema = lplan.statement, first_scan.schema
+    assert isinstance(stmt, nodes.Select)
+    head, rest = lplan.pipeline[0], lplan.pipeline[1:]
+    if isinstance(head, LAggregate):
+        columns = aggregate_columns(stmt)
+        root: phys.PhysicalOperator = phys.Aggregate(
+            phys.ShardMerge(inputs, shard_ids), stmt, schema
+        )
+    else:
+        columns = projected_columns(schema, stmt.projection)
+        subplans: list[phys.PhysicalOperator] = [
+            phys.Project(part, schema, stmt.projection) for part in inputs
+        ]
+        sort = next((n for n in rest if isinstance(n, LSort)), None)
+        if sort is not None and sort_below_merge:
+            key = resolve_order_index(columns, sort.column)
+            column = str(sort.column)
+            subplans = [
+                phys.Sort(sub, key, column, sort.descending)
+                for sub in subplans
+            ]
+            if stmt.limit is not None and not stmt.distinct:
+                subplans = [phys.Limit(sub, stmt.limit) for sub in subplans]
+            root = phys.ShardMerge(
+                subplans, shard_ids,
+                key_index=key, column=column, descending=sort.descending,
+            )
+            rest = tuple(n for n in rest if n is not sort)
         else:
-            choice = next((c for c in ranked if c.path is path), None)
-        if choice is None:
-            return None
-        total_ms += choice.est_cost_ms
-        total_rows += choice.est_rows
-        total_seeks += choice.est_seeks
-    return total_ms, total_rows, total_seeks
+            root = phys.ShardMerge(subplans, shard_ids)
+    root = finish_pipeline(root, rest, columns)
+    return PhysicalPlan(
+        root=root, columns=columns, access_path="shard-merge",
+        tracker=FanoutTracker(trackers), statement=stmt,
+        choice=choices[0],
+    )
 
 
 def _est_output_rows(
@@ -99,9 +170,11 @@ def rank_sharded_select(
     selected; ``unpruned`` - when pruning narrowed it - is the full
     shard set for the table, enumerated as the no-pruning alternative.
     A forced ``method`` pins the uniform candidate for that path, the
-    legacy benchmark semantics.
+    legacy benchmark semantics (a forced layered path some shard has no
+    index for raises :class:`QueryError`).
     """
     rankings = _shard_rankings(shard_planners, stmt)
+    table = stmt.tables[0].name
     cost_model = shard_planners[0][1].store.cost
     ordered = stmt.order_by is not None
 
@@ -116,83 +189,69 @@ def rank_sharded_select(
             )
         return cost_model.estimate_sort(rows)
 
-    candidates: list[Candidate] = []
-
     def fanout_candidate(
         label: str,
         path: Optional[AccessPath],
         *,
         planners: ShardPlanners = shard_planners,
-        ranked: Optional[list[list[PathChoice]]] = None,
-        ordered_strategy: str = "pushdown",
+        ranked: list[ShardRanking] = rankings,
+        sort_below_merge: bool = True,
         detail: str = "",
-    ) -> Optional[Candidate]:
-        costs = _path_cost(ranked if ranked is not None else rankings, path)
-        if costs is None:
-            return None
-        total_ms, total_rows, total_seeks = costs
-        out_rows = _est_output_rows(planners, stmt, total_rows)
-        total_ms += sort_overhead(out_rows, ordered_strategy == "pushdown")
+    ) -> Candidate:
+        """A uniform ``path`` on every shard, or each shard's cheapest
+        when ``path`` is None."""
+        choices = [
+            pick_access_path(paths, table, path)
+            for _lplan, _scan, paths in ranked
+        ]
+        est_rows = sum(choice.est_rows for choice in choices)
+        out_rows = _est_output_rows(planners, stmt, est_rows)
         return Candidate(
             label=label,
             kind="fanout",
-            est_cost_ms=total_ms,
-            est_rows=total_rows,
-            est_seeks=total_seeks,
-            build=lambda: planmod.plan_sharded_select(
-                planners, stmt, path, ordered_strategy=ordered_strategy
+            est_cost_ms=sum(choice.est_cost_ms for choice in choices)
+            + sort_overhead(out_rows, sort_below_merge),
+            est_rows=est_rows,
+            est_seeks=sum(choice.est_seeks for choice in choices),
+            build=lambda: _build_fanout(
+                planners, ranked, choices, sort_below_merge
             ),
             detail=detail,
         )
 
     if method is not None:
-        chosen = fanout_candidate(
+        candidates = [fanout_candidate(
             f"fanout:uniform({method.value})", method,
             detail="forced method on every shard",
-        )
-        if chosen is None:
-            # forced layered without a usable index on some shard: keep
-            # the legacy ValueError-at-build semantics
-            chosen = Candidate(
-                label=f"fanout:uniform({method.value})",
-                kind="fanout",
-                est_cost_ms=float("inf"),
-                build=lambda: planmod.plan_sharded_select(
-                    shard_planners, stmt, method
-                ),
-                detail="forced method unavailable on some shard",
-            )
-        candidates.append(chosen)
+        )]
     else:
-        chosen = fanout_candidate(
+        candidates = [fanout_candidate(
             "fanout:per-shard-best", None,
             detail=f"{len(shard_planners)} shard(s), each picks its "
             f"cheapest path",
-        )
-        assert chosen is not None
-        candidates.append(chosen)
-        for path in (AccessPath.SCAN, AccessPath.BITMAP, AccessPath.LAYERED):
-            uniform = fanout_candidate(f"fanout:uniform({path.value})", path)
-            if uniform is not None:
-                candidates.append(uniform)
+        )]
+        # layered is only enumerated when every shard can serve it
+        candidates += [
+            fanout_candidate(f"fanout:uniform({path.value})", path)
+            for path in (AccessPath.SCAN, AccessPath.BITMAP, AccessPath.LAYERED)
+            if all(
+                any(choice.path is path for choice in paths)
+                for _lplan, _scan, paths in rankings
+            )
+        ]
     if ordered and not (stmt.has_aggregates or stmt.group_by is not None):
-        alt = fanout_candidate(
+        candidates.append(fanout_candidate(
             "fanout:global-sort", method,
-            ordered_strategy="global",
+            sort_below_merge=False,
             detail="one blocking sort above the merge instead of "
             "per-shard sorts",
-        )
-        if alt is not None:
-            candidates.append(alt)
+        ))
     if unpruned is not None and len(unpruned) > len(shard_planners):
-        all_rankings = _shard_rankings(unpruned, stmt)
-        alt = fanout_candidate(
+        candidates.append(fanout_candidate(
             f"fanout:all-shards({len(unpruned)})", None,
-            planners=unpruned, ranked=all_rankings,
+            planners=unpruned, ranked=_shard_rankings(unpruned, stmt),
             detail="partition pruning disabled",
-        )
-        if alt is not None:
-            candidates.append(alt)
+        ))
     head, tail = candidates[0], candidates[1:]
     tail.sort(key=lambda c: (c.est_cost_ms, c.label))
     return [head] + tail
@@ -214,5 +273,26 @@ def plan_sharded_trace(
     stmt: nodes.Trace,
     method: Optional[AccessPath] = None,
 ) -> PhysicalPlan:
-    """TRACE fan-out (no plan freedom beyond the per-shard method)."""
-    return planmod.plan_sharded_trace(shard_planners, stmt, method)
+    """TRACE across shards: per-shard Algorithm-1 leaves, concatenated.
+
+    There is no plan freedom beyond the per-shard strategy: the forced
+    ``method``, else each shard's own Algorithm-1 default (a shard
+    without the index degrades to its bitmaps on its own).
+    """
+    trackers = [planner.store.cost.tracker() for _sid, planner in shard_planners]
+    leaves: list[phys.PhysicalOperator] = []
+    for (_sid, planner), tracker in zip(shard_planners, trackers):
+        trace = planner.lower(stmt).unwrap_source()
+        assert isinstance(trace, LTrace)
+        decision = TraceDecision(
+            method if method is not None
+            else default_trace_path(planner.indexes, trace)
+        )
+        leaves.append(planner.trace_leaf(trace, decision, tracker))
+    shard_ids = [sid for sid, _planner in shard_planners]
+    return PhysicalPlan(
+        root=phys.TraceRows(phys.ShardMerge(leaves, shard_ids)),
+        columns=phys.TraceRows.COLUMNS,
+        access_path="shard-merge", tracker=FanoutTracker(trackers),
+        statement=stmt,
+    )

@@ -7,15 +7,14 @@ planner estimates p (matching tuples) from the layered index's histogram
 (continuous) or distinct-value bitmaps (discrete); benchmarks override the
 choice explicitly to reproduce the paper's per-method curves.
 
-Since the optimizer refactor this module is the *builder* half of the
-read path: the binder (:mod:`repro.query.logical`) lowers statements into
-the logical IR, :class:`Planner` compiles IR + a *decision* (access path,
-join method, hash build side) into a tree of streaming operators
-(:mod:`repro.query.physical`), and the plan-space search lives in
-:mod:`repro.query.optimizer`.  ``Planner.plan`` keeps the legacy greedy
-defaults (per-leaf cheapest path, Algorithm-2/3 structural join rule) for
-direct callers; the engine routes through the optimizer, which enumerates
-decisions and picks the cheapest whole plan.
+This module is the *builder* half of the read path: the binder
+(:mod:`repro.query.logical`) lowers statements into the logical IR,
+:meth:`Planner.build` compiles IR + a *decision* (access path, join
+method, hash build side) into a tree of streaming operators
+(:mod:`repro.query.physical`), and every decision is taken in
+:mod:`repro.query.optimizer`, which enumerates them and picks the
+cheapest whole plan.  Nothing here chooses: an on-chain scan, join or
+TRACE source without a decision is an error.
 
 Pushdowns are explicit plan rewrites made here:
 
@@ -32,9 +31,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
-from ..common.errors import CatalogError, QueryError
+from ..common.errors import CatalogError, ForcedPathError, QueryError
 from ..index.bitmap import Bitmap
 from ..index.layered import LayeredIndex
 from ..index.manager import IndexManager
@@ -52,7 +51,6 @@ from .logical import (
     LAggregate,
     LBlockLookup,
     LDistinct,
-    LFilter,
     LJoin,
     LLimit,
     LOffScan,
@@ -61,7 +59,6 @@ from .logical import (
     LSort,
     LTrace,
     LogicalPlan,
-    align_join_columns,
     lower,
 )
 from .operators import (
@@ -83,16 +80,11 @@ __all__ = [
     "Planner",
     "SelectDecision",
     "TraceDecision",
-    "align_join_columns",
     "avg_block_size",
-    "build_onchain_join_leaf",
-    "build_onoff_join_leaf",
-    "build_select_leaf",
-    "build_trace_leaf",
     "choose_access_path",
     "estimate_matching_tuples",
-    "plan_sharded_select",
-    "plan_sharded_trace",
+    "finish_pipeline",
+    "pick_access_path",
     "rank_access_paths",
     "resolve_join_projection",
     "window_bitmap",
@@ -227,14 +219,24 @@ def choose_access_path(
     are broken deterministically by modelled seeks (documented on
     :func:`path_rank_key`), never by enumeration order.
     """
-    ranked = rank_access_paths(store, indexes, table, constraints)
+    return pick_access_path(
+        rank_access_paths(store, indexes, table, constraints), table, forced
+    )
+
+
+def pick_access_path(
+    ranked: Sequence[PathChoice],
+    table: str,
+    forced: Optional[AccessPath] = None,
+) -> PathChoice:
+    """The head of a ranking, or its cheapest entry on the forced path."""
     if forced is None:
         return ranked[0]
     for choice in ranked:
         if choice.path is forced:
             return choice
     # scan and bitmap are always enumerated; only layered can be missing
-    raise ValueError(
+    raise ForcedPathError(
         f"no layered index usable for table {table!r} with the given "
         f"predicate - create one before forcing the layered path"
     )
@@ -261,240 +263,11 @@ def window_bitmap(
     return indexes.block_index.window_bitmap(window.start, window.end)
 
 
-def build_select_leaf(
-    store: BlockStore,
-    indexes: IndexManager,
-    schema: TableSchema,
-    choice: PathChoice,
-    window: Optional[nodes.TimeWindow],
-    tracker: Optional[CostTracker] = None,
-) -> phys.PhysicalOperator:
-    """The access-path leaf for a single-table select (eqs 1-3)."""
-    window_bits = window_bitmap(indexes, window)
-    if choice.path is AccessPath.LAYERED:
-        assert choice.index is not None and choice.constraint is not None
-        candidate = choice.index.candidate_blocks_range(
-            choice.constraint.low, choice.constraint.high
-        )
-        candidate = candidate & indexes.table_index.blocks_for_table(schema.name)
-        if window_bits is not None:
-            candidate = candidate & window_bits
-        leaf: phys.PhysicalOperator = phys.LayeredLookup(
-            store, tracker, choice.index, choice.constraint,
-            candidate, schema, window,
-        )
-    elif choice.path is AccessPath.BITMAP:
-        candidate = indexes.table_index.blocks_for_table(schema.name)
-        if window_bits is not None:
-            candidate = candidate & window_bits
-        leaf = phys.BitmapScan(store, tracker, candidate, schema, window)
-    else:
-        candidate = (
-            window_bits if window_bits is not None
-            else indexes.block_index.all_blocks_bitmap()
-        )
-        leaf = phys.SeqScan(store, tracker, candidate, schema, window)
-    leaf.est_rows = choice.est_rows or None
-    leaf.est_cost_ms = choice.est_cost_ms
-    return leaf
-
-
-def build_trace_leaf(
-    store: BlockStore,
-    indexes: IndexManager,
-    operator: Optional[str],
-    operation: Optional[str],
-    window: Optional[nodes.TimeWindow],
-    method: Optional[AccessPath],
-    use_operation_index: bool = True,
-    tracker: Optional[CostTracker] = None,
-) -> tuple[phys.PhysicalOperator, AccessPath]:
-    """The TRACE leaf (Algorithm 1) plus the method actually used."""
-    if operator is None and operation is None:
-        raise QueryError("tracking needs an operator and/or an operation")
-    if method is None:
-        layered_ok = not (
-            (operator is not None and indexes.layered("senid") is None)
-            or (operation is not None and operator is None
-                and indexes.layered("tname") is None)
-        )
-        method = AccessPath.LAYERED if layered_ok else AccessPath.BITMAP
-    candidate = window_bitmap(indexes, window)
-    if candidate is None:
-        candidate = indexes.block_index.all_blocks_bitmap()
-    if method is AccessPath.LAYERED:
-        sender_index = tname_index = None
-        if operator is not None:
-            sender_index = indexes.layered("senid")
-            if sender_index is None:
-                raise QueryError(
-                    "layered tracking by operator needs an index on senid"
-                )
-            candidate = candidate & sender_index.candidate_blocks_eq(operator)
-        if operation is not None and (use_operation_index or operator is None):
-            tname_index = indexes.layered("tname")
-            if tname_index is None:
-                raise QueryError(
-                    "layered tracking by operation needs an index on tname"
-                )
-            candidate = candidate & tname_index.candidate_blocks_eq(operation)
-        leaf: phys.PhysicalOperator = phys.TraceLayered(
-            store, tracker, candidate, sender_index, tname_index,
-            operator, operation, window,
-        )
-    elif method is AccessPath.BITMAP:
-        if operator is not None:
-            candidate = candidate & indexes.table_index.blocks_for_sender(operator)
-        if operation is not None:
-            candidate = candidate & indexes.table_index.blocks_for_table(operation)
-        leaf = phys.TraceBitmap(
-            store, tracker, candidate, operator, operation, window
-        )
-    else:
-        leaf = phys.TraceScan(
-            store, tracker, candidate, operator, operation, window
-        )
-    return leaf, method
-
-
-def build_onchain_join_leaf(
-    store: BlockStore,
-    indexes: IndexManager,
-    left: TableSchema,
-    right: TableSchema,
-    left_col: str,
-    right_col: str,
-    window: Optional[nodes.TimeWindow],
-    method: Optional[AccessPath],
-    tracker: Optional[CostTracker] = None,
-    left_accept: Optional[Callable[[Transaction], bool]] = None,
-    right_accept: Optional[Callable[[Transaction], bool]] = None,
-    pushed: str = "",
-    build_side: str = "right",
-) -> tuple[phys.PhysicalOperator, AccessPath]:
-    """The fused on-chain join operator (Algorithm 2 / hash baselines)."""
-    if method is None:
-        has_indexes = (
-            indexes.layered(left_col, left.name) is not None
-            and indexes.layered(right_col, right.name) is not None
-        )
-        method = AccessPath.LAYERED if has_indexes else AccessPath.BITMAP
-    window_bits = window_bitmap(indexes, window)
-    if window_bits is None:
-        window_bits = indexes.block_index.all_blocks_bitmap()
-    if method is AccessPath.LAYERED:
-        left_index = indexes.layered(left_col, left.name)
-        right_index = indexes.layered(right_col, right.name)
-        if left_index is None or right_index is None:
-            raise QueryError(
-                f"layered join needs indexes on {left.name}.{left_col} and "
-                f"{right.name}.{right_col}"
-            )
-        left_blocks = (
-            window_bits & left_index.first_level_bitmap()
-            & indexes.table_index.blocks_for_table(left.name)
-        )
-        right_blocks = (
-            window_bits & right_index.first_level_bitmap()
-            & indexes.table_index.blocks_for_table(right.name)
-        )
-        join: phys.PhysicalOperator = phys.MergeJoin(
-            store, tracker, left_index, right_index,
-            left_blocks, right_blocks, left, right, window,
-            left_accept, right_accept, pushed,
-        )
-    else:
-        candidate = window_bits
-        if method is AccessPath.BITMAP:
-            candidate = candidate & (
-                indexes.table_index.blocks_for_table(left.name)
-                | indexes.table_index.blocks_for_table(right.name)
-            )
-        join = phys.HashJoin(
-            store, tracker, candidate, left, right, left_col, right_col,
-            window, left_accept, right_accept, pushed, build_side,
-        )
-    return join, method
-
-
-def build_onoff_join_leaf(
-    store: BlockStore,
-    indexes: IndexManager,
-    offchain: OffChainDatabase,
-    onchain: TableSchema,
-    on_col: str,
-    off_table: str,
-    off_col: str,
-    window: Optional[nodes.TimeWindow],
-    method: Optional[AccessPath],
-    tracker: Optional[CostTracker] = None,
-    on_accept: Optional[Callable[[Transaction], bool]] = None,
-    pushed: str = "",
-) -> tuple[phys.PhysicalOperator, AccessPath]:
-    """The fused on/off-chain join operator (Algorithm 3 / hash baselines)."""
-    off_columns = offchain.columns(off_table)
-    if off_col not in off_columns:
-        raise QueryError(
-            f"off-chain table {off_table!r} has no column {off_col!r}"
-        )
-    off_key = off_columns.index(off_col)
-    if method is None:
-        method = (
-            AccessPath.LAYERED
-            if indexes.layered(on_col, onchain.name) is not None
-            else AccessPath.BITMAP
-        )
-    window_bits = window_bitmap(indexes, window)
-    if window_bits is None:
-        window_bits = indexes.block_index.all_blocks_bitmap()
-    if method is AccessPath.LAYERED:
-        index = indexes.layered(on_col, onchain.name)
-        if index is None:
-            raise QueryError(
-                f"layered on-off join needs an index on {onchain.name}.{on_col}"
-            )
-        candidate = window_bits & indexes.table_index.blocks_for_table(
-            onchain.name
-        )
-        # the paper sorts the off-chain rows on the join attribute once
-        off_rows = offchain.fetch_sorted(off_table, off_col)
-        if not off_rows:
-            candidate = Bitmap()
-        elif index.continuous:
-            # lines 3-7 of Alg 3: off-chain [min, max] prunes level 1
-            s_min, s_max = offchain.min_max(off_table, off_col)
-            candidate = candidate & index.candidate_blocks_range(s_min, s_max)
-        else:
-            # discrete attribute: OR over the bitmaps of the unique keys
-            mask = None
-            for value in offchain.distinct_values(off_table, off_col):
-                bits = index.candidate_blocks_eq(value)
-                mask = bits if mask is None else (mask | bits)
-            if mask is not None:
-                candidate = candidate & mask
-        join: phys.PhysicalOperator = phys.OnOffMergeJoin(
-            store, tracker, candidate, index, onchain, off_table,
-            off_rows, off_key, window, on_accept, pushed,
-        )
-    else:
-        candidate = window_bits
-        if method is AccessPath.BITMAP:
-            candidate = candidate & indexes.table_index.blocks_for_table(
-                onchain.name
-            )
-        join = phys.OnOffHashJoin(
-            store, tracker, candidate, offchain, onchain, on_col,
-            off_table, off_key, window, on_accept, pushed,
-        )
-    return join, method
-
-
 # -- decisions ----------------------------------------------------------------
 #
 # A decision is the physical half of a plan: the logical IR says *what*,
 # the decision says *how*.  ``Planner.build`` compiles (IR, decision)
-# pairs; ``Planner.default_decision`` reproduces the legacy greedy
-# behavior, and the optimizer enumerates alternatives.
+# pairs; the optimizer enumerates the decisions.
 
 
 @dataclasses.dataclass
@@ -509,7 +282,7 @@ class JoinDecision:
     """Join method (hash via scan/bitmap, merge via layered) plus the
     hash build side (``"left"``/``"right"``; merge ignores it)."""
 
-    method: Optional[AccessPath] = None
+    method: AccessPath
     build_side: str = "right"
 
 
@@ -517,10 +290,11 @@ class JoinDecision:
 class TraceDecision:
     """TRACE strategy; ``use_operation_index=False`` is the SI* variant."""
 
-    method: Optional[AccessPath] = None
+    method: AccessPath
     use_operation_index: bool = True
 
 
+#: off-chain scans and GET BLOCK have no physical freedom: ``None``
 Decision = Union[SelectDecision, JoinDecision, TraceDecision, None]
 
 
@@ -528,86 +302,6 @@ def _tx_accept(
     predicate: nodes.Predicate, schema: TableSchema
 ) -> Callable[[Transaction], bool]:
     return lambda tx: predicate_matches(tx, predicate, schema)
-
-
-def build_scan_source(
-    store: BlockStore,
-    indexes: IndexManager,
-    source: Union[LScan, LFilter],
-    choice: PathChoice,
-    tracker: Optional[CostTracker] = None,
-) -> phys.PhysicalOperator:
-    """Access-path leaf plus residual filter for an on-chain scan source."""
-    scan = source.child if isinstance(source, LFilter) else source
-    assert isinstance(scan, LScan)
-    root: phys.PhysicalOperator = build_select_leaf(
-        store, indexes, scan.schema, choice, scan.window, tracker
-    )
-    if scan.predicate is not None:
-        root = phys.Filter(
-            root,
-            _tx_accept(scan.predicate, scan.schema),
-            predicate_text(scan.predicate),
-        )
-    return root
-
-
-def build_trace_source(
-    store: BlockStore,
-    indexes: IndexManager,
-    trace: LTrace,
-    decision: Optional[TraceDecision] = None,
-    tracker: Optional[CostTracker] = None,
-) -> tuple[phys.PhysicalOperator, AccessPath]:
-    """The Algorithm-1 leaf for a lowered TRACE node."""
-    decision = decision or TraceDecision()
-    return build_trace_leaf(
-        store, indexes, trace.operator, trace.operation, trace.window,
-        decision.method, decision.use_operation_index, tracker,
-    )
-
-
-def build_join_source(
-    store: BlockStore,
-    indexes: IndexManager,
-    offchain: Optional[OffChainDatabase],
-    join: LJoin,
-    decision: Optional[JoinDecision] = None,
-    tracker: Optional[CostTracker] = None,
-) -> tuple[phys.PhysicalOperator, AccessPath]:
-    """The fused join leaf for a lowered LJoin (intake filters included)."""
-    decision = decision or JoinDecision()
-    left = join.left
-    left_accept = (
-        _tx_accept(left.predicate, left.schema)
-        if left.predicate is not None else None
-    )
-    if join.kind == "onchain":
-        right = join.right
-        assert isinstance(right, LScan)
-        right_accept = (
-            _tx_accept(right.predicate, right.schema)
-            if right.predicate is not None else None
-        )
-        pushed = " AND ".join(
-            predicate_text(p)
-            for p in (left.predicate, right.predicate) if p is not None
-        )
-        return build_onchain_join_leaf(
-            store, indexes, left.schema, right.schema,
-            join.left_column, join.right_column, left.window,
-            decision.method, tracker, left_accept, right_accept, pushed,
-            decision.build_side,
-        )
-    assert isinstance(join.right, LOffScan)
-    if offchain is None:
-        raise CatalogError("this node has no off-chain database attached")
-    pushed = predicate_text(left.predicate) if left.predicate is not None else ""
-    return build_onoff_join_leaf(
-        store, indexes, offchain, left.schema, join.left_column,
-        join.right.table.name, join.right_column, left.window,
-        decision.method, tracker, left_accept, pushed,
-    )
 
 
 class FanoutTracker:
@@ -741,8 +435,47 @@ def resolve_join_projection(
     return tuple(out_columns), indices
 
 
+def finish_pipeline(
+    root: phys.PhysicalOperator,
+    pipeline: Sequence[object],
+    columns: tuple[str, ...],
+) -> phys.PhysicalOperator:
+    """Compile the Distinct -> Sort -> Limit tail of the IR pipeline.
+
+    LIMIT is always planned topmost: it reaches the access path purely
+    through generator laziness, so a blocking Sort or Aggregate below
+    it automatically makes the pushdown a no-op (the illegal cases).
+    """
+    for node in pipeline:
+        if isinstance(node, LDistinct):
+            root = phys.Distinct(root)
+        elif isinstance(node, LSort):
+            key = resolve_order_index(columns, node.column)
+            root = phys.Sort(
+                root, key, str(node.column), node.descending
+            )
+        elif isinstance(node, LLimit):
+            root = phys.Limit(root, node.count)
+            root.est_rows = node.count
+        else:
+            raise QueryError(
+                f"unexpected pipeline node {type(node).__name__}"
+            )
+    return root
+
+
+def _decided(decision: Decision, kind: type, source: object) -> Any:
+    """The decision, checked to be the kind its source needs."""
+    if not isinstance(decision, kind):
+        raise QueryError(
+            f"building a {type(source).__name__} source takes a "
+            f"{kind.__name__}, not {type(decision).__name__}"
+        )
+    return decision
+
+
 class Planner:
-    """Compiles the logical IR (plus a decision) into physical plans."""
+    """Compiles the logical IR plus a decision into physical plans."""
 
     def __init__(
         self,
@@ -780,34 +513,6 @@ class Planner:
         """Bind a read statement into the logical IR."""
         return lower(statement, self._catalog, self._offchain)
 
-    def plan(
-        self,
-        statement: nodes.Statement,
-        method: Optional[AccessPath] = None,
-    ) -> PhysicalPlan:
-        """Lower + build with the legacy greedy defaults (per-leaf
-        cheapest path; structural join/trace rules).  The engine goes
-        through :class:`repro.query.optimizer.Optimizer` instead, which
-        enumerates whole-plan alternatives."""
-        lplan = self.lower(statement)
-        return self.build(lplan, self.default_decision(lplan, method))
-
-    def default_decision(
-        self, lplan: LogicalPlan, method: Optional[AccessPath] = None
-    ) -> Decision:
-        """The pre-optimizer greedy decision for a lowered statement."""
-        source = lplan.unwrap_source()
-        if isinstance(source, LScan):
-            return SelectDecision(choose_access_path(
-                self._store, self._indexes, source.schema.name,
-                dict(source.constraints), forced=method,
-            ))
-        if isinstance(source, LJoin):
-            return JoinDecision(method=method)
-        if isinstance(source, LTrace):
-            return TraceDecision(method=method)
-        return None
-
     def build(
         self,
         lplan: LogicalPlan,
@@ -816,72 +521,87 @@ class Planner:
         """Compile a lowered statement plus a decision into operators."""
         source = lplan.unwrap_source()
         if isinstance(source, LScan):
-            assert isinstance(decision, (SelectDecision, type(None)))
-            return self._build_select(lplan, decision)
+            return self._build_select(
+                lplan, source, _decided(decision, SelectDecision, source)
+            )
         if isinstance(source, LJoin):
-            assert isinstance(decision, (JoinDecision, type(None)))
-            return self._build_join(lplan, decision)
-        if isinstance(source, LOffScan):
-            return self._build_offchain(lplan)
+            return self._build_join(
+                lplan, source, _decided(decision, JoinDecision, source)
+            )
         if isinstance(source, LTrace):
-            assert isinstance(decision, (TraceDecision, type(None)))
-            return self._build_trace(lplan, decision)
+            return self._build_trace(
+                lplan, source, _decided(decision, TraceDecision, source)
+            )
+        if isinstance(source, LOffScan):
+            return self._build_offchain(lplan, source)
         if isinstance(source, LBlockLookup):
-            return self._build_get_block(lplan)
+            return self._build_get_block(lplan, source)
         raise QueryError(
             f"cannot build source {type(source).__name__}"
         )
 
+    def _window_blocks(self, window: Optional[nodes.TimeWindow]) -> Bitmap:
+        """Blocks inside the time window (every block when it is open)."""
+        bits = window_bitmap(self._indexes, window)
+        if bits is None:
+            bits = self._indexes.block_index.all_blocks_bitmap()
+        return bits
+
     # -- SELECT ------------------------------------------------------------
 
-    def plan_select(
-        self, stmt: nodes.Select, method: Optional[AccessPath] = None
-    ) -> PhysicalPlan:
-        return self.plan(stmt, method)
+    def scan_leaf(
+        self, scan: LScan, choice: PathChoice, tracker: CostTracker
+    ) -> phys.PhysicalOperator:
+        """One chain's tuple stream for an on-chain scan: the access-path
+        leaf (eqs 1-3) plus the residual filter.
 
-    def select_input(
-        self,
-        stmt: nodes.Select,
-        table: nodes.TableRef,
-        method: Optional[AccessPath],
-        tracker: Optional[CostTracker] = None,
-    ) -> tuple[phys.PhysicalOperator, TableSchema, PathChoice]:
-        """Access-path leaf plus residual filter: one chain's tx stream.
-
-        The building block shared by the single-chain select plan and the
-        sharded fan-out (:func:`plan_sharded_select`, which calls this
-        once per shard and merges the streams).
+        Shared by the single-chain select plan and the sharded fan-out
+        (:mod:`repro.query.optimizer.sharded`), which builds one per
+        shard and merges the streams.
         """
-        lplan = self.lower(stmt)
-        source = lplan.unwrap_source()
-        assert isinstance(source, LScan)
-        choice = choose_access_path(
-            self._store, self._indexes, source.schema.name,
-            dict(source.constraints), forced=method,
-        )
-        root = build_scan_source(
-            self._store, self._indexes, lplan.source, choice, tracker
-        )
-        return root, source.schema, choice
+        store, indexes, schema = self._store, self._indexes, scan.schema
+        window_bits = window_bitmap(indexes, scan.window)
+        if choice.path is AccessPath.LAYERED:
+            assert choice.index is not None and choice.constraint is not None
+            candidate = choice.index.candidate_blocks_range(
+                choice.constraint.low, choice.constraint.high
+            )
+            candidate = candidate & indexes.table_index.blocks_for_table(schema.name)
+            if window_bits is not None:
+                candidate = candidate & window_bits
+            root: phys.PhysicalOperator = phys.LayeredLookup(
+                store, tracker, choice.index, choice.constraint,
+                candidate, schema, scan.window,
+            )
+        elif choice.path is AccessPath.BITMAP:
+            candidate = indexes.table_index.blocks_for_table(schema.name)
+            if window_bits is not None:
+                candidate = candidate & window_bits
+            root = phys.BitmapScan(store, tracker, candidate, schema, scan.window)
+        else:
+            candidate = (
+                window_bits if window_bits is not None
+                else indexes.block_index.all_blocks_bitmap()
+            )
+            root = phys.SeqScan(store, tracker, candidate, schema, scan.window)
+        root.est_rows = choice.est_rows or None
+        root.est_cost_ms = choice.est_cost_ms
+        if scan.predicate is not None:
+            root = phys.Filter(
+                root,
+                _tx_accept(scan.predicate, schema),
+                predicate_text(scan.predicate),
+            )
+        return root
 
     def _build_select(
-        self, lplan: LogicalPlan, decision: Optional[SelectDecision]
+        self, lplan: LogicalPlan, scan: LScan, decision: SelectDecision
     ) -> PhysicalPlan:
         stmt = lplan.statement
         assert isinstance(stmt, nodes.Select)
-        scan = lplan.unwrap_source()
-        assert isinstance(scan, LScan)
-        choice = (
-            decision.choice if decision is not None
-            else choose_access_path(
-                self._store, self._indexes, scan.schema.name,
-                dict(scan.constraints),
-            )
-        )
+        choice = decision.choice
         tracker = self._store.cost.tracker()
-        root = build_scan_source(
-            self._store, self._indexes, lplan.source, choice, tracker
-        )
+        root = self.scan_leaf(scan, choice, tracker)
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         if isinstance(head, LAggregate):
             columns = aggregate_columns(stmt)
@@ -890,17 +610,17 @@ class Planner:
             assert isinstance(head, LProject)
             columns = projected_columns(scan.schema, stmt.projection)
             root = phys.Project(root, scan.schema, stmt.projection)
-        root = self._finish_pipeline(root, rest, columns)
+        root = finish_pipeline(root, rest, columns)
         return PhysicalPlan(
             root=root, columns=columns, access_path=choice.path.value,
             tracker=tracker, statement=stmt, choice=choice,
         )
 
-    def _build_offchain(self, lplan: LogicalPlan) -> PhysicalPlan:
+    def _build_offchain(
+        self, lplan: LogicalPlan, scan: LOffScan
+    ) -> PhysicalPlan:
         stmt = lplan.statement
         assert isinstance(stmt, nodes.Select)
-        scan = lplan.unwrap_source()
-        assert isinstance(scan, LOffScan)
         offchain = self._require_offchain()
         columns = scan.columns
         tracker = self._store.cost.tracker()
@@ -926,105 +646,171 @@ class Planner:
             root = phys.ProjectIndices(root, picks, out_columns)
         else:
             out_columns = tuple(columns)
-        root = self._finish_pipeline(root, rest, out_columns)
+        root = finish_pipeline(root, rest, out_columns)
         return PhysicalPlan(
             root=root, columns=out_columns, access_path="offchain",
             tracker=tracker, statement=stmt,
         )
 
-    def _finish_pipeline(
-        self,
-        root: phys.PhysicalOperator,
-        pipeline: Sequence[object],
-        columns: tuple[str, ...],
-    ) -> phys.PhysicalOperator:
-        """Compile the Distinct -> Sort -> Limit tail of the IR pipeline.
-
-        LIMIT is always planned topmost: it reaches the access path purely
-        through generator laziness, so a blocking Sort or Aggregate below
-        it automatically makes the pushdown a no-op (the illegal cases).
-        """
-        for node in pipeline:
-            if isinstance(node, LDistinct):
-                root = phys.Distinct(root)
-            elif isinstance(node, LSort):
-                key = resolve_order_index(columns, node.column)
-                root = phys.Sort(
-                    root, key, str(node.column), node.descending
-                )
-            elif isinstance(node, LLimit):
-                root = phys.Limit(root, node.count)
-                root.est_rows = node.count
-            else:
-                raise QueryError(
-                    f"unexpected pipeline node {type(node).__name__}"
-                )
-        return root
-
     # -- joins -------------------------------------------------------------
 
+    def _onchain_join_leaf(
+        self, join: LJoin, decision: JoinDecision, tracker: CostTracker
+    ) -> phys.PhysicalOperator:
+        """The fused on-chain join operator (Algorithm 2 / hash baselines),
+        single-side WHERE conjuncts pushed inside as intake filters."""
+        store, indexes = self._store, self._indexes
+        assert isinstance(join.right, LScan)
+        left, right = join.left.schema, join.right.schema
+        left_col, right_col = join.left_column, join.right_column
+        window = join.left.window
+        left_pred, right_pred = join.left.predicate, join.right.predicate
+        left_accept = (
+            _tx_accept(left_pred, left) if left_pred is not None else None
+        )
+        right_accept = (
+            _tx_accept(right_pred, right) if right_pred is not None else None
+        )
+        pushed = " AND ".join(
+            predicate_text(p) for p in (left_pred, right_pred) if p is not None
+        )
+        window_bits = self._window_blocks(window)
+        if decision.method is AccessPath.LAYERED:
+            left_index = indexes.layered(left_col, left.name)
+            right_index = indexes.layered(right_col, right.name)
+            if left_index is None or right_index is None:
+                raise QueryError(
+                    f"layered join needs indexes on {left.name}.{left_col} and "
+                    f"{right.name}.{right_col}"
+                )
+            left_blocks = (
+                window_bits & left_index.first_level_bitmap()
+                & indexes.table_index.blocks_for_table(left.name)
+            )
+            right_blocks = (
+                window_bits & right_index.first_level_bitmap()
+                & indexes.table_index.blocks_for_table(right.name)
+            )
+            return phys.MergeJoin(
+                store, tracker, left_index, right_index,
+                left_blocks, right_blocks, left, right, window,
+                left_accept, right_accept, pushed,
+            )
+        candidate = window_bits
+        if decision.method is AccessPath.BITMAP:
+            candidate = candidate & (
+                indexes.table_index.blocks_for_table(left.name)
+                | indexes.table_index.blocks_for_table(right.name)
+            )
+        return phys.HashJoin(
+            store, tracker, candidate, left, right, left_col, right_col,
+            window, left_accept, right_accept, pushed, decision.build_side,
+        )
+
+    def _onoff_join_leaf(
+        self, join: LJoin, decision: JoinDecision, tracker: CostTracker
+    ) -> phys.PhysicalOperator:
+        """The fused on/off-chain join operator (Algorithm 3 / hash baselines)."""
+        store, indexes = self._store, self._indexes
+        offchain = self._require_offchain()
+        assert isinstance(join.right, LOffScan)
+        onchain, on_col = join.left.schema, join.left_column
+        off_table, off_col = join.right.table.name, join.right_column
+        window = join.left.window
+        on_accept, pushed = None, ""
+        if join.left.predicate is not None:
+            on_accept = _tx_accept(join.left.predicate, onchain)
+            pushed = predicate_text(join.left.predicate)
+        off_columns = offchain.columns(off_table)
+        if off_col not in off_columns:
+            raise QueryError(
+                f"off-chain table {off_table!r} has no column {off_col!r}"
+            )
+        off_key = off_columns.index(off_col)
+        window_bits = self._window_blocks(window)
+        if decision.method is AccessPath.LAYERED:
+            index = indexes.layered(on_col, onchain.name)
+            if index is None:
+                raise QueryError(
+                    f"layered on-off join needs an index on {onchain.name}.{on_col}"
+                )
+            candidate = window_bits & indexes.table_index.blocks_for_table(
+                onchain.name
+            )
+            # the paper sorts the off-chain rows on the join attribute once
+            off_rows = offchain.fetch_sorted(off_table, off_col)
+            if not off_rows:
+                candidate = Bitmap()
+            elif index.continuous:
+                # lines 3-7 of Alg 3: off-chain [min, max] prunes level 1
+                s_min, s_max = offchain.min_max(off_table, off_col)
+                candidate = candidate & index.candidate_blocks_range(s_min, s_max)
+            else:
+                # discrete attribute: OR over the bitmaps of the unique keys
+                mask = None
+                for value in offchain.distinct_values(off_table, off_col):
+                    bits = index.candidate_blocks_eq(value)
+                    mask = bits if mask is None else (mask | bits)
+                if mask is not None:
+                    candidate = candidate & mask
+            return phys.OnOffMergeJoin(
+                store, tracker, candidate, index, onchain, off_table,
+                off_rows, off_key, window, on_accept, pushed,
+            )
+        candidate = window_bits
+        if decision.method is AccessPath.BITMAP:
+            candidate = candidate & indexes.table_index.blocks_for_table(
+                onchain.name
+            )
+        return phys.OnOffHashJoin(
+            store, tracker, candidate, offchain, onchain, on_col,
+            off_table, off_key, window, on_accept, pushed,
+        )
+
     def _build_join(
-        self, lplan: LogicalPlan, decision: Optional[JoinDecision]
+        self, lplan: LogicalPlan, join: LJoin, decision: JoinDecision
     ) -> PhysicalPlan:
         stmt = lplan.statement
         assert isinstance(stmt, nodes.Select)
-        join = lplan.unwrap_source()
-        assert isinstance(join, LJoin)
         tracker = self._store.cost.tracker()
-        root, method = build_join_source(
-            self._store, self._indexes, self._offchain, join, decision,
-            tracker,
-        )
         residual = lplan.residual()
         left_schema = join.left.schema
-        if join.kind == "onchain":
-            right = join.right
-            assert isinstance(right, LScan)
+        right = join.right
+        if isinstance(right, LScan):
+            root = self._onchain_join_leaf(join, decision, tracker)
             right_schema = right.schema
-            if residual is not None:
-                res = residual
+            right_name, right_columns = right_schema.name, right_schema.column_names
 
-                def accept(pair: tuple[Transaction, Transaction]) -> bool:
-                    return pair_matches(
-                        res, pair[0], left_schema, pair[1], right_schema
-                    )
-
-                root = phys.Filter(root, accept, predicate_text(residual))
-            columns = tuple(
-                [f"{left_schema.name}.{c}" for c in left_schema.column_names]
-                + [f"{right_schema.name}.{c}" for c in right_schema.column_names]
-            )
-            right_is_offchain = False
+            def accept(pair: tuple[Transaction, Any]) -> bool:
+                return pair_matches(
+                    residual, pair[0], left_schema, pair[1], right_schema
+                )
         else:
-            off = join.right
-            assert isinstance(off, LOffScan)
-            off_columns = off.columns
-            off_schema = pseudo_schema(off.table.name, off_columns)
-            if residual is not None:
-                res = residual
+            root = self._onoff_join_leaf(join, decision, tracker)
+            right_name, right_columns = right.table.name, right.columns
+            right_schema = pseudo_schema(right_name, right_columns)
 
-                def accept(pair: tuple[Transaction, tuple]) -> bool:
-                    return pair_matches(
-                        res, pair[0], left_schema,
-                        pseudo_tx(off.table.name, off_columns, pair[1]),
-                        off_schema,
-                    )
-
-                root = phys.Filter(root, accept, predicate_text(residual))
-            columns = tuple(
-                [f"{left_schema.name}.{c}" for c in left_schema.column_names]
-                + [f"{off.table.name}.{c}" for c in off_columns]
-            )
-            right_is_offchain = True
+            def accept(pair: tuple[Transaction, Any]) -> bool:
+                return pair_matches(
+                    residual, pair[0], left_schema,
+                    pseudo_tx(right_name, right_columns, pair[1]),
+                    right_schema,
+                )
+        if residual is not None:
+            root = phys.Filter(root, accept, predicate_text(residual))
+        columns = tuple(
+            [f"{left_schema.name}.{c}" for c in left_schema.column_names]
+            + [f"{right_name}.{c}" for c in right_columns]
+        )
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         assert isinstance(head, LProject)
         root, columns = self._join_rows(
             root, stmt, columns, len(left_schema.column_names),
-            right_is_offchain,
+            isinstance(right, LOffScan),
         )
-        root = self._finish_pipeline(root, rest, columns)
+        root = finish_pipeline(root, rest, columns)
         return PhysicalPlan(
-            root=root, columns=columns, access_path=method.value,
+            root=root, columns=columns, access_path=decision.method.value,
             tracker=tracker, statement=stmt,
         )
 
@@ -1051,41 +837,66 @@ class Planner:
 
     # -- TRACE -------------------------------------------------------------
 
-    def plan_trace(
-        self,
-        stmt: nodes.Trace,
-        method: Optional[AccessPath] = None,
-        use_operation_index: bool = True,
-    ) -> PhysicalPlan:
-        lplan = self.lower(stmt)
-        return self._build_trace(
-            lplan, TraceDecision(method, use_operation_index)
+    def trace_leaf(
+        self, trace: LTrace, decision: TraceDecision, tracker: CostTracker
+    ) -> phys.PhysicalOperator:
+        """The TRACE leaf (Algorithm 1) under the decided strategy; the
+        sharded fan-out concatenates one per shard."""
+        store, indexes = self._store, self._indexes
+        operator, operation = trace.operator, trace.operation
+        if operator is None and operation is None:
+            raise QueryError("tracking needs an operator and/or an operation")
+        candidate = self._window_blocks(trace.window)
+        if decision.method is AccessPath.LAYERED:
+            sender_index = tname_index = None
+            if operator is not None:
+                sender_index = indexes.layered("senid")
+                if sender_index is None:
+                    raise QueryError(
+                        "layered tracking by operator needs an index on senid"
+                    )
+                candidate = candidate & sender_index.candidate_blocks_eq(operator)
+            if operation is not None and (
+                decision.use_operation_index or operator is None
+            ):
+                tname_index = indexes.layered("tname")
+                if tname_index is None:
+                    raise QueryError(
+                        "layered tracking by operation needs an index on tname"
+                    )
+                candidate = candidate & tname_index.candidate_blocks_eq(operation)
+            return phys.TraceLayered(
+                store, tracker, candidate, sender_index, tname_index,
+                operator, operation, trace.window,
+            )
+        if decision.method is AccessPath.BITMAP:
+            if operator is not None:
+                candidate = candidate & indexes.table_index.blocks_for_sender(operator)
+            if operation is not None:
+                candidate = candidate & indexes.table_index.blocks_for_table(operation)
+            return phys.TraceBitmap(
+                store, tracker, candidate, operator, operation, trace.window
+            )
+        return phys.TraceScan(
+            store, tracker, candidate, operator, operation, trace.window
         )
 
     def _build_trace(
-        self, lplan: LogicalPlan, decision: Optional[TraceDecision]
+        self, lplan: LogicalPlan, trace: LTrace, decision: TraceDecision
     ) -> PhysicalPlan:
-        trace = lplan.unwrap_source()
-        assert isinstance(trace, LTrace)
         tracker = self._store.cost.tracker()
-        leaf, method = build_trace_source(
-            self._store, self._indexes, trace, decision, tracker
-        )
-        root = phys.TraceRows(leaf)
+        root = phys.TraceRows(self.trace_leaf(trace, decision, tracker))
         return PhysicalPlan(
             root=root, columns=phys.TraceRows.COLUMNS,
-            access_path=method.value, tracker=tracker,
+            access_path=decision.method.value, tracker=tracker,
             statement=lplan.statement,
         )
 
     # -- GET BLOCK ---------------------------------------------------------
 
-    def plan_get_block(self, stmt: nodes.GetBlock) -> PhysicalPlan:
-        return self._build_get_block(self.lower(stmt))
-
-    def _build_get_block(self, lplan: LogicalPlan) -> PhysicalPlan:
-        lookup = lplan.unwrap_source()
-        assert isinstance(lookup, LBlockLookup)
+    def _build_get_block(
+        self, lplan: LogicalPlan, lookup: LBlockLookup
+    ) -> PhysicalPlan:
         stmt = lplan.statement
         index = self._indexes.block_index
         if lookup.kind is nodes.BlockLookupKind.BY_ID:
@@ -1118,140 +929,3 @@ class Planner:
                 "this node has no off-chain database attached"
             )
         return self._offchain
-
-
-# -- sharded fan-out plans ---------------------------------------------------
-#
-# A statement that genuinely spans shards compiles to one subplan per
-# shard (each built by that shard's own Planner against its own store,
-# indexes and scoped tracker) under a single ShardMerge.  The routing
-# decision - which shards, and whether to fan out at all - belongs to
-# the ShardRouter (repro.shard.routing); these functions only assemble
-# the plan for the shards they are handed.  Candidate enumeration over
-# the fan-out (pruned vs unpruned shard sets, uniform vs per-shard-best
-# leaves, merge-pushdown vs global sort) lives in
-# :mod:`repro.query.optimizer.sharded`.
-
-
-def plan_sharded_select(
-    shard_planners: Sequence[tuple[int, Planner]],
-    stmt: nodes.Select,
-    method: Optional[AccessPath] = None,
-    *,
-    ordered_strategy: str = "pushdown",
-) -> PhysicalPlan:
-    """Fan a single-table SELECT out over shards and merge the streams.
-
-    Ordered statements sort per shard and k-way merge (ShardMerge's
-    ordered mode), so a downstream LIMIT still stops per-shard I/O after
-    at most ``limit + 1`` rows each; a LIMIT additionally pushes into
-    each shard below the merge (the global top-k is a subset of the
-    per-shard top-k's) unless DISTINCT intervenes.  Aggregates pull the
-    concatenated transaction streams through one blocking Aggregate.
-
-    ``ordered_strategy="global"`` instead concatenates the unsorted
-    per-shard streams and sorts once above the merge - the alternative
-    the optimizer enumerates against the pushdown (both produce
-    byte-identical output: the merge breaks ties on shard position,
-    exactly matching a stable sort over the shard-ordered concat).
-    """
-    if len(stmt.tables) != 1 or stmt.tables[0].source != "onchain":
-        raise QueryError(
-            "sharded fan-out supports single on-chain tables"
-        )
-    if ordered_strategy not in ("pushdown", "global"):
-        raise QueryError(
-            f"unknown ordered_strategy {ordered_strategy!r}"
-        )
-    table = stmt.tables[0]
-    shard_ids = [sid for sid, _planner in shard_planners]
-    trackers: list[CostTracker] = []
-    inputs: list[phys.PhysicalOperator] = []
-    choices: list[PathChoice] = []
-    schema: Optional[TableSchema] = None
-    for _sid, planner in shard_planners:
-        tracker = planner.store.cost.tracker()
-        trackers.append(tracker)
-        root, schema, choice = planner.select_input(stmt, table, method, tracker)
-        inputs.append(root)
-        choices.append(choice)
-    assert schema is not None
-    if stmt.has_aggregates or stmt.group_by is not None:
-        columns = aggregate_columns(stmt)
-        root = phys.Aggregate(
-            phys.ShardMerge(inputs, shard_ids), stmt, schema
-        )
-        if stmt.distinct:
-            root = phys.Distinct(root)
-        if stmt.order_by is not None:
-            key = resolve_order_index(columns, stmt.order_by.column)
-            root = phys.Sort(
-                root, key, str(stmt.order_by.column), stmt.order_by.descending
-            )
-        if stmt.limit is not None:
-            root = phys.Limit(root, stmt.limit)
-            root.est_rows = stmt.limit
-    else:
-        columns = projected_columns(schema, stmt.projection)
-        subplans: list[phys.PhysicalOperator] = [
-            phys.Project(part, schema, stmt.projection) for part in inputs
-        ]
-        if stmt.order_by is not None and ordered_strategy == "pushdown":
-            key = resolve_order_index(columns, stmt.order_by.column)
-            column = str(stmt.order_by.column)
-            descending = stmt.order_by.descending
-            subplans = [
-                phys.Sort(sub, key, column, descending) for sub in subplans
-            ]
-            if stmt.limit is not None and not stmt.distinct:
-                subplans = [phys.Limit(sub, stmt.limit) for sub in subplans]
-            root = phys.ShardMerge(
-                subplans, shard_ids,
-                key_index=key, column=column, descending=descending,
-            )
-            if stmt.distinct:
-                root = phys.Distinct(root)
-        else:
-            root = phys.ShardMerge(subplans, shard_ids)
-            if stmt.distinct:
-                root = phys.Distinct(root)
-            if stmt.order_by is not None:
-                key = resolve_order_index(columns, stmt.order_by.column)
-                root = phys.Sort(
-                    root, key, str(stmt.order_by.column),
-                    stmt.order_by.descending,
-                )
-        if stmt.limit is not None:
-            root = phys.Limit(root, stmt.limit)
-            root.est_rows = stmt.limit
-    return PhysicalPlan(
-        root=root, columns=columns, access_path="shard-merge",
-        tracker=FanoutTracker(trackers), statement=stmt,
-        choice=choices[0] if choices else None,
-    )
-
-
-def plan_sharded_trace(
-    shard_planners: Sequence[tuple[int, Planner]],
-    stmt: nodes.Trace,
-    method: Optional[AccessPath] = None,
-) -> PhysicalPlan:
-    """TRACE across every shard: per-shard Algorithm-1 leaves, concatenated."""
-    shard_ids = [sid for sid, _planner in shard_planners]
-    trackers: list[CostTracker] = []
-    leaves: list[phys.PhysicalOperator] = []
-    for _sid, planner in shard_planners:
-        tracker = planner.store.cost.tracker()
-        trackers.append(tracker)
-        leaf, _used = build_trace_leaf(
-            planner.store, planner.indexes,
-            stmt.operator, stmt.operation, stmt.window, method,
-            tracker=tracker,
-        )
-        leaves.append(leaf)
-    root = phys.TraceRows(phys.ShardMerge(leaves, shard_ids))
-    return PhysicalPlan(
-        root=root, columns=phys.TraceRows.COLUMNS,
-        access_path="shard-merge", tracker=FanoutTracker(trackers),
-        statement=stmt,
-    )

@@ -1,4 +1,4 @@
-"""ShardedNode: the FullNode facade over a partitioned ledger.
+"""ShardedNode: the FullNode surface over a partitioned ledger.
 
 One chain serializes every write through a single orderer and one staged
 pipeline; a :class:`ShardedNode` instead runs ``config.num_shards``
@@ -7,15 +7,19 @@ its own commit log, segment store (under ``data_dir/shard-NN``), ledger
 pipeline and (optionally) orderer - and routes every transaction to its
 home shard via :class:`~repro.shard.routing.ShardRouter`.
 
-The facade keeps the FullNode surface (``submit_transaction`` /
-``insert`` / ``query`` / ``execute`` / ``crash`` / ``restart`` /
-``verify_local_chain`` / ``close``) so the CLI, clients, benches and the
-chaos harness work unchanged.  Reads that touch one shard delegate to
-that shard's engine; reads that genuinely span shards compile to a
-fan-out plan under a :class:`~repro.query.physical.ShardMerge` (EXPLAIN
-shows the fan-out).  Multi-shard atomic writes go through the logged
-two-phase commit in :mod:`repro.shard.twophase`; ``restart`` resolves
-any in-doubt participants from the journals.
+It keeps the FullNode surface so the CLI, clients, benches and the chaos
+harness work unchanged: the SQL front (``create_table`` / ``insert`` /
+``execute`` and the parse-bind-access-check of ``query``) is the one
+:class:`~repro.node.base.SqlNode` both flavours inherit; what is written
+here is what sharding changes - routing, 2PC, whole-node crash/restart.
+Reads that touch one shard delegate to that shard's node; reads that
+genuinely span shards compile to a fan-out plan under a
+:class:`~repro.query.physical.ShardMerge`
+(:mod:`repro.query.optimizer.sharded`; EXPLAIN shows the fan-out) and
+run through the same ``run_plan`` / ``explain_plan`` a single engine
+uses.  Multi-shard atomic writes go through the logged two-phase commit
+in :mod:`repro.shard.twophase`; ``restart`` resolves any in-doubt
+participants from the journals.
 
 Determinism: all shards share one clock, one genesis block and the
 node's keypair, and each shard's chain is a pure function of the batches
@@ -30,7 +34,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from ..common.clock import Clock
 from ..common.config import SebdbConfig
-from ..common.errors import CatalogError, QueryError, ShardError
+from ..common.errors import QueryError, ShardError
 from ..consensus.base import ConsensusEngine, ReplyCallback
 from ..crypto.keys import KeyPair
 from ..index.manager import IndexManager
@@ -38,18 +42,23 @@ from ..ledger import CRASH_TORN
 from ..model.block import Block
 from ..model.catalog import Catalog
 from ..model.genesis import make_genesis
-from ..model.schema import TableSchema
-from ..model.transaction import SCHEMA_TNAME, Transaction, schema_sync_transaction
+from ..model.transaction import SCHEMA_TNAME, Transaction
 from ..node.access import AccessController
-from ..node.fullnode import FullNode, _tables_of
+from ..node.base import SqlNode
+from ..node.fullnode import FullNode
 from ..offchain.adapter import OffChainDatabase
-from ..query.engine import MethodArg, QueryEngine, _resolve_method
+from ..query.engine import (
+    MethodArg,
+    QueryEngine,
+    _resolve_method,
+    explain_plan,
+    run_plan,
+)
 from ..query.operators import extract_constraints
 from ..query.optimizer import plan_sharded_select, plan_sharded_trace
-from ..query.plan import Planner
+from ..query.plan import AccessPath, PhysicalPlan, Planner
 from ..query.result import QueryResult
 from ..sqlparser import nodes
-from ..sqlparser.parser import bind, parse
 from ..storage.blockstore import BlockStore
 from .routing import ShardRouter
 from .twophase import CrashHook, resolve_in_doubt, run_cross_shard_commit
@@ -58,7 +67,7 @@ from .twophase import CrashHook, resolve_in_doubt, run_cross_shard_commit
 ConsensusFactory = Callable[[int], Optional[ConsensusEngine]]
 
 
-class ShardedNode:
+class ShardedNode(SqlNode):
     """N partitioned ledger pipelines behind one FullNode-shaped API."""
 
     def __init__(
@@ -173,50 +182,6 @@ class ShardedNode:
             return
         sid = self.router.home_shard(tx)
         self.shards[sid].submit_transaction(tx, on_reply)
-
-    def create_table(
-        self,
-        schema_or_sql: Union[TableSchema, str],
-        keypair: Optional[KeyPair] = None,
-    ) -> TableSchema:
-        """CREATE: one schema transaction, broadcast to every shard."""
-        if isinstance(schema_or_sql, str):
-            stmt = parse(schema_or_sql)
-            if not isinstance(stmt, nodes.CreateTable):
-                raise QueryError("create_table expects a CREATE statement")
-            schema = TableSchema.create(stmt.table, stmt.columns)
-        else:
-            schema = schema_or_sql
-        if schema.name in self.catalog:
-            raise CatalogError(f"table {schema.name!r} already exists")
-        tx = schema_sync_transaction(
-            schema, ts=int(self.clock.now_ms()),
-            keypair=keypair or self.keypair,
-        )
-        self.submit_transaction(tx)
-        return schema
-
-    def insert(
-        self,
-        table: str,
-        values: Sequence[Any],
-        keypair: Optional[KeyPair] = None,
-        sender: Optional[str] = None,
-        ts: Optional[int] = None,
-        on_reply: Optional[ReplyCallback] = None,
-    ) -> Transaction:
-        """INSERT: validate, sign, route to the owning shard."""
-        schema = self.catalog.get(table)
-        validated = schema.validate_app_values(tuple(values))
-        tx = Transaction.create(
-            schema.name,
-            validated,
-            ts=ts if ts is not None else int(self.clock.now_ms()),
-            keypair=keypair,
-            sender=sender if keypair is None else None,
-        )
-        self.submit_transaction(tx, on_reply)
-        return tx
 
     def apply_batch(self, batch: Sequence[Transaction]) -> None:
         """Commit an ordered batch, split per home shard (order kept).
@@ -356,36 +321,18 @@ class ShardedNode:
         """Execute a read: single-shard statements delegate to the owning
         shard, genuinely multi-shard SELECT/TRACE fan out under a
         ShardMerge."""
-        statement = parse(sql) if isinstance(sql, str) else sql
-        if params:
-            statement = bind(statement, tuple(params))
-        if self.access is not None and channel_member is not None:
-            for table in _tables_of(statement):
-                self.access.check_read(channel_member, table)
-        return self._dispatch(statement, method)
-
-    def execute(
-        self,
-        sql: str,
-        params: tuple[Any, ...] = (),
-        method: MethodArg = None,
-        keypair: Optional[KeyPair] = None,
-        sender: Optional[str] = None,
-    ) -> Optional[QueryResult]:
-        """One-stop SQL entry point, FullNode-compatible."""
-        statement = parse(sql)
-        if params:
-            statement = bind(statement, tuple(params))
-        if isinstance(statement, nodes.CreateTable):
-            self.create_table(sql, keypair=keypair)
-            return None
-        if isinstance(statement, nodes.Insert):
-            self.insert(
-                statement.table, statement.values, keypair=keypair,
-                sender=sender,
-            )
-            return None
-        return self.query(statement, method=method)
+        statement = self._read_statement(sql, params, channel_member)
+        explain = isinstance(statement, nodes.Explain)
+        target = self._route(
+            statement.statement if explain else statement,
+            _resolve_method(method),
+        )
+        if isinstance(target, int):
+            # one shard owns the statement outright: delegate it whole
+            return self.shards[target].query(statement, method=method)
+        if explain:
+            return explain_plan(target, statement.analyze)
+        return run_plan(target)
 
     def create_index(self, column: str, table: Optional[str] = None,
                      authenticated: bool = False) -> dict[int, Any]:
@@ -402,46 +349,29 @@ class ShardedNode:
             for sid in sids
         }
 
-    # -- statement dispatch ------------------------------------------------
+    # -- statement routing -------------------------------------------------
 
-    def _dispatch(
-        self, statement: nodes.Statement, method: MethodArg
-    ) -> QueryResult:
-        if isinstance(statement, nodes.Explain):
-            return self._dispatch_explain(statement, method)
+    def _route(
+        self, statement: nodes.Statement, method: Optional[AccessPath]
+    ) -> Union[int, PhysicalPlan]:
+        """Where a read runs: the one shard that owns it, or the fan-out
+        plan over the shards it spans."""
         if isinstance(statement, nodes.Select):
             sids = self._select_shards(statement)
             if sids is None or len(sids) == 1:
-                sid = 0 if sids is None else sids[0]
-                return self.shards[sid].query(statement, method=method)
-            plan = plan_sharded_select(
-                [(sid, self.shards[sid].engine.planner) for sid in sids],
-                statement, _resolve_method(method),
+                return 0 if sids is None else sids[0]
+            return plan_sharded_select(
+                self._planners(sids), statement, method,
                 unpruned=self._unpruned_planners(statement, sids),
             )
-            result = QueryResult(
-                columns=plan.columns, access_path=plan.access_path,
-                plan=plan, stream=plan.root.execute(),
-            )
-            result._drain()  # noqa: SLF001 - the facade is the engine here
-            return result
         if isinstance(statement, nodes.Trace):
             sids = self._trace_shards(statement)
             if len(sids) == 1:
-                return self.shards[sids[0]].query(statement, method=method)
-            plan = plan_sharded_trace(
-                [(sid, self.shards[sid].engine.planner) for sid in sids],
-                statement, _resolve_method(method),
-            )
-            result = QueryResult(
-                columns=plan.columns, access_path=plan.access_path,
-                plan=plan, stream=plan.root.execute(),
-            )
-            result._drain()  # noqa: SLF001 - the facade is the engine here
-            return result
+                return sids[0]
+            return plan_sharded_trace(self._planners(sids), statement, method)
         if isinstance(statement, nodes.GetBlock):
             if self.router.num_shards == 1:
-                return self.shards[0].query(statement, method=method)
+                return 0
             raise QueryError(
                 "GET BLOCK addresses one shard's chain - query "
                 "node.shards[i] directly in a sharded deployment"
@@ -450,40 +380,14 @@ class ShardedNode:
             f"unsupported statement {type(statement).__name__}"
         )
 
-    def _dispatch_explain(
-        self, stmt: nodes.Explain, method: MethodArg
-    ) -> QueryResult:
-        inner = stmt.statement
-        sids: Optional[tuple[int, ...]] = None
-        if isinstance(inner, nodes.Select):
-            sids = self._select_shards(inner)
-        elif isinstance(inner, nodes.Trace):
-            sids = self._trace_shards(inner)
-        if sids is None or len(sids) == 1:
-            sid = 0 if sids is None else sids[0]
-            return self.shards[sid].query(stmt, method=method)
-        planners = [(sid, self.shards[sid].engine.planner) for sid in sids]
-        if isinstance(inner, nodes.Select):
-            plan = plan_sharded_select(
-                planners, inner, _resolve_method(method),
-                unpruned=self._unpruned_planners(inner, sids),
-            )
-        else:
-            plan = plan_sharded_trace(planners, inner, _resolve_method(method))
-        if stmt.analyze:
-            for _ in plan.root.execute():
-                pass
-        lines = plan.render(analyze=stmt.analyze)
-        return QueryResult(
-            columns=("QUERY PLAN",),
-            rows=[(line,) for line in lines],
-            access_path=plan.access_path,
-            plan=plan,
-        )
+    def _planners(
+        self, sids: Sequence[int]
+    ) -> list[tuple[int, Planner]]:
+        return [(sid, self.shards[sid].engine.planner) for sid in sids]
 
     def _unpruned_planners(
         self, stmt: nodes.Select, pruned: tuple[int, ...]
-    ) -> Optional[list[tuple[int, "Planner"]]]:
+    ) -> Optional[list[tuple[int, Planner]]]:
         """The full shard set for the statement's table, when partition
         pruning narrowed it - the optimizer enumerates skipping the
         pruning as a costed alternative."""
@@ -492,7 +396,7 @@ class ShardedNode:
         all_sids = self.router.shards_for_table(stmt.tables[0].name)
         if set(all_sids) == set(pruned):
             return None
-        return [(sid, self.shards[sid].engine.planner) for sid in all_sids]
+        return self._planners(all_sids)
 
     def _select_shards(
         self, stmt: nodes.Select

@@ -206,7 +206,7 @@ class TestErrors:
             chain.engine.execute("SELECT * FROM donate", method="turbo")
 
     def test_forced_layered_without_index(self, chain):
-        with pytest.raises(ValueError):
+        with pytest.raises(QueryError):
             chain.engine.execute(
                 "SELECT * FROM donate WHERE project = 'edu'", method="layered"
             )

@@ -24,8 +24,9 @@ from repro.faults.checker import InvariantChecker
 from repro.ledger import DELETE_TNAME, UPDATE_TNAME, plan_waves, write_keys
 from repro.model.transaction import Transaction, schema_sync_transaction
 from repro.node.fullnode import FullNode
+from repro.query.optimizer import plan_sharded_select
 from repro.query.physical import ShardMerge
-from repro.query.plan import FanoutTracker, plan_sharded_select
+from repro.query.plan import FanoutTracker
 from repro.shard import (
     CRASH_AFTER_DECISION,
     CRASH_AFTER_PREPARE,
@@ -441,6 +442,108 @@ class TestShardMergeReads:
         finally:
             node.close()
             oracle.close()
+
+
+    def test_forced_layered_without_index_is_a_query_error(self):
+        node = self.make_populated()
+        try:
+            # no layered index on k anywhere: the fan-out refuses like a
+            # single engine does, inside the SebdbError hierarchy
+            with pytest.raises(QueryError):
+                node.query("SELECT k, v FROM t WHERE k > 3", method="layered")
+            with pytest.raises(QueryError):
+                node.query(
+                    "EXPLAIN SELECT k, v FROM t WHERE k > 3", method="layered"
+                )
+        finally:
+            node.close()
+
+    def test_explain_get_block_requires_explicit_shard_too(self):
+        node = self.make_populated(3)
+        with pytest.raises(QueryError):
+            node.query("EXPLAIN GET BLOCK ID = 0")
+        node.close()
+
+
+TRACES = (
+    "TRACE OPERATOR = 'org1'",
+    "TRACE OPERATION = 't'",
+    "TRACE OPERATOR = 'org1', OPERATION = 't'",
+    "TRACE [5, 18] OPERATOR = 'org2', OPERATION = 't'",
+)
+
+
+class TestShardedTrace:
+    """Unforced multi-shard TRACE: every shard applies Algorithm 1's
+    index-availability rule on its own, the leaves concatenate."""
+
+    @pytest.fixture()
+    def pair(self):
+        """A 3-shard node (t spans all shards, u lives on one) and one
+        FullNode fed the same writes."""
+        node = make_node(3, placement={"t": (10, 20)})
+        oracle = FullNode("trace-oracle")
+        for target in (node, oracle):
+            target.create_table("CREATE TABLE t (k INT, v STRING)")
+            target.create_table("CREATE TABLE u (k INT, v STRING)")
+            for k in range(30):
+                target.insert("t", [k, f"v{k}"], sender=f"org{k % 3}", ts=k)
+                target.insert("u", [k, f"w{k}"], sender=f"org{k % 2}", ts=k)
+        yield node, oracle
+        node.close()
+        oracle.close()
+
+    @staticmethod
+    def rows(result):
+        # tid is a per-chain counter: compare what the writer supplied
+        return sorted(row[1:] for row in result.rows)
+
+    def assert_fanout_matches_oracle(self, node, oracle, leaf_names):
+        for sql in TRACES:
+            got = node.query(sql)
+            assert got.access_path == "shard-merge", sql
+            assert self.rows(got) == self.rows(oracle.query(sql)), sql
+            assert len(got.rows) > 0, sql
+            text = "\n".join(
+                line for (line,) in node.query(f"EXPLAIN {sql}").rows
+            )
+            assert "ShardMerge(shards=[0,1,2]" in text, sql
+            leaves = [
+                op.name for op in got.plan.operators()
+                if op.name.startswith("Trace")
+            ]
+            assert leaves == leaf_names, sql
+
+    def test_without_indexes_every_shard_degrades_to_bitmap(self, pair):
+        node, oracle = pair
+        self.assert_fanout_matches_oracle(node, oracle, ["TraceBitmap"] * 3)
+
+    def test_with_indexes_every_shard_goes_layered(self, pair):
+        node, oracle = pair
+        for target in (node, oracle):
+            target.create_index("senid")
+            target.create_index("tname")
+        self.assert_fanout_matches_oracle(node, oracle, ["TraceLayered"] * 3)
+
+    def test_rule_is_per_shard(self, pair):
+        node, oracle = pair
+        for column in ("senid", "tname"):
+            node.shards[1].create_index(column)
+        self.assert_fanout_matches_oracle(
+            node, oracle, ["TraceBitmap", "TraceLayered", "TraceBitmap"]
+        )
+
+    def test_forced_method_pins_every_shard(self, pair):
+        node, oracle = pair
+        for sql in TRACES:
+            got = node.query(sql, method="scan")
+            assert self.rows(got) == self.rows(oracle.query(sql)), sql
+            assert [
+                op.name for op in got.plan.operators()
+                if op.name.startswith("Trace")
+            ] == ["TraceScan"] * 3
+        with pytest.raises(QueryError):
+            node.query(TRACES[0], method="layered")  # no senid index
 
 
 # -- lifecycle ---------------------------------------------------------------

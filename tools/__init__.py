@@ -1,6 +1,4 @@
 """Developer tooling for the SEBDB reproduction.
 
-``tools.analysis`` is the pluggable static-analysis suite; the
-top-level scripts in this directory are thin shims kept for muscle
-memory and old CI invocations.
+``tools.analysis`` is the pluggable static-analysis suite.
 """

@@ -15,7 +15,7 @@ LAYER_BANDS: tuple[frozenset, ...] = (
     frozenset({"model", "crypto", "sqlparser"}),
     frozenset({"storage", "index", "mht"}),
     # "query" includes the query/optimizer subpackage; inside the band
-    # the import order is logical -> plan -> optimizer -> engine/facades
+    # the import order is logical -> plan -> optimizer -> engine
     # (plan never imports optimizer - the module cycle check enforces it)
     frozenset({"query", "offchain", "ledger"}),
     frozenset({"consensus", "network"}),

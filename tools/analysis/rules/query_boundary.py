@@ -6,9 +6,6 @@ tuple reads flow through a :class:`repro.storage.scan.StoreScanner`
 (``self.scanner`` on leaf operators).  A direct ``store.read_block(...)``
 bypasses the per-operator trackers and silently breaks EXPLAIN ANALYZE's
 invariant that operator costs sum to the query total.
-
-Ported from ``tools/lint_query_boundaries.py`` (PR 3), which is now a
-thin shim over this rule.
 """
 
 from __future__ import annotations
