@@ -5,6 +5,11 @@ A transaction is a tuple of a declared table: five system-level attributes
 application-level values.  The signature covers everything except ``tid``
 and ``sig`` itself, because the global transaction id is only assigned when
 the ordering service sequences the transaction.
+
+This module owns the wire layout: ``to_bytes`` / ``read_from`` write and
+read it, and ``wire_prefix`` walks its first six fields without decoding
+them, which is how a block scan rejects other tables' tuples cheaply.
+The field order is written down once, next to ``to_bytes``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import dataclasses
 from typing import Any, Optional, Sequence
 
 from ..common.codec import Reader, Writer
-from ..common.errors import SignatureError
+from ..common.errors import CodecError, SignatureError
 from ..common.hashing import sha256
 from ..crypto.keys import KeyPair, address_of
 from ..crypto.schnorr import verify as schnorr_verify
@@ -26,6 +31,10 @@ UNASSIGNED_TID = -1
 #: (section IV-A: "The system sends a special transaction to synchronize
 #: schema among nodes").
 SCHEMA_TNAME = "__schema__"
+
+#: ``Reader.read_varint`` gives up once its shift passes this many bits;
+#: :meth:`Transaction.wire_prefix` keeps the same cap
+_VARINT_MAX_SHIFT = 1024
 
 
 @dataclasses.dataclass
@@ -158,6 +167,11 @@ class Transaction:
         return self.row()[schema.column_index(column)]
 
     # -- wire format ------------------------------------------------------
+    #
+    # Field order: tid, ts, sig, pubkey, senid, tname, nonce, values.  The
+    # order of the first six is load-bearing: :meth:`wire_prefix` walks
+    # them by position, so ``to_bytes``, ``read_from`` and ``wire_prefix``
+    # change together or not at all (and a change re-encodes every chain).
 
     def to_bytes(self) -> bytes:
         writer = Writer()
@@ -193,6 +207,54 @@ class Transaction:
     def from_bytes(cls, data: bytes) -> "Transaction":
         return cls.read_from(Reader(data))
 
+    @staticmethod
+    def wire_prefix(data: bytes) -> tuple[bytes, bytes]:
+        """Raw UTF-8 ``(senid, tname)`` of an encoding, without decoding it.
+
+        Steps over ``tid`` and ``ts`` (varints) and ``sig`` and ``pubkey``
+        (length-prefixed), then slices the next two length-prefixed
+        fields; nothing else is allocated.  A block scan compares these
+        bytes with its encoded filter and calls :meth:`from_bytes` on the
+        matches only.  Total over hostile bytes: every step is bounded by
+        ``len(data)`` and by ``Reader``'s varint cap, and the only error
+        is :class:`CodecError`.  The strings are *not* validated as UTF-8 -
+        ``read_str`` does that for the encodings a caller goes on to
+        decode.
+        """
+        try:
+            pos = 0
+            for _skipped in ("tid", "ts"):
+                mark = pos
+                while data[pos] & 0x80:
+                    pos += 1
+                if 7 * (pos - mark) > _VARINT_MAX_SHIFT:
+                    raise CodecError("varint too long")
+                pos += 1
+            # lengths under 128 are one byte; anything longer goes to Reader
+            for _skipped in ("sig", "pubkey"):
+                length = data[pos]
+                pos += 1
+                if length & 0x80:
+                    length, pos = _long_varint(data, pos - 1)
+                pos += length
+            length = data[pos]
+            pos += 1
+            if length & 0x80:
+                length, pos = _long_varint(data, pos - 1)
+            senid = data[pos : pos + length]
+            pos += length
+            # a senid cut short by the end of the buffer fails here
+            length = data[pos]
+            pos += 1
+            if length & 0x80:
+                length, pos = _long_varint(data, pos - 1)
+            end = pos + length
+        except IndexError:
+            raise CodecError("buffer underflow in transaction prefix") from None
+        if end > len(data):
+            raise CodecError("buffer underflow in transaction prefix")
+        return senid, data[pos:end]
+
     def hash(self) -> bytes:
         """Hash over the full serialized transaction (Merkle leaf input)."""
         return sha256(self.to_bytes())
@@ -200,6 +262,13 @@ class Transaction:
     def size_bytes(self) -> int:
         """Serialized size; drives block packaging by byte budget."""
         return len(self.to_bytes())
+
+
+def _long_varint(data: bytes, start: int) -> tuple[int, int]:
+    """``(value, next position)`` of a multi-byte varint: the rare path of
+    :meth:`Transaction.wire_prefix`, left to :class:`Reader`."""
+    reader = Reader(data, start)
+    return reader.read_varint(), reader.position
 
 
 def schema_sync_transaction(schema: TableSchema, ts: int,

@@ -325,21 +325,12 @@ class Optimizer:
             p for p in (AccessPath.LAYERED, AccessPath.BITMAP, AccessPath.SCAN)
             if p is not chosen
         ]
-        head, *tail = [
-            self._trace_candidate(lplan, trace, path) for path in order
-        ]
-        tail.sort(key=lambda c: (c.est_cost_ms, c.label))
-        return [head] + tail
-
-    def _trace_candidate(
-        self, lplan: LogicalPlan, trace: LTrace, path: AccessPath
-    ) -> Candidate:
-        planner = self._planner
-        store, indexes = planner.store, planner.indexes
+        # the chain statistics are the same for all three paths: taken once
+        store, indexes = self._planner.store, self._planner.indexes
         cost = store.cost
         avg_block = avg_block_size(store)
         n = store.height
-        total_blocks = max(len(indexes.block_index.all_blocks_bitmap()), 1)
+        total_blocks = max(len(indexes.block_index), 1)
         total_tuples = sum(
             indexes.table_index.tuple_count(t)
             for t in indexes.table_index.table_names
@@ -356,26 +347,31 @@ class Optimizer:
                 k_blocks,
                 len(indexes.table_index.blocks_for_table(trace.operation)),
             )
-        if path is AccessPath.SCAN:
-            est = cost.estimate_scan(n, avg_block)
-            rows, seeks = 0, n
-        elif path is AccessPath.BITMAP:
-            est = cost.estimate_bitmap(k_blocks, avg_block)
-            rows, seeks = 0, k_blocks
-        else:
-            # discrete-uniform estimate of p over the candidate blocks
-            rows = max(1, total_tuples * k_blocks // total_blocks)
-            est = cost.estimate_layered(rows)
-            seeks = rows
-        decision = TraceDecision(method=path)
-        return Candidate(
-            label=f"trace:{path.value}",
-            kind="trace",
-            est_cost_ms=est,
-            est_rows=rows,
-            est_seeks=seeks,
-            build=lambda: self._planner.build(lplan, decision),
-        )
+        # discrete-uniform estimate of p over the candidate blocks
+        p_rows = max(1, total_tuples * k_blocks // total_blocks)
+        # path -> (est_cost_ms, est_rows, est_seeks)
+        costed = {
+            AccessPath.SCAN: (cost.estimate_scan(n, avg_block), 0, n),
+            AccessPath.BITMAP: (
+                cost.estimate_bitmap(k_blocks, avg_block), 0, k_blocks),
+            AccessPath.LAYERED: (cost.estimate_layered(p_rows), p_rows, p_rows),
+        }
+
+        def candidate(path: AccessPath) -> Candidate:
+            est, rows, seeks = costed[path]
+            decision = TraceDecision(method=path)
+            return Candidate(
+                label=f"trace:{path.value}",
+                kind="trace",
+                est_cost_ms=est,
+                est_rows=rows,
+                est_seeks=seeks,
+                build=lambda: self._planner.build(lplan, decision),
+            )
+
+        head, *tail = [candidate(path) for path in order]
+        tail.sort(key=lambda c: (c.est_cost_ms, c.label))
+        return [head] + tail
 
 
 def _forced_join_label(method: AccessPath, kind: str) -> str:

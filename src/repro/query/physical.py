@@ -168,9 +168,9 @@ class _BlockScan(_LeafOperator):
         return f"{self._schema.name}, blocks={len(self._candidate)}"
 
     def _rows(self) -> Iterator[Transaction]:
+        tnames = (self._schema.name,)
         for bid in self._candidate:
-            block = self.scanner.read_block(bid)
-            for tx in block.transactions:
+            for tx in self.scanner.scan_block(bid, tnames):
                 if tx.tname != self._schema.name:
                     continue
                 if not in_window(tx, self._window):
@@ -268,9 +268,9 @@ class _TraceBlockScan(_LeafOperator):
         return in_window(tx, self._window)
 
     def _rows(self) -> Iterator[Transaction]:
+        tnames = None if self._operation is None else (self._operation,)
         for bid in self._candidate:
-            block = self.scanner.read_block(bid)
-            for tx in block.transactions:
+            for tx in self.scanner.scan_block(bid, tnames, self._operator):
                 if self._matches(tx):
                     yield tx
 
@@ -726,26 +726,27 @@ class HashJoin(_LeafOperator):
         # memory/CPU choice the optimizer costs (smaller side builds)
         build_on_left = self._build_side == "left"
         build_name = self._left.name if build_on_left else self._right.name
+        probe_name = self._right.name if build_on_left else self._left.name
         build_key = self._left_key if build_on_left else self._right_key
         probe_key = self._right_key if build_on_left else self._left_key
         build_accept = self._left_accept if build_on_left else self._right_accept
         probe_accept = self._right_accept if build_on_left else self._left_accept
         build: dict[Any, list[Transaction]] = {}
         probes: list[Transaction] = []
+        tnames = (self._left.name, self._right.name)
         for bid in self._candidate:
-            block = self.scanner.read_block(bid)
-            for tx in block.transactions:
+            for tx in self.scanner.scan_block(bid, tnames):
                 if not in_window(tx, self._window):
                     continue
-                if tx.tname == build_name:
-                    if build_accept is not None and not build_accept(tx):
-                        continue
+                # a self-join names one table twice: every tuple is offered
+                # to both sides, each under its own accept predicate
+                if tx.tname == build_name and (
+                        build_accept is None or build_accept(tx)):
                     key = tx.row()[build_key]
                     if key is not None:
                         build.setdefault(key, []).append(tx)
-                elif tx.tname in (self._left.name, self._right.name):
-                    if probe_accept is not None and not probe_accept(tx):
-                        continue
+                if tx.tname == probe_name and (
+                        probe_accept is None or probe_accept(tx)):
                     probes.append(tx)
         for tx in probes:
             key = tx.row()[probe_key]
@@ -896,9 +897,9 @@ class OnOffHashJoin(_LeafOperator):
             key = row[self._off_key]
             if key is not None:
                 build.setdefault(key, []).append(row)
+        tnames = (self._onchain.name,)
         for bid in self._candidate:
-            block = self.scanner.read_block(bid)
-            for tx in block.transactions:
+            for tx in self.scanner.scan_block(bid, tnames):
                 if tx.tname != self._onchain.name or not in_window(tx, self._window):
                     continue
                 if self._on_accept is not None and not self._on_accept(tx):

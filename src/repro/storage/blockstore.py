@@ -5,6 +5,14 @@ byte offsets of every transaction inside its block (so the layered index
 can read a *single* tuple with one random I/O, eq. 3 of the paper), the
 headers kept for thin clients, and the read cache.
 
+Three reads: :meth:`BlockStore.read_block` (a whole decoded block),
+:meth:`BlockStore.read_transaction` (one tuple by position) and
+:meth:`BlockStore.scan_block` - the whole block's I/O, but only the
+tuples of the wanted tables/sender decoded, the rest rejected on their
+wire prefix (:meth:`Transaction.wire_prefix`) through the same per-block
+offsets.  A block mixes every table, so that is what the scan, bitmap
+and hash-join operators read.
+
 Caching (Fig 22): ``cache_mode="block"`` keeps whole recently-read blocks;
 ``cache_mode="transaction"`` keeps individual recently-read tuples.  Cost
 accounting only charges the cost model on cache misses.
@@ -12,11 +20,11 @@ accounting only charges the cost model on cache misses.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
-from ..common.codec import Writer
+from ..common.codec import Reader, Writer
 from ..common.config import SebdbConfig
-from ..common.errors import StorageError
+from ..common.errors import CodecError, StorageError
 from ..common.lru import LRUCache
 from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
@@ -308,6 +316,55 @@ class BlockStore:
             self._tx_cache.put((height, tx_index), tx)
         return tx
 
+    def scan_block(
+        self,
+        height: int,
+        tnames: Optional[Collection[str]] = None,
+        senid: Optional[str] = None,
+        trackers: Sequence[CostTracker] = (),
+    ) -> list[Transaction]:
+        """The block's tuples of ``tnames`` (and of ``senid``), in block order.
+
+        What the whole-block access paths read (eqs 1-2, the hash joins):
+        the same I/O as :meth:`read_block` - one seek plus the block's
+        length on a miss, to the global model and every tracker - but
+        only the tuples the caller keeps are decoded.  The filter runs on
+        each transaction's wire prefix, against the filter strings
+        encoded once; ``None`` leaves a dimension unfiltered.  Comparison
+        is exact, so this is a pre-filter for the operator's own tests,
+        never a replacement.  Under ``cache_mode="block"`` the decoded
+        block is what the cache holds, so it is filtered by attribute
+        instead.
+        """
+        self._check_height(height)
+        if self.config.cache_mode == "block":
+            return [
+                tx for tx in self.read_block(height, trackers).transactions
+                if (tnames is None or tx.tname in tnames)
+                and (senid is None or tx.senid == senid)
+            ]
+        location = self._locations[height]
+        self.cost.record_read(location.length, seeks=1)
+        for tracker in trackers:
+            tracker.record_read(location.length, seeks=1)
+        data = self._segments.read(location)
+        offsets = self._tx_offsets[height]
+        _check_block_framing(data, offsets)
+        want_tnames = (
+            None if tnames is None else {name.encode("utf-8") for name in tnames}
+        )
+        want_senid = None if senid is None else senid.encode("utf-8")
+        out = []
+        for offset, length in offsets:
+            raw = data[offset : offset + length]
+            sender, table = Transaction.wire_prefix(raw)
+            if want_tnames is not None and table not in want_tnames:
+                continue
+            if want_senid is not None and sender != want_senid:
+                continue
+            out.append(Transaction.from_bytes(raw))
+        return out
+
     def scanner(self, *trackers: CostTracker) -> "StoreScanner":
         """The scan interface query operators must read through."""
         from .scan import StoreScanner
@@ -342,6 +399,28 @@ class BlockStore:
     def clear_caches(self) -> None:
         self._block_cache.clear()
         self._tx_cache.clear()
+
+
+def _check_block_framing(data: bytes, offsets: Sequence[tuple[int, int]]) -> None:
+    """The framing checks of :meth:`Block.from_bytes`, without the body.
+
+    The header parses, the transaction count is the one the offsets were
+    built from, and the last transaction ends where the bytes do.
+    """
+    reader = Reader(data)
+    header = BlockHeader.from_bytes(reader.read_bytes())
+    count = reader.read_varint()
+    if count != len(offsets):
+        raise CodecError(
+            f"block {header.height} holds {count} transactions, "
+            f"{len(offsets)} were indexed"
+        )
+    end = offsets[-1][0] + offsets[-1][1] if offsets else reader.position
+    if end != len(data):
+        raise CodecError(
+            f"block {header.height} is {len(data)} bytes, its transactions "
+            f"end at {end}"
+        )
 
 
 def _serialize_with_offsets(block: Block) -> tuple[bytes, list[tuple[int, int]]]:

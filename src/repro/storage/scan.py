@@ -8,11 +8,15 @@ the store's global cost model.  An operator typically scans with two
 trackers attached - the query-scoped tracker (what ``QueryResult.cost``
 reports) and its own per-operator tracker (what EXPLAIN ANALYZE reports) -
 so per-operator I/O sums exactly to the query's total.
+
+Three reads, one per shape of access: ``read_block`` (GET BLOCK),
+``read_transaction`` (the layered paths) and ``scan_block`` (every
+whole-block path: the block's I/O, the wanted tables'/sender's tuples).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Optional, Sequence
 
 from ..model.block import Block
 from ..model.transaction import Transaction
@@ -32,13 +36,6 @@ class StoreScanner:
         self._store = store
         self._trackers = tuple(trackers)
 
-    @property
-    def height(self) -> int:
-        return self._store.height
-
-    def block_size(self, height: int) -> int:
-        return self._store.block_size(height)
-
     def read_block(self, height: int) -> Block:
         return self._store.read_block(height, trackers=self._trackers)
 
@@ -47,7 +44,12 @@ class StoreScanner:
             height, tx_index, trackers=self._trackers
         )
 
-    def iter_blocks(self, start: int = 0, end: int | None = None) -> Iterator[Block]:
-        stop = self.height if end is None else min(end, self.height)
-        for height in range(start, stop):
-            yield self.read_block(height)
+    def scan_block(
+        self,
+        height: int,
+        tnames: Optional[Collection[str]] = None,
+        senid: Optional[str] = None,
+    ) -> list[Transaction]:
+        return self._store.scan_block(
+            height, tnames, senid, trackers=self._trackers
+        )

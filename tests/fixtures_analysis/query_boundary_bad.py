@@ -1,4 +1,4 @@
-"""Known-bad query-boundary fixture: all three bodies below are flagged."""
+"""Known-bad query-boundary fixture: all four bodies below are flagged."""
 
 
 class Op:
@@ -8,6 +8,10 @@ class Op:
 
 def scan(store):
     return store.read_block(0)  # BAD: bare-name receiver, same bypass
+
+
+def filtered(store):
+    return store.scan_block(0, ("donate",))  # BAD: the filtered read, same bypass
 
 
 def peek(store):

@@ -5,7 +5,7 @@ class Leaf:
     def rows(self):
         block = self.scanner.read_block(3)
         tx = self.scanner.read_transaction(3, 0)
-        yield from self.scanner.iter_blocks()
+        yield from self.scanner.scan_block(3, ("donate",))
         del block, tx
 
 

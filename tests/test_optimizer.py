@@ -219,6 +219,8 @@ FUZZ_CORPUS = [
      "ON transfer.organization = distribute.organization", None),
     ("SELECT * FROM onchain.distribute, offchain.doneeinfo "
      "ON distribute.donee = doneeinfo.donee", None),
+    # aliased self-join: each tuple is a build row and a probe row
+    ("SELECT * FROM donate a, donate b ON a.amount = b.amount", None),
     ("TRACE OPERATOR = 'org1'", None),
     ("TRACE OPERATION = 'transfer'", None),
     ("TRACE [350, 820] OPERATOR = 'org3', OPERATION = 'transfer'", None),

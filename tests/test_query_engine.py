@@ -5,9 +5,13 @@ paths - scan, bitmap and layered - return identical result sets; they may
 only differ in I/O cost.
 """
 
+import re
+
 import pytest
 
 from repro.common.errors import CatalogError, QueryError
+from repro.model import Transaction
+from repro.node import FullNode
 from repro.query import AccessPath
 
 
@@ -263,3 +267,87 @@ class TestPlanner:
         )
         assert len(result) == len(truth)
         assert result.access_path in ("scan", "bitmap")
+
+
+class TestDecodePushdown:
+    """Whole-block leaves decode the tuples of their table or sender only;
+    the modelled I/O and the rows are what a whole-block decode gave."""
+
+    #: (sql, forced method, which ground-truth tuples the leaf may decode)
+    STATEMENTS = [
+        ("SELECT * FROM distribute", "bitmap",
+         lambda tx: tx.tname == "distribute"),
+        ("SELECT * FROM transfer, distribute "
+         "ON transfer.organization = distribute.organization", "bitmap",
+         lambda tx: tx.tname in ("transfer", "distribute")),
+        ("TRACE OPERATOR = 'org1'", "scan",
+         lambda tx: tx.senid == "org1"),
+    ]
+    #: EXPLAIN ANALYZE at the parent of the pushdown (PR 18), wall_ms cut
+    PINNED = [
+        ["Project(*)  (rows_in=70 rows=70)",
+         "   -> BitmapScan(distribute, blocks=10)  (rows=70 seeks=10 "
+         "pages=10 io_ms=41.000 est_ms=41.000 drift=+0.0%)"],
+        ["JoinRows(*)  (rows_in=1962 rows=1962)",
+         "   -> HashJoin(transfer x distribute, blocks=10)  (rows=1962 "
+         "seeks=10 pages=10 io_ms=41.000)"],
+        ["Output(tid, ts, senid, tname, values)  (rows_in=70 rows=70)",
+         "   -> TraceScan(blocks=11, operator='org1')  (rows=70 seeks=11 "
+         "pages=11 io_ms=45.100)"],
+    ]
+
+    @pytest.mark.parametrize("sql,method,wanted", STATEMENTS)
+    def test_decodes_exactly_the_named_rows(self, chain, monkeypatch, sql,
+                                            method, wanted):
+        decoded = []
+        original = Transaction.read_from.__func__
+
+        def counting(cls, reader):
+            tx = original(cls, reader)
+            decoded.append(tx)
+            return tx
+
+        monkeypatch.setattr(Transaction, "read_from", classmethod(counting))
+        result = chain.engine.execute(sql, method=method)
+        assert len(result) > 0
+        # the candidate blocks hold every table and sender (a whole-block
+        # decode reads all 240 tuples, plus the genesis for the scan)
+        expected = chain.txs_matching(wanted)
+        assert 0 < len(expected) < len(chain.all_txs)
+        assert sorted(tx.tid for tx in decoded) == \
+            sorted(tx.tid for tx in expected)
+
+    @pytest.mark.parametrize(
+        "statement,pinned", zip(STATEMENTS, PINNED),
+        ids=["bitmap-scan", "hash-join", "trace-scan"])
+    def test_explain_analyze_counts_are_the_parents(self, chain, statement,
+                                                    pinned):
+        sql, method, _wanted = statement
+        result = chain.engine.execute(f"EXPLAIN ANALYZE {sql}", method=method)
+        lines = [re.sub(r" wall_ms=[0-9.]+", "", line)
+                 for (line,) in result.rows]
+        assert lines[:2] == pinned
+
+
+class TestSelfJoin:
+    """An aliased self-join offers every tuple to both hash-join sides."""
+
+    SQL = "SELECT * FROM donate a, donate b ON a.donor = b.donor"
+
+    @pytest.fixture()
+    def node(self):
+        node = FullNode("n0")
+        node.execute("CREATE TABLE donate (donor string, amount decimal)")
+        for donor, amount in (("ann", 1.0), ("bob", 2.0),
+                              ("ann", 3.0), ("bob", 4.0)):
+            node.insert("donate", (donor, amount))
+        node.create_index("donor", table="donate")
+        yield node
+        node.close()
+
+    @pytest.mark.parametrize("method", [None, "scan", "bitmap", "layered"])
+    def test_two_donors_two_rows_each(self, node, method):
+        result = node.query(self.SQL, method=method)
+        pairs = sorted((row[6], row[13]) for row in result.rows)
+        assert pairs == [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (2.0, 4.0),
+                         (3.0, 1.0), (3.0, 3.0), (4.0, 2.0), (4.0, 4.0)]

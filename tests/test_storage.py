@@ -1,10 +1,20 @@
 """Tests for segment files, the block store, caches and the cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.codec import Reader
 from repro.common.config import SebdbConfig
-from repro.common.errors import StorageError
-from repro.model import Block, GENESIS_PREV_HASH, Transaction, make_genesis
+from repro.common.errors import CodecError, StorageError
+from repro.crypto import KeyPair
+from repro.model import (
+    Block,
+    GENESIS_PREV_HASH,
+    SCHEMA_TNAME,
+    Transaction,
+    make_genesis,
+)
 from repro.storage import BlockLocation, BlockStore, CostModel, SegmentStore
 
 
@@ -200,6 +210,193 @@ class TestCaching:
         store = build_store(3, config)
         assert store.read_block(3).height == 3
         assert any(tmp_path.glob("segment-*.dat"))
+
+
+# -- scan_block: the filtered whole-block read --------------------------------
+
+SCAN_TNAMES = ("donate", "transfer", "distribute", "überweisung", "捐赠",
+               SCHEMA_TNAME)
+SCAN_SENDERS = ("org1", "org2", "système", "组织-3",
+                KeyPair.from_seed("scan-block").address)
+CACHE_MODES = ("none", "transaction", "block")
+
+_values = st.lists(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**40, 2**40),
+              st.text(max_size=12), st.binary(max_size=12)),
+    max_size=4,
+).map(tuple)
+_sigs = st.one_of(  # unsigned, Schnorr-sized, long enough for a 2-byte length
+    st.just(b""), st.binary(min_size=64, max_size=64),
+    st.binary(min_size=128, max_size=300),
+)
+_unsequenced = st.builds(
+    Transaction,
+    ts=st.integers(0, 2**45),
+    senid=st.sampled_from(SCAN_SENDERS),
+    tname=st.sampled_from(SCAN_TNAMES),
+    values=_values,
+    pubkey=st.sampled_from((b"", b"\x02" * 33)),
+    sig=_sigs,
+    nonce=st.sampled_from(("", "n-1", "ñ")),
+)
+_tname_filters = st.one_of(
+    st.none(), st.lists(st.sampled_from(SCAN_TNAMES + ("absent",)),
+                        max_size=3).map(tuple),
+)
+_senid_filters = st.one_of(
+    st.none(), st.sampled_from(SCAN_SENDERS + ("nobody",)))
+
+
+def one_block_store(txs, cache_mode):
+    """An empty genesis plus one block holding ``txs``, tids assigned."""
+    store = BlockStore(SebdbConfig.in_memory(cache_mode=cache_mode))
+    genesis = make_genesis()
+    store.append_block(genesis)
+    sequenced = [tx.with_tid(i * 50) for i, tx in enumerate(txs)]
+    store.append_block(Block.package(genesis.block_hash(), 1, 99, sequenced))
+    return store
+
+
+def cold_read(store, read):
+    """``read(tracker)`` on cold caches -> (result, tracker I/O, global I/O)."""
+    store.clear_caches()
+    tracker = store.cost.tracker()
+    before = store.cost.snapshot()
+    out = read(tracker)
+    delta = store.cost.snapshot().delta(before)
+    return (out, (tracker.seeks, tracker.page_transfers, tracker.bytes_read),
+            (delta.seeks, delta.page_transfers, delta.bytes_read))
+
+
+def check_wire_prefix(data):
+    """The walker raises nothing but CodecError, and wherever the full
+    decode succeeds it names that transaction's sender and table."""
+    try:
+        prefix = Transaction.wire_prefix(data)
+    except CodecError:
+        prefix = None
+    try:
+        tx = Transaction.from_bytes(data)
+    except CodecError:
+        return
+    assert prefix == (tx.senid.encode("utf-8"), tx.tname.encode("utf-8"))
+
+
+class TestWirePrefixHostileBytes:
+    @settings(deadline=None)
+    @given(st.binary(max_size=400))
+    def test_arbitrary_bytes(self, data):
+        check_wire_prefix(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_unsequenced, st.integers(-1, 2**40))
+    def test_every_truncation_and_single_byte_mutation(self, tx, tid):
+        raw = tx.with_tid(tid).to_bytes()
+        assert Transaction.wire_prefix(raw) == (
+            tx.senid.encode("utf-8"), tx.tname.encode("utf-8"))
+        for cut in range(len(raw)):
+            check_wire_prefix(raw[:cut])
+        for i, byte in enumerate(raw):
+            for mutant in {byte ^ 0x01, byte ^ 0x80, 0x00, 0xFF} - {byte}:
+                check_wire_prefix(raw[:i] + bytes([mutant]) + raw[i + 1:])
+
+    @pytest.mark.parametrize("lead", [0, 2, 3, 5])
+    def test_varint_cap_matches_reader(self, lead):
+        """146 continuation bytes are a (huge) varint, 147 are refused -
+        in a skipped field, a skipped length and a kept length alike."""
+        head = b"\x00" * lead
+        with pytest.raises(CodecError, match="too long"):
+            Transaction.wire_prefix(head + b"\x80" * 147 + b"\x00" * 8)
+        with pytest.raises(CodecError, match="too long"):
+            Reader(head + b"\x80" * 147 + b"\x00", lead).read_varint()
+        ok = head + b"\x80" * 146 + b"\x00" * 8
+        assert Reader(ok, lead).read_varint() == 0
+        # a zero spelt in 147 bytes, then empty fields up to tname
+        assert Transaction.wire_prefix(ok) == (b"", b"")
+
+    def test_lengths_past_the_end(self):
+        tx = Transaction.create("donate", ("a",), ts=1, sender="org1").with_tid(3)
+        raw = tx.to_bytes()
+        tname_at = raw.index(b"\x06donate")
+        with pytest.raises(CodecError):  # tname claims one byte too many
+            Transaction.wire_prefix(raw[:tname_at] + b"\x07donate")
+        with pytest.raises(CodecError):  # a sig length no buffer can hold
+            Transaction.wire_prefix(b"\x00\x00" + b"\xff" * 100 + b"\x7f")
+
+
+class TestScanBlock:
+    @settings(deadline=None)
+    @given(txs=st.lists(_unsequenced, max_size=12), tnames=_tname_filters,
+           senid=_senid_filters)
+    def test_equals_filtered_read_block(self, txs, tnames, senid):
+        """Same tuples, same order, same bytes, same I/O as a whole-block
+        read filtered afterwards - in every cache mode."""
+        for cache_mode in CACHE_MODES:
+            store = one_block_store(txs, cache_mode)
+            for height in (0, 1):  # the empty genesis, then the mixed block
+                block, block_own, block_global = cold_read(
+                    store, lambda t: store.read_block(height, trackers=[t]))
+                scanned, scan_own, scan_global = cold_read(
+                    store,
+                    lambda t: store.scan_block(height, tnames, senid, trackers=[t]))
+                expected = [
+                    tx for tx in block.transactions
+                    if (tnames is None or tx.tname in tnames)
+                    and (senid is None or tx.senid == senid)
+                ]
+                assert [tx.to_bytes() for tx in scanned] == \
+                    [tx.to_bytes() for tx in expected], cache_mode
+                assert scanned == expected
+                assert scan_own == block_own == scan_global == block_global
+                assert scan_own[0] == 1
+
+    def test_filter_is_exact_not_case_folded(self):
+        tx = Transaction.create("donate", (), ts=1, sender="Org1")
+        for cache_mode in CACHE_MODES:
+            store = one_block_store([tx], cache_mode)
+            assert store.scan_block(1, ("DONATE",)) == []
+            assert store.scan_block(1, None, "org1") == []
+            assert len(store.scan_block(1, ("donate",), "Org1")) == 1
+
+    def test_block_cache_serves_repeat_scans(self):
+        store = build_store(2, SebdbConfig.in_memory(cache_mode="block"))
+        store.scan_block(1, ("donate",))
+        store.cost.reset()
+        assert len(store.scan_block(1, ("donate",), "org1")) == 2
+        assert store.cost.seeks == 0
+        assert store.block_cache.hits == 1
+
+    def test_missing_block(self):
+        store = build_store(1)
+        with pytest.raises(StorageError):
+            store.scan_block(9, ("donate",))
+
+    def test_scanner_forwards_to_every_tracker(self):
+        store = build_store(2)
+        query, own = store.cost.tracker(), store.cost.tracker()
+        rows = store.scanner(query, own).scan_block(2, ("donate",), "org0")
+        assert [tx.values[0] for tx in rows] == ["v0", "v2"]
+        assert query.seeks == own.seeks == 1
+        assert query.bytes_read == own.bytes_read == store.block_size(2)
+
+    @pytest.mark.parametrize("damage", ["trailing", "truncated", "count", "header"])
+    def test_framing_is_still_checked(self, damage, monkeypatch):
+        """What Block.from_bytes would refuse, scan_block refuses too -
+        even when no transaction of the damaged block is wanted."""
+        store = build_store(1, SebdbConfig.in_memory(cache_mode="none"))
+        good = store._segments.read(store.location(1))
+        if damage == "count":
+            store._tx_offsets[1] = store._tx_offsets[1][:-1]
+            bad = good
+        else:
+            bad = {"trailing": good + b"\x00", "truncated": good[:-1],
+                   "header": b"\x05" + good[1:]}[damage]
+        monkeypatch.setattr(store._segments, "read", lambda location: bad)
+        with pytest.raises(CodecError):
+            store.scan_block(1, ("absent",))
+        if damage != "count":
+            with pytest.raises(CodecError):
+                store.read_block(1)
 
 
 class TestCostModel:

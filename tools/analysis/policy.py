@@ -128,7 +128,9 @@ ERRORS_MODULE: str = "common/errors.py"
 QUERY_SCOPE: tuple = ("query", "query/optimizer")
 
 #: methods that perform storage I/O and must be tracker-accounted
-IO_METHODS: frozenset = frozenset({"read_block", "read_transaction", "iter_blocks"})
+IO_METHODS: frozenset = frozenset(
+    {"read_block", "read_transaction", "scan_block", "iter_blocks"}
+)
 
 #: receiver names that identify the scan interface
 SCANNER_NAMES: frozenset = frozenset({"scanner", "_scanner"})
