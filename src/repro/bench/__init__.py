@@ -16,12 +16,6 @@ from .generator import (
     spread_counts,
 )
 from .chaos_bench import ChaosSample, run_lossy_load, sweep_loss_rates
-from .failover_bench import (
-    FailoverSample,
-    render_failover_table,
-    run_leader_crash,
-    sweep_election_timeouts,
-)
 from .metrics import QueryMeasurement, ThroughputSample
 from .schema import (
     DISTRIBUTE,
@@ -32,12 +26,6 @@ from .schema import (
     create_offchain_tables,
 )
 from .workload import ALL_QUERIES, Q1, Q2, Q3, Q4, Q5, Q6, Q7, BenchQuery, run_query
-from .write_bench import (
-    kafka_factory,
-    run_closed_loop,
-    sweep_clients,
-    tendermint_factory,
-)
 
 __all__ = [
     "ALL_QUERIES",
@@ -46,7 +34,6 @@ __all__ = [
     "DISTRIBUTE",
     "DONATE",
     "Dataset",
-    "FailoverSample",
     "GAUSSIAN",
     "OFFCHAIN_TABLES",
     "ONCHAIN_SCHEMAS",
@@ -72,17 +59,10 @@ __all__ = [
     "build_tracking_dataset",
     "create_offchain_tables",
     "create_standard_indexes",
-    "kafka_factory",
     "print_table",
-    "render_failover_table",
-    "run_closed_loop",
-    "run_leader_crash",
     "run_lossy_load",
     "run_query",
     "sebdb_row",
     "spread_counts",
-    "sweep_clients",
-    "sweep_election_timeouts",
     "sweep_loss_rates",
-    "tendermint_factory",
 ]

@@ -35,7 +35,6 @@ from .generator import (
     create_standard_indexes,
 )
 from .metrics import QueryMeasurement
-from .write_bench import kafka_factory, sweep_clients, tendermint_factory
 
 #: method × distribution labels used throughout Figs 8-16
 SERIES_LABELS = {
@@ -158,6 +157,10 @@ def fig7_write(
     client_counts: Optional[list[int]] = None, txs_per_client: int = 20
 ) -> dict[str, list[tuple[int, float, float]]]:
     """(clients, throughput tps, mean latency ms) per engine."""
+    # imported here so ``python -m repro.bench.write_bench`` does not find
+    # its own module already loaded by the package import
+    from .write_bench import kafka_factory, sweep_clients, tendermint_factory
+
     counts = client_counts or [40, 120, 240, 400]
     out: dict[str, list[tuple[int, float, float]]] = {}
     for name, factory in (

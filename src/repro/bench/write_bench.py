@@ -44,7 +44,7 @@ def run_closed_loop(
 
     ``keypairs`` turns on a signed workload: client ``i`` signs every
     transaction with ``keypairs[i]`` (signature-heavy write path, as the
-    parallel-validate benchmark needs).
+    signed stage breakdown needs).
     """
     latencies: list[float] = []
     outstanding = {"count": num_clients * txs_per_client}
@@ -140,7 +140,6 @@ def stage_breakdown(
     batch_txs: int = 50,
     seed: int = 0,
     verify_signatures: bool = False,
-    workers: int = 1,
 ) -> dict[str, dict[str, float]]:
     """Profile the write path per pipeline stage (Fig 7's companion table).
 
@@ -149,11 +148,8 @@ def stage_breakdown(
     delivered batch runs the full ledger pipeline - signature validation,
     sequencing, packaging, the write-ahead persist and the catalog/index
     apply.  ``verify_signatures`` switches to a signed workload (every
-    client gets a deterministic keypair) and ``workers`` sizes the
-    pipeline's validate/apply worker pool, so the parallel-execution
-    speedup is measurable as the validate+apply wall-ms ratio between
-    runs.  Returns ``{stage: {calls, txs, wall_ms, ms_per_call}}`` in
-    canonical stage order.
+    client gets a deterministic keypair).  Returns ``{stage: {calls,
+    txs, wall_ms, ms_per_call}}`` in canonical stage order.
     """
     from ..ledger import STAGES
     from ..node.fullnode import FullNode
@@ -165,7 +161,6 @@ def stage_breakdown(
         consensus=engine,
         clock=bus.clock,
         verify_signatures=verify_signatures,
-        workers=workers,
     )
     node.create_table(
         "CREATE donate (donor string, project string, amount decimal)"
@@ -215,7 +210,6 @@ def sharded_stage_breakdown(
     txs_per_client: int = 20,
     batch_txs: int = 50,
     seed: int = 0,
-    workers: int = 1,
 ) -> dict[str, object]:
     """Drive a disjoint-key closed loop over a :class:`ShardedNode`.
 
@@ -252,7 +246,6 @@ def sharded_stage_breakdown(
         "bench",
         config=config,
         clock=bus.clock,
-        workers=workers,
         consensus_factory=lambda sid: engines[sid],
     )
     for sid in range(num_shards):
@@ -368,8 +361,6 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI
     parser.add_argument("--txs-per-client", type=int, default=20)
     parser.add_argument("--batch-txs", type=int, default=50)
     parser.add_argument("--verify-signatures", action="store_true")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="validate/apply worker pool size")
     parser.add_argument("--num-shards", type=int, default=None,
                         help="partition the write path over N shards "
                              "(disjoint per-shard tables; --clients is "
@@ -384,7 +375,6 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI
             clients_per_shard=args.clients,
             txs_per_client=args.txs_per_client,
             batch_txs=args.batch_txs,
-            workers=args.workers,
         )
         table = render_sharded_stage_table(result)
     else:
@@ -393,7 +383,6 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI
             txs_per_client=args.txs_per_client,
             batch_txs=args.batch_txs,
             verify_signatures=args.verify_signatures,
-            workers=args.workers,
         )
         table = render_stage_table(profile)
     if args.out:

@@ -117,7 +117,7 @@ class Reader:
                 f"have {len(self._data) - self._pos}"
             )
         out = self._data[self._pos : self._pos + n]
-        self._pos += n  # sebdb: allow[concurrency] cursor on a Reader each decoder constructs locally; instances are never shared across workers
+        self._pos += n
         return out
 
     def read_varint(self) -> int:
@@ -127,7 +127,7 @@ class Reader:
             if self._pos >= len(self._data):
                 raise CodecError("buffer underflow while reading varint")
             byte = self._data[self._pos]
-            self._pos += 1  # sebdb: allow[concurrency] cursor on a Reader each decoder constructs locally; instances are never shared across workers
+            self._pos += 1
             result |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 return result

@@ -1,9 +1,10 @@
 """Global configuration for a SEBDB deployment.
 
 The paper's defaults are: 256 MB segment files, 4 MB blocks, 300-byte
-transactions, 4 KB MB-tree pages, SHA-256 digests.  All of these are
-configurable; the benchmark harness uses scaled-down values so every figure
-regenerates in seconds while preserving relative shapes.
+transactions, 4 KB MB-tree pages, SHA-256 digests.  Here blocks are
+bounded by transaction count and the page size belongs to the cost model
+(``storage/costmodel.py``); the benchmark harness uses scaled-down values
+so every figure regenerates in seconds while preserving relative shapes.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-#: Paper defaults (section VII, "Important parameter settings").
+#: Paper default (section VII, "Important parameter settings").
 DEFAULT_SEGMENT_FILE_SIZE = 256 * 1024 * 1024
-DEFAULT_BLOCK_SIZE = 4 * 1024 * 1024
-DEFAULT_PAGE_SIZE = 4 * 1024
-DEFAULT_TX_SIZE = 300
 
 
 @dataclasses.dataclass
@@ -31,16 +29,12 @@ class SebdbConfig:
         sqlite database.  ``None`` selects fully in-memory operation.
     segment_file_size:
         Maximum bytes per append-only segment file (paper default 256 MB).
-    block_size_bytes:
-        Target packaged-block size in bytes (paper default 4 MB).
     block_size_txs:
-        Maximum transactions per block; packaging closes a block when
-        either limit is hit (the Fig 7 Kafka setup uses 200 txs).
+        Maximum transactions per block (the Fig 7 Kafka setup uses 200
+        txs).
     package_timeout_ms:
         Packaging timeout: a non-empty block is sealed after this many
         simulated milliseconds even if not full (Fig 7 uses 200 ms).
-    mbtree_page_size:
-        Page size (bytes) for Merkle B-tree nodes (paper default 4 KB).
     bptree_order:
         Fan-out of all B+-trees.
     histogram_depth:
@@ -52,10 +46,6 @@ class SebdbConfig:
         ``"block"`` caches whole recently-read blocks, ``"transaction"``
         caches individual recently-read tuples (Fig 22 compares the two),
         ``"none"`` disables caching.
-    pipeline_workers:
-        Worker threads for the ledger pipeline's validate and apply
-        stages; 1 (the default) runs every stage inline with no pool.
-        Any value produces byte-identical blocks and state.
     num_shards:
         Number of independent ledger shards.  1 (the default) keeps the
         single-chain topology; ``N > 1`` partitions tables across N
@@ -71,23 +61,18 @@ class SebdbConfig:
 
     data_dir: Path | None = None
     segment_file_size: int = DEFAULT_SEGMENT_FILE_SIZE
-    block_size_bytes: int = DEFAULT_BLOCK_SIZE
     block_size_txs: int = 1000
     package_timeout_ms: int = 200
-    mbtree_page_size: int = DEFAULT_PAGE_SIZE
     bptree_order: int = 32
     histogram_depth: int = 100
     cache_bytes: int = 64 * 1024 * 1024
     cache_mode: str = "transaction"
-    pipeline_workers: int = 1
     num_shards: int = 1
     shard_placement: dict[str, int | tuple] | None = None
 
     def __post_init__(self) -> None:
         if self.segment_file_size <= 0:
             raise ConfigError("segment_file_size must be positive")
-        if self.block_size_bytes <= 0:
-            raise ConfigError("block_size_bytes must be positive")
         if self.block_size_txs <= 0:
             raise ConfigError("block_size_txs must be positive")
         if self.package_timeout_ms < 0:
@@ -96,8 +81,6 @@ class SebdbConfig:
             raise ConfigError("bptree_order must be at least 3")
         if self.histogram_depth < 1:
             raise ConfigError("histogram_depth must be at least 1")
-        if self.pipeline_workers < 1:
-            raise ConfigError("pipeline_workers must be at least 1")
         if self.num_shards < 1:
             raise ConfigError("num_shards must be at least 1")
         if self.shard_placement is not None:
@@ -137,7 +120,6 @@ class SebdbConfig:
         defaults: dict = dict(
             data_dir=None,
             segment_file_size=4 * 1024 * 1024,
-            block_size_bytes=64 * 1024,
             block_size_txs=100,
             bptree_order=16,
             histogram_depth=16,

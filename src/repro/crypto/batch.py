@@ -160,20 +160,20 @@ def _verify_span(
     """Recursive bisection: aggregate first, split on failure."""
     if len(entries) <= 1:
         for entry in entries:
-            outcome.single_checks += 1  # sebdb: allow[concurrency] outcome is the chunk-local accumulator created by this map() task's verify_batch call; never shared across workers
+            outcome.single_checks += 1
             outcome.valid[entry[0]] = _check_single(entry)
         return
     # span-specific sub-seed: every probe draws fresh coefficients, so a
     # forger cannot target the recursion with a single lucky cancellation
     rng = random.Random(f"{seed}:{entries[0][0]}:{len(entries)}")
-    outcome.aggregate_checks += 1  # sebdb: allow[concurrency] outcome is the chunk-local accumulator created by this map() task's verify_batch call; never shared across workers
+    outcome.aggregate_checks += 1
     if _aggregate_holds(entries, rng):
         for entry in entries:
             outcome.valid[entry[0]] = True
         return
     if len(entries) <= _BISECT_FLOOR:
         for entry in entries:
-            outcome.single_checks += 1  # sebdb: allow[concurrency] outcome is the chunk-local accumulator created by this map() task's verify_batch call; never shared across workers
+            outcome.single_checks += 1
             outcome.valid[entry[0]] = _check_single(entry)
         return
     mid = len(entries) // 2

@@ -194,8 +194,8 @@ def _build_generator_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-#: built once at import and never written again, so pipeline workers
-#: share it without a lock (64 rows x 15 points, about 180 kB)
+#: built once at import and never written again (64 rows x 15 points,
+#: about 180 kB)
 _G_TABLE = _build_generator_table()
 
 

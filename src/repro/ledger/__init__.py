@@ -17,16 +17,6 @@ from .commitlog import (
     PrepareRecord,
 )
 from .pipeline import CRASH_AFTER_APPEND, CRASH_TORN, LedgerPipeline
-from .schedule import (
-    DELETE_TNAME,
-    UPDATE_TNAME,
-    ExecutionPlan,
-    TxEffect,
-    plan_waves,
-    prepare_effect,
-    write_key,
-    write_keys,
-)
 from .stats import STAGES, LedgerStats, StageStats
 
 __all__ = [
@@ -38,18 +28,10 @@ __all__ = [
     "CRASH_AFTER_APPEND",
     "CRASH_TORN",
     "DecisionRecord",
-    "DELETE_TNAME",
-    "ExecutionPlan",
     "LedgerPipeline",
     "LedgerStats",
     "OutcomeRecord",
     "PrepareRecord",
     "StageStats",
     "STAGES",
-    "TxEffect",
-    "UPDATE_TNAME",
-    "plan_waves",
-    "prepare_effect",
-    "write_key",
-    "write_keys",
 ]

@@ -23,8 +23,6 @@ layering violation the ``commit-path`` analysis rule rejects.
 from __future__ import annotations
 
 import collections
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
 from ..common.clock import Clock
@@ -38,16 +36,16 @@ from ..model.transaction import Transaction
 from ..storage.blockstore import BlockStore
 from ..storage.segment import BlockLocation
 from .commitlog import CheckpointRecord, CommitLog
-from .schedule import TxEffect, plan_waves, prepare_effect
 from .stats import LedgerStats
 
 #: fault modes :meth:`LedgerPipeline.crash_next_persist` accepts
 CRASH_TORN = "torn"
 CRASH_AFTER_APPEND = "after-append"
 
-#: never split a signature batch into chunks smaller than this - the
-#: aggregate check amortizes better than the pool parallelizes
-_MIN_CHUNK_ITEMS = 8
+#: packager identity sealed into locally built blocks (see commit_batch)
+_PACKAGER = "consensus"
+#: capacity of the verified-signature LRU, in transactions
+_SIG_CACHE_ENTRIES = 4096
 
 
 class LedgerPipeline:
@@ -60,13 +58,8 @@ class LedgerPipeline:
         clock: Clock,
         commit_log: Optional[CommitLog] = None,
         verify_signatures: bool = False,
-        packager: str = "consensus",
-        sig_cache_entries: int = 4096,
-        workers: int = 1,
         rejected_cap: int = 256,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"pipeline workers must be >= 1, got {workers}")
         if rejected_cap < 1:
             raise ConfigError(
                 f"rejected-transaction cap must be >= 1, got {rejected_cap}"
@@ -77,24 +70,16 @@ class LedgerPipeline:
         self.log = commit_log if commit_log is not None else CommitLog(None)
         self.verify_signatures = verify_signatures
         self.stats = LedgerStats()
-        self._packager = packager
         self._next_tid = 0
         #: most recent rejections only - a peer spraying garbage must not
         #: grow node memory without bound (drops are counted in stats)
         self._rejected: collections.deque[Transaction] = collections.deque(
             maxlen=rejected_cap
         )
-        #: validate/apply concurrency; 1 = run inline, no pool is created
-        self.workers = workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        #: serializes pool creation against close(); without it a close()
-        #: racing _pool() can observe the pre-assignment executor and leak
-        #: its threads (shutdown happens on the swapped-out pool only)
-        self._pool_lock = threading.Lock()
         self._block_listeners: list[Callable[[Block], None]] = []
         #: positive signature verifications, keyed by transaction hash
         self._sig_cache: LRUCache[bytes, bool] = LRUCache(
-            sig_cache_entries, size_of=lambda _: 1
+            _SIG_CACHE_ENTRIES, size_of=lambda _: 1
         )
         #: store height through which apply has run on THIS pipeline object
         #: (0 until bootstrap/rebuild; lets WAL replay tell an in-process
@@ -215,7 +200,7 @@ class LedgerPipeline:
                 height=self._store.height,
                 timestamp=timestamp,
                 transactions=sequenced,
-                packager=self._packager,
+                packager=_PACKAGER,
             )
         location = self._persist_block(block)
         if location is None:
@@ -287,56 +272,15 @@ class LedgerPipeline:
         self._rejected.append(tx)
         self.stats.txs_rejected += 1
 
-    def _pool(self) -> ThreadPoolExecutor:
-        """The shared worker pool, created on first use (workers > 1)."""
-        with self._pool_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="sebdb-ledger"
-                )
-            return self._executor
-
-    def _pool_map(self, fn, *iterables) -> list:
-        """``Executor.map`` with a serial inline fallback.
-
-        A ``close()`` racing an in-flight commit can shut the pool down
-        between the ``_pool()`` lookup and the dispatch; the executor
-        then raises ``RuntimeError("cannot schedule new futures after
-        shutdown")``.  The fallback computes the identical
-        submission-ordered result inline instead of recreating a pool,
-        so racing closers never leave an orphaned executor behind.
-        """
-        try:
-            return list(self._pool().map(fn, *iterables))
-        except RuntimeError:
-            return [fn(*args) for args in zip(*iterables)]
-
-    def close(self) -> None:
-        """Release the worker pool (idempotent; the pipeline stays usable).
-
-        Safe against concurrent close() calls and against commits in
-        flight: the executor is detached under the lock, so exactly one
-        closer shuts each pool down, and submitters either reuse the
-        detached pool before shutdown (their tasks drain: shutdown waits)
-        or fall back to inline execution via :meth:`_pool_map`.
-        """
-        with self._pool_lock:
-            executor = self._executor
-            self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
     def _verify_signatures(self, txs: Sequence[Transaction]) -> List[bool]:
         """Validate-stage signature check for a whole batch.
 
         Cache-aware (the verified-signature LRU answers with the *stored*
         verdict, never a blanket yes), deduplicated within the batch, and
         batched: cache misses always go through the aggregate Schnorr
-        check (:func:`repro.crypto.batch.verify_batch`) - inline with one
-        worker, split into contiguous chunks across the pool with more
-        when the batch is big enough.  The result is aligned with ``txs``
-        and agrees exactly with calling ``tx.verify_signature()`` on each
-        transaction.
+        check (:func:`repro.crypto.batch.verify_batch`), one call per
+        batch.  The result is aligned with ``txs`` and agrees exactly with
+        calling ``tx.verify_signature()`` on each transaction.
         """
         results: list[Optional[bool]] = [None] * len(txs)
         keys = [tx.hash() for tx in txs]
@@ -375,21 +319,13 @@ class LedgerPipeline:
         return [bool(entry) for entry in results]
 
     def _batch_verify(self, txs: Sequence[Transaction]) -> List[bool]:
-        """Aggregate-verify ``txs``, chunked across the worker pool."""
-        items = [(tx.pubkey, tx.signing_payload(), tx.sig) for tx in txs]
-        chunks = max(1, min(self.workers, len(items) // _MIN_CHUNK_ITEMS))
-        if chunks <= 1:
-            outcomes = [verify_batch(items)]
-        else:
-            size = (len(items) + chunks - 1) // chunks
-            spans = [items[i:i + size] for i in range(0, len(items), size)]
-            # map() yields results in submission order: deterministic
-            outcomes = self._pool_map(verify_batch, spans)
-        self.stats.validate_chunks += len(outcomes)
-        for outcome in outcomes:
-            self.stats.sig_aggregate_checks += outcome.aggregate_checks
-            self.stats.sig_single_checks += outcome.single_checks
-        return [flag for outcome in outcomes for flag in outcome.valid]
+        """Aggregate-verify ``txs`` in one :func:`verify_batch` call."""
+        outcome = verify_batch(
+            [(tx.pubkey, tx.signing_payload(), tx.sig) for tx in txs]
+        )
+        self.stats.sig_aggregate_checks += outcome.aggregate_checks
+        self.stats.sig_single_checks += outcome.single_checks
+        return outcome.valid
 
     def _persist_block(self, block: Block) -> Optional[BlockLocation]:
         """Persist stage: intent record, segment append, commit record."""
@@ -415,43 +351,20 @@ class LedgerPipeline:
         return location
 
     def _apply_block(self, block: Block, location: BlockLocation) -> None:
-        """Apply stage: execute transactions, then maintenance listeners.
+        """Apply stage: catalog first, then the maintenance listeners.
 
-        Execution is dependency-scheduled: :func:`plan_waves` groups the
-        block's transactions into waves of ``(table, primary key)``
-        independent writes, workers prepare each wave's effects
-        concurrently, and the effects commit strictly in tid order - so
-        the resulting catalog/index state is identical for any worker
-        count (the fuzz-equivalence suite holds this to byte equality).
+        The only chain state a block changes beyond the store itself is
+        the catalog (``__schema__`` transactions); it goes through
+        :meth:`Catalog.apply_block`, the same call
+        :meth:`rebuild_from_store` makes, so live apply and recovery
+        share one route.
         """
         with self.stats.timed("apply", len(block.transactions)):
-            for effect in self._execute_transactions(block):
-                if effect.schema is not None:
-                    self._catalog.apply_schema(effect.schema)
+            self._catalog.apply_block(block)
             self._store.notify_append_listeners(block, location)
             if block.transactions:
                 self._next_tid = max(self._next_tid, block.last_tid + 1)
         self._applied_height = block.header.height + 1
-
-    def _execute_transactions(self, block: Block) -> List[TxEffect]:
-        """Prepare every transaction's effect, wave-parallel, tid-ordered."""
-        txs = block.transactions
-        if not txs:
-            return []
-        plan = plan_waves(txs)
-        self.stats.apply_waves += len(plan.waves)
-        self.stats.apply_conflicts += plan.conflicts
-        effects: list[Optional[TxEffect]] = [None] * len(txs)
-        for wave in plan.waves:
-            if self.workers > 1 and len(wave) > 1:
-                computed = self._pool_map(
-                    prepare_effect, wave, [txs[i] for i in wave]
-                )
-            else:
-                computed = [prepare_effect(i, txs[i]) for i in wave]
-            for effect in computed:
-                effects[effect.position] = effect
-        return [effect for effect in effects if effect is not None]
 
     # -- durable engine checkpoints ----------------------------------------
 

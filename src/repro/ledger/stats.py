@@ -53,16 +53,10 @@ class LedgerStats:
     sig_checks: int = 0
     #: verifications skipped because the verified-signature LRU hit
     sig_cache_hits: int = 0
-    #: signature-batch chunks dispatched by the validate stage
-    validate_chunks: int = 0
     #: aggregate (random-linear-combination) batch probes performed
     sig_aggregate_checks: int = 0
     #: per-signature fallbacks taken while bisecting a failing batch
     sig_single_checks: int = 0
-    #: dependency waves scheduled by the apply stage
-    apply_waves: int = 0
-    #: write-write / barrier conflicts found while planning waves
-    apply_conflicts: int = 0
     wal_begun: int = 0
     wal_committed: int = 0
     #: pending commit records resolved as complete on restart
@@ -108,11 +102,8 @@ class LedgerStats:
         self.rejected_dropped = 0
         self.sig_checks = 0
         self.sig_cache_hits = 0
-        self.validate_chunks = 0
         self.sig_aggregate_checks = 0
         self.sig_single_checks = 0
-        self.apply_waves = 0
-        self.apply_conflicts = 0
         self.wal_begun = 0
         self.wal_committed = 0
         self.wal_replayed = 0
@@ -130,10 +121,7 @@ class LedgerStats:
             f"signatures:   {self.sig_checks} verified, "
             f"{self.sig_cache_hits} cache hits, "
             f"{self.sig_aggregate_checks} aggregate / "
-            f"{self.sig_single_checks} single probes in "
-            f"{self.validate_chunks} chunk(s)",
-            f"scheduling:   {self.apply_waves} wave(s), "
-            f"{self.apply_conflicts} conflict(s)",
+            f"{self.sig_single_checks} single probes",
             f"commit log:   {self.wal_committed}/{self.wal_begun} records, "
             f"{self.wal_replayed} replayed, {self.wal_discarded} discarded, "
             f"{self.checkpoints_recorded} checkpoints",

@@ -48,26 +48,14 @@ class Catalog:
     def find(self, name: str) -> Optional[TableSchema]:
         return self._tables.get(name.lower())
 
-    def apply_schema(self, schema: TableSchema) -> bool:
-        """Commit one replicated schema registration (idempotent).
-
-        The ledger pipeline's apply stage calls this in tid order with
-        schemas its workers parsed concurrently; :meth:`apply_block`
-        routes through it too, so both paths converge identically.
-        Returns True when the schema was new.
-        """
-        if schema.name in self._tables:
-            return False
-        self._tables[schema.name] = schema
-        return True
-
     def apply_block(self, block: Block) -> list[TableSchema]:
         """Pick up schema-sync transactions from a freshly applied block."""
         registered = []
         for tx in block.transactions:
             if tx.tname == SCHEMA_TNAME:
                 schema = schema_from_sync_transaction(tx)
-                if self.apply_schema(schema):
+                if schema.name not in self._tables:
+                    self._tables[schema.name] = schema
                     registered.append(schema)
         return registered
 

@@ -47,7 +47,6 @@ class FullNode(SqlNode):
         verify_signatures: bool = False,
         genesis: Optional[Block] = None,
         access: Optional[AccessController] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
         self.config = config or SebdbConfig.in_memory()
@@ -69,10 +68,6 @@ class FullNode(SqlNode):
             self.clock,
             commit_log=self.commit_log,
             verify_signatures=verify_signatures,
-            workers=(
-                workers if workers is not None
-                else self.config.pipeline_workers
-            ),
         )
         # resolve a commit record torn by a crash mid-append BEFORE the
         # indexes backfill, so they never observe an uncommitted block
@@ -144,12 +139,11 @@ class FullNode(SqlNode):
         self.ledger.add_block_listener(listener)
 
     def close(self) -> None:
-        """Release pooled resources (the ledger's worker threads).
+        """End-of-life hook; callers end a node's life through it.
 
-        Idempotent: closing twice, or closing after :meth:`crash` (which
-        already shut the worker pool down), is a no-op.
+        There is nothing to release: the node owns no thread, pool or
+        open file (segment and log files are opened per call).
         """
-        self.ledger.close()
 
     # -- engine checkpoints -----------------------------------------------------
 
@@ -193,10 +187,6 @@ class FullNode(SqlNode):
         if self._consensus is not None:
             self._consensus.unregister_replica(self.node_id)
             self._consensus.unregister_checkpoint_listener(self.node_id)
-        # a crashed process takes its worker threads with it: shut the
-        # ledger pool down so simulated crashes leak nothing (restart
-        # lazily re-creates it on the next parallel batch)
-        self.ledger.close()
 
     def crash_during_next_persist(self, mode: str = CRASH_TORN) -> None:
         """Fault hook: crash-stop inside the next persist stage.

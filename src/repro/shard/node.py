@@ -80,7 +80,6 @@ class ShardedNode(SqlNode):
         verify_signatures: bool = False,
         genesis: Optional[Block] = None,
         access: Optional[AccessController] = None,
-        workers: Optional[int] = None,
         consensus_factory: Optional[ConsensusFactory] = None,
     ) -> None:
         self.node_id = node_id
@@ -117,7 +116,6 @@ class ShardedNode(SqlNode):
                 verify_signatures=verify_signatures,
                 genesis=genesis,
                 access=access,
-                workers=workers,
             )
         #: True between :meth:`crash` and :meth:`restart`
         self.crashed = False
@@ -305,7 +303,7 @@ class ShardedNode(SqlNode):
         )
 
     def close(self) -> None:
-        """Release every shard's pooled resources (idempotent)."""
+        """End-of-life hook: ends every shard's (nothing to release today)."""
         for sid in sorted(self.shards):
             self.shards[sid].close()
 

@@ -15,10 +15,9 @@ Every table has a *home* policy:
   route to one of them.
 
 ``__schema__`` transactions have no home shard: every shard's catalog
-must know every table, so the node broadcasts them (and the scheduler's
-barrier semantics hold per shard).  Update/delete intents route by the
-*target* cell they mutate, reusing the scheduler's
-:func:`~repro.ledger.schedule.write_keys` convention.
+must know every table, so the node broadcasts them.  Every other
+transaction is an insert and routes by its leading value (a value-less
+tuple by its sender id).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import hashlib
 from typing import Any, Optional
 
 from ..common.errors import ShardError
-from ..ledger.schedule import write_keys
 from ..model.transaction import SCHEMA_TNAME, Transaction
 
 Placement = dict[str, "int | tuple"]
@@ -84,8 +82,9 @@ class ShardRouter:
                 "__schema__ transactions are broadcast to every shard - "
                 "they have no single home"
             )
-        table, key = write_keys(tx)[0]
-        return self.shard_for_key(table, key)
+        return self.shard_for_key(
+            tx.tname, tx.values[0] if tx.values else tx.senid
+        )
 
     # -- read-side pruning -------------------------------------------------
 

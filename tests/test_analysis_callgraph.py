@@ -4,10 +4,11 @@ determinism escalation).
 
 The builder units run on synthetic mini-trees written to ``tmp_path``;
 the rule tests run on the checked-in fixture trees under
-``tests/fixtures_analysis/`` and on the real repo (pinning that the
-shipped suppressions stay load-bearing).
+``tests/fixtures_analysis/`` and on the real repo (pinning that
+``src/repro`` spawns no worker and constructs no pooled resource).
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -15,10 +16,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.analysis import run_analysis  # noqa: E402
+from tools.analysis import policy, run_analysis  # noqa: E402
+from tools.analysis.callgraph import own_scope_nodes  # noqa: E402
 from tools.analysis.core import Project  # noqa: E402
 from tools.analysis.rules.concurrency import ConcurrencyRule  # noqa: E402
-from tools.analysis.rules.lifecycle import LifecycleRule  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures_analysis"
 
@@ -211,28 +212,29 @@ class TestCallGraphBuilder:
 class TestRealTreeGraph:
     """The graph on the actual repo: the edges the rules depend on."""
 
-    def test_pipeline_symbols_exist(self):
-        table = Project.load(REPO_ROOT).graph.table
-        for qualname in (
-            "ledger/pipeline.py::LedgerPipeline._pool",
-            "ledger/pipeline.py::LedgerPipeline.close",
-            "crypto/batch.py::verify_batch",
-            "ledger/schedule.py::prepare_effect",
-        ):
-            assert qualname in table.functions, qualname
-
-    def test_worker_entry_points_are_discovered(self):
+    def test_src_tree_has_no_worker_and_no_pool(self):
+        """The write path is one thread: across all of ``src/repro`` the
+        concurrency rule's spawn-site discovery finds no worker entry
+        point and no ``POOLED_RESOURCE_CLASSES`` member is constructed,
+        so neither rule has a subject until someone adds a thread."""
         project = Project.load(REPO_ROOT)
         graph = project.graph
         rule = ConcurrencyRule()
-        entries = set()
+        entries, pooled = set(), []
         for module in project.modules:
-            if module.tree is None or not rule.wants(module):
+            if module.tree is None or module.tree_label != "src":
                 continue
             for fn in graph.table.functions_in(module.relpath):
                 entries.update(q for q, _ in rule._spawn_targets(graph, fn))
-        assert "crypto/batch.py::verify_batch" in entries
-        assert "ledger/schedule.py::prepare_effect" in entries
+                pooled += [
+                    (module.relpath, node.lineno)
+                    for node in own_scope_nodes(fn.node)
+                    if isinstance(node, ast.Call)
+                    and graph.resolve_external(fn, node.func)
+                    in policy.POOLED_RESOURCE_CLASSES
+                ]
+        assert entries == set()
+        assert pooled == []
 
     def test_verify_span_is_worker_reachable(self):
         graph = Project.load(REPO_ROOT).graph
@@ -257,37 +259,6 @@ class TestConcurrencyRule:
     def test_good_twin_is_clean(self):
         assert run_analysis(FIXTURES / "concurrency_good", ["concurrency"]) == []
 
-    def test_batch_suppressions_are_load_bearing(self):
-        """Clearing crypto/batch.py's reviewed allowances must resurface
-        the worker-reachable counter writes (acceptance criterion: every
-        suppression added by this PR is pinned)."""
-        project = Project.load(REPO_ROOT)
-        module = project.module_for_relpath("crypto/batch.py")
-        assert any(
-            "concurrency" in ids for ids in module.suppressions.values()
-        )
-        module.suppressions.clear()
-        diags = [
-            d for d in ConcurrencyRule().check_project(project)
-            if d.path == "src/repro/crypto/batch.py"
-        ]
-        assert len(diags) == 3
-        assert all("outcome" in d.message for d in diags)
-
-    def test_codec_suppressions_are_load_bearing(self):
-        project = Project.load(REPO_ROOT)
-        module = project.module_for_relpath("common/codec.py")
-        assert any(
-            "concurrency" in ids for ids in module.suppressions.values()
-        )
-        module.suppressions.clear()
-        diags = [
-            d for d in ConcurrencyRule().check_project(project)
-            if d.path == "src/repro/common/codec.py"
-        ]
-        assert len(diags) == 2
-        assert all("_pos" in d.message for d in diags)
-
 
 # -- lifecycle rule ----------------------------------------------------------
 
@@ -303,24 +274,6 @@ class TestLifecycleRule:
 
     def test_good_twin_is_clean(self):
         assert run_analysis(FIXTURES / "lifecycle_good", ["lifecycle"]) == []
-
-    def test_removing_pipeline_shutdown_resurfaces_the_leak(self):
-        """PR 8's leaked-thread fix, machine-checked: if close() stopped
-        shutting the executor down, the lifecycle rule would fire on the
-        real ledger pipeline."""
-        project = Project.load(REPO_ROOT)
-        module = project.module_for_relpath("ledger/pipeline.py")
-        close = project.graph.table.functions[
-            "ledger/pipeline.py::LedgerPipeline.close"
-        ]
-        # neuter close(): forget its statements so no release is reachable
-        close.node.body = close.node.body[:1]
-        diags = [
-            d for d in LifecycleRule().check_project(project)
-            if d.path == "src/repro/ledger/pipeline.py"
-        ]
-        assert len(diags) == 1
-        assert "_executor" in diags[0].message
 
 
 # -- interprocedural determinism ---------------------------------------------

@@ -273,7 +273,10 @@ class TestElectionStormSoak:
 
 class TestFailoverBench:
     def test_sweep_measures_recovery_gap(self):
-        from repro.bench import render_failover_table, sweep_election_timeouts
+        from repro.bench.failover_bench import (
+            render_failover_table,
+            sweep_election_timeouts,
+        )
 
         samples = sweep_election_timeouts([150.0, 600.0], num_txs=40, seed=3)
         for sample in samples:

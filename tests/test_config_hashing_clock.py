@@ -19,8 +19,6 @@ class TestConfig:
     def test_defaults_match_paper(self):
         config = SebdbConfig()
         assert config.segment_file_size == 256 * 1024 * 1024
-        assert config.block_size_bytes == 4 * 1024 * 1024
-        assert config.mbtree_page_size == 4 * 1024
 
     def test_in_memory_is_small(self):
         config = SebdbConfig.in_memory()
@@ -36,7 +34,7 @@ class TestConfig:
         "kwargs",
         [
             {"segment_file_size": 0},
-            {"block_size_bytes": -1},
+            {"num_shards": 0},
             {"block_size_txs": 0},
             {"package_timeout_ms": -5},
             {"bptree_order": 2},

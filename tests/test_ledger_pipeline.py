@@ -2,7 +2,7 @@
 commit log, signature caching, and crash-mid-append recovery."""
 
 import dataclasses
-import threading
+import random
 
 import pytest
 
@@ -20,14 +20,19 @@ from repro.ledger import (
     CommitRecord,
     LedgerPipeline,
 )
-from repro.model import make_genesis
+from repro.model import TableSchema, make_genesis
 from repro.model.block import Block
 from repro.model.catalog import Catalog
-from repro.model.transaction import Transaction
+from repro.model.transaction import (
+    SCHEMA_TNAME,
+    Transaction,
+    schema_from_sync_transaction,
+    schema_sync_transaction,
+)
 from repro.node import FullNode
 from repro.node.stats import collect_stats
 from repro.storage.blockstore import BlockStore
-from tests.conftest import DONATE
+from tests.conftest import DONATE, TRANSFER
 
 
 def durable_config(tmp_path, **overrides):
@@ -182,7 +187,7 @@ class TestSignatureValidation:
 
 
 class TestSingleValidatePath:
-    """One worker or many, cache misses go through the aggregate check."""
+    """Cache misses go through the aggregate check."""
 
     @staticmethod
     def batch_with_one_forgery():
@@ -202,11 +207,9 @@ class TestSingleValidatePath:
         batch = self.batch_with_one_forgery()
         genesis = make_genesis(0, [DONATE])
         node = FullNode("n0", verify_signatures=True, genesis=genesis)
-        assert node.ledger.workers == 1
         node.apply_batch(batch)
         stats = node.ledger.stats
         assert stats.sig_aggregate_checks > 0
-        assert stats.validate_chunks == 1
         assert stats.txs_rejected == 1
         assert node.rejected_transactions == [batch[13]]
         # the reference filters one signature at a time and verifies nothing
@@ -287,10 +290,6 @@ class TestBoundedRejectBuffer:
     def test_invalid_caps_are_refused(self):
         with pytest.raises(ConfigError):
             self._pipeline(cap=0)
-        with pytest.raises(ConfigError):
-            LedgerPipeline(BlockStore(), Catalog(), Clock(), workers=0)
-        with pytest.raises(ConfigError):
-            SebdbConfig.in_memory(pipeline_workers=0)
 
 
 # -- package stage: header timestamps never regress ---------------------------
@@ -513,115 +512,112 @@ class TestAdoptionGuards:
             b.accept_block(a.store.read_block(2))
 
 
-# -- worker-pool shutdown races -----------------------------------------------
+# -- live commit, fresh-process rebuild and adoption agree --------------------
 
-def _ledger_threads() -> set[str]:
-    return {
-        t.name for t in threading.enumerate()
-        if t.name.startswith("sebdb-ledger")
-    }
+KEYPAIRS = [KeyPair.from_seed(f"fuzz-client-{i}") for i in range(4)]
+FORGER = KeyPair.from_seed("fuzz-forger")
 
 
-class TestPoolShutdownRace:
-    """close() vs in-flight submits: idempotent, no orphaned executors."""
+def make_batches(seed, num_batches=5, batch_size=14):
+    """Random signed batches: schema transactions mid-batch among
+    inserts, same-cell writes, and forged signatures."""
+    rng = random.Random(seed)
+    batches = []
+    for b in range(num_batches):
+        batch = []
+        for i in range(batch_size):
+            kp = KEYPAIRS[rng.randrange(len(KEYPAIRS))]
+            roll = rng.random()
+            if roll < 0.08:
+                schema = TableSchema.create(
+                    f"extra{b}_{i}", [("k", "string"), ("v", "decimal")]
+                )
+                tx = schema_sync_transaction(
+                    schema, ts=rng.randrange(1, 500), keypair=kp
+                )
+            elif roll < 0.55:
+                # 3 donors over 14 txs: plenty of same-cell writes
+                tx = Transaction.create(
+                    "donate",
+                    (f"d{rng.randrange(3)}", "edu",
+                     float(rng.randrange(1, 100))),
+                    ts=rng.randrange(1, 500), keypair=kp,
+                )
+            else:
+                tx = Transaction.create(
+                    "transfer",
+                    (f"p{rng.randrange(3)}", f"d{rng.randrange(3)}",
+                     "org1", float(rng.randrange(1, 100))),
+                    ts=rng.randrange(1, 500), keypair=kp,
+                )
+            if rng.random() < 0.15:
+                # forged: right structure, wrong signer
+                tx = dataclasses.replace(
+                    tx, sig=FORGER.sign(tx.signing_payload())
+                )
+            batch.append(tx)
+        batches.append(batch)
+    return batches
 
-    def _pipeline(self, workers: int = 4) -> LedgerPipeline:
-        return LedgerPipeline(BlockStore(), Catalog(), Clock(), workers=workers)
 
-    def test_double_close_is_idempotent(self):
-        before = _ledger_threads()
-        pipeline = self._pipeline()
-        pipeline._pool()  # force lazy pool creation
-        pipeline.close()
-        pipeline.close()
-        assert pipeline._executor is None
-        assert _ledger_threads() <= before
+def _chain_bytes(node):
+    return [
+        node.store.read_block(h).to_bytes() for h in range(node.store.height)
+    ]
 
-    def test_pool_map_falls_back_inline_after_a_racing_shutdown(self):
-        """The exact interleaving the fix targets: a closer shuts the
-        executor down between another thread's pool lookup and its
-        dispatch.  The dispatch must complete inline with the identical
-        submission-ordered result — and must NOT resurrect a pool the
-        closer would never see."""
-        pipeline = self._pipeline()
-        executor = pipeline._pool()
-        executor.shutdown(wait=True)  # simulate close() winning the race
-        result = pipeline._pool_map(lambda x: x * x, range(6))
-        assert result == [x * x for x in range(6)]
-        assert pipeline._executor is executor  # fallback recreated nothing
-        pipeline.close()
-        assert pipeline._executor is None
 
-    def test_closers_racing_dispatchers_leave_no_threads(self):
-        before = _ledger_threads()
-        pipeline = self._pipeline()
-        errors: list = []
-        stop = threading.Event()
+class TestLiveRebuildAdopt:
+    """The three ways a node reaches chain state agree with each other and
+    with what the submitted transactions say, checked one at a time."""
 
-        def dispatcher():
-            expected = [x + 1 for x in range(8)]
-            while not stop.is_set():
-                try:
-                    got = pipeline._pool_map(lambda x: x + 1, range(8))
-                    if got != expected:
-                        errors.append(("order", got))
-                except Exception as exc:  # noqa: BLE001 - the assertion
-                    errors.append(("raised", repr(exc)))
-                    return
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_three_routes_reach_the_same_state(self, seed, tmp_path):
+        batches = make_batches(seed)
+        genesis = make_genesis(0, [DONATE, TRANSFER])
+        live = FullNode("live", config=durable_config(tmp_path),
+                        verify_signatures=True, genesis=genesis)
+        for batch in batches:
+            live.apply_batch(batch)
 
-        def closer():
-            while not stop.is_set():
-                try:
-                    pipeline.close()
-                except Exception as exc:  # noqa: BLE001 - the assertion
-                    errors.append(("close raised", repr(exc)))
-                    return
-
-        threads = (
-            [threading.Thread(target=dispatcher) for _ in range(3)]
-            + [threading.Thread(target=closer) for _ in range(2)]
+        # the oracle: each submitted transaction verified on its own
+        verdicts = [
+            (tx, tx.verify_signature()) for batch in batches for tx in batch
+        ]
+        forged = [tx for tx, ok in verdicts if not ok]
+        assert forged
+        assert live.rejected_transactions == forged
+        assert live.ledger.next_tid == (
+            len(genesis.transactions) + len(verdicts) - len(forged)
         )
-        for t in threads:
-            t.start()
-        for _ in range(200):
-            if errors:
-                break
-            pipeline._pool_map(lambda x: x, range(4))
-        stop.set()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        pipeline.close()
-        assert _ledger_threads() <= before
+        created = [
+            schema_from_sync_transaction(tx).name for tx, ok in verdicts
+            if ok and tx.tname == SCHEMA_TNAME
+        ]
+        assert created
+        assert live.catalog.table_names == sorted(
+            ["donate", "transfer"] + created
+        )
+        on_chain = [
+            schema_from_sync_transaction(tx).name
+            for height in range(1, live.store.height)
+            for tx in live.store.read_block(height).transactions
+            if tx.tname == SCHEMA_TNAME
+        ]
+        assert on_chain == created  # each exactly once, a forged one never
 
-    def test_commits_racing_close_stay_correct(self):
-        """End to end: real commits while another thread hammers close().
-        Every batch must land, the chain must verify, and the final close
-        must leave no worker threads."""
-        before = _ledger_threads()
-        node = FullNode("race", workers=4)
-        node.create_table("CREATE t (a string)")
-        stop = threading.Event()
-
-        def closer():
-            while not stop.is_set():
-                node.ledger.close()
-
-        thread = threading.Thread(target=closer)
-        thread.start()
-        try:
-            for round_no in range(30):
-                batch = [
-                    Transaction.create("t", (f"r{round_no}-{i}",), ts=round_no)
-                    for i in range(8)
-                ]
-                assert node.apply_batch(batch) is not None
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert node.query("SELECT COUNT(*) FROM t").rows[0][0] == 240
-        node.verify_local_chain(full=True)
-        node.close()
-        assert _ledger_threads() <= before
+        # (a) a fresh process on the same data dir rebuilds from the store
+        rebuilt = FullNode("live", config=durable_config(tmp_path),
+                           verify_signatures=True)
+        # (b) a follower adopts the chain block by block
+        follower = FullNode("follower", verify_signatures=True,
+                            genesis=genesis)
+        follower.sync_from(live)
+        for node in (rebuilt, follower):
+            assert _chain_bytes(node) == _chain_bytes(live)
+            assert node.catalog.table_names == live.catalog.table_names
+            assert node.ledger.next_tid == live.ledger.next_tid
+            for table in ("donate", "transfer"):
+                assert (node.query(f"SELECT * FROM {table}").rows
+                        == live.query(f"SELECT * FROM {table}").rows)
+            node.close()
+        live.close()

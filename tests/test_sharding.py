@@ -2,18 +2,16 @@
 
 Covers the partitioned write path end to end: deterministic table/key ->
 shard routing, the logged cross-shard two-phase commit and its crash
-recovery, byte-identical per-shard chains across worker counts (and a
-one-shard deployment's byte-equality with an unsharded FullNode), the
-ShardMerge read path (ordered-LIMIT laziness, disjoint per-shard cost
-attribution, fuzz equivalence against a single-chain oracle), pool
-lifecycle (no leaked worker threads), and the sharded bench's aggregate
-throughput scaling.
+recovery, byte-identical per-shard chains across runs (and a one-shard
+deployment's byte-equality with an unsharded FullNode), the ShardMerge
+read path (ordered-LIMIT laziness, disjoint per-shard cost attribution,
+fuzz equivalence against a single-chain oracle), and the sharded bench's
+aggregate throughput scaling.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 
 import pytest
 
@@ -21,7 +19,6 @@ from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, QueryError, ShardError
 from repro.crypto import KeyPair
 from repro.faults.checker import InvariantChecker
-from repro.ledger import DELETE_TNAME, UPDATE_TNAME, plan_waves, write_keys
 from repro.model.transaction import Transaction, schema_sync_transaction
 from repro.node.fullnode import FullNode
 from repro.query.optimizer import plan_sharded_select
@@ -42,16 +39,13 @@ from repro.sqlparser.parser import parse
 def make_node(
     num_shards: int,
     placement: dict | None = None,
-    workers: int | None = None,
     node_id: str = "shard-test",
     keypair: KeyPair | None = None,
 ) -> ShardedNode:
     config = SebdbConfig.in_memory(
         num_shards=num_shards, shard_placement=placement
     )
-    return ShardedNode(
-        node_id, config=config, workers=workers, keypair=keypair
-    )
+    return ShardedNode(node_id, config=config, keypair=keypair)
 
 
 def tx_for(table: str, key, value: str = "v", ts: int = 0) -> Transaction:
@@ -105,11 +99,18 @@ class TestShardRouter:
         with pytest.raises(ShardError):
             router.home_shard(schema_tx)
 
-    def test_mutation_intent_routes_by_target_cell(self):
-        router = ShardRouter(3, {"t": (10, 20)})
-        insert = tx_for("t", 15)
-        update = Transaction.create(UPDATE_TNAME, ("t", 15, "new"), ts=0)
-        assert router.home_shard(update) == router.home_shard(insert)
+    def test_home_shard_is_the_leading_values_owner(self):
+        for placement in (None, {"t": 2}, {"t": (10, 20)}):
+            router = ShardRouter(3, placement)
+            for key in (5, 15, 25):
+                assert router.home_shard(tx_for("t", key)) == (
+                    router.shard_for_key("t", key)
+                )
+        # a value-less transaction routes by its sender id
+        router = ShardRouter(3, {"t": ("m",)})
+        for sender, home in (("alice", 0), ("zed", 1)):
+            bare = Transaction.create("t", (), ts=0, sender=sender)
+            assert router.home_shard(bare) == home
 
     def test_incomparable_range_key_raises(self):
         router = ShardRouter(3, {"t": (10, 20)})
@@ -123,32 +124,6 @@ class TestShardRouter:
             SebdbConfig.in_memory(
                 num_shards=2, shard_placement={"t": (20, 10)}
             )
-
-
-# -- scheduler write keys (update/delete intents) ----------------------------
-
-
-class TestMutationWriteKeys:
-    def test_update_conflicts_with_target_cell(self):
-        insert = tx_for("donate", "d0")
-        update = Transaction.create(UPDATE_TNAME, ("donate", "d0", "x"), ts=1)
-        assert write_keys(update) == (("donate", "d0"),)
-        plan = plan_waves([insert.with_tid(1), update.with_tid(2)])
-        # the update serializes behind the insert of the same cell
-        assert plan.waves == ((0,), (1,))
-        assert plan.conflicts == 1
-
-    def test_delete_of_other_cell_is_independent(self):
-        insert = tx_for("donate", "d0")
-        delete = Transaction.create(DELETE_TNAME, ("donate", "d9"), ts=1)
-        plan = plan_waves([insert.with_tid(1), delete.with_tid(2)])
-        # no shared cell, no schema barrier: both run in wave 0
-        assert plan.waves == ((0, 1),)
-        assert plan.conflicts == 0
-
-    def test_malformed_mutation_serializes_per_sender(self):
-        broken = Transaction.create(UPDATE_TNAME, ("only-table",), ts=0)
-        assert write_keys(broken) == ((UPDATE_TNAME, broken.senid),)
 
 
 # -- cross-shard two-phase commit --------------------------------------------
@@ -285,27 +260,25 @@ def _chain_bytes(node: FullNode) -> list[bytes]:
 class TestShardedDeterminism:
     WORKLOAD = [(k, f"v{k}") for k in (1, 5, 11, 15, 21, 25, 1, 15, 21, 8)]
 
-    def _run(self, workers: int) -> ShardedNode:
-        node = make_node(
-            3, placement={"t": (10, 20)}, workers=workers, node_id="det"
-        )
+    def _run(self) -> ShardedNode:
+        node = make_node(3, placement={"t": (10, 20)}, node_id="det")
         node.create_table("CREATE TABLE t (k INT, v STRING)")
-        # multi-tx batches with same-cell conflicts exercise the waves
+        # multi-tx batches with same-cell writes on every shard
         batch = [tx_for("t", k, v) for k, v in self.WORKLOAD]
         node.apply_batch(batch)
         node.apply_batch([tx_for("t", k, v.upper()) for k, v in self.WORKLOAD])
         return node
 
-    def test_chains_identical_across_worker_counts(self):
-        serial, pooled = self._run(workers=1), self._run(workers=4)
+    def test_chains_identical_across_runs(self):
+        first, second = self._run(), self._run()
         try:
-            for sid in serial.shards:
-                assert _chain_bytes(serial.shards[sid]) == _chain_bytes(
-                    pooled.shards[sid]
-                ), f"shard {sid} diverged between worker counts"
+            for sid in first.shards:
+                assert _chain_bytes(first.shards[sid]) == _chain_bytes(
+                    second.shards[sid]
+                ), f"shard {sid} diverged between two runs"
         finally:
-            serial.close()
-            pooled.close()
+            first.close()
+            second.close()
 
     def test_one_shard_matches_unsharded_fullnode(self):
         keypair = KeyPair.from_seed("det-equal")
@@ -544,74 +517,6 @@ class TestShardedTrace:
             ] == ["TraceScan"] * 3
         with pytest.raises(QueryError):
             node.query(TRACES[0], method="layered")  # no senid index
-
-
-# -- lifecycle ---------------------------------------------------------------
-
-
-def _ledger_threads() -> set[str]:
-    return {
-        t.name for t in threading.enumerate()
-        if t.name.startswith("sebdb-ledger")
-    }
-
-
-class TestLifecycle:
-    def test_close_leaves_no_worker_threads(self):
-        before = _ledger_threads()
-        node = make_node(3, placement={"t": (10, 20)}, workers=4)
-        node.create_table("CREATE TABLE t (k INT, v STRING)")
-        node.apply_batch([tx_for("t", k) for k in range(24)])
-        node.close()
-        node.close()  # idempotent
-        assert _ledger_threads() <= before
-
-    def test_concurrent_closers_racing_commits_are_safe(self):
-        """Regression for the double-close race: closers hammering every
-        shard's pool while commits are in flight must never raise and
-        must leave no worker threads behind."""
-        before = _ledger_threads()
-        node = make_node(3, placement={"t": (10, 20)}, workers=4)
-        node.create_table("CREATE TABLE t (k INT, v STRING)")
-        errors: list = []
-        stop = threading.Event()
-
-        def closer():
-            while not stop.is_set():
-                try:
-                    node.close()
-                except Exception as exc:  # noqa: BLE001 - the assertion
-                    errors.append(repr(exc))
-                    return
-
-        closers = [threading.Thread(target=closer) for _ in range(3)]
-        for t in closers:
-            t.start()
-        try:
-            for round_no in range(20):
-                node.apply_batch(
-                    [tx_for("t", k, f"r{round_no}") for k in range(12)]
-                )
-        finally:
-            stop.set()
-            for t in closers:
-                t.join(timeout=30)
-        assert not any(t.is_alive() for t in closers)
-        assert errors == []
-        total = node.query("SELECT COUNT(*) FROM t").rows[0][0]
-        assert total == 20 * 12
-        node.verify_local_chain(full=True)
-        node.close()
-        assert _ledger_threads() <= before
-
-    def test_crash_shuts_worker_pools_down(self):
-        before = _ledger_threads()
-        node = make_node(2, workers=4)
-        node.create_table("CREATE TABLE t (k INT, v STRING)")
-        node.apply_batch([tx_for("t", k) for k in range(16)])
-        node.crash()
-        assert _ledger_threads() <= before
-        node.close()
 
 
 # -- chaos soak --------------------------------------------------------------

@@ -144,10 +144,8 @@ STORE_NAMES: frozenset = frozenset({"store", "_store", "blockstore", "block_stor
 CONCURRENCY_SCOPE: tuple = ("ledger", "shard", "node")
 
 #: attribute calls whose first positional argument becomes a worker
-#: entry point.  ``_pool_map`` is the pipeline's own serial-fallback
-#: wrapper around ``Executor.map`` - callables handed to it run on the
-#: pool exactly like a direct ``map``.
-WORKER_SPAWN_METHODS: frozenset = frozenset({"submit", "map", "_pool_map"})
+#: entry point
+WORKER_SPAWN_METHODS: frozenset = frozenset({"submit", "map"})
 
 #: external classes whose ``target=`` keyword becomes a worker entry
 THREAD_CLASSES: frozenset = frozenset({"threading.Thread", "Thread"})

@@ -1,18 +1,18 @@
 """Rule ``concurrency``: no unguarded shared-state writes off a worker.
 
-PRs 7-8 made the ledger hot path genuinely parallel: signature
-verification chunks and prepared effects run on a
-``ThreadPoolExecutor``.  Python's GIL keeps single bytecodes atomic,
-but read-modify-write sequences (``self.counter += 1``) and multi-field
-updates interleave freely - the classic lost-update bug, and one that
-only bites under load.
+``src/repro`` is single-threaded today (the PR 7 ledger worker pool
+measured slower than the serial path and was deleted); this rule is what
+stops the next thread from landing without a lock.  Python's GIL keeps
+single bytecodes atomic, but read-modify-write sequences
+(``self.counter += 1``) and multi-field updates interleave freely - the
+classic lost-update bug, and one that only bites under load.
 
 This rule makes the safe pattern machine-checked:
 
 1. find every *worker spawn site* in the concurrency scope
    (``ledger``/``shard``/``node``): callables handed to
-   ``Executor.submit``/``Executor.map`` (and the pipeline's
-   ``_pool_map`` wrapper), and ``threading.Thread(target=...)``;
+   ``Executor.submit``/``Executor.map``, and
+   ``threading.Thread(target=...)``;
 2. compute the transitive call set reachable from those entry points
    over the whole-program call graph (so a helper two hops away is
    just as suspect as the entry itself);

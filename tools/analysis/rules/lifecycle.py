@@ -2,9 +2,10 @@
 
 PR 8 fixed a leaked ``sebdb-ledger`` worker thread by hand: a
 ``FullNode.crash()`` tore down the node without shutting the ledger's
-executor, and the orphaned pool kept the process alive.  This rule
-turns that review finding into a machine-checked invariant over the
-whole-program call graph:
+executor, and the orphaned pool kept the process alive.  That pool is
+gone (``src/repro`` constructs no pooled resource today); this rule
+keeps the review finding as a machine-checked invariant over the
+whole-program call graph for the next one:
 
 * a pooled resource (``ThreadPoolExecutor``, ``ProcessPoolExecutor``,
   ``threading.Thread``) constructed and stored on ``self`` must be
