@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..common.errors import SignatureError
 from ..common.hashing import sha256
+from ..common.lru import LRUCache
 from . import group, schnorr
 
 #: one verification request: (public_key, message, signature) - the same
@@ -85,25 +86,27 @@ def _decode_point(data: bytes) -> Optional[group.Point]:
 
 
 def _parse_item(
-    index: int, item: BatchItem, keys: dict[bytes, Optional[group.Point]]
+    index: int, item: BatchItem, keys: LRUCache[bytes, group.Point]
 ) -> Optional[_Parsed]:
     """Screen one item exactly as :func:`schnorr.verify` would.
 
     Malformed inputs (bad lengths, off-curve points, identity points,
     out-of-range scalars) are rejected here so they can never poison the
     aggregate equation for well-formed neighbours.  ``keys`` memoizes
-    public-key decompression (a modular square root) for the duration
-    of one :func:`verify_batch` call; an undecodable key is remembered as
-    ``None`` and rejects exactly the items that carry it.
+    public-key decompression (a modular square root) by exact key bytes.
+    Only keys that decode to a non-identity point enter it, so an
+    undecodable key is decoded again each time and rejects exactly the
+    items that carry it.
     """
     public_key, message, signature = item
     if len(signature) != schnorr.SIGNATURE_SIZE:
         return None
-    if public_key not in keys:
-        keys[public_key] = _decode_point(public_key)
-    q_point = keys[public_key]
+    q_point = keys.get(public_key)
     if q_point is None:
-        return None
+        q_point = _decode_point(public_key)
+        if q_point is None:
+            return None
+        keys.put(public_key, q_point)
     r_point = _decode_point(signature[:33])
     if r_point is None:
         return None
@@ -146,12 +149,11 @@ def _aggregate_holds(entries: Sequence[_Parsed], rng: random.Random) -> bool:
     return group.scalar_mul(s_coefficient) == group.multi_scalar_mul(terms)
 
 
-def _check_single(entry: _Parsed) -> bool:
-    """Direct ``s*G == R + e*Q`` check of one parsed signature."""
-    _index, s, r_point, e, q_point, _public_key = entry
-    lhs = group.scalar_mul(s)
-    rhs = group.point_add(r_point, group.scalar_mul(e, q_point))
-    return lhs == rhs
+def _check_singly(entries: Sequence[_Parsed], outcome: BatchVerification) -> None:
+    """Per-signature fallback: the plain Schnorr equation for each entry."""
+    for index, s, r_point, e, q_point, _public_key in entries:
+        outcome.single_checks += 1
+        outcome.valid[index] = schnorr.equation_holds(s, r_point, e, q_point)
 
 
 def _verify_span(
@@ -159,9 +161,7 @@ def _verify_span(
 ) -> None:
     """Recursive bisection: aggregate first, split on failure."""
     if len(entries) <= 1:
-        for entry in entries:
-            outcome.single_checks += 1
-            outcome.valid[entry[0]] = _check_single(entry)
+        _check_singly(entries, outcome)
         return
     # span-specific sub-seed: every probe draws fresh coefficients, so a
     # forger cannot target the recursion with a single lucky cancellation
@@ -172,9 +172,7 @@ def _verify_span(
             outcome.valid[entry[0]] = True
         return
     if len(entries) <= _BISECT_FLOOR:
-        for entry in entries:
-            outcome.single_checks += 1
-            outcome.valid[entry[0]] = _check_single(entry)
+        _check_singly(entries, outcome)
         return
     mid = len(entries) // 2
     _verify_span(entries[:mid], seed, outcome)
@@ -182,7 +180,9 @@ def _verify_span(
 
 
 def verify_batch(
-    items: Sequence[BatchItem], seed: Optional[int] = None
+    items: Sequence[BatchItem],
+    seed: Optional[int] = None,
+    keys: Optional[LRUCache[bytes, group.Point]] = None,
 ) -> BatchVerification:
     """Verify a whole batch of Schnorr signatures at once.
 
@@ -190,10 +190,15 @@ def verify_batch(
     with ``items`` and agrees exactly with calling
     :func:`repro.crypto.schnorr.verify` on each triple.  ``seed``
     overrides the content-derived randomizer seed (tests; replicas must
-    all pass the same value or none).
+    all pass the same value or none).  ``keys`` is a cache of
+    decompressed public keys that outlives the call (the ledger pipeline
+    owns one); it is read and filled here, and a cold or a warm cache
+    gives the same verdicts.  Without one, keys are memoized for this
+    call only.
     """
     outcome = BatchVerification(valid=[False] * len(items))
-    keys: dict[bytes, Optional[group.Point]] = {}
+    if keys is None:
+        keys = LRUCache(len(items))
     parsed = [
         entry
         for entry in (_parse_item(i, item, keys) for i, item in enumerate(items))

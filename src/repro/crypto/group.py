@@ -28,6 +28,16 @@ B = 7
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
+#: the GLV endomorphism (SEC 2, libsecp256k1): ``LAMBDA * (x, y) ==
+#: (BETA * x, y)``; LAMBDA is a cube root of unity mod N, BETA one mod P
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+#: short basis (a1, b1), (a2, b2) of the lattice {(i, j): i + j*LAMBDA = 0 mod N}
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
 
 class Point(NamedTuple):
     """Affine curve point; ``None`` coordinates encode the identity."""
@@ -85,7 +95,7 @@ def point_neg(point: Point) -> Point:
 # Affine point_add pays one modular inversion per addition.  Scalar and
 # multi-scalar multiplication therefore run on Jacobian triples
 # (X, Y, Z) ~ (X/Z^2, Y/Z^3) internally - a handful of modular
-# multiplications per step and exactly ONE inversion at the end.  Three
+# multiplications per step and exactly ONE inversion at the end.  Four
 # kernels sit on top of that:
 #
 # * ``_G_TABLE``: every ``digit * 16^w * G`` precomputed in affine form,
@@ -94,7 +104,10 @@ def point_neg(point: Point) -> Point:
 #   multiplications instead of the 16 of ``_jac_add`` - used by the table
 #   walk and by Pippenger's bucket accumulation, whose inputs are affine;
 # * ``_jac_add`` / ``_jac_double``: the general case (bucket folding,
-#   variable-base double-and-add).
+#   variable-base double-and-add);
+# * ``_glv_split`` / ``_signed_digits``: in front of Pippenger's buckets,
+#   256-bit scalars become two ~128-bit halves (half the windows) and
+#   digits are signed (half the buckets, so half the folding).
 #
 # The public API still speaks affine :class:`Point` and produces
 # bit-identical results.
@@ -231,6 +244,39 @@ def scalar_mul(k: int, point: Point = GENERATOR) -> Point:
     return _jac_to_affine(result)
 
 
+def _glv_split(k: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 * LAMBDA == k (mod N)`` for ``0 <= k < N``.
+
+    Rounded-division decomposition against the short lattice basis
+    (Guide to ECC, Alg. 3.74): both halves are signed and under 2^129 in
+    magnitude.
+    """
+    c1 = (2 * _B2 * k + N) // (2 * N)
+    c2 = (-2 * _B1 * k + N) // (2 * N)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _signed_digits(k: int, window: int, count: int) -> list[int]:
+    """``k`` as ``count`` base-``2^window`` digits in ``[-2^(w-1)+1, 2^(w-1)]``.
+
+    Lowest window first; a digit above half the radix borrows from the
+    next window.  ``count`` must leave the top window room for that carry.
+    """
+    half = 1 << (window - 1)
+    radix = 1 << window
+    mask = radix - 1
+    digits = []
+    for _ in range(count):
+        digit = k & mask
+        k >>= window
+        if digit > half:
+            digit -= radix
+            k += 1
+        digits.append(digit)
+    assert k == 0, "signed recoding carried out of the top window"
+    return digits
+
+
 def multi_scalar_mul(terms: Sequence[tuple[int, Point]]) -> Point:
     """``sum(k_i * P_i)`` via Pippenger's bucket method.
 
@@ -238,9 +284,13 @@ def multi_scalar_mul(terms: Sequence[tuple[int, Point]]) -> Point:
     ``(bits / log2 n) * (n + 2^window)`` point additions instead of the
     ``O(bits * n)`` of n independent double-and-add runs, which is what
     makes batch signature verification cheaper than verifying each
-    signature alone.  Exact over any scalar widths (mixed 128-bit
-    randomizer and 256-bit coefficient terms are fine); falls back to
-    plain :func:`scalar_mul` for tiny inputs where bucketing cannot win.
+    signature alone.  Two reductions sit in front of the buckets: every
+    scalar wider than 129 bits is GLV-split into two ~128-bit halves on
+    ``P`` and ``(BETA * x, y)``, so a batch mixing 128-bit randomizer and
+    256-bit coefficient terms needs half the windows; and digits are
+    signed, so a window has ``2^(w-1)`` buckets instead of ``2^w - 1``.
+    Falls back to plain :func:`scalar_mul` for tiny inputs where
+    bucketing cannot win.
     """
     reduced = [(k % N, p) for k, p in terms if k % N and not p.is_identity]
     if not reduced:
@@ -250,32 +300,56 @@ def multi_scalar_mul(terms: Sequence[tuple[int, Point]]) -> Point:
         for k, p in reduced:
             acc = point_add(acc, scalar_mul(k, p))
         return acc
+    #: (scalar > 0, x, y); a negative GLV half takes the negated point
+    split: list[tuple[int, int, int]] = []
+    for k, p in reduced:
+        x, y = p.x, p.y
+        assert x is not None and y is not None
+        if k.bit_length() <= 129:
+            split.append((k, x, y))
+            continue
+        for half, hx in zip(_glv_split(k), (x, BETA * x % P)):
+            if half > 0:
+                split.append((half, hx, y))
+            elif half < 0:
+                split.append((-half, hx, P - y))
     # the fold below pays two general additions per bucket per window,
     # so the window stays two bits under log2(n)
-    window = min(12, max(2, len(reduced).bit_length() - 2))
-    max_bits = max(k.bit_length() for k, _ in reduced)
-    num_windows = (max_bits + window - 1) // window
-    mask = (1 << window) - 1
+    window = min(12, max(2, len(split).bit_length() - 2))
+    # one window more than the bits need: the top digit absorbs the last
+    # carry of the signed recoding
+    num_windows = max(k.bit_length() for k, _, _ in split) // window + 1
+    prepared = [
+        (_signed_digits(k, window, num_windows), (x, y), (x, P - y))
+        for k, x, y in split
+    ]
+    num_buckets = 1 << (window - 1)
     result = _JAC_IDENTITY
     for w in range(num_windows - 1, -1, -1):
         if result[2]:
             for _ in range(window):
                 result = _jac_double(result)
-        buckets: list[Optional[tuple[int, int, int]]] = [None] * mask
-        shift = w * window
-        # every input point is affine, so accumulation is mixed addition
-        for k, p in reduced:
-            digit = (k >> shift) & mask
-            if digit:
-                held = buckets[digit - 1]
-                buckets[digit - 1] = (
-                    (p.x, p.y, 1) if held is None else _jac_add_affine(held, p)
-                )
+        buckets: list[Optional[tuple[int, int, int]]] = [None] * num_buckets
+        # every input point is affine, so accumulation is mixed addition;
+        # a negative digit adds the negated point to bucket |digit|
+        for digits, positive, negative in prepared:
+            digit = digits[w]
+            if digit > 0:
+                index, point = digit - 1, positive
+            elif digit < 0:
+                index, point = -digit - 1, negative
+            else:
+                continue
+            held = buckets[index]
+            buckets[index] = (
+                (point[0], point[1], 1) if held is None
+                else _jac_add_affine(held, point)
+            )
         # fold buckets highest-first: sum(digit * bucket[digit]) with one
         # running partial sum instead of a scalar_mul per bucket
         running = _JAC_IDENTITY
         acc = _JAC_IDENTITY
-        for index in range(mask - 1, -1, -1):
+        for index in range(num_buckets - 1, -1, -1):
             bucket = buckets[index]
             if bucket is not None:
                 running = _jac_add(running, bucket)

@@ -69,6 +69,17 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     if s >= group.N:
         return False
     e = _hash_to_scalar(signature[:33], public_key, message)
+    return equation_holds(s, r_point, e, q_point)
+
+
+def equation_holds(
+    s: int, r_point: group.Point, e: int, q_point: group.Point
+) -> bool:
+    """The verification equation ``s*G == R + e*Q`` over parsed values.
+
+    The caller has screened the encodings (:func:`verify`, and the batch
+    verifier's per-signature fallback).
+    """
     lhs = group.scalar_mul(s)
     rhs = group.point_add(r_point, group.scalar_mul(e, q_point))
     return lhs == rhs

@@ -29,6 +29,7 @@ from ..common.clock import Clock
 from ..common.errors import ConfigError, LedgerError, StorageError
 from ..common.lru import LRUCache
 from ..crypto.batch import verify_batch
+from ..crypto.group import Point
 from ..crypto.keys import address_of
 from ..model.block import Block
 from ..model.catalog import Catalog
@@ -46,6 +47,9 @@ CRASH_AFTER_APPEND = "after-append"
 _PACKAGER = "consensus"
 #: capacity of the verified-signature LRU, in transactions
 _SIG_CACHE_ENTRIES = 4096
+#: capacity of the decompressed-public-key LRU, in keys (a consortium
+#: chain has few senders; a miss costs one modular square root)
+_KEY_CACHE_ENTRIES = 1024
 
 
 class LedgerPipeline:
@@ -81,6 +85,10 @@ class LedgerPipeline:
         self._sig_cache: LRUCache[bytes, bool] = LRUCache(
             _SIG_CACHE_ENTRIES, size_of=lambda _: 1
         )
+        #: decompressed public keys by exact encoding, shared by every
+        #: verify_batch call; a pure function of the bytes, so it never
+        #: changes a verdict
+        self._key_cache: LRUCache[bytes, Point] = LRUCache(_KEY_CACHE_ENTRIES)
         #: store height through which apply has run on THIS pipeline object
         #: (0 until bootstrap/rebuild; lets WAL replay tell an in-process
         #: restart apart from a fresh process that rebuilds afterwards)
@@ -321,7 +329,8 @@ class LedgerPipeline:
     def _batch_verify(self, txs: Sequence[Transaction]) -> List[bool]:
         """Aggregate-verify ``txs`` in one :func:`verify_batch` call."""
         outcome = verify_batch(
-            [(tx.pubkey, tx.signing_payload(), tx.sig) for tx in txs]
+            [(tx.pubkey, tx.signing_payload(), tx.sig) for tx in txs],
+            keys=self._key_cache,
         )
         self.stats.sig_aggregate_checks += outcome.aggregate_checks
         self.stats.sig_single_checks += outcome.single_checks

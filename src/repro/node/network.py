@@ -16,6 +16,7 @@ This is the entry point the examples and the README quickstart use::
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Optional
 
 from ..common.config import SebdbConfig
@@ -82,7 +83,7 @@ class SebdbNetwork:
         self.nodes = [
             FullNode(
                 f"node-{i}",
-                config=self.config,
+                config=self._node_config(f"node-{i}"),
                 consensus=self.consensus,
                 clock=self.bus.clock,
                 keypair=KeyPair.from_seed(f"node-{i}-{seed}"),
@@ -110,6 +111,18 @@ class SebdbNetwork:
 
     def node(self, index: int = 0) -> FullNode:
         return self.nodes[index]
+
+    def _node_config(self, node_id: str) -> SebdbConfig:
+        """The deployment config with a ``data_dir`` of the node's own.
+
+        Every node keeps its own segment files and commit log, in
+        ``data_dir / node_id``; an in-memory config is shared as is.
+        """
+        if self.config.data_dir is None:
+            return self.config
+        return dataclasses.replace(
+            self.config, data_dir=self.config.data_dir / node_id
+        )
 
     def attach_offchain(self, offchain: OffChainDatabase, index: int = 0) -> None:
         """Give one node a local off-chain RDBMS (its private data)."""
@@ -209,7 +222,7 @@ class SebdbNetwork:
         """
         observer = FullNode(
             f"observer-{name}",
-            config=config or self.config,
+            config=config or self._node_config(f"observer-{name}"),
             clock=self.bus.clock,
             genesis=self.nodes[0].store.read_block(0),
         )

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SignatureError
@@ -21,10 +21,16 @@ from repro.crypto import (
     verify,
 )
 from repro.crypto.group import (
+    BETA,
+    GX,
+    GY,
+    LAMBDA,
     N,
     P,
+    _glv_split,
     _jac_add_affine,
     _jac_to_affine,
+    _signed_digits,
     deserialize_point,
     point_neg,
     serialize_point,
@@ -158,6 +164,78 @@ class TestKernels:
         for k, point in terms:
             expected = point_add(expected, scalar_mul(k, point))
         assert multi_scalar_mul(terms) == expected
+
+
+def naive_sum(terms):
+    """Reference ``sum(k * P)``: one variable-base multiplication per term."""
+    expected = IDENTITY
+    for k, point in terms:
+        expected = point_add(expected, scalar_mul(k, point))
+    return expected
+
+
+class TestGlvAndSignedDigits:
+    """The endomorphism split and the signed-digit buckets of multi_scalar_mul."""
+
+    def test_endomorphism_constants(self):
+        assert scalar_mul(LAMBDA) == Point(BETA * GX % P, GY)
+        assert LAMBDA != 1 and pow(LAMBDA, 3, N) == 1
+        assert BETA != 1 and pow(BETA, 3, P) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, N - 1))
+    @example(0)
+    @example(1)
+    @example(LAMBDA)
+    @example(N - 1)
+    @example(2**128 - 1)
+    @example(2**128 + 1)
+    def test_split_recombines_into_two_short_halves(self, k):
+        k1, k2 = _glv_split(k)
+        assert (k1 + k2 * LAMBDA - k) % N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5, 8])
+    def test_signed_digits_recombine_within_range(self, window):
+        half = 1 << (window - 1)
+        for k in (0, 1, half, half + 1, 2**129 - 1, N - 1,
+                  2**(window * 7) - 1, 2**(window * 7)):
+            count = k.bit_length() // window + 1
+            digits = _signed_digits(k, window, count)
+            assert len(digits) == count
+            assert all(-half < d <= half for d in digits), (k, digits)
+            assert sum(d << (window * i) for i, d in enumerate(digits)) == k
+
+    @pytest.mark.parametrize("count", [3, 20, 40, 70])
+    def test_carry_at_every_window_boundary(self, count):
+        # with scalars under 130 bits nothing is split, so the window is
+        # bit_length(count) - 2 and 2^(w*m) - 1 carries out of every window
+        window = max(2, count.bit_length() - 2)
+        points = [scalar_mul(k) for k in (3, 0xC0FFEE, N - 2)]
+        widths = [window * m for m in range(1, 129 // window + 1)]
+        terms = [((1 << widths[i % len(widths)]) - 1, points[i % 3])
+                 for i in range(count)]
+        assert multi_scalar_mul(terms) == naive_sum(terms)
+
+    def test_point_its_negation_and_its_endomorphism_in_one_call(self):
+        point = scalar_mul(0xFACADE)
+        phi = Point(BETA * point.x % P, point.y)
+        assert phi == scalar_mul(LAMBDA, point)
+        rng = random.Random("glv-terms")
+        # full-width scalars split into halves on point and phi, which
+        # then share buckets with the explicit terms
+        for _ in range(3):
+            terms = [(rng.randrange(N), p)
+                     for p in (point, point_neg(point), phi, point_neg(phi))
+                     for _ in range(3)]
+            terms += [(LAMBDA, point), (N - LAMBDA, phi), (2**128 + 1, point)]
+            assert multi_scalar_mul(terms) == naive_sum(terms)
+        # k*P + k*(-P) + (k*LAMBDA)*P - k*phi(P) is the identity
+        k = rng.randrange(N)
+        assert multi_scalar_mul(
+            [(k, point), (k, point_neg(point)), (k * LAMBDA, point),
+             (N - k, phi)]
+        ) == IDENTITY
 
 
 class TestSchnorr:

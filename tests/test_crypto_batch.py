@@ -5,9 +5,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.lru import LRUCache
 from repro.crypto import KeyPair, multi_scalar_mul, verify, verify_batch
 from repro.crypto.batch import derive_seed
-from repro.crypto.group import GENERATOR, IDENTITY, N, point_add, scalar_mul
+from repro.crypto.group import (
+    GENERATOR,
+    IDENTITY,
+    N,
+    deserialize_point,
+    point_add,
+    scalar_mul,
+)
 
 
 def make_items(count, signers=4, tag=""):
@@ -183,3 +191,81 @@ class TestHostileBytes:
         # and the memo is per call: the intact batch verifies afterwards
         intact = [(good_key if pk == bad_key else pk, m, s) for pk, m, s in items]
         assert verify_batch(intact).all_valid
+
+
+#: triples shaped like TestHostileBytes.test_arbitrary_triples draws them
+hostile_triples = st.tuples(
+    st.one_of(st.binary(max_size=40), st.binary(min_size=33, max_size=33)),
+    st.binary(max_size=16),
+    st.one_of(st.binary(max_size=70), st.binary(min_size=65, max_size=65)),
+)
+
+
+class TestKeyCache:
+    """A decompressed-key cache that outlives one verify_batch call."""
+
+    def test_keys_are_reused_across_calls(self):
+        keys = LRUCache(8)
+        assert verify_batch(make_items(6, signers=3, tag="reuse"), keys=keys).all_valid
+        assert len(keys) == 3 and keys.misses == 3
+        for public_key in keys:
+            assert keys.peek(public_key) == deserialize_point(public_key)
+        # a later batch from the same signers decompresses nothing
+        assert verify_batch(make_items(9, signers=3, tag="reuse"), keys=keys).all_valid
+        assert keys.misses == 3
+
+    def test_evicts_at_its_bound(self):
+        keys = LRUCache(2)
+        items = make_items(8, signers=4, tag="evict")
+        assert verify_batch(items, keys=keys).all_valid
+        assert len(keys) == 2
+        assert keys.evictions == 6  # four signers, alternating, two slots
+        assert list(keys) == [items[6][0], items[7][0]]
+
+    def test_identity_and_undecodable_keys_never_enter(self):
+        items = make_items(6, signers=2, tag="never")
+        good_key = items[1][0]
+        items[0] = (b"\x00" * 33, items[0][1], items[0][2])  # identity
+        items[2] = (b"junkkey", items[2][1], items[2][2])
+        items[4] = (b"\x02" + (5).to_bytes(32, "big"), items[4][1], items[4][2])
+        keys = LRUCache(16)
+        outcome = verify_batch(items, keys=keys)
+        assert outcome.valid == [verify(pk, m, s) for pk, m, s in items]
+        assert outcome.valid == [False, True, False, True, False, True]
+        assert list(keys) == [good_key]
+        # and they still reject on a warm cache
+        assert verify_batch(items, keys=keys).valid == outcome.valid
+
+    @staticmethod
+    def assert_cold_and_warm_agree(items, keys):
+        expected = [verify(pk, m, s) for pk, m, s in items]
+        assert verify_batch(items, keys=LRUCache(64)).valid == expected
+        assert verify_batch(items, keys=keys).valid == expected
+        assert verify_batch(items, keys=keys).valid == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(hostile_triples, max_size=6))
+    def test_arbitrary_triples_cold_and_warm(self, hostile):
+        # valid neighbours warm the cache with real keys before the hostile
+        # bytes arrive
+        keys = LRUCache(64)
+        valid = make_items(3, signers=2, tag="warm-hostile")
+        verify_batch(valid, keys=keys)
+        self.assert_cold_and_warm_agree(valid + hostile, keys)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_mutated_triples_cold_and_warm(self, data):
+        keys = LRUCache(64)
+        items = make_items(6, signers=2, tag="warm-mutated")
+        verify_batch(items, keys=keys)
+        for _ in range(data.draw(st.integers(1, 3))):
+            victim = data.draw(st.integers(0, len(items) - 1))
+            field = data.draw(st.integers(0, 2))
+            mutated = bytearray(items[victim][field])
+            position = data.draw(st.integers(0, len(mutated) - 1))
+            mutated[position] ^= data.draw(st.integers(1, 255))
+            triple = list(items[victim])
+            triple[field] = bytes(mutated)
+            items[victim] = tuple(triple)
+        self.assert_cold_and_warm_agree(items, keys)

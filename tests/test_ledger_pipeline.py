@@ -12,6 +12,7 @@ from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, LedgerError, StorageError
 from repro.crypto import KeyPair
 from repro.faults.checker import InvariantChecker
+from repro.ledger import pipeline as pipeline_module
 from repro.ledger import (
     STAGES,
     BeginRecord,
@@ -220,6 +221,28 @@ class TestSingleValidatePath:
         for height in range(node.store.height):
             assert (node.store.read_block(height).to_bytes()
                     == reference.store.read_block(height).to_bytes()), height
+
+    def test_public_keys_stay_decompressed_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_KEY_CACHE_ENTRIES", 2)
+        signers = [KeyPair.from_seed(f"key-cache-{i}") for i in range(3)]
+        node = FullNode("n0", verify_signatures=True,
+                        genesis=make_genesis(0, [DONATE]))
+
+        def block(first, keypairs):
+            return [
+                Transaction.create("donate", (f"d{i}", "edu", float(i + 1)),
+                                   ts=i + 1, keypair=keypairs[i % len(keypairs)])
+                for i in range(first, first + 4)
+            ]
+
+        keys = node.ledger._key_cache
+        node.apply_batch(block(0, signers[:2]))
+        assert len(keys) == 2 and keys.misses == 2
+        node.apply_batch(block(4, signers[:2]))
+        assert keys.misses == 2  # the second block decompresses no key
+        node.apply_batch(block(8, signers[2:]))
+        assert len(keys) == 2 and keys.evictions == 1
+        assert node.ledger.stats.txs_committed == 12
 
     def test_adoption_still_refuses_a_forged_signature(self):
         batch = self.batch_with_one_forgery()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import SebdbConfig
 from repro.model import verify_chain
-from repro.node import FullNode
+from repro.node import FullNode, SebdbNetwork
 from repro.storage import BlockStore
 
 
@@ -139,3 +139,24 @@ class TestFullNodeRecovery:
         reopened = FullNode("n0", config=durable_config(tmp_path))
         headers_after = [h.block_hash() for h in reopened.store.headers]
         assert headers_before == headers_after
+
+
+class TestNetworkRecovery:
+    def test_every_node_reopens_from_its_own_directory(self, tmp_path):
+        net = SebdbNetwork(num_nodes=3, consensus="kafka",
+                           config=durable_config(tmp_path))
+        net.execute("CREATE donate (donor string, amount decimal)")
+        for i in range(50):
+            net.execute(f"INSERT INTO donate VALUES ('d{i}', {i}.5)")
+        net.commit()
+        net.add_observer("audit")
+        tip, height = net.nodes[0].store.tip_hash, net.height()
+        assert height >= 3
+        assert not list(tmp_path.glob("segment-*.dat"))
+        names = ["node-0", "node-1", "node-2", "observer-audit"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            reopened = FullNode(name, config=durable_config(tmp_path / name))
+            assert reopened.store.height == height
+            assert reopened.store.tip_hash == tip
+            assert len(reopened.query("SELECT * FROM donate")) == 50
