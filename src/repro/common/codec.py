@@ -22,13 +22,19 @@ from typing import Any
 
 from .errors import CodecError
 
-_TAG_NONE = 0
-_TAG_FALSE = 1
-_TAG_TRUE = 2
-_TAG_INT = 3
-_TAG_FLOAT = 4
-_TAG_STR = 5
-_TAG_BYTES = 6
+#: value tags; ``model.transaction``'s fused decoder reads them too
+TAG_NONE = 0
+TAG_FALSE = 1
+TAG_TRUE = 2
+TAG_INT = 3
+TAG_FLOAT = 4
+TAG_STR = 5
+TAG_BYTES = 6
+
+#: :meth:`Reader.read_varint` gives up once its shift passes this many
+#: bits; Python ints are unbounded, so the cap only guards against a
+#: maliciously endless continuation-bit stream
+VARINT_MAX_SHIFT = 1024
 
 
 class Writer:
@@ -72,22 +78,22 @@ class Writer:
     def write_value(self, value: Any) -> None:
         """Write a tagged dynamic value (a tuple attribute)."""
         if value is None:
-            self._parts.append(bytes([_TAG_NONE]))
+            self._parts.append(bytes([TAG_NONE]))
         elif value is False:
-            self._parts.append(bytes([_TAG_FALSE]))
+            self._parts.append(bytes([TAG_FALSE]))
         elif value is True:
-            self._parts.append(bytes([_TAG_TRUE]))
+            self._parts.append(bytes([TAG_TRUE]))
         elif isinstance(value, int):
-            self._parts.append(bytes([_TAG_INT]))
+            self._parts.append(bytes([TAG_INT]))
             self.write_signed(value)
         elif isinstance(value, float):
-            self._parts.append(bytes([_TAG_FLOAT]))
+            self._parts.append(bytes([TAG_FLOAT]))
             self.write_float(value)
         elif isinstance(value, str):
-            self._parts.append(bytes([_TAG_STR]))
+            self._parts.append(bytes([TAG_STR]))
             self.write_str(value)
         elif isinstance(value, (bytes, bytearray)):
-            self._parts.append(bytes([_TAG_BYTES]))
+            self._parts.append(bytes([TAG_BYTES]))
             self.write_bytes(bytes(value))
         else:
             raise CodecError(f"unsupported value type: {type(value).__name__}")
@@ -132,9 +138,7 @@ class Reader:
             if not byte & 0x80:
                 return result
             shift += 7
-            # Python ints are unbounded; the cap only guards against a
-            # maliciously endless continuation-bit stream
-            if shift > 1024:
+            if shift > VARINT_MAX_SHIFT:
                 raise CodecError("varint too long")
 
     def read_signed(self) -> int:
@@ -156,18 +160,18 @@ class Reader:
 
     def read_value(self) -> Any:
         tag = self.read_raw(1)[0]
-        if tag == _TAG_NONE:
+        if tag == TAG_NONE:
             return None
-        if tag == _TAG_FALSE:
+        if tag == TAG_FALSE:
             return False
-        if tag == _TAG_TRUE:
+        if tag == TAG_TRUE:
             return True
-        if tag == _TAG_INT:
+        if tag == TAG_INT:
             return self.read_signed()
-        if tag == _TAG_FLOAT:
+        if tag == TAG_FLOAT:
             return self.read_float()
-        if tag == _TAG_STR:
+        if tag == TAG_STR:
             return self.read_str()
-        if tag == _TAG_BYTES:
+        if tag == TAG_BYTES:
             return self.read_bytes()
         raise CodecError(f"unknown value tag {tag}")

@@ -4,7 +4,8 @@ Backs both cache policies compared in Fig 22: *block cache* (whole blocks
 keyed by block id) and *transaction cache* (individual tuples keyed by
 (block id, offset)).  Eviction is strictly least-recently-used and bounded
 by a byte budget rather than an entry count, matching the paper's "cache
-size 2 GB" setup.
+size 2 GB" setup.  The block store sizes each entry by the stored length
+of the bytes it was decoded from, passed to :meth:`LRUCache.put`.
 """
 
 from __future__ import annotations
@@ -65,12 +66,16 @@ class LRUCache(Generic[K, V]):
         """Read without updating recency or hit statistics."""
         return self._entries.get(key)
 
-    def put(self, key: K, value: V) -> None:
+    def put(self, key: K, value: V, size: Optional[int] = None) -> None:
         """Insert/replace a value; evicts LRU entries to fit the budget.
 
-        A value larger than the whole cache is simply not cached.
+        ``size`` is the entry's size when the caller already knows it (the
+        block store passes the stored length of what it just decoded);
+        ``None`` asks ``size_of``.  A value larger than the whole cache is
+        simply not cached.
         """
-        size = self._size_of(value)
+        if size is None:
+            size = self._size_of(value)
         if size > self._capacity:
             self.pop(key)
             return

@@ -144,9 +144,6 @@ class Block:
         )
         return root == self.header.trans_root
 
-    def size_bytes(self) -> int:
-        return len(self.to_bytes())
-
     # -- wire format ------------------------------------------------------
 
     def to_bytes(self) -> bytes:

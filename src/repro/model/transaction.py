@@ -7,17 +7,31 @@ and ``sig`` itself, because the global transaction id is only assigned when
 the ordering service sequences the transaction.
 
 This module owns the wire layout: ``to_bytes`` / ``read_from`` write and
-read it, and ``wire_prefix`` walks its first six fields without decoding
-them, which is how a block scan rejects other tables' tuples cheaply.
-The field order is written down once, next to ``to_bytes``.
+read it, ``from_bytes`` decodes it in one fused pass (:func:`_decode`,
+with ``read_from`` as its reference and fallback), and ``wire_prefix``
+walks its first six fields without decoding them, which is how a block
+scan rejects other tables' tuples cheaply.  The field order is written
+down once, next to ``to_bytes``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import struct
 from typing import Any, Optional, Sequence
 
-from ..common.codec import Reader, Writer
+from ..common.codec import (
+    TAG_BYTES,
+    TAG_FALSE,
+    TAG_FLOAT,
+    TAG_INT,
+    TAG_NONE,
+    TAG_STR,
+    TAG_TRUE,
+    VARINT_MAX_SHIFT,
+    Reader,
+    Writer,
+)
 from ..common.errors import CodecError, SignatureError
 from ..common.hashing import sha256
 from ..crypto.keys import KeyPair, address_of
@@ -32,12 +46,18 @@ UNASSIGNED_TID = -1
 #: schema among nodes").
 SCHEMA_TNAME = "__schema__"
 
-#: ``Reader.read_varint`` gives up once its shift passes this many bits;
-#: :meth:`Transaction.wire_prefix` keeps the same cap
-_VARINT_MAX_SHIFT = 1024
+#: distinct raw ``senid`` / ``tname`` byte strings :func:`_decode` interns
+#: (a consortium chain has few of each).  A full cache starts over, so a
+#: flood of one-off names cannot switch interning off for good.  Process-
+#: wide on purpose: it maps bytes to their decoding, so sharing it changes
+#: which ``str`` objects decodes return, never their values.
+_NAME_CACHE_ENTRIES = 4096
+_names: dict[bytes, str] = {}
+
+_unpack_double = struct.Struct(">d").unpack_from
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Transaction:
     """One on-chain tuple.
 
@@ -170,8 +190,9 @@ class Transaction:
     #
     # Field order: tid, ts, sig, pubkey, senid, tname, nonce, values.  The
     # order of the first six is load-bearing: :meth:`wire_prefix` walks
-    # them by position, so ``to_bytes``, ``read_from`` and ``wire_prefix``
-    # change together or not at all (and a change re-encodes every chain).
+    # them by position, so ``to_bytes``, ``read_from``, :func:`_decode` and
+    # ``wire_prefix`` change together or not at all (and a change
+    # re-encodes every chain).
 
     def to_bytes(self) -> bytes:
         writer = Writer()
@@ -189,6 +210,12 @@ class Transaction:
 
     @classmethod
     def read_from(cls, reader: Reader) -> "Transaction":
+        """Decode one transaction from ``reader``, one call per field.
+
+        The reference decoder: :meth:`from_bytes` falls back to it on
+        every shape its fused kernel does not handle, and it is what
+        raises the canonical :class:`CodecError`.
+        """
         tid = reader.read_signed()
         ts = reader.read_varint()
         sig = reader.read_bytes()
@@ -205,7 +232,26 @@ class Transaction:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":
-        return cls.read_from(Reader(data))
+        """Decode exactly one encoding; trailing bytes are an error.
+
+        :func:`_decode` takes the common shapes in one pass; anything it
+        does not handle - a multi-byte length, bytes that run out, bad
+        UTF-8, an over-long varint, an unknown tag, trailing bytes - is
+        decoded (or refused with :class:`CodecError`) by :meth:`read_from`.
+        """
+        try:
+            tx = _decode(data)
+        except (IndexError, UnicodeDecodeError, struct.error):
+            tx = None
+        if tx is not None:
+            return tx
+        reader = Reader(data)
+        tx = cls.read_from(reader)
+        if reader.remaining():
+            raise CodecError(
+                f"{reader.remaining()} trailing bytes after transaction"
+            )
+        return tx
 
     @staticmethod
     def wire_prefix(data: bytes) -> tuple[bytes, bytes]:
@@ -227,7 +273,7 @@ class Transaction:
                 mark = pos
                 while data[pos] & 0x80:
                     pos += 1
-                if 7 * (pos - mark) > _VARINT_MAX_SHIFT:
+                if 7 * (pos - mark) > VARINT_MAX_SHIFT:
                     raise CodecError("varint too long")
                 pos += 1
             # lengths under 128 are one byte; anything longer goes to Reader
@@ -260,7 +306,8 @@ class Transaction:
         return sha256(self.to_bytes())
 
     def size_bytes(self) -> int:
-        """Serialized size; drives block packaging by byte budget."""
+        """Serialized size (re-encodes: a decoded transaction's size is
+        the length of the bytes it came from)."""
         return len(self.to_bytes())
 
 
@@ -269,6 +316,145 @@ def _long_varint(data: bytes, start: int) -> tuple[int, int]:
     :meth:`Transaction.wire_prefix`, left to :class:`Reader`."""
     reader = Reader(data, start)
     return reader.read_varint(), reader.position
+
+
+def _intern(raw: bytes) -> str:
+    """Decode a name :func:`_decode` has not seen yet, and keep it."""
+    name = raw.decode("utf-8")
+    if len(_names) >= _NAME_CACHE_ENTRIES:
+        _names.clear()
+    _names[raw] = name
+    return name
+
+
+def _decode(data: bytes) -> Optional[Transaction]:
+    """The fused kernel behind :meth:`Transaction.from_bytes`.
+
+    One pass with a local ``pos``: varints inline, strings and bytes
+    sliced straight out of the buffer, ``senid`` / ``tname`` interned.
+    It returns ``None`` on every shape it leaves to the reference decoder
+    (a length or count of 128 or more, a varint past the cap, an unknown
+    tag, a buffer that does not end where the transaction does) and lets
+    ``IndexError``, ``UnicodeDecodeError`` and ``struct.error`` escape on
+    bytes that run out or are not UTF-8.  So it never decides what an
+    error is: it accepts only what :meth:`Transaction.read_from` accepts,
+    and decodes it to the same transaction.
+    """
+    # tid: zig-zag varint.  Each varint loop checks the cap before it
+    # reads the next byte, where Reader checks it after: same bound.
+    byte = data[0]
+    raw = byte & 0x7F
+    pos = 1
+    shift = 7
+    while byte & 0x80:
+        if shift > VARINT_MAX_SHIFT:
+            return None
+        byte = data[pos]
+        pos += 1
+        raw |= (byte & 0x7F) << shift
+        shift += 7
+    tid = (raw >> 1) ^ -(raw & 1)
+    # ts: varint
+    byte = data[pos]
+    pos += 1
+    ts = byte & 0x7F
+    shift = 7
+    while byte & 0x80:
+        if shift > VARINT_MAX_SHIFT:
+            return None
+        byte = data[pos]
+        pos += 1
+        ts |= (byte & 0x7F) << shift
+        shift += 7
+    # sig, pubkey, senid, tname, nonce: one-byte lengths.  A slice cut
+    # short by the end of the buffer moves ``pos`` past it, so the next
+    # ``data[pos]`` (or the final length check) catches it.
+    length = data[pos]
+    if length & 0x80:
+        return None
+    pos += 1
+    sig = data[pos : pos + length]
+    pos += length
+    length = data[pos]
+    if length & 0x80:
+        return None
+    pos += 1
+    pubkey = data[pos : pos + length]
+    pos += length
+    length = data[pos]
+    if length & 0x80:
+        return None
+    pos += 1
+    raw_name = data[pos : pos + length]
+    pos += length
+    senid = _names.get(raw_name)
+    if senid is None:
+        senid = _intern(raw_name)
+    length = data[pos]
+    if length & 0x80:
+        return None
+    pos += 1
+    raw_name = data[pos : pos + length]
+    pos += length
+    tname = _names.get(raw_name)
+    if tname is None:
+        tname = _intern(raw_name)
+    length = data[pos]
+    if length & 0x80:
+        return None
+    pos += 1
+    nonce = data[pos : pos + length].decode("utf-8")
+    pos += length
+    count = data[pos]
+    if count & 0x80:
+        return None
+    pos += 1
+    values = []
+    append = values.append
+    for _ in range(count):
+        tag = data[pos]
+        pos += 1
+        if tag == TAG_STR:
+            length = data[pos]
+            if length & 0x80:
+                return None
+            pos += 1
+            append(data[pos : pos + length].decode("utf-8"))
+            pos += length
+        elif tag == TAG_FLOAT:
+            append(_unpack_double(data, pos)[0])
+            pos += 8
+        elif tag == TAG_INT:
+            byte = data[pos]
+            pos += 1
+            raw = byte & 0x7F
+            shift = 7
+            while byte & 0x80:
+                if shift > VARINT_MAX_SHIFT:
+                    return None
+                byte = data[pos]
+                pos += 1
+                raw |= (byte & 0x7F) << shift
+                shift += 7
+            append((raw >> 1) ^ -(raw & 1))
+        elif tag == TAG_BYTES:
+            length = data[pos]
+            if length & 0x80:
+                return None
+            pos += 1
+            append(data[pos : pos + length])
+            pos += length
+        elif tag == TAG_NONE:
+            append(None)
+        elif tag == TAG_FALSE:
+            append(False)
+        elif tag == TAG_TRUE:
+            append(True)
+        else:
+            return None
+    if pos != len(data):
+        return None
+    return Transaction(ts, senid, tname, tuple(values), tid, pubkey, sig, nonce)
 
 
 def schema_sync_transaction(schema: TableSchema, ts: int,

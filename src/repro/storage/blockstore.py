@@ -25,6 +25,7 @@ from typing import Callable, Collection, Iterator, Optional, Sequence
 from ..common.codec import Reader, Writer
 from ..common.config import SebdbConfig
 from ..common.errors import CodecError, StorageError
+from ..common.hashing import hash_leaf, merkle_root_from_leaves
 from ..common.lru import LRUCache
 from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
@@ -51,13 +52,13 @@ class BlockStore:
         self._tx_offsets: list[list[tuple[int, int]]] = []
         self._headers: list[BlockHeader] = []
         self._tip_hash: Optional[bytes] = None
+        # entries are sized by the stored length they were decoded from
+        # (an honest chain is canonical, so that is their encoded size)
         self._block_cache: LRUCache[int, Block] = LRUCache(
             self.config.cache_bytes if self.config.cache_mode == "block" else 0,
-            size_of=lambda b: b.size_bytes(),
         )
         self._tx_cache: LRUCache[tuple[int, int], Transaction] = LRUCache(
             self.config.cache_bytes if self.config.cache_mode == "transaction" else 0,
-            size_of=lambda t: t.size_bytes(),
         )
         self._listeners: list[Callable[[Block, BlockLocation], None]] = []
         #: diagnostics of the most recent segment recovery
@@ -107,11 +108,13 @@ class BlockStore:
         }
 
     def _parse_segments(self, verify_below: int) -> int:
-        """Sequentially parse every segment; returns Merkle checks skipped."""
-        from ..common.codec import Reader
-        from ..common.errors import CodecError
-        from .segment import BlockLocation as _Loc
+        """Sequentially parse every segment; returns Merkle checks skipped.
 
+        The Merkle leaves are hashed from the transaction bytes as stored,
+        so a stored record must be exactly what the header committed to.
+        Each record is still decoded: one that does not decode is a torn
+        or damaged tail like any other framing error.
+        """
         skipped = 0
         for segment in range(self._segments.segment_count):
             data = self._segments.segment_payload(segment)
@@ -119,40 +122,36 @@ class BlockStore:
             while offset < len(data):
                 reader = Reader(data, offset)
                 try:
-                    header_bytes = reader.read_bytes()
-                    header = BlockHeader.from_bytes(header_bytes)
+                    header = BlockHeader.from_bytes(reader.read_bytes())
                     count = reader.read_varint()
                     tx_offsets: list[tuple[int, int]] = []
-                    txs = []
+                    records = []
                     for _ in range(count):
                         length = reader.read_varint()
                         start = reader.position
-                        txs.append(
-                            Transaction.from_bytes(
-                                data[start : start + length]
-                            )
-                        )
-                        reader.read_raw(length)
+                        record = reader.read_raw(length)
+                        Transaction.from_bytes(record)
+                        records.append(record)
                         tx_offsets.append((start - offset, length))
                 except CodecError:
                     return skipped  # torn tail: stop at the last complete block
-                block = Block(header=header, transactions=tuple(txs))
-                if block.header.height != self.height:
+                if header.height != self.height:
                     return skipped
                 if (self._tip_hash is not None
-                        and block.header.prev_hash != self._tip_hash):
+                        and header.prev_hash != self._tip_hash):
                     return skipped
-                if block.header.height < verify_below:
+                if header.height < verify_below:
                     skipped += 1
-                elif not block.verify_trans_root():
+                elif header.trans_root != merkle_root_from_leaves(
+                        [hash_leaf(record) for record in records]):
                     return skipped
-                length_total = reader.position - offset
-                self._locations.append(
-                    _Loc(segment=segment, offset=offset, length=length_total)
-                )
+                self._locations.append(BlockLocation(
+                    segment=segment, offset=offset,
+                    length=reader.position - offset,
+                ))
                 self._tx_offsets.append(tx_offsets)
-                self._headers.append(block.header)
-                self._tip_hash = block.block_hash()
+                self._headers.append(header)
+                self._tip_hash = header.block_hash()
                 offset = reader.position
         return skipped
 
@@ -276,9 +275,10 @@ class BlockStore:
         self.cost.record_read(location.length, seeks=1)
         for tracker in trackers:
             tracker.record_read(location.length, seeks=1)
-        block = Block.from_bytes(self._segments.read(location))
+        data = self._segments.read(location)
+        block = Block.from_bytes(data)
         if self.config.cache_mode == "block":
-            self._block_cache.put(height, block)
+            self._block_cache.put(height, block, len(data))
         return block
 
     def transactions_in_block(self, height: int) -> int:
@@ -313,7 +313,7 @@ class BlockStore:
         raw = self._segments.read_range(self._locations[height], offset, length)
         tx = Transaction.from_bytes(raw)
         if self.config.cache_mode == "transaction":
-            self._tx_cache.put((height, tx_index), tx)
+            self._tx_cache.put((height, tx_index), tx, length)
         return tx
 
     def scan_block(

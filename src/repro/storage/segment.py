@@ -11,12 +11,11 @@ identical either way.
 from __future__ import annotations
 
 import dataclasses
+import os
 from pathlib import Path
 from typing import Optional
 
 from ..common.errors import StorageError
-
-_SEGMENT_NAME = "segment-{:06d}.dat"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,32 +28,41 @@ class BlockLocation:
 
 
 class SegmentStore:
-    """A sequence of append-only segments, on disk or in memory."""
+    """A sequence of append-only segments, on disk or in memory.
+
+    On disk, every read opens its segment unbuffered, ``pread``s the exact
+    range and closes it again: no long-lived handle, and no ``Path`` or
+    ``stat`` on the point-read path (the directory is kept as a ``str``).
+    """
 
     def __init__(self, data_dir: Optional[Path], segment_size: int) -> None:
         if segment_size <= 0:
             raise StorageError("segment_size must be positive")
-        self._dir = Path(data_dir) if data_dir is not None else None
+        self._dir = os.fspath(data_dir) if data_dir is not None else None
         self._segment_size = segment_size
         self._memory: list[bytearray] = []
         self._active = 0
         self._active_offset = 0
         if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self._dir, exist_ok=True)
             self._recover()
         else:
             self._memory.append(bytearray())
 
-    def _segment_path(self, segment: int) -> Path:
+    def _segment_path(self, segment: int) -> str:
         assert self._dir is not None
-        return self._dir / _SEGMENT_NAME.format(segment)
+        return os.path.join(self._dir, f"segment-{segment:06d}.dat")
+
+    def _existing(self) -> list[Path]:
+        """The on-disk segment files, in segment order."""
+        assert self._dir is not None
+        return sorted(Path(self._dir).glob("segment-*.dat"))
 
     def _recover(self) -> None:
         """Resume appending after the last existing on-disk segment."""
-        assert self._dir is not None
-        existing = sorted(self._dir.glob("segment-*.dat"))
+        existing = self._existing()
         if not existing:
-            self._segment_path(0).touch()
+            Path(self._segment_path(0)).touch()
             return
         last = existing[-1]
         self._active = int(last.stem.split("-")[1])
@@ -76,10 +84,11 @@ class SegmentStore:
             if segment >= len(self._memory):
                 raise StorageError(f"no such segment {segment}")
             return bytes(self._memory[segment])
-        path = self._segment_path(segment)
-        if not path.exists():
+        try:
+            with open(self._segment_path(segment), "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
             return b""
-        return path.read_bytes()
 
     def truncate_after(self, segment: int, offset: int) -> int:
         """Discard every byte past ``offset`` in ``segment`` and every
@@ -101,11 +110,11 @@ class SegmentStore:
                 removed += len(buf) - offset
                 del buf[offset:]
         else:
-            for path in sorted(self._dir.glob("segment-*.dat")):
+            for path in self._existing():
                 if int(path.stem.split("-")[1]) > segment:
                     removed += path.stat().st_size
                     path.unlink()
-            path = self._segment_path(segment)
+            path = Path(self._segment_path(segment))
             if not path.exists():
                 path.touch()
             elif path.stat().st_size > offset:
@@ -126,7 +135,7 @@ class SegmentStore:
             if self._dir is None:
                 self._memory.append(bytearray())
             else:
-                self._segment_path(self._active).touch()
+                Path(self._segment_path(self._active)).touch()
         location = BlockLocation(
             segment=self._active, offset=self._active_offset, length=len(data)
         )
@@ -140,35 +149,34 @@ class SegmentStore:
 
     def read(self, location: BlockLocation) -> bytes:
         """Read back the exact bytes at ``location``."""
-        if self._dir is None:
-            if location.segment >= len(self._memory):
-                raise StorageError(f"no such segment {location.segment}")
-            buf = self._memory[location.segment]
-            if location.offset + location.length > len(buf):
-                raise StorageError(
-                    f"read past end of segment {location.segment}: "
-                    f"{location.offset}+{location.length} > {len(buf)}"
-                )
-            return bytes(buf[location.offset : location.offset + location.length])
-        path = self._segment_path(location.segment)
-        if not path.exists():
-            raise StorageError(f"missing segment file {path}")
-        with open(path, "rb") as fh:
-            fh.seek(location.offset)
-            data = fh.read(location.length)
-        if len(data) != location.length:
-            raise StorageError(
-                f"short read from {path}: wanted {location.length}, got {len(data)}"
-            )
-        return data
+        return self._read_at(location.segment, location.offset, location.length)
 
     def read_range(self, location: BlockLocation, offset: int, length: int) -> bytes:
         """Read a sub-range of a stored record (one transaction of a block)."""
         if offset < 0 or offset + length > location.length:
             raise StorageError("sub-range outside stored record")
-        inner = BlockLocation(
-            segment=location.segment,
-            offset=location.offset + offset,
-            length=length,
-        )
-        return self.read(inner)
+        return self._read_at(location.segment, location.offset + offset, length)
+
+    def _read_at(self, segment: int, offset: int, length: int) -> bytes:
+        if self._dir is None:
+            if segment >= len(self._memory):
+                raise StorageError(f"no such segment {segment}")
+            buf = self._memory[segment]
+            if offset + length > len(buf):
+                raise StorageError(
+                    f"read past end of segment {segment}: "
+                    f"{offset}+{length} > {len(buf)}"
+                )
+            return bytes(buf[offset : offset + length])
+        path = self._segment_path(segment)
+        try:
+            fh = open(path, "rb", buffering=0)
+        except FileNotFoundError:
+            raise StorageError(f"missing segment file {path}") from None
+        with fh:
+            data = os.pread(fh.fileno(), length, offset)
+        if len(data) != length:
+            raise StorageError(
+                f"short read from {path}: wanted {length}, got {len(data)}"
+            )
+        return data

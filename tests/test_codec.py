@@ -1,11 +1,13 @@
 """Unit + property tests for the binary codec."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.model.transaction as transaction_module
 from repro.common.codec import Reader, Writer
 from repro.common.errors import CodecError
+from repro.model import GENESIS_PREV_HASH, Block, Transaction
 
 
 class TestVarint:
@@ -169,3 +171,171 @@ class TestReaderPositioning:
         w = Writer()
         w.write_float(1.5e-42)
         assert Reader(w.getvalue()).read_float() == 1.5e-42
+
+
+# -- the transaction decoder: fused kernel vs the Reader reference -----------
+
+_any_value = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-(2**300), max_value=2**300),
+    st.floats(),  # NaN and +-inf included: compared by re-encoding
+    st.text(max_size=20), st.text(min_size=128, max_size=200),
+    st.binary(max_size=20), st.binary(min_size=128, max_size=200),
+)
+_short_or_long = st.one_of(st.text(max_size=12), st.text(min_size=128, max_size=160))
+_any_tx = st.builds(
+    Transaction,
+    ts=st.one_of(st.integers(0, 2**45), st.integers(min_value=0)),
+    senid=_short_or_long,
+    tname=_short_or_long,
+    values=st.lists(_any_value, max_size=8).map(tuple),
+    tid=st.integers(min_value=-1),
+    pubkey=st.one_of(st.just(b""), st.binary(min_size=33, max_size=33)),
+    sig=st.one_of(st.just(b""), st.binary(min_size=64, max_size=64),
+                  st.binary(min_size=128, max_size=200)),
+    nonce=_short_or_long,
+)
+
+
+def reference_decode(data):
+    """``read_from`` over a Reader, plus the whole-buffer check."""
+    reader = Reader(data)
+    tx = Transaction.read_from(reader)
+    if reader.remaining():
+        raise CodecError("trailing bytes")
+    return tx
+
+
+def outcome(decode, data):
+    """The re-encoding of what ``decode`` returns, or CodecError.  Any
+    other exception escapes and fails the test."""
+    try:
+        return decode(data).to_bytes()
+    except CodecError:
+        return CodecError
+
+
+def check_same_outcome(data):
+    assert outcome(Transaction.from_bytes, data) == outcome(reference_decode, data)
+
+
+class TestTransactionDecoder:
+    @settings(deadline=None)
+    @given(_any_tx)
+    def test_roundtrip_every_tag(self, tx):
+        raw = tx.to_bytes()
+        assert Transaction.from_bytes(raw).to_bytes() == raw
+        assert reference_decode(raw).to_bytes() == raw
+
+    @settings(max_examples=40, deadline=None)
+    @given(_any_tx, st.binary(min_size=1, max_size=8))
+    def test_truncated_mutated_and_extended(self, tx, tail):
+        """Same transaction as the reference, or CodecError from both."""
+        raw = tx.to_bytes()
+        for cut in range(len(raw)):
+            check_same_outcome(raw[:cut])
+        for i, byte in enumerate(raw):
+            for mutant in {byte ^ 0x01, byte ^ 0x80, 0x00, 0x7F, 0xFF} - {byte}:
+                check_same_outcome(raw[:i] + bytes([mutant]) + raw[i + 1:])
+        check_same_outcome(raw + tail)
+
+    @settings(deadline=None)
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes(self, data):
+        check_same_outcome(data)
+
+    def test_trailing_bytes_rejected(self, sample_tx):
+        raw = sample_tx.to_bytes()
+        with pytest.raises(CodecError, match="4 trailing bytes after transaction"):
+            Transaction.from_bytes(raw + b"JUNK")
+        # the same refusal when the kernel hands over to the reference
+        long_nonce = Transaction.create("donate", (), ts=1, nonce="n" * 200)
+        with pytest.raises(CodecError, match="1 trailing bytes after transaction"):
+            Transaction.from_bytes(long_nonce.to_bytes() + b"\x00")
+
+    @pytest.mark.parametrize("site", ["tid", "ts", "value"])
+    def test_varint_cap_matches_reader(self, site):
+        """A zero spelt in 147 bytes decodes, in 148 it is refused - at
+        every varint the kernel reads inline."""
+        def spelled(continuation):
+            long_zero = b"\x80" * continuation + b"\x00"
+            tid = long_zero if site == "tid" else b"\x00"
+            ts = long_zero if site == "ts" else b"\x00"
+            values = b"\x01\x03" + long_zero if site == "value" else b"\x00"
+            return tid + ts + b"\x00" * 5 + values
+
+        tx = Transaction.from_bytes(spelled(146))
+        assert (tx.tid, tx.ts) == (0, 0)
+        assert tx.values == ((0,) if site == "value" else ())
+        with pytest.raises(CodecError, match="too long"):
+            Transaction.from_bytes(spelled(147))
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x80" * 147 + b"\x00", b"\x00\x00\x00\x00\x00\x00\x00\x01\x09",
+        b"\x00\x00\x00\x00\x01\xff\x00\x00\x00",
+    ], ids=["empty", "endless-varint", "unknown-tag", "bad-utf8"])
+    def test_refusals_are_the_reference_errors(self, data):
+        with pytest.raises(CodecError) as kernel:
+            Transaction.from_bytes(data)
+        with pytest.raises(CodecError) as reference:
+            reference_decode(data)
+        assert str(kernel.value) == str(reference.value)
+
+
+class TestDecodedFootprint:
+    def test_no_instance_dict(self, sample_tx):
+        decoded = Transaction.from_bytes(sample_tx.to_bytes())
+        assert not hasattr(decoded, "__dict__")
+        decoded.values = ("tampered",)  # still a mutable record
+        assert decoded.values == ("tampered",)
+
+    def test_names_are_shared(self, monkeypatch):
+        monkeypatch.setattr(transaction_module, "_names", {})
+        first = Transaction.create("donate", ("a",), ts=1, sender="org-1")
+        second = Transaction.create("donate", ("b",), ts=2, sender="org-1")
+        one = Transaction.from_bytes(first.to_bytes())
+        two = Transaction.from_bytes(second.to_bytes())
+        assert one.tname == "donate" and one.senid == "org-1"
+        assert one.tname is two.tname
+        assert one.senid is two.senid
+
+    def test_name_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(transaction_module, "_names", {})
+        monkeypatch.setattr(transaction_module, "_NAME_CACHE_ENTRIES", 8)
+        for i in range(40):
+            tx = Transaction.create(f"table{i}", (), ts=i, sender=f"sender{i}")
+            decoded = Transaction.from_bytes(tx.to_bytes())
+            assert (decoded.tname, decoded.senid) == (f"table{i}", f"sender{i}")
+            assert len(transaction_module._names) <= 8
+
+
+# -- blocks over hostile bytes -------------------------------------------------
+
+
+def check_block_total(data):
+    """Block.from_bytes returns a block or raises CodecError, nothing else."""
+    try:
+        Block.from_bytes(data)
+    except CodecError:
+        pass
+
+
+class TestBlockHostileBytes:
+    @settings(deadline=None)
+    @given(st.binary(max_size=400))
+    def test_arbitrary_bytes(self, data):
+        check_block_total(data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_any_tx, max_size=3), st.binary(min_size=1, max_size=8))
+    def test_truncated_mutated_and_extended(self, txs, tail):
+        sequenced = [tx.with_tid(i) for i, tx in enumerate(txs)]
+        raw = Block.package(GENESIS_PREV_HASH, 0, 5, sequenced).to_bytes()
+        assert Block.from_bytes(raw).to_bytes() == raw
+        for cut in range(len(raw)):
+            check_block_total(raw[:cut])
+        for i, byte in enumerate(raw):
+            for mutant in {byte ^ 0x01, byte ^ 0x80, 0xFF} - {byte}:
+                check_block_total(raw[:i] + bytes([mutant]) + raw[i + 1:])
+        with pytest.raises(CodecError, match="trailing bytes after block"):
+            Block.from_bytes(raw + tail)

@@ -300,14 +300,14 @@ class TestDecodePushdown:
     def test_decodes_exactly_the_named_rows(self, chain, monkeypatch, sql,
                                             method, wanted):
         decoded = []
-        original = Transaction.read_from.__func__
+        original = Transaction.from_bytes.__func__
 
-        def counting(cls, reader):
-            tx = original(cls, reader)
+        def counting(cls, data):
+            tx = original(cls, data)
             decoded.append(tx)
             return tx
 
-        monkeypatch.setattr(Transaction, "read_from", classmethod(counting))
+        monkeypatch.setattr(Transaction, "from_bytes", classmethod(counting))
         result = chain.engine.execute(sql, method=method)
         assert len(result) > 0
         # the candidate blocks hold every table and sender (a whole-block

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.common.codec import Writer
 from repro.common.config import SebdbConfig
-from repro.model import verify_chain
+from repro.common.errors import CodecError
+from repro.model import Block, Transaction, make_genesis, verify_chain
 from repro.node import FullNode, SebdbNetwork
 from repro.storage import BlockStore
 
@@ -84,6 +86,51 @@ class TestBlockStoreRecovery:
 
         store = BlockStore(durable_config(tmp_path))
         assert store.height == 2  # recovery stops before the bad block
+
+
+def junk_block_bytes(block):
+    """``block`` encoded with ``b"JUNK"`` appended to its first transaction
+    record, that record's length prefix fixed to cover it."""
+    writer = Writer()
+    writer.write_bytes(block.header.to_bytes())
+    writer.write_varint(len(block.transactions))
+    for i, tx in enumerate(block.transactions):
+        writer.write_bytes(tx.to_bytes() + (b"JUNK" if i == 0 else b""))
+    return writer.getvalue()
+
+
+class TestUncoveredBytes:
+    """A stored transaction record may hold no byte its Merkle leaf does
+    not cover: trailing bytes used to decode to the honest block and pass
+    ``verify_trans_root()``."""
+
+    @pytest.fixture()
+    def block(self):
+        genesis = make_genesis()
+        txs = [Transaction.create("donate", (f"d{i}", float(i)), ts=i,
+                                  sender="org1").with_tid(i) for i in range(3)]
+        return genesis, Block.package(genesis.block_hash(), 1, 9, txs)
+
+    def test_block_decode_refuses_it(self, block):
+        _genesis, honest = block
+        junk = junk_block_bytes(honest)
+        assert junk != honest.to_bytes()
+        with pytest.raises(CodecError, match="4 trailing bytes after transaction"):
+            Block.from_bytes(junk)
+
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["full-verify", "trusted-checkpoint"])
+    def test_reopened_store_refuses_it(self, tmp_path, block, checkpoint):
+        genesis, honest = block
+        store = BlockStore(durable_config(tmp_path))
+        store.append_block(genesis)
+        store.simulate_torn_append(junk_block_bytes(honest))
+        # even below a checkpoint naming this very block, where the Merkle
+        # check is skipped, the record does not decode
+        anchor = (2, honest.block_hash()) if checkpoint else None
+        reopened = BlockStore(durable_config(tmp_path), trusted_checkpoint=anchor)
+        assert reopened.height == 1
+        assert reopened.recovery_report["trusted_fallback"] is checkpoint
 
 
 class TestFullNodeRecovery:

@@ -1,5 +1,7 @@
 """Tests for segment files, the block store, caches and the cost model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,25 @@ class TestSegmentStore:
         seg = SegmentStore(None, 100)
         with pytest.raises(StorageError):
             seg.read(BlockLocation(segment=5, offset=0, length=1))
+
+    def test_on_disk_read_range(self, tmp_path):
+        seg = SegmentStore(tmp_path, 1024)
+        seg.append(b"head")
+        loc = seg.append(b"0123456789")
+        assert seg.read_range(loc, 2, 3) == b"234"
+        with pytest.raises(StorageError):
+            seg.read_range(loc, 8, 3)
+
+    def test_on_disk_missing_segment_raises(self, tmp_path):
+        seg = SegmentStore(tmp_path, 1024)
+        with pytest.raises(StorageError, match="missing segment"):
+            seg.read(BlockLocation(segment=5, offset=0, length=1))
+
+    def test_on_disk_short_read_raises(self, tmp_path):
+        seg = SegmentStore(tmp_path, 1024)
+        loc = seg.append(b"abc")
+        with pytest.raises(StorageError, match="short read"):
+            seg.read(BlockLocation(loc.segment, loc.offset, 10))
 
 
 class TestBlockStore:
@@ -210,6 +231,41 @@ class TestCaching:
         store = build_store(3, config)
         assert store.read_block(3).height == 3
         assert any(tmp_path.glob("segment-*.dat"))
+
+
+class TestCacheAccounting:
+    """Entries are sized by the stored length they were decoded from; on
+    a canonical chain that is what re-encoding them gave, so every Fig 22
+    counter is the one a re-encoding sizer produced."""
+
+    #: (hits, misses, evictions, used_bytes) of the mix below, measured
+    #: with entries sized by re-encoding them
+    PINNED = {"transaction": (600, (89, 90, 72, 575)),
+              "block": (1500, (250, 50, 43, 1431))}
+
+    @pytest.mark.parametrize("cache_mode", sorted(PINNED))
+    def test_query_mix_counters(self, cache_mode):
+        capacity, pinned = self.PINNED[cache_mode]
+        store = build_store(8, SebdbConfig.in_memory(
+            cache_mode=cache_mode, cache_bytes=capacity))
+        rng = random.Random(5)
+        for _ in range(300):
+            height = rng.randrange(1, store.height)
+            kind = rng.random()
+            if kind < 0.6:
+                store.read_transaction(height, rng.randrange(4))
+            elif kind < 0.8:
+                store.read_block(height)
+            else:
+                store.scan_block(height, ("donate",))
+        cache = store.tx_cache if cache_mode == "transaction" else store.block_cache
+        assert cache.used_bytes == sum(len(cache.peek(key).to_bytes()) for key in cache)
+        assert (cache.hits, cache.misses, cache.evictions, cache.used_bytes) == pinned
+
+    def test_on_disk_point_read_sized_by_stored_length(self, tmp_path):
+        store = build_store(2, SebdbConfig.in_memory(data_dir=tmp_path))
+        tx = store.read_transaction(2, 3)
+        assert store.tx_cache.used_bytes == tx.size_bytes()
 
 
 # -- scan_block: the filtered whole-block read --------------------------------
