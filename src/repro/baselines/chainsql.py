@@ -19,9 +19,7 @@ The replica is an actual sqlite database (standing in for MySQL), so the
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
-from ..model.transaction import SCHEMA_TNAME, Transaction
+from ..model.transaction import SCHEMA_TNAME
 from ..offchain.adapter import OffChainDatabase
 from ..storage.blockstore import BlockStore
 
@@ -49,10 +47,8 @@ class ChainSQLMetrics:
 class ChainSQLBaseline:
     """A ChainSQL-style node: chain for consensus, RDBMS for queries."""
 
-    def __init__(self, db: Optional[OffChainDatabase] = None,
-                 row_io_ms: float = ROW_IO_MS) -> None:
-        self._row_io_ms = row_io_ms
-        self._db = db or OffChainDatabase()
+    def __init__(self) -> None:
+        self._db = OffChainDatabase()
         self._db.create_table(
             "txlog",
             [
@@ -70,14 +66,6 @@ class ChainSQLBaseline:
         return self._count
 
     # -- replication ("transferring all transactions to RDBMS") --------------
-
-    def replicate_transaction(self, tx: Transaction) -> None:
-        if tx.tname == SCHEMA_TNAME:
-            return
-        self._db.insert(
-            "txlog", [(tx.tid, tx.ts, tx.senid, tx.tname, repr(tx.values))]
-        )
-        self._count += 1
 
     def replicate_chain(self, store: BlockStore) -> int:
         rows = []
@@ -97,7 +85,7 @@ class ChainSQLBaseline:
             "SELECT tid, ts, senid, tname, payload FROM txlog WHERE senid = ?",
             (operator,),
         )
-        modelled = len(rows) * (self._row_io_ms + TRANSFER_MS_PER_TX) + 0.1
+        modelled = len(rows) * (ROW_IO_MS + TRANSFER_MS_PER_TX) + 0.1
         return ChainSQLMetrics(
             rows_returned=len(rows), rows_transferred=len(rows),
             modelled_ms=modelled,
@@ -117,7 +105,7 @@ class ChainSQLBaseline:
         # every operator row is read from disk AND shipped to the client
         modelled = (
             len(transferred)
-            * (self._row_io_ms + TRANSFER_MS_PER_TX + FILTER_MS_PER_TX)
+            * (ROW_IO_MS + TRANSFER_MS_PER_TX + FILTER_MS_PER_TX)
             + 0.1
         )
         return ChainSQLMetrics(

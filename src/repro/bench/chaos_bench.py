@@ -74,16 +74,13 @@ def run_lossy_load(
     loss_rate: float,
     num_txs: int = 300,
     window_ms: float = 1_500.0,
-    seed: int = 0,
-    attempt_timeout_ms: float = 300.0,
 ) -> ChaosSample:
     """Submit ``num_txs`` over ``window_ms`` through a lossy submit link."""
     if loss_rate:
         bus.set_link_fault("client", _submit_target(engine),
                            loss_rate=loss_rate)
     submitter = ResilientSubmitter(
-        engine, bus, seed=seed, attempt_timeout_ms=attempt_timeout_ms,
-        max_attempts=8,
+        engine, bus, attempt_timeout_ms=300.0, max_attempts=8,
     )
     t_start = bus.clock.now_ms()
     for i in range(num_txs):
@@ -128,7 +125,6 @@ def run_closed_loop_lossy_load(
     clients: int = 8,
     window_ms: float = 3_000.0,
     seed: int = 0,
-    attempt_timeout_ms: float = 300.0,
 ) -> ChaosSample:
     """Closed-loop load: each client submits its next tx when the last
     one *finishes* (ack or typed failure).
@@ -143,8 +139,7 @@ def run_closed_loop_lossy_load(
         bus.set_link_fault("client", _submit_target(engine),
                            loss_rate=loss_rate)
     submitter = ResilientSubmitter(
-        engine, bus, seed=seed, attempt_timeout_ms=attempt_timeout_ms,
-        max_attempts=8,
+        engine, bus, seed=seed, attempt_timeout_ms=300.0, max_attempts=8,
     )
     t_start = bus.clock.now_ms()
     counter = {"next": 0}
@@ -190,12 +185,11 @@ def sweep_loss_rates(
     loss_rates: list[float],
     num_txs: int = 300,
     window_ms: float = 1_500.0,
-    seed: int = 0,
 ) -> list[ChaosSample]:
     """One fresh bus + engine per loss rate (mirrors ``sweep_clients``)."""
     samples = []
     for loss in loss_rates:
-        bus = MessageBus(seed=seed)
+        bus = MessageBus()
         if consensus == "kafka":
             engine: ConsensusEngine = KafkaOrderer(
                 bus, batch_txs=50, timeout_ms=50.0)
@@ -209,7 +203,7 @@ def sweep_loss_rates(
             engine.register_replica(f"sink-{i}", lambda batch: None)
         samples.append(
             run_lossy_load(bus, engine, loss, num_txs=num_txs,
-                           window_ms=window_ms, seed=seed)
+                           window_ms=window_ms)
         )
     return samples
 

@@ -19,6 +19,11 @@ from ..consensus.kafka import KafkaOrderer
 from ..model.transaction import Transaction
 from ..network.bus import MessageBus
 
+#: submission window, leader crash time and leader downtime of one run (ms)
+WINDOW_MS = 2_000.0
+CRASH_AT_MS = 800.0
+DOWNTIME_MS = 1_200.0
+
 
 @dataclasses.dataclass
 class FailoverSample:
@@ -29,7 +34,6 @@ class FailoverSample:
     acked: int
     retries: int
     elections: int
-    crash_at_ms: float
     resume_at_ms: Optional[float]
 
     @property
@@ -37,7 +41,7 @@ class FailoverSample:
         """Crash-to-next-commit gap; infinite if ordering never resumed."""
         if self.resume_at_ms is None:
             return float("inf")
-        return self.resume_at_ms - self.crash_at_ms
+        return self.resume_at_ms - CRASH_AT_MS
 
     @property
     def commit_rate(self) -> float:
@@ -48,9 +52,6 @@ def run_leader_crash(
     election_timeout_ms: float,
     num_brokers: int = 3,
     num_txs: int = 120,
-    window_ms: float = 2_000.0,
-    crash_at_ms: float = 800.0,
-    downtime_ms: float = 1_200.0,
     seed: int = 0,
 ) -> FailoverSample:
     """Crash the acting leader mid-stream and time the commit gap."""
@@ -68,7 +69,7 @@ def run_leader_crash(
         attempt_timeout_ms=300.0, max_attempts=12,
     )
     for i in range(num_txs):
-        at = (i * window_ms) / num_txs
+        at = (i * WINDOW_MS) / num_txs
 
         def fire(i: int = i) -> None:
             tx = Transaction.create(
@@ -84,23 +85,22 @@ def run_leader_crash(
         victim["id"] = orderer.leader_id or orderer.broker_id
         orderer.crash_broker(victim["id"])
 
-    bus.schedule(crash_at_ms, crash)
-    bus.schedule(crash_at_ms + downtime_ms,
+    bus.schedule(CRASH_AT_MS, crash)
+    bus.schedule(CRASH_AT_MS + DOWNTIME_MS,
                  lambda: orderer.restart_broker(victim["id"]))
-    for _ in range(int((window_ms + downtime_ms) / 100.0) + 40):
+    for _ in range(int((WINDOW_MS + DOWNTIME_MS) / 100.0) + 40):
         bus.run_for(100.0)
         orderer.flush()
     bus.run_until_idle()
     orderer.flush()
     bus.run_until_idle()
-    resume = next((at for at in commits if at > crash_at_ms), None)
+    resume = next((at for at in commits if at > CRASH_AT_MS), None)
     return FailoverSample(
         election_timeout_ms=election_timeout_ms,
         submitted=len(submitter.records),
         acked=len(submitter.acked),
         retries=submitter.total_retries(),
         elections=orderer.stats.elections,
-        crash_at_ms=crash_at_ms,
         resume_at_ms=resume,
     )
 

@@ -68,10 +68,6 @@ class Dataset:
     def indexes(self):
         return self.node.indexes
 
-    def block_ts_range(self, bid: int) -> tuple[int, int]:
-        """[first, last] transaction timestamp of generated block ``bid``."""
-        return (bid * TS_PER_BLOCK, (bid + 1) * TS_PER_BLOCK - 1)
-
 
 def spread_counts(
     total: int,
@@ -104,7 +100,7 @@ def spread_counts(
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-def _fresh_node(config: Optional[SebdbConfig], blocks_hint: int) -> FullNode:
+def _fresh_node(config: Optional[SebdbConfig] = None) -> FullNode:
     from ..model.genesis import make_genesis
 
     config = config or SebdbConfig.in_memory(
@@ -136,32 +132,27 @@ class _TxFactory:
         self.rng = rng
         self._noise_seq = 0
 
-    def donate(
-        self, ts: int, sender: str, amount: float, donor: Optional[str] = None
-    ) -> Transaction:
+    def donate(self, ts: int, sender: str, amount: float) -> Transaction:
         return Transaction.create(
             DONATE.name,
-            (donor or f"donor{self.rng.randrange(1000)}", "education", amount),
+            (f"donor{self.rng.randrange(1000)}", "education", amount),
             ts=ts, sender=sender,
         )
 
-    def transfer(
-        self, ts: int, sender: str, organization: str, amount: float = 500.0
-    ) -> Transaction:
+    def transfer(self, ts: int, sender: str, organization: str) -> Transaction:
         return Transaction.create(
             TRANSFER.name,
-            ("education", f"donor{self.rng.randrange(1000)}", organization, amount),
+            ("education", f"donor{self.rng.randrange(1000)}", organization, 500.0),
             ts=ts, sender=sender,
         )
 
     def distribute(
-        self, ts: int, sender: str, organization: str, donee: str,
-        amount: float = 50.0,
+        self, ts: int, sender: str, organization: str, donee: str
     ) -> Transaction:
         return Transaction.create(
             DISTRIBUTE.name,
             ("education", f"donor{self.rng.randrange(1000)}", organization,
-             donee, amount),
+             donee, 50.0),
             ts=ts, sender=sender,
         )
 
@@ -179,17 +170,15 @@ def build_tracking_dataset(
     result_size: int,
     distribution: str = UNIFORM,
     variance: float = 20.0,
-    operator: str = "org1",
-    operation: str = "transfer",
     operator_extra: int = 0,
     operation_extra: int = 0,
     seed: int = 0,
     config: Optional[SebdbConfig] = None,
 ) -> Dataset:
-    """Chain for Q2/Q3: ``result_size`` transactions are sent by
-    ``operator`` *and* of type ``operation``; ``operator_extra`` extra
-    transactions are by the operator but a different type,
-    ``operation_extra`` are that type by other senders (the Fig 21 knobs).
+    """Chain for Q2/Q3: ``result_size`` transactions are sent by ``org1``
+    *and* of type ``transfer``; ``operator_extra`` extra transactions are
+    by ``org1`` but a different type, ``operation_extra`` are transfers by
+    other senders (the Fig 21 knobs).
     Noise fills each block to ``txs_per_block``.
     """
     rng = random.Random(seed)
@@ -202,17 +191,17 @@ def build_tracking_dataset(
         ts0 = bid * TS_PER_BLOCK
         txs: list[Transaction] = []
         for k in range(result_counts[bid]):
-            txs.append(factory.transfer(ts0 + len(txs), operator, "orgA"))
+            txs.append(factory.transfer(ts0 + len(txs), "org1", "orgA"))
         for k in range(op_extra_counts[bid]):
-            # operator sends a non-'operation' transaction
-            txs.append(factory.donate(ts0 + len(txs), operator,
+            # org1 sends a non-transfer transaction
+            txs.append(factory.donate(ts0 + len(txs), "org1",
                                       rng.uniform(NOISE_LOW, NOISE_HIGH)))
         for k in range(opn_extra_counts[bid]):
             txs.append(factory.transfer(ts0 + len(txs), f"other_org{k % 9}", "orgB"))
         while len(txs) < txs_per_block:
             txs.append(factory.noise(ts0 + len(txs)))
         blocks.append(txs)
-    node = _fresh_node(config, num_blocks)
+    node = _fresh_node(config)
     _load_blocks(node, blocks)
     return Dataset(
         node=node, num_blocks=num_blocks, txs_per_block=txs_per_block,
@@ -244,7 +233,7 @@ def build_range_dataset(
         while len(txs) < txs_per_block:
             txs.append(factory.noise(ts0 + len(txs)))
         blocks.append(txs)
-    node = _fresh_node(config, num_blocks)
+    node = _fresh_node(config)
     _load_blocks(node, blocks)
     return Dataset(
         node=node, num_blocks=num_blocks, txs_per_block=txs_per_block,
@@ -260,7 +249,6 @@ def build_join_dataset(
     distribution: str = UNIFORM,
     variance: float = 20.0,
     seed: int = 0,
-    config: Optional[SebdbConfig] = None,
 ) -> Dataset:
     """Chain for Q5: both join tables have ``table_rows`` rows and exactly
     ``result_pairs`` (transfer, distribute) pairs share an organization."""
@@ -303,7 +291,7 @@ def build_join_dataset(
         while len(txs) < txs_per_block:
             txs.append(factory.noise(ts0 + len(txs)))
         blocks.append(txs)
-    node = _fresh_node(config, num_blocks)
+    node = _fresh_node()
     _load_blocks(node, blocks)
     return Dataset(
         node=node, num_blocks=num_blocks, txs_per_block=txs_per_block,
@@ -319,7 +307,6 @@ def build_onoff_dataset(
     distribution: str = UNIFORM,
     variance: float = 20.0,
     seed: int = 0,
-    config: Optional[SebdbConfig] = None,
 ) -> Dataset:
     """Chain + off-chain DB for Q6: ``result_pairs`` distribute rows join
     a doneeinfo row; the remaining on-chain donees have no private record."""
@@ -347,7 +334,7 @@ def build_onoff_dataset(
         while len(txs) < txs_per_block:
             txs.append(factory.noise(ts0 + len(txs)))
         blocks.append(txs)
-    node = _fresh_node(config, num_blocks)
+    node = _fresh_node()
     _load_blocks(node, blocks)
     offchain = OffChainDatabase()
     create_offchain_tables(offchain)

@@ -71,7 +71,6 @@ def _timed(node: FullNode, fn: Callable[[], Any]) -> tuple[Any, QueryMeasurement
 def operator_breakdown(
     node: FullNode,
     sql: str,
-    params: tuple[Any, ...] = (),
     method: Optional[str] = None,
 ) -> list[dict[str, Any]]:
     """Run one query cold and return its per-operator cost profile.
@@ -84,7 +83,7 @@ def operator_breakdown(
     answers "where did the latency of Fig 13 go".
     """
     node.store.clear_caches()
-    plan = node.engine.plan(sql, params=params, method=method)
+    plan = node.engine.plan(sql, method=method)
     for _ in plan.root.execute():
         pass
     breakdown = []
@@ -104,7 +103,7 @@ def operator_breakdown(
     return breakdown
 
 
-def ascii_chart(series: Series, width: int = 40) -> str:
+def ascii_chart(series: Series) -> str:
     """Sparkline-style rendering of each series' trend.
 
     Scales every series against the global maximum so relative magnitudes
@@ -177,26 +176,10 @@ def fig7_write(
 # -- Figs 8-12: tracking and range, six series each --------------------------------
 
 
-def _sweep_methods(
-    make_dataset: Callable[[str], Dataset],
-    run: Callable[[Dataset, str], Any],
-) -> Series:
-    series: Series = {label: [] for label in SERIES_LABELS.values()}
-    for distribution in DISTRIBUTIONS:
-        dataset = make_dataset(distribution)
-        for method in METHODS:
-            label = SERIES_LABELS[(method, distribution)]
-            _, meas = _timed(dataset.node, lambda: run(dataset, method))
-            series[label].append((None, meas.total_ms))
-    return series
-
-
 def fig8_tracking_datasize(
     block_counts: Optional[list[int]] = None,
     result_size: int = 400,
     txs_per_block: int = 60,
-    variance: float = 5.0,
-    seed: int = 0,
 ) -> Series:
     """Q2 latency vs blockchain size, result size fixed."""
     counts = block_counts or [50, 100, 150, 200, 250]
@@ -205,7 +188,7 @@ def fig8_tracking_datasize(
         for distribution in DISTRIBUTIONS:
             dataset = build_tracking_dataset(
                 num_blocks, txs_per_block, result_size,
-                distribution=distribution, variance=variance, seed=seed,
+                distribution=distribution, variance=5.0,
             )
             create_standard_indexes(dataset)
             for method in METHODS:
@@ -225,8 +208,6 @@ def fig9_tracking_resultsize(
     result_sizes: Optional[list[int]] = None,
     num_blocks: int = 150,
     txs_per_block: int = 60,
-    variance: float = 12.0,
-    seed: int = 0,
 ) -> Series:
     """Q2 latency vs result size, blockchain size fixed."""
     sizes = result_sizes or [200, 400, 800, 1_600, 3_200]
@@ -235,7 +216,7 @@ def fig9_tracking_resultsize(
         for distribution in DISTRIBUTIONS:
             dataset = build_tracking_dataset(
                 num_blocks, txs_per_block, result_size,
-                distribution=distribution, variance=variance, seed=seed,
+                distribution=distribution, variance=12.0,
             )
             create_standard_indexes(dataset)
             for method in METHODS:
@@ -254,11 +235,6 @@ def fig9_tracking_resultsize(
 def fig10_tracking_window(
     window_exponents: Optional[list[int]] = None,
     num_blocks: int = 100,
-    txs_per_block: int = 60,
-    result_size: int = 100,
-    operator_extra: int = 900,
-    operation_extra: int = 900,
-    seed: int = 0,
 ) -> Series:
     """Q3 latency vs shrinking time window; single- vs two-index variants.
 
@@ -269,9 +245,9 @@ def fig10_tracking_window(
     series: Series = {k: [] for k in ("SIU", "SIG", "TIU", "TIG")}
     for distribution in DISTRIBUTIONS:
         dataset = build_tracking_dataset(
-            num_blocks, txs_per_block, result_size,
-            distribution=distribution, variance=num_blocks / 8, seed=seed,
-            operator_extra=operator_extra, operation_extra=operation_extra,
+            num_blocks, txs_per_block=60, result_size=100,
+            distribution=distribution, variance=num_blocks / 8,
+            operator_extra=900, operation_extra=900,
         )
         create_standard_indexes(dataset)
         for exponent in exponents:
@@ -313,8 +289,6 @@ def fig11_range_datasize(
     block_counts: Optional[list[int]] = None,
     result_size: int = 200,
     txs_per_block: int = 60,
-    variance: float = 5.0,
-    seed: int = 0,
 ) -> Series:
     """Q4 latency vs blockchain size."""
     counts = block_counts or [50, 100, 150, 200, 250]
@@ -323,7 +297,7 @@ def fig11_range_datasize(
         for distribution in DISTRIBUTIONS:
             dataset = build_range_dataset(
                 num_blocks, txs_per_block, result_size,
-                distribution=distribution, variance=variance, seed=seed,
+                distribution=distribution, variance=5.0,
             )
             create_standard_indexes(dataset)
             for method in METHODS:
@@ -344,8 +318,6 @@ def fig12_range_resultsize(
     result_sizes: Optional[list[int]] = None,
     num_blocks: int = 150,
     txs_per_block: int = 60,
-    variance: float = 12.0,
-    seed: int = 0,
 ) -> Series:
     """Q4 latency vs result size."""
     sizes = result_sizes or [100, 200, 400, 800, 1_600]
@@ -354,7 +326,7 @@ def fig12_range_resultsize(
         for distribution in DISTRIBUTIONS:
             dataset = build_range_dataset(
                 num_blocks, txs_per_block, result_size,
-                distribution=distribution, variance=variance, seed=seed,
+                distribution=distribution, variance=12.0,
             )
             create_standard_indexes(dataset)
             for method in METHODS:
@@ -379,15 +351,13 @@ def fig13_join_datasize(
     table_rows: int = 600,
     result_pairs: int = 300,
     txs_per_block: int = 60,
-    variance: float = 5.0,
-    seed: int = 0,
 ) -> Series:
     """Q5 latency vs blockchain size."""
     counts = block_counts or [50, 100, 150, 200]
     return _join_sweep(
         counts, lambda n, d: build_join_dataset(
             n, txs_per_block, table_rows, result_pairs,
-            distribution=d, variance=variance, seed=seed,
+            distribution=d, variance=5.0,
         ),
         "SELECT * FROM transfer, distribute "
         "ON transfer.organization = distribute.organization",
@@ -400,8 +370,6 @@ def fig14_join_resultsize(
     num_blocks: int = 150,
     table_rows: int = 1_500,
     txs_per_block: int = 60,
-    variance: float = 12.0,
-    seed: int = 0,
 ) -> Series:
     """Q5 latency vs join result size."""
     sizes = result_sizes or [100, 250, 500, 1_000]
@@ -411,7 +379,7 @@ def fig14_join_resultsize(
             [num_blocks],
             lambda n, d, rp=result_pairs: build_join_dataset(
                 n, txs_per_block, table_rows, rp,
-                distribution=d, variance=variance, seed=seed,
+                distribution=d, variance=12.0,
             ),
             "SELECT * FROM transfer, distribute "
             "ON transfer.organization = distribute.organization",
@@ -450,15 +418,13 @@ def fig15_onoff_datasize(
     onchain_rows: int = 600,
     result_pairs: int = 300,
     txs_per_block: int = 60,
-    variance: float = 5.0,
-    seed: int = 0,
 ) -> Series:
     """Q6 latency vs blockchain size."""
     counts = block_counts or [50, 100, 150, 200]
     return _join_sweep(
         counts, lambda n, d: build_onoff_dataset(
             n, txs_per_block, onchain_rows, result_pairs,
-            distribution=d, variance=variance, seed=seed,
+            distribution=d, variance=5.0,
         ),
         "SELECT * FROM onchain.distribute, offchain.doneeinfo "
         "ON distribute.donee = doneeinfo.donee",
@@ -471,8 +437,6 @@ def fig16_onoff_resultsize(
     num_blocks: int = 150,
     onchain_rows: int = 1_500,
     txs_per_block: int = 60,
-    variance: float = 12.0,
-    seed: int = 0,
 ) -> Series:
     """Q6 latency vs result size."""
     sizes = result_sizes or [100, 250, 500, 1_000]
@@ -482,7 +446,7 @@ def fig16_onoff_resultsize(
             [num_blocks],
             lambda n, d, rp=result_pairs: build_onoff_dataset(
                 n, txs_per_block, onchain_rows, rp,
-                distribution=d, variance=variance, seed=seed,
+                distribution=d, variance=12.0,
             ),
             "SELECT * FROM onchain.distribute, offchain.doneeinfo "
             "ON distribute.donee = doneeinfo.donee",
@@ -499,8 +463,6 @@ def fig16_onoff_resultsize(
 def figs17_19_authenticated(
     block_counts: Optional[list[int]] = None,
     result_size: int = 400,
-    txs_per_block: int = 40,
-    seed: int = 0,
 ) -> dict[str, Series]:
     """VO size / server time / client time, ALI vs basic, Q2 and Q4."""
     counts = block_counts or [50, 100, 150, 200, 250]
@@ -509,14 +471,14 @@ def figs17_19_authenticated(
     client_time: Series = {k: [] for k in ("ALI-Q2", "ALI-Q4", "basic")}
     for num_blocks in counts:
         dataset = build_range_dataset(
-            num_blocks, txs_per_block, result_size,
-            distribution=UNIFORM, seed=seed,
+            num_blocks, txs_per_block=40, result_size=result_size,
+            distribution=UNIFORM,
         )
         # make the org1 tracking result the same transactions as the range
         # result by rewriting? simpler: use a tracking dataset for Q2
         tracking = build_tracking_dataset(
-            num_blocks, txs_per_block, result_size,
-            distribution=UNIFORM, seed=seed,
+            num_blocks, txs_per_block=40, result_size=result_size,
+            distribution=UNIFORM,
         )
         create_standard_indexes(dataset, authenticated=True)
         create_standard_indexes(tracking, authenticated=True)
@@ -598,16 +560,14 @@ def figs17_19_authenticated(
 def fig20_chainsql_one_dim(
     block_counts: Optional[list[int]] = None,
     result_size: int = 500,
-    txs_per_block: int = 40,
-    seed: int = 0,
 ) -> Series:
     """Q2 latency, SEBDB vs ChainSQL, varying blockchain size."""
     counts = block_counts or [50, 100, 150, 200, 250]
     series: Series = {"SEBDB": [], "ChainSQL": []}
     for num_blocks in counts:
         dataset = build_tracking_dataset(
-            num_blocks, txs_per_block, result_size,
-            distribution=UNIFORM, seed=seed,
+            num_blocks, txs_per_block=40, result_size=result_size,
+            distribution=UNIFORM,
         )
         create_standard_indexes(dataset)
         result, meas = _timed(
@@ -629,10 +589,7 @@ def fig20_chainsql_one_dim(
 
 def fig21_chainsql_two_dim(
     operator_tx_counts: Optional[list[int]] = None,
-    num_blocks: int = 100,
-    txs_per_block: int = 60,
     result_size: int = 250,
-    seed: int = 0,
 ) -> Series:
     """Q3 latency, SEBDB vs ChainSQL, varying the operator's tx count.
 
@@ -644,8 +601,8 @@ def fig21_chainsql_two_dim(
     series: Series = {"SEBDB": [], "ChainSQL": []}
     for operator_txs in counts:
         dataset = build_tracking_dataset(
-            num_blocks, txs_per_block, result_size,
-            distribution=UNIFORM, seed=seed,
+            num_blocks=100, txs_per_block=60, result_size=result_size,
+            distribution=UNIFORM,
             operator_extra=operator_txs - result_size,
             operation_extra=250,
         )
@@ -678,7 +635,6 @@ def fig22_cache(
     txs_per_block: int = 40,
     result_size: int = 400,
     requests: int = 20,
-    seed: int = 0,
 ) -> Series:
     """Per-query processing time under the two cache policies.
 
@@ -715,7 +671,7 @@ def fig22_cache(
             cache_bytes=128 * 1024,
         )
         mixed = _build_mixed_dataset(
-            num_blocks, txs_per_block, result_size, seed, config
+            num_blocks, txs_per_block, result_size, 0, config
         )
         node = mixed.node
         for qid, run in queries:
@@ -774,7 +730,7 @@ def _build_mixed_dataset(
         while len(txs) < txs_per_block:
             txs.append(factory.noise(ts0 + len(txs)))
         blocks.append(txs)
-    node = _fresh_node(config, num_blocks)
+    node = _fresh_node(config)
     _load_blocks(node, blocks)
     offchain = OffChainDatabase()
     create_offchain_tables(offchain)

@@ -14,7 +14,7 @@ Q7 GET BLOCK ID = ?                                           - block fetch
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any
 
 from ..node.fullnode import FullNode
 from ..query.result import QueryResult
@@ -60,9 +60,8 @@ def run_query(
     node: FullNode,
     query: BenchQuery,
     params: tuple[Any, ...] = (),
-    method: Optional[str] = None,
 ) -> QueryResult:
     """Execute one read query of the workload on a node."""
     if query.qid == "Q1":
         raise ValueError("Q1 is a write - drive it through the write bench")
-    return node.query(query.sql, params=params, method=method)
+    return node.query(query.sql, params=params)

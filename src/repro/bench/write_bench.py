@@ -100,13 +100,12 @@ def kafka_factory(
 
 
 def tendermint_factory(
-    n: int = 4, batch_txs: int = 10_000, timeout_ms: float = 200.0
+    batch_txs: int = 10_000, timeout_ms: float = 200.0
 ) -> EngineFactory:
     """Fig 7's Tendermint setup: default settings, block size 10 000."""
 
     def build(bus: MessageBus) -> ConsensusEngine:
-        engine = TendermintEngine(bus, n=n, batch_txs=batch_txs,
-                                  timeout_ms=timeout_ms)
+        engine = TendermintEngine(bus, batch_txs=batch_txs, timeout_ms=timeout_ms)
         _attach_sink(engine)
         return engine
 
@@ -123,12 +122,11 @@ def sweep_clients(
     factory: EngineFactory,
     client_counts: list[int],
     txs_per_client: int = 100,
-    seed: int = 0,
 ) -> list[ThroughputSample]:
     """One fresh engine + bus per client count (as the paper does)."""
     samples = []
     for clients in client_counts:
-        bus = MessageBus(seed=seed)
+        bus = MessageBus()
         engine = factory(bus)
         samples.append(run_closed_loop(bus, engine, clients, txs_per_client))
     return samples
@@ -138,7 +136,6 @@ def stage_breakdown(
     num_clients: int = 40,
     txs_per_client: int = 20,
     batch_txs: int = 50,
-    seed: int = 0,
     verify_signatures: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Profile the write path per pipeline stage (Fig 7's companion table).
@@ -154,7 +151,7 @@ def stage_breakdown(
     from ..ledger import STAGES
     from ..node.fullnode import FullNode
 
-    bus = MessageBus(seed=seed)
+    bus = MessageBus()
     engine = KafkaOrderer(bus, batch_txs=batch_txs, timeout_ms=100.0)
     node = FullNode(
         "bench-0",
@@ -209,7 +206,6 @@ def sharded_stage_breakdown(
     clients_per_shard: int = 10,
     txs_per_client: int = 20,
     batch_txs: int = 50,
-    seed: int = 0,
 ) -> dict[str, object]:
     """Drive a disjoint-key closed loop over a :class:`ShardedNode`.
 
@@ -230,7 +226,7 @@ def sharded_stage_breakdown(
     from ..ledger import STAGES
     from ..shard.node import ShardedNode
 
-    bus = MessageBus(seed=seed)
+    bus = MessageBus()
     engines = {
         sid: KafkaOrderer(
             bus, batch_txs=batch_txs, timeout_ms=100.0,

@@ -6,14 +6,12 @@ crashed brokers) a naive client either hangs forever or double-submits.
 :class:`ResilientSubmitter` wraps any consensus engine with the standard
 production recipe:
 
-* every transaction is stamped with a unique ``(client_id, seq)`` nonce,
+* every transaction is stamped with a unique ``client-<seq>`` nonce,
   so the engine's :class:`~repro.consensus.base.SubmissionLedger` can
   collapse retries instead of committing them twice;
 * each attempt runs under a per-attempt timeout; an unacked attempt is
   retried with exponential backoff plus deterministic jitter;
-* an optional overall deadline bounds total waiting
-  (:class:`~repro.common.errors.TimeoutError_`), and a bounded attempt
-  budget turns persistent failure into
+* a bounded attempt budget turns persistent failure into
   :class:`~repro.common.errors.RetryExhausted` instead of an infinite
   loop.
 
@@ -27,7 +25,7 @@ import dataclasses
 import random
 from typing import Callable, Optional
 
-from ..common.errors import ConfigError, RetryExhausted, SebdbError, TimeoutError_
+from ..common.errors import ConfigError, RetryExhausted, SebdbError
 from ..consensus.base import ConsensusEngine, ReplyCallback
 from ..model.transaction import Transaction
 from ..network.bus import MessageBus
@@ -36,6 +34,13 @@ from ..network.bus import MessageBus
 PENDING = "pending"
 ACKED = "acked"
 FAILED = "failed"
+
+#: retry backoff (ms): ``BASE * FACTOR ** (attempt - 1)`` capped at ``MAX``,
+#: plus uniform jitter up to ``JITTER``
+BASE_BACKOFF_MS = 50.0
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_MS = 2_000.0
+JITTER_MS = 25.0
 
 
 @dataclasses.dataclass
@@ -50,7 +55,7 @@ class SubmissionRecord:
     acked_at: Optional[float] = None
     #: simulated commit timestamp reported by the engine's ack
     commit_ms: Optional[float] = None
-    #: terminal error for ``failed`` records (TimeoutError_/RetryExhausted)
+    #: terminal error for ``failed`` records (RetryExhausted)
     error: Optional[SebdbError] = None
 
     @property
@@ -65,28 +70,16 @@ class ResilientSubmitter:
         self,
         engine: ConsensusEngine,
         bus: MessageBus,
-        client_id: str = "client",
         max_attempts: int = 6,
         attempt_timeout_ms: float = 800.0,
-        base_backoff_ms: float = 50.0,
-        backoff_factor: float = 2.0,
-        max_backoff_ms: float = 2_000.0,
-        jitter_ms: float = 25.0,
-        deadline_ms: Optional[float] = None,
         seed: int = 0,
     ) -> None:
         if max_attempts < 1:
             raise ConfigError("max_attempts must be at least 1")
         self.engine = engine
         self.bus = bus
-        self.client_id = client_id
         self.max_attempts = max_attempts
         self.attempt_timeout_ms = attempt_timeout_ms
-        self.base_backoff_ms = base_backoff_ms
-        self.backoff_factor = backoff_factor
-        self.max_backoff_ms = max_backoff_ms
-        self.jitter_ms = jitter_ms
-        self.deadline_ms = deadline_ms
         self._rng = random.Random(seed)
         self._seq = 0
         self.records: list[SubmissionRecord] = []
@@ -116,7 +109,7 @@ class ResilientSubmitter:
         on_ack: Optional[ReplyCallback] = None,
         on_done: Optional[Callable[[SubmissionRecord], None]] = None,
     ) -> SubmissionRecord:
-        """Submit ``tx``, retrying until acked, exhausted, or past deadline.
+        """Submit ``tx``, retrying until acked or exhausted.
 
         The transaction is stamped with a fresh client nonce unless it
         already carries one (a caller-managed retry keeps its identity).
@@ -128,7 +121,7 @@ class ResilientSubmitter:
         """
         if not tx.nonce:
             self._seq += 1
-            tx = dataclasses.replace(tx, nonce=f"{self.client_id}-{self._seq}")
+            tx = dataclasses.replace(tx, nonce=f"client-{self._seq}")
         record = SubmissionRecord(
             tx=tx, nonce=tx.nonce, submitted_at=self.bus.clock.now_ms()
         )
@@ -161,18 +154,6 @@ class ResilientSubmitter:
         def on_timeout() -> None:
             if record.status != PENDING or record.attempts != attempt_no:
                 return  # acked, failed, or a newer attempt is in flight
-            now = self.bus.clock.now_ms()
-            if (self.deadline_ms is not None
-                    and now - record.submitted_at >= self.deadline_ms):
-                record.status = FAILED
-                record.error = TimeoutError_(
-                    f"request {record.nonce} missed its "
-                    f"{self.deadline_ms:.0f} ms deadline "
-                    f"after {record.attempts} attempt(s)"
-                )
-                if on_done is not None:
-                    on_done(record)
-                return
             if record.attempts >= self.max_attempts:
                 record.status = FAILED
                 record.error = RetryExhausted(
@@ -191,10 +172,5 @@ class ResilientSubmitter:
         self.bus.schedule(self.attempt_timeout_ms, on_timeout)
 
     def _backoff(self, attempt_no: int) -> float:
-        base = min(
-            self.max_backoff_ms,
-            self.base_backoff_ms * self.backoff_factor ** (attempt_no - 1),
-        )
-        if self.jitter_ms:
-            base += self._rng.uniform(0, self.jitter_ms)
-        return base
+        backoff = BASE_BACKOFF_MS * BACKOFF_FACTOR ** (attempt_no - 1)
+        return min(MAX_BACKOFF_MS, backoff) + self._rng.uniform(0, JITTER_MS)

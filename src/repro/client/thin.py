@@ -50,7 +50,6 @@ class ThinClient:
         full_nodes: Sequence[FullNode],
         seed: int = 0,
         byzantine_ratio: float = 0.0,
-        max_byzantine: Optional[int] = None,
     ) -> None:
         if not full_nodes:
             raise VerificationError("a thin client needs at least one full node")
@@ -59,11 +58,7 @@ class ThinClient:
         self._rng = random.Random(seed)
         self._headers: list[BlockHeader] = []
         self._byz_ratio = byzantine_ratio
-        self._max_byz = (
-            max_byzantine
-            if max_byzantine is not None
-            else (len(self._nodes) - 1) // 3
-        )
+        self._max_byz = (len(self._nodes) - 1) // 3
 
     # -- header sync (what a thin client actually stores) ---------------------
 
@@ -134,7 +129,6 @@ class ThinClient:
         self,
         operator: str,
         operation: Optional[str] = None,
-        window: Optional[TimeWindow] = None,
         n_aux: int = 2,
         m: int = 2,
     ) -> AuthenticatedAnswer:
@@ -148,7 +142,7 @@ class ThinClient:
                 return tx.tname == lowered
 
         return self.authenticated_range(
-            "senid", operator, operator, window=window,
+            "senid", operator, operator,
             n_aux=n_aux, m=m, key_of=lambda tx: tx.senid, extra_filter=extra,
         )
 
@@ -188,9 +182,6 @@ class ThinClient:
         high: Any,
         table: Optional[str] = None,
         schema: Optional[TableSchema] = None,
-        window: Optional[TimeWindow] = None,
-        n_aux: int = 2,
-        m: int = 2,
     ) -> tuple[Any, AuthenticatedAnswer]:
         """A verified aggregate: COUNT/SUM/AVG/MIN/MAX over a proven range.
 
@@ -203,8 +194,7 @@ class ThinClient:
 
         key_of = _key_extractor(column, schema)
         answer = self.authenticated_range(
-            column, low, high, table=table, window=window,
-            n_aux=n_aux, m=m, key_of=key_of, schema=schema,
+            column, low, high, table=table, key_of=key_of, schema=schema,
         )
         values = [
             v for v in (key_of(tx) for tx in answer.transactions)
@@ -216,7 +206,6 @@ class ThinClient:
         self,
         operator: str,
         operation: str,
-        window: Optional[TimeWindow] = None,
         n_aux: int = 2,
         m: int = 2,
     ) -> AuthenticatedAnswer:
@@ -230,16 +219,15 @@ class ThinClient:
         """
         server_node = self._rng.choice(self._nodes)
         server = self._servers[id(server_node)]
-        vo_op = server.range_vo("senid", operator, operator, window=window)
+        vo_op = server.range_vo("senid", operator, operator)
         vo_kind = server.range_vo("tname", operation, operation,
-                                  window=window,
                                   height=vo_op.chain_height)
         digest_op, sampled_a, matched_a = self._sample_digests(
-            "senid", operator, operator, vo_op.chain_height, None, window,
+            "senid", operator, operator, vo_op.chain_height, None, None,
             n_aux, m, exclude=server_node,
         )
         digest_kind, sampled_b, matched_b = self._sample_digests(
-            "tname", operation, operation, vo_op.chain_height, None, window,
+            "tname", operation, operation, vo_op.chain_height, None, None,
             n_aux, m, exclude=server_node,
         )
         by_operator = verify_query_vo(

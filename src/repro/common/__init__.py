@@ -1,6 +1,6 @@
 """Shared utilities: errors, config, codec, hashing, caching, clock."""
 
-from .clock import Clock, WallClock
+from .clock import Clock
 from .codec import Reader, Writer
 from .config import SebdbConfig
 from .errors import (
@@ -51,7 +51,6 @@ __all__ = [
     "SignatureError",
     "StorageError",
     "VerificationError",
-    "WallClock",
     "Writer",
     "hash_children",
     "hash_concat",

@@ -2,21 +2,19 @@
 
 The consensus and network layers run on a discrete-event simulated clock so
 that experiments are deterministic and orders of magnitude faster than real
-time.  Everything that needs "now" takes a :class:`Clock`; production-style
-use can pass :class:`WallClock` instead.
+time.  Everything that needs "now" takes a :class:`Clock`.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 
 
 class Clock:
     """Manually-advanced simulated clock (milliseconds)."""
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self._now = float(start_ms)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._seq = itertools.count()
 
     def now_ms(self) -> float:
@@ -30,19 +28,3 @@ class Clock:
     def next_seq(self) -> int:
         """Monotone sequence number for tie-breaking simultaneous events."""
         return next(self._seq)
-
-
-class WallClock(Clock):
-    """Clock backed by the real time.monotonic()."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._t0 = time.monotonic()
-
-    def now_ms(self) -> float:
-        return (time.monotonic() - self._t0) * 1000.0
-
-    def advance(self, delta_ms: float) -> None:
-        # Real time cannot be advanced; sleeping would slow tests down,
-        # so advancing a wall clock is a no-op by design.
-        return None

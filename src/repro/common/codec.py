@@ -6,7 +6,7 @@ nodes, compact because the block store appends raw bytes to segment files.
 
 Wire format primitives
 ----------------------
-* varint        - unsigned LEB128
+* varint        - unsigned LEB128, minimal (see ``NON_MINIMAL_VARINT``)
 * bytes         - varint length prefix + raw bytes
 * str           - UTF-8 via the bytes encoding
 * int (signed)  - zig-zag then varint
@@ -35,6 +35,14 @@ TAG_BYTES = 6
 #: bits; Python ints are unbounded, so the cap only guards against a
 #: maliciously endless continuation-bit stream
 VARINT_MAX_SHIFT = 1024
+
+#: A varint is spelt in as few bytes as its value needs: the byte that
+#: ends it (continuation bit clear) is zero only when it is the only
+#: byte.  ``b"\x86\x00"`` spells 6 in two bytes, so every varint reader
+#: refuses it with this message - one spelling per value, so a decoded
+#: record re-encodes to the bytes it was read from and a hash over
+#: either agrees.
+NON_MINIMAL_VARINT = "non-minimal varint"
 
 
 class Writer:
@@ -136,6 +144,8 @@ class Reader:
             self._pos += 1
             result |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if not byte and shift:
+                    raise CodecError(NON_MINIMAL_VARINT)
                 return result
             shift += 7
             if shift > VARINT_MAX_SHIFT:

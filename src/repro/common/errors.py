@@ -91,14 +91,6 @@ class NetworkError(SebdbError):
     """Simulated network failure."""
 
 
-class TimeoutError_(SebdbError):
-    """A client request missed its overall deadline.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`TimeoutError`.
-    """
-
-
 class RetryExhausted(SebdbError):
     """A resilient client gave up after its retry budget ran out.
 

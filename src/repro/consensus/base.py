@@ -37,6 +37,9 @@ ADMIT_NEW = "new"          #: first sight of this nonce - order it
 ADMIT_REPLAYED = "replayed"  #: already committed - the re-ack was sent
 ADMIT_PENDING = "pending"    #: a copy is already in flight - swallowed
 
+#: latency of the client -> engine submission link (ms)
+SUBMIT_LATENCY_MS = 1.0
+
 
 @dataclasses.dataclass(frozen=True)
 class Checkpoint:
@@ -113,12 +116,11 @@ class AckChannel:
         weakref.WeakKeyDictionary()
     )
 
-    def __init__(self, bus: MessageBus, client_id: str = CLIENT_ID) -> None:
+    def __init__(self, bus: MessageBus) -> None:
         self._bus = bus
-        self._client_id = client_id
         self._callbacks: dict[int, ReplyCallback] = {}
         self._next_token = 0
-        bus.register(client_id, self._on_message)
+        bus.register(self.CLIENT_ID, self._on_message)
 
     @classmethod
     def for_bus(cls, bus: MessageBus) -> "AckChannel":
@@ -141,7 +143,7 @@ class AckChannel:
         self._next_token += 1
         self._callbacks[token] = callback
         self._bus.send(
-            src, self._client_id,
+            src, self.CLIENT_ID,
             {"kind": self.KIND, "token": token, "commit_ms": commit_ms},
             delay_ms=delay_ms,
         )
@@ -279,8 +281,9 @@ class ConsensusEngine(abc.ABC):
         """Shared commit tail: deliver the batch, then ack every waiter.
 
         ``entries`` pairs each transaction with its directly-attached
-        reply callback (legacy, nonce-less submissions); nonce-carrying
-        transactions collect their callbacks from the submission ledger.
+        reply callback (nonce-less submissions: every benchmark and Fig 7
+        write); nonce-carrying transactions collect their callbacks from
+        the submission ledger.
         Acks travel from ``ack_source`` over the faultable client link.
         """
         self._deliver([tx for tx, _ in entries])

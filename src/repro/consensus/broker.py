@@ -23,9 +23,10 @@ domain real instead of modelled:
   guarantees a batch acked by a deposed leader is never double-ordered
   by its successor.
 
-With ``num_brokers=1`` the cluster degenerates to the original
-single-broker pipeline byte-for-byte: no notes, no elections, no
-replication traffic, and the same serial-packager timing model.
+One broker is a cluster of one: it is its own majority and leads from
+the start, and with no peer to note, replicate to or vote with, the
+same code sends no notes, elections or replication traffic - the
+paper's serial-packager pipeline.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from .base import ADMIT_NEW, ReplyCallback
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kafka import KafkaOrderer
 
-#: bus node id of broker 0 (and the whole service when ``num_brokers=1``)
+#: bus node id of broker 0 (the only broker when ``num_brokers=1``)
 BROKER_ID = "kafka-broker"
 
-#: client-side endpoint of the orderer facade; brokers send leader
-#: redirects here so the next submission goes to the right broker
-ORDERER_ID = "kafka-orderer"
+#: client-side endpoint of the orderer facade, ``<broker 0 id>-orderer``
+#: (this one for the default cluster); brokers send leader redirects
+#: there so the next submission goes to the right broker
+ORDERER_ID = f"{BROKER_ID}-orderer"
 
 #: message kinds
 SUBMIT = "kafka-submit"
@@ -131,6 +133,9 @@ class BrokerCluster:
         self.broker_ids = [broker_id] + [
             f"{broker_id}-{i}" for i in range(1, num_brokers)
         ]
+        #: the facade's redirect endpoint: one per cluster, so several
+        #: orderers (one per shard, say) can share a bus
+        self.orderer_id = f"{broker_id}-orderer"
         self.majority = num_brokers // 2 + 1
         #: committed-batch watermark: batches 0..delivered-1 are final
         self.delivered = 0
@@ -350,7 +355,7 @@ class BrokerNode:
             forwarded = dict(message)
             forwarded["fwd"] = hops + 1
             self._send(self.leader, forwarded, fifo=True)
-            self._send(ORDERER_ID, {
+            self._send(self.cluster.orderer_id, {
                 "kind": NOT_LEADER, "epoch": self.epoch, "leader": self.leader,
             })
 
@@ -394,8 +399,9 @@ class BrokerNode:
         ) != ADMIT_NEW:
             return
         was_empty = cluster.batch_len == 0
-        # nonce-carrying txs ack through the ledger; legacy ones keep the
-        # callback attached to the buffer entry
+        # nonce-carrying txs ack through the ledger; nonce-less ones (every
+        # benchmark and Fig 7 submission) keep the callback attached to
+        # the buffer entry
         cluster.buffer_append(tx, None if tx.dedup_key() else reply, note_id)
         full = cluster.take_full()
         if full is not None:
@@ -609,8 +615,7 @@ class BrokerNode:
     # -- election ------------------------------------------------------------------
 
     def _arm_note_timer(self) -> None:
-        if (self._note_timer_armed or self.crashed
-                or self.cluster.num_brokers == 1):
+        if self._note_timer_armed or self.crashed:
             return
         self._note_timer_armed = True
         # index stagger: the lowest-indexed live follower campaigns first,
@@ -716,7 +721,7 @@ class BrokerNode:
             self._send(peer, {
                 "kind": LEADER, "epoch": self.epoch, "leader": self.node_id,
             })
-        self._send(ORDERER_ID, {
+        self._send(self.cluster.orderer_id, {
             "kind": LEADER, "epoch": self.epoch, "leader": self.node_id,
         })
         self._repropose_orphans()
@@ -789,9 +794,8 @@ class BrokerNode:
         self._note_timer_armed = False
         self._attempts = 0
         self._cooldown = self._now() + cluster.election_timeout
-        if cluster.num_brokers > 1:
-            for peer in self._peers():
-                self._send(peer, {"kind": JOIN, "epoch": self.epoch})
+        for peer in self._peers():
+            self._send(peer, {"kind": JOIN, "epoch": self.epoch})
         if self.is_leader and cluster.batch_len:
             self._arm_cut_timer()
         if self.is_leader:

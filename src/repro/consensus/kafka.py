@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from ..model.transaction import Transaction
 from ..network.bus import MessageBus
-from .base import ConsensusEngine, ReplyCallback
+from .base import SUBMIT_LATENCY_MS, ConsensusEngine, ReplyCallback
 from .broker import (
     BROKER_ID,
     LEADER,
@@ -48,10 +48,10 @@ __all__ = ["BROKER_ID", "ORDERER_ID", "SUBMIT", "KafkaOrderer"]
 class KafkaOrderer(ConsensusEngine):
     """Ordering service backed by a replicated broker cluster.
 
-    With the default ``num_brokers=1`` this is the paper's single-broker
-    pipeline, byte-for-byte: one bus endpoint, no election or replication
-    traffic, the same serial-packager timing.  With more brokers the
-    cluster elects a leader per epoch and the facade follows it through
+    The default ``num_brokers=1`` is the paper's single-broker pipeline:
+    a cluster of one, whose broker leads from the start, so nothing ever
+    elects, replicates or redirects.  With more brokers the cluster elects
+    a leader per epoch and the facade follows it through
     NOT_LEADER/LEADER redirects.
     """
 
@@ -60,7 +60,7 @@ class KafkaOrderer(ConsensusEngine):
         bus: MessageBus,
         batch_txs: int = 200,
         timeout_ms: float = 200.0,
-        submit_latency_ms: float = 1.0,
+        submit_latency_ms: float = SUBMIT_LATENCY_MS,
         per_tx_cost_ms: float = 0.25,
         per_block_cost_ms: float = 5.0,
         deliver_latency_ms: float = 1.0,
@@ -90,10 +90,7 @@ class KafkaOrderer(ConsensusEngine):
         #: where the next submission is published; redirects update it
         self._leader_hint = broker_id
         self._hint_epoch = 0
-        if num_brokers > 1:
-            # the facade's own endpoint only exists in clustered mode so
-            # single-broker deployments keep the exact legacy topology
-            bus.register(ORDERER_ID, self._on_meta)
+        bus.register(self.cluster.orderer_id, self._on_meta)
 
     # -- cluster accessors --------------------------------------------------------
 
@@ -124,8 +121,8 @@ class KafkaOrderer(ConsensusEngine):
     ) -> None:
         """Publish a transaction to the leader's topic (a lossy link!).
 
-        In clustered mode every other broker receives a *note* carrying
-        the same submission: notes are how followers detect a dead leader
+        Every other broker receives a *note* carrying the same
+        submission: notes are how followers detect a dead leader
         (unserved demand) and how a successor re-proposes submissions the
         deposed leader took down with it.
         """

@@ -46,6 +46,7 @@ from ..network.bus import MessageBus
 from .base import (
     ADMIT_NEW,
     ADMIT_REPLAYED,
+    SUBMIT_LATENCY_MS,
     BatchBuffer,
     Checkpoint,
     ConsensusEngine,
@@ -65,6 +66,9 @@ STATE_RESP = "pbft-state-resp"
 #: Byzantine behaviours a replica can be configured with.
 BYZ_SILENT = "silent"
 BYZ_EQUIVOCATE = "equivocate"
+
+#: view-change escalations before a replica stops re-arming its timer
+MAX_VIEW_CHANGE_ATTEMPTS = 8
 
 
 def _batch_digest(batch: list[Transaction]) -> bytes:
@@ -391,7 +395,7 @@ class _Replica:
         stuck, the replica escalates past every dead primary until the
         attempt budget runs out (restarted by the next client retry).
         """
-        if attempt >= self.cluster.max_view_change_attempts:
+        if attempt >= MAX_VIEW_CHANGE_ATTEMPTS:
             return
         timeout = self.cluster.view_change_timeout_ms * (2 ** min(attempt, 10))
         self.cluster.bus.schedule(
@@ -663,10 +667,7 @@ class PBFTCluster(ConsensusEngine):
         batch_txs: int = 100,
         timeout_ms: float = 100.0,
         request_timeout_ms: float = 2_000.0,
-        submit_latency_ms: float = 1.0,
         checkpoint_interval: int = 32,
-        view_change_timeout_ms: Optional[float] = None,
-        max_view_change_attempts: int = 8,
         state_tail_limit: int = 64,
     ) -> None:
         super().__init__()
@@ -681,17 +682,12 @@ class PBFTCluster(ConsensusEngine):
         self.f = (n - 1) // 3
         self.request_timeout_ms = request_timeout_ms
         #: base of the exponential view-change escalation timers
-        self.view_change_timeout_ms = (
-            request_timeout_ms if view_change_timeout_ms is None
-            else view_change_timeout_ms
-        )
-        self.max_view_change_attempts = max_view_change_attempts
+        self.view_change_timeout_ms = request_timeout_ms
         self.checkpoint_interval = checkpoint_interval
         #: longest committed tail a STATE-RESP ships inline; beyond this
         #: the responder sends a digest manifest and the payloads move in
         #: bulk over the gossip mesh
         self.state_tail_limit = state_tail_limit
-        self._submit_latency = submit_latency_ms
         self._buffer = BatchBuffer(batch_txs)
         self._timeout = timeout_ms
         self.replicas = [_Replica(self, i) for i in range(n)]
@@ -784,7 +780,7 @@ class PBFTCluster(ConsensusEngine):
     ) -> None:
         self.stats.submitted += 1
         status = self.admit_submission(
-            tx, on_reply, self._ack_source(), self._submit_latency
+            tx, on_reply, self._ack_source(), SUBMIT_LATENCY_MS
         )
         if status == ADMIT_REPLAYED:
             # already committed; the current primary re-acked over its
@@ -801,7 +797,7 @@ class PBFTCluster(ConsensusEngine):
             for replica in self.replicas:
                 self.bus.send("client", replica.node_id, {"kind": REQUEST, "tx": tx})
 
-        self.bus.schedule(self._submit_latency, arrive)
+        self.bus.schedule(SUBMIT_LATENCY_MS, arrive)
 
     def flush(self) -> None:
         batch = self._buffer.take_all()
@@ -924,5 +920,5 @@ class PBFTCluster(ConsensusEngine):
             self.finish_commit(
                 [(tx, self._replies.pop(tx.hash(), None)) for tx in fresh],
                 replica.node_id, self.bus.clock.now_ms(),
-                self._submit_latency,
+                SUBMIT_LATENCY_MS,
             )

@@ -30,7 +30,13 @@ from typing import Any, Optional
 from ..common.errors import ConsensusError
 from ..model.transaction import Transaction
 from ..network.bus import MessageBus
-from .base import ADMIT_NEW, BatchBuffer, ConsensusEngine, ReplyCallback
+from .base import (
+    ADMIT_NEW,
+    SUBMIT_LATENCY_MS,
+    BatchBuffer,
+    ConsensusEngine,
+    ReplyCallback,
+)
 
 PROPOSE = "tm-propose"
 PREVOTE = "tm-prevote"
@@ -39,6 +45,12 @@ SUBMIT = "tm-submit"
 
 #: bus node id of the entry validator (serial CheckTx lane lives here)
 ENTRY_ID = "tm-0"
+
+#: simulated cost of one serial CheckTx / DeliverTx (ms)
+CHECK_TX_COST_MS = 0.35
+DELIVER_TX_COST_MS = 0.35
+#: PROPOSE retransmissions before a height is abandoned
+MAX_RETRANSMITS = 25
 
 
 class TendermintEngine(ConsensusEngine):
@@ -50,10 +62,6 @@ class TendermintEngine(ConsensusEngine):
         n: int = 4,
         batch_txs: int = 10_000,
         timeout_ms: float = 200.0,
-        submit_latency_ms: float = 1.0,
-        check_tx_cost_ms: float = 0.35,
-        deliver_tx_cost_ms: float = 0.35,
-        max_retransmits: int = 25,
     ) -> None:
         super().__init__()
         if n < 1:
@@ -63,10 +71,6 @@ class TendermintEngine(ConsensusEngine):
         self._quorum = (2 * n) // 3 + 1
         self._buffer = BatchBuffer(batch_txs)
         self._timeout = timeout_ms
-        self._submit_latency = submit_latency_ms
-        self._check_cost = check_tx_cost_ms
-        self._deliver_cost = deliver_tx_cost_ms
-        self._max_retransmits = max_retransmits
         self.init_client_plumbing(bus)
         #: serial CheckTx lane of the entry validator
         self._check_busy_until = 0.0
@@ -96,7 +100,7 @@ class TendermintEngine(ConsensusEngine):
         self.bus.send(
             "client", ENTRY_ID,
             {"kind": SUBMIT, "tx": tx, "on_reply": on_reply},
-            delay_ms=self._submit_latency, fifo=True,
+            delay_ms=SUBMIT_LATENCY_MS, fifo=True,
         )
 
     def _entry_receive(
@@ -106,12 +110,12 @@ class TendermintEngine(ConsensusEngine):
         # re-acks travel the entry-validator->client link, so a lossy or
         # partitioned link keeps the retry loop honest
         if self.admit_submission(
-            tx, on_reply, ENTRY_ID, self._submit_latency
+            tx, on_reply, ENTRY_ID, SUBMIT_LATENCY_MS
         ) != ADMIT_NEW:
             return
         now = self.bus.clock.now_ms()
         start = max(now, self._check_busy_until)
-        self._check_busy_until = start + self._check_cost
+        self._check_busy_until = start + CHECK_TX_COST_MS
         callback = None if tx.dedup_key() else on_reply
         self.bus.schedule(
             self._check_busy_until - now,
@@ -178,7 +182,7 @@ class TendermintEngine(ConsensusEngine):
         """Proposer liveness timer: re-broadcast until committed or give up."""
         if height in self._committed_heights or height not in self._proposals:
             return
-        if attempt > self._max_retransmits:
+        if attempt > MAX_RETRANSMITS:
             self._abandon(height)
             return
         self._send_proposal(height)
@@ -259,14 +263,14 @@ class TendermintEngine(ConsensusEngine):
         # serial DeliverTx into SEBDB
         now = self.bus.clock.now_ms()
         start = max(now, self._deliver_busy_until)
-        self._deliver_busy_until = start + self._deliver_cost * len(txs)
+        self._deliver_busy_until = start + DELIVER_TX_COST_MS * len(txs)
         done_in = self._deliver_busy_until - now
 
         def finish() -> None:
             # commit acks are real entry->client messages subject to the
             # same link faults as any other traffic
             self.finish_commit(list(zip(txs, replies)), ENTRY_ID,
-                               self.bus.clock.now_ms(), self._submit_latency)
+                               self.bus.clock.now_ms(), SUBMIT_LATENCY_MS)
             self._height += 1
             self._in_flight = False
 

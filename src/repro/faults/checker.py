@@ -10,7 +10,7 @@ DESIGN.md §6):
   exactly once (no loss, no duplication despite retries), and *no*
   nonce-carrying request appears more than once;
 * **Typed failures** - every submission that did not commit is surfaced
-  with a typed error (:class:`TimeoutError_` / :class:`RetryExhausted`),
+  with a typed error (:class:`RetryExhausted`),
   never silently dropped.
 
 When the run used a replicated ordering-broker cluster, pass the engine

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Sequence
 
 # -- event kinds --------------------------------------------------------------
 
@@ -67,8 +67,8 @@ class FaultEvent:
 class FaultSchedule:
     """An ordered, immutable-once-armed script of fault events."""
 
-    def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
-        self._events = sorted(events, key=lambda e: e.at_ms)
+    def __init__(self) -> None:
+        self._events: list[FaultEvent] = []
 
     # -- fluent builders ----------------------------------------------------
 
@@ -202,58 +202,44 @@ class FaultSchedule:
 
     @classmethod
     def randomized(
-        cls,
-        seed: int,
-        duration_ms: float,
-        nodes: Sequence[str],
-        crash_count: int = 1,
-        partition_count: int = 1,
-        lossy_links: int = 2,
-        loss_rate: float = 0.05,
-        duplicate_rate: float = 0.02,
-        min_downtime_ms: float = 200.0,
-        rng: Optional[random.Random] = None,
+        cls, seed: int, duration_ms: float, nodes: Sequence[str]
     ) -> "FaultSchedule":
-        """Sample a plausible chaos script from a seed (fully deterministic).
+        """Sample a plausible chaos script from a seed (fully deterministic):
+        one crash, one partition and two lossy links (5 % loss, 2 %
+        duplication), each lasting at least 200 ms.
 
         Crashes always restart before ``duration_ms`` and partitions
         always heal, so a run that drains the bus afterwards can be held
         to the full convergence contract.
         """
-        rng = rng or random.Random(seed)
+        rng = random.Random(seed)
         schedule = cls()
-        window = max(duration_ms - 2 * min_downtime_ms, min_downtime_ms)
-        for _ in range(crash_count):
-            victim = rng.choice(list(nodes))
-            start = rng.uniform(0, window)
-            stop = min(duration_ms, start + rng.uniform(
-                min_downtime_ms, 2 * min_downtime_ms))
-            schedule.crash(start, victim)
-            schedule.restart(stop, victim)
-        for _ in range(partition_count):
-            if len(nodes) < 2:
-                break
+        down = 200.0  # shortest sampled outage (ms)
+        window = max(duration_ms - 2 * down, down)
+        victim = rng.choice(list(nodes))
+        start = rng.uniform(0, window)
+        stop = min(duration_ms, start + rng.uniform(down, 2 * down))
+        schedule.crash(start, victim)
+        schedule.restart(stop, victim)
+        if len(nodes) >= 2:
             cut = max(1, len(nodes) // 3)
             shuffled = list(nodes)
             rng.shuffle(shuffled)
             group_a, group_b = shuffled[:cut], shuffled[cut:]
             start = rng.uniform(0, window)
-            stop = min(duration_ms, start + rng.uniform(
-                min_downtime_ms, 2 * min_downtime_ms))
+            stop = min(duration_ms, start + rng.uniform(down, 2 * down))
             symmetric = rng.random() < 0.5
             schedule.partition(start, group_a, group_b, symmetric=symmetric)
             schedule.heal_partition(stop, group_a, group_b)
-        for _ in range(lossy_links):
+        for _ in range(2):
             src = rng.choice(list(nodes) + ["*"])
             dst = rng.choice([n for n in nodes if n != src] or list(nodes))
             start = rng.uniform(0, window)
             schedule.degrade_link(
-                start, src, dst,
-                loss_rate=loss_rate, duplicate_rate=duplicate_rate,
+                start, src, dst, loss_rate=0.05, duplicate_rate=0.02,
             )
             schedule.restore_link(
-                min(duration_ms, start + rng.uniform(
-                    min_downtime_ms, 3 * min_downtime_ms)),
+                min(duration_ms, start + rng.uniform(down, 3 * down)),
                 src, dst,
             )
         return schedule

@@ -103,6 +103,3 @@ class Bitmap:
 
     def copy(self) -> "Bitmap":
         return Bitmap(self._bits)
-
-    def to_int(self) -> int:
-        return self._bits

@@ -82,8 +82,6 @@ class IndexManager:
             block = store.read_block(height)
             self.block_index.add_block(block, store.location(height))
             self.table_index.add_block(block)
-            for index in self._layered.values():
-                index.add_block(block)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -100,9 +98,7 @@ class IndexManager:
         column: str,
         table: Optional[str] = None,
         schema: Optional[TableSchema] = None,
-        continuous: Optional[bool] = None,
         authenticated: bool = False,
-        tree_factory: Optional[TreeFactory] = None,
     ) -> LayeredIndex:
         """Create (and backfill) a layered index on ``column``.
 
@@ -118,20 +114,19 @@ class IndexManager:
         lowered = column.lower()
         if lowered in _SYSTEM_CONTINUOUS:
             extractor = system_extractor(lowered, table)
-            if continuous is None:
-                continuous = _SYSTEM_CONTINUOUS[lowered]
+            continuous = _SYSTEM_CONTINUOUS[lowered]
         else:
             if schema is None:
                 raise CatalogError(
                     f"indexing app column {column!r} requires the table schema"
                 )
             extractor = app_extractor(schema, lowered)
-            if continuous is None:
-                continuous = schema.column_type(lowered).is_continuous
+            continuous = schema.column_type(lowered).is_continuous
         histogram = None
         if continuous:
             histogram = self._sample_histogram(extractor)
-        if tree_factory is None and authenticated:
+        tree_factory: Optional[TreeFactory] = None
+        if authenticated:
             # local import: mht depends on index/common, never on manager
             from ..common.hashing import hash_leaf
             from ..mht.mbtree import MBTree
@@ -156,9 +151,7 @@ class IndexManager:
         return index
 
     def _sample_histogram(
-        self,
-        extractor: Callable[[Transaction], Any],
-        newest_first: bool = False,
+        self, extractor: Callable[[Transaction], Any]
     ) -> EqualDepthHistogram:
         """Sample historical transactions for the equal-depth histogram.
 
@@ -168,7 +161,7 @@ class IndexManager:
         sample to the oldest blocks forever, which is exactly the
         staleness ``\\analyze`` exists to fix.
         """
-        sample = self._sample_values(extractor, newest_first)
+        sample = self._sample_values(extractor)
         return EqualDepthHistogram.from_sample(sample, self._histogram_depth)
 
     def _sample_values(
@@ -223,9 +216,6 @@ class IndexManager:
         if index is None and table is not None:
             index = self._layered.get((None, column.lower()))
         return index
-
-    def has_layered(self, column: str, table: Optional[str] = None) -> bool:
-        return self.layered(column, table) is not None
 
     @property
     def layered_indexes(self) -> dict[tuple[Optional[str], str], LayeredIndex]:

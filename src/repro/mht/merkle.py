@@ -13,7 +13,7 @@ mutation vector, promotion does not).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..common.hashing import (
     EMPTY_MERKLE_ROOT as EMPTY_ROOT,
@@ -89,12 +89,9 @@ class MerkleTree:
         return steps
 
 
-def verify_proof(
-    item: bytes, proof: Sequence[ProofStep], root: bytes,
-    leaf_hash: Optional[bytes] = None,
-) -> bool:
+def verify_proof(item: bytes, proof: Sequence[ProofStep], root: bytes) -> bool:
     """Check a membership proof produced by :meth:`MerkleTree.proof`."""
-    current = leaf_hash if leaf_hash is not None else hash_leaf(item)
+    current = hash_leaf(item)
     for step in proof:
         if step.is_left:
             current = hash_children(step.sibling, current)

@@ -8,8 +8,6 @@ nodes exactly like ordinary data does.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from ..common.errors import CatalogError
 from .block import Block
 from .schema import TableSchema
@@ -45,9 +43,6 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}")
         return self._tables[lowered]
 
-    def find(self, name: str) -> Optional[TableSchema]:
-        return self._tables.get(name.lower())
-
     def apply_block(self, block: Block) -> list[TableSchema]:
         """Pick up schema-sync transactions from a freshly applied block."""
         registered = []
@@ -58,7 +53,3 @@ class Catalog:
                     self._tables[schema.name] = schema
                     registered.append(schema)
         return registered
-
-    def apply_blocks(self, blocks: Iterable[Block]) -> None:
-        for block in blocks:
-            self.apply_block(block)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ..crypto.keys import KeyPair
 from .block import GENESIS_PREV_HASH, Block
 from .schema import TableSchema
 from .transaction import Transaction, schema_sync_transaction
@@ -18,12 +17,11 @@ from .transaction import Transaction, schema_sync_transaction
 def make_genesis(
     timestamp: int = 0,
     schemas: Optional[Sequence[TableSchema]] = None,
-    keypair: Optional[KeyPair] = None,
 ) -> Block:
     """Build the genesis block, optionally pre-loading table schemas."""
     txs: list[Transaction] = []
     for i, schema in enumerate(schemas or ()):
-        tx = schema_sync_transaction(schema, ts=timestamp, keypair=keypair)
+        tx = schema_sync_transaction(schema, ts=timestamp)
         txs.append(tx.with_tid(i))
     return Block.package(
         prev_hash=GENESIS_PREV_HASH,
@@ -31,7 +29,6 @@ def make_genesis(
         timestamp=timestamp,
         transactions=txs,
         packager="genesis",
-        keypair=keypair,
     )
 
 

@@ -21,6 +21,7 @@ import struct
 from typing import Any, Optional, Sequence
 
 from ..common.codec import (
+    NON_MINIMAL_VARINT,
     TAG_BYTES,
     TAG_FALSE,
     TAG_FLOAT,
@@ -130,7 +131,9 @@ class Transaction:
         """Identity used by consensus to collapse retried submissions.
 
         ``None`` when the transaction carries no nonce - such
-        transactions are never deduplicated (legacy behaviour).
+        transactions (every benchmark and Fig 7 submission; only
+        :class:`~repro.client.submitter.ResilientSubmitter` stamps
+        nonces) are never deduplicated.
         """
         if not self.nonce:
             return None
@@ -236,8 +239,9 @@ class Transaction:
 
         :func:`_decode` takes the common shapes in one pass; anything it
         does not handle - a multi-byte length, bytes that run out, bad
-        UTF-8, an over-long varint, an unknown tag, trailing bytes - is
-        decoded (or refused with :class:`CodecError`) by :meth:`read_from`.
+        UTF-8, a varint past the cap or not minimal, an unknown tag,
+        trailing bytes - is decoded (or refused with :class:`CodecError`)
+        by :meth:`read_from`.
         """
         try:
             tx = _decode(data)
@@ -262,8 +266,9 @@ class Transaction:
         fields; nothing else is allocated.  A block scan compares these
         bytes with its encoded filter and calls :meth:`from_bytes` on the
         matches only.  Total over hostile bytes: every step is bounded by
-        ``len(data)`` and by ``Reader``'s varint cap, and the only error
-        is :class:`CodecError`.  The strings are *not* validated as UTF-8 -
+        ``len(data)`` and by ``Reader``'s varint cap, non-minimal varints
+        are refused as ``Reader`` refuses them, and the only error is
+        :class:`CodecError`.  The strings are *not* validated as UTF-8 -
         ``read_str`` does that for the encodings a caller goes on to
         decode.
         """
@@ -275,6 +280,8 @@ class Transaction:
                     pos += 1
                 if 7 * (pos - mark) > VARINT_MAX_SHIFT:
                     raise CodecError("varint too long")
+                if pos > mark and not data[pos]:
+                    raise CodecError(NON_MINIMAL_VARINT)
                 pos += 1
             # lengths under 128 are one byte; anything longer goes to Reader
             for _skipped in ("sig", "pubkey"):
@@ -333,15 +340,16 @@ def _decode(data: bytes) -> Optional[Transaction]:
     One pass with a local ``pos``: varints inline, strings and bytes
     sliced straight out of the buffer, ``senid`` / ``tname`` interned.
     It returns ``None`` on every shape it leaves to the reference decoder
-    (a length or count of 128 or more, a varint past the cap, an unknown
-    tag, a buffer that does not end where the transaction does) and lets
-    ``IndexError``, ``UnicodeDecodeError`` and ``struct.error`` escape on
-    bytes that run out or are not UTF-8.  So it never decides what an
+    (a length or count of 128 or more, a varint past the cap or not
+    minimal, an unknown tag, a buffer that does not end where the
+    transaction does) and lets ``IndexError``, ``UnicodeDecodeError`` and
+    ``struct.error`` escape on bytes that run out or are not UTF-8.  So it never decides what an
     error is: it accepts only what :meth:`Transaction.read_from` accepts,
     and decodes it to the same transaction.
     """
     # tid: zig-zag varint.  Each varint loop checks the cap before it
-    # reads the next byte, where Reader checks it after: same bound.
+    # reads the next byte, where Reader checks it after: same bound.  A
+    # zero byte read inside a loop ends a non-minimal varint.
     byte = data[0]
     raw = byte & 0x7F
     pos = 1
@@ -350,6 +358,8 @@ def _decode(data: bytes) -> Optional[Transaction]:
         if shift > VARINT_MAX_SHIFT:
             return None
         byte = data[pos]
+        if not byte:
+            return None
         pos += 1
         raw |= (byte & 0x7F) << shift
         shift += 7
@@ -363,6 +373,8 @@ def _decode(data: bytes) -> Optional[Transaction]:
         if shift > VARINT_MAX_SHIFT:
             return None
         byte = data[pos]
+        if not byte:
+            return None
         pos += 1
         ts |= (byte & 0x7F) << shift
         shift += 7
@@ -433,6 +445,8 @@ def _decode(data: bytes) -> Optional[Transaction]:
                 if shift > VARINT_MAX_SHIFT:
                     return None
                 byte = data[pos]
+                if not byte:
+                    return None
                 pos += 1
                 raw |= (byte & 0x7F) << shift
                 shift += 7

@@ -1,12 +1,10 @@
-"""Simulated network: message bus, gossip, failure detection."""
+"""Simulated network: message bus and gossip."""
 
 from .bus import ANY, LinkFault, MessageBus, corrupt_payload
 from .gossip import GossipNode
-from .membership import FailureDetector
 
 __all__ = [
     "ANY",
-    "FailureDetector",
     "GossipNode",
     "LinkFault",
     "MessageBus",

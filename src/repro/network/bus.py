@@ -38,6 +38,9 @@ Handler = Callable[[str, Any], None]
 #: wildcard endpoint accepted by the per-link fault API
 ANY = "*"
 
+#: events one drive call may run before it reports a livelock
+MAX_EVENTS = 1_000_000
+
 
 @dataclasses.dataclass
 class LinkFault:
@@ -124,7 +127,6 @@ class MessageBus:
 
     def __init__(
         self,
-        clock: Optional[Clock] = None,
         latency_ms: float = 1.0,
         jitter_ms: float = 0.2,
         seed: int = 0,
@@ -132,7 +134,7 @@ class MessageBus:
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise NetworkError("loss_rate must be in [0, 1)")
-        self.clock = clock or Clock()
+        self.clock = Clock()
         self._latency = latency_ms
         self._jitter = jitter_ms
         self._loss_rate = loss_rate
@@ -158,9 +160,6 @@ class MessageBus:
             raise NetworkError(f"node id {node_id!r} already registered")
         self._handlers[node_id] = handler
 
-    def unregister(self, node_id: str) -> None:
-        self._handlers.pop(node_id, None)
-
     @property
     def node_ids(self) -> list[str]:
         return sorted(self._handlers)
@@ -171,9 +170,6 @@ class MessageBus:
 
     def heal(self, node_id: str) -> None:
         self._down.discard(node_id)
-
-    def is_down(self, node_id: str) -> bool:
-        return node_id in self._down
 
     # -- per-link fault filters ---------------------------------------------
 
@@ -298,14 +294,10 @@ class MessageBus:
             echo = fire + self._rng.uniform(0, self._jitter or 0.1)
             heapq.heappush(self._queue, (echo, self.clock.next_seq(), deliver))
 
-    def broadcast(
-        self, src: str, message: Any, include_self: bool = False,
-        delay_ms: Optional[float] = None,
-    ) -> None:
+    def broadcast(self, src: str, message: Any) -> None:
         for node_id in self.node_ids:
-            if node_id == src and not include_self:
-                continue
-            self.send(src, node_id, message, delay_ms=delay_ms)
+            if node_id != src:
+                self.send(src, node_id, message)
 
     def schedule(self, delay_ms: float, action: Callable[[], None]) -> None:
         """Run ``action`` after ``delay_ms`` of simulated time (a timer)."""
@@ -324,7 +316,7 @@ class MessageBus:
         action()
         return True
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+    def run_until_idle(self, max_events: int = MAX_EVENTS) -> int:
         """Drain the queue; returns the number of events executed."""
         executed = 0
         while self.step():
@@ -336,14 +328,14 @@ class MessageBus:
                 )
         return executed
 
-    def run_for(self, duration_ms: float, max_events: int = 1_000_000) -> int:
+    def run_for(self, duration_ms: float) -> int:
         """Run events up to now+duration; leaves later events queued."""
         deadline = self.clock.now_ms() + duration_ms
         executed = 0
         while self._queue and self._queue[0][0] <= deadline:
             self.step()
             executed += 1
-            if executed >= max_events:
+            if executed >= MAX_EVENTS:
                 raise NetworkError("too many events within the window")
         if self.clock.now_ms() < deadline:
             self.clock.advance(deadline - self.clock.now_ms())

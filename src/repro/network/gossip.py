@@ -42,6 +42,8 @@ _NUMBERED = re.compile(r"^(.*?)(\d+)$")
 _RECENT_CAP = 32
 #: non-numbered ids advertised verbatim (rare: block rumors are numbered)
 _PLAIN_CAP = 128
+#: simulated time between two push rounds (ms)
+_ROUND_MS = 5.0
 
 
 def _split_rumor_id(rumor_id: str) -> tuple[Optional[str], int]:
@@ -60,7 +62,6 @@ class GossipNode:
         node_id: str,
         bus: MessageBus,
         fanout: int = 2,
-        round_ms: float = 5.0,
         seed: int = 0,
         on_rumor: Optional[Callable[[str, Any], None]] = None,
         validate: Optional[Callable[[str, Any], bool]] = None,
@@ -69,7 +70,6 @@ class GossipNode:
         self.node_id = node_id
         self._bus = bus
         self._fanout = fanout
-        self._round_ms = round_ms
         # crc32 is a stable digest: Python's salted str hash() would make
         # peer selection differ between processes and break reproducibility
         self._rng = random.Random(seed ^ zlib.crc32(node_id.encode("utf-8")))
@@ -203,7 +203,7 @@ class GossipNode:
                     },
                 )
         if any(budget > 0 for budget in self._budget.values()):
-            self._schedule_round(self._round_ms)
+            self._schedule_round(_ROUND_MS)
 
     # -- message handling ----------------------------------------------------
 

@@ -67,9 +67,6 @@ class AccessController:
     def remove_member(self, channel: str, member: str) -> None:
         self._channel(channel).members.discard(member)
 
-    def add_table(self, channel: str, table: str) -> None:
-        self._channel(channel).tables.add(table.lower())
-
     def _channel(self, name: str) -> Channel:
         if name not in self._channels:
             raise AccessDenied(f"unknown channel {name!r}")

@@ -120,12 +120,10 @@ class AuthQueryServer:
     def trace_vo(
         self,
         operator: str,
-        window: Optional[TimeWindow] = None,
         height: Optional[int] = None,
     ) -> QueryVO:
         """VO for a tracking query on the SenID ALI (point query)."""
-        return self.range_vo("senid", operator, operator, window=window,
-                             height=height)
+        return self.range_vo("senid", operator, operator, height=height)
 
     # -- SPV-style inclusion proofs -----------------------------------------------
 

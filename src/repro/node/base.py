@@ -78,7 +78,6 @@ class SqlNode:
         keypair: Optional[KeyPair] = None,
         sender: Optional[str] = None,
         ts: Optional[int] = None,
-        on_reply: Optional[ReplyCallback] = None,
     ) -> Transaction:
         """INSERT: validate against the schema, sign, submit."""
         schema = self.catalog.get(table)
@@ -90,7 +89,7 @@ class SqlNode:
             keypair=keypair,
             sender=sender if keypair is None else None,
         )
-        self.submit_transaction(tx, on_reply)
+        self.submit_transaction(tx)
         return tx
 
     def execute(

@@ -100,14 +100,10 @@ class SebdbNetwork:
     def single_node(
         cls,
         config: Optional[SebdbConfig] = None,
-        offchain: Optional[OffChainDatabase] = None,
         **kwargs: Any,
     ) -> "SebdbNetwork":
         """One standalone node without consensus (fastest for examples)."""
-        net = cls(num_nodes=1, consensus=None, config=config, **kwargs)
-        if offchain is not None:
-            net.attach_offchain(offchain)
-        return net
+        return cls(num_nodes=1, consensus=None, config=config, **kwargs)
 
     def node(self, index: int = 0) -> FullNode:
         return self.nodes[index]
@@ -211,8 +207,7 @@ class SebdbNetwork:
 
     # -- observers (read scale-out, no consensus seat) ---------------------------
 
-    def add_observer(self, name: str = "observer",
-                     config: Optional[SebdbConfig] = None) -> FullNode:
+    def add_observer(self, name: str = "observer") -> FullNode:
         """Attach a consensus-less follower node.
 
         Observers share the genesis block and catch up (chain-verified,
@@ -222,7 +217,7 @@ class SebdbNetwork:
         """
         observer = FullNode(
             f"observer-{name}",
-            config=config or self._node_config(f"observer-{name}"),
+            config=self._node_config(f"observer-{name}"),
             clock=self.bus.clock,
             genesis=self.nodes[0].store.read_block(0),
         )

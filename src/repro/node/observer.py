@@ -9,9 +9,6 @@ read scale-out node.  After a partition it recovers with anti-entropy.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..common.config import SebdbConfig
 from ..common.errors import CodecError, StorageError
 from ..model.block import Block
 from ..network.bus import MessageBus
@@ -31,14 +28,13 @@ class BlockGossip:
         self,
         node: FullNode,
         bus: MessageBus,
-        fanout: int = 2,
         seed: int = 0,
         announce_commits: bool = False,
     ) -> None:
         self.node = node
         self._pending: dict[int, bytes] = {}
         self.gossip = GossipNode(
-            f"gossip-{node.node_id}", bus, fanout=fanout, seed=seed,
+            f"gossip-{node.node_id}", bus, seed=seed,
             on_rumor=self._on_rumor, validate=self._validate_rumor,
         )
         if announce_commits:
@@ -99,14 +95,12 @@ def make_observer(
     genesis_source: FullNode,
     bus: MessageBus,
     node_id: str = "observer",
-    config: Optional[SebdbConfig] = None,
-    fanout: int = 2,
     seed: int = 0,
 ) -> tuple[FullNode, BlockGossip]:
     """Create a consensus-less node that follows the chain via gossip."""
     observer = FullNode(
-        node_id, config=config,
+        node_id,
         genesis=genesis_source.store.read_block(0),
         clock=bus.clock,
     )
-    return observer, BlockGossip(observer, bus, fanout=fanout, seed=seed)
+    return observer, BlockGossip(observer, bus, seed=seed)

@@ -8,7 +8,6 @@ from .plan import (
     PathChoice,
     PhysicalPlan,
     Planner,
-    choose_access_path,
 )
 from .result import QueryResult
 
@@ -21,7 +20,6 @@ __all__ = [
     "Planner",
     "QueryEngine",
     "QueryResult",
-    "choose_access_path",
     "extract_constraints",
     "predicate_matches",
     "render_plan",

@@ -112,18 +112,3 @@ def resolve_order_index(columns: tuple[str, ...], column: ColumnRef) -> int:
     raise QueryError(
         f"ORDER BY column {column.column!r} is not in the output"
     )
-
-
-def order_rows(
-    rows: list[tuple[Any, ...]],
-    columns: tuple[str, ...],
-    column: ColumnRef,
-    descending: bool,
-) -> list[tuple[Any, ...]]:
-    """Sort materialized rows by one output column (NULLs last)."""
-    index = resolve_order_index(columns, column)
-    return sorted(
-        rows,
-        key=lambda row: (row[index] is None, row[index]),
-        reverse=descending,
-    )

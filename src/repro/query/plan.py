@@ -81,7 +81,6 @@ __all__ = [
     "SelectDecision",
     "TraceDecision",
     "avg_block_size",
-    "choose_access_path",
     "estimate_matching_tuples",
     "finish_pipeline",
     "pick_access_path",
@@ -204,24 +203,6 @@ def rank_access_paths(
         )
     choices.sort(key=path_rank_key)
     return choices
-
-
-def choose_access_path(
-    store: BlockStore,
-    indexes: IndexManager,
-    table: str,
-    constraints: dict[str, RangeConstraint],
-    forced: Optional[AccessPath] = None,
-) -> PathChoice:
-    """Pick scan / bitmap / layered for a single-table select.
-
-    The unforced choice is the head of :func:`rank_access_paths`; ties
-    are broken deterministically by modelled seeks (documented on
-    :func:`path_rank_key`), never by enumeration order.
-    """
-    return pick_access_path(
-        rank_access_paths(store, indexes, table, constraints), table, forced
-    )
 
 
 def pick_access_path(

@@ -32,20 +32,13 @@ class QueryResult:
         self,
         columns: tuple[str, ...],
         rows: Optional[list[tuple[Any, ...]]] = None,
-        transactions: Optional[list[Transaction]] = None,
-        block: Optional[Block] = None,
-        cost: Optional[CostSnapshot] = None,
         access_path: str = "",
         plan: Optional["PhysicalPlan"] = None,
         stream: Optional[Iterator[tuple[Optional[Transaction], tuple]]] = None,
     ) -> None:
         self.columns = tuple(columns)
         self._rows: list[tuple[Any, ...]] = list(rows) if rows is not None else []
-        self._transactions: list[Transaction] = (
-            list(transactions) if transactions is not None else []
-        )
-        self._block = block
-        self._cost = cost
+        self._transactions: list[Transaction] = []
         self.access_path = access_path
         #: the compiled physical plan (with per-operator stats), when the
         #: engine executed through the streaming pipeline
@@ -87,44 +80,23 @@ class QueryResult:
         self._drain()
         return self._rows
 
-    @rows.setter
-    def rows(self, value: list[tuple[Any, ...]]) -> None:
-        self._rows = list(value)
-        self._stream = None
-
     @property
     def transactions(self) -> list[Transaction]:
         self._drain()
         return self._transactions
 
-    @transactions.setter
-    def transactions(self, value: list[Transaction]) -> None:
-        self._transactions = list(value)
-
     @property
     def block(self) -> Optional[Block]:
-        if self._block is not None:
-            return self._block
         if self.plan is not None and self.plan.block_op is not None:
             return self.plan.block_op.block
         return None
 
-    @block.setter
-    def block(self, value: Optional[Block]) -> None:
-        self._block = value
-
     @property
     def cost(self) -> Optional[CostSnapshot]:
         """I/O charged to this query so far (scoped, interleaving-safe)."""
-        if self._cost is not None:
-            return self._cost
         if self.plan is not None:
             return self.plan.tracker.snapshot()
         return None
-
-    @cost.setter
-    def cost(self, value: Optional[CostSnapshot]) -> None:
-        self._cost = value
 
     # -- sequence protocol -------------------------------------------------
 

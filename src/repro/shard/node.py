@@ -39,14 +39,12 @@ from ..consensus.base import ConsensusEngine, ReplyCallback
 from ..crypto.keys import KeyPair
 from ..index.manager import IndexManager
 from ..ledger import CRASH_TORN
-from ..model.block import Block
 from ..model.catalog import Catalog
 from ..model.genesis import make_genesis
 from ..model.transaction import SCHEMA_TNAME, Transaction
 from ..node.access import AccessController
 from ..node.base import SqlNode
 from ..node.fullnode import FullNode
-from ..offchain.adapter import OffChainDatabase
 from ..query.engine import (
     MethodArg,
     QueryEngine,
@@ -76,9 +74,6 @@ class ShardedNode(SqlNode):
         config: Optional[SebdbConfig] = None,
         clock: Optional[Clock] = None,
         keypair: Optional[KeyPair] = None,
-        offchain: Optional[OffChainDatabase] = None,
-        verify_signatures: bool = False,
-        genesis: Optional[Block] = None,
         access: Optional[AccessController] = None,
         consensus_factory: Optional[ConsensusFactory] = None,
     ) -> None:
@@ -90,10 +85,9 @@ class ShardedNode(SqlNode):
         self.router = ShardRouter(
             self.config.num_shards, self.config.shard_placement
         )
-        if genesis is None:
-            # one genesis for every shard: all chains share block 0, so a
-            # one-shard deployment is byte-identical to a FullNode
-            genesis = make_genesis(timestamp=int(self.clock.now_ms()))
+        # one genesis for every shard: all chains share block 0, so a
+        # one-shard deployment is byte-identical to a FullNode
+        genesis = make_genesis(timestamp=int(self.clock.now_ms()))
         self.shards: dict[int, FullNode] = {}
         for sid in self.router.all_shards():
             shard_config = dataclasses.replace(
@@ -112,8 +106,6 @@ class ShardedNode(SqlNode):
                 ),
                 clock=self.clock,
                 keypair=self.keypair,
-                offchain=offchain,
-                verify_signatures=verify_signatures,
                 genesis=genesis,
                 access=access,
             )
@@ -235,12 +227,10 @@ class ShardedNode(SqlNode):
         for sid in sorted(self.shards):
             self.shards[sid].crash()
 
-    def crash_during_next_persist(
-        self, mode: str = CRASH_TORN, shard: int = 0
-    ) -> None:
-        """Arm a one-shot persist crash on ``shard``, dropping the whole
+    def crash_during_next_persist(self, mode: str = CRASH_TORN) -> None:
+        """Arm a one-shot persist crash on shard 0, dropping the whole
         node (all shards) at the fault point."""
-        self.shards[shard].ledger.crash_next_persist(mode, on_crash=self.crash)
+        self.shards[0].ledger.crash_next_persist(mode, on_crash=self.crash)
 
     def crash_during_next_atomic(self, point: str) -> None:
         """Arm a one-shot crash inside the next cross-shard 2PC.

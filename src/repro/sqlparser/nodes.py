@@ -223,10 +223,6 @@ class Select:
     distinct: bool = False
 
     @property
-    def aggregates(self) -> tuple[Aggregate, ...]:
-        return tuple(p for p in self.projection if isinstance(p, Aggregate))
-
-    @property
     def has_aggregates(self) -> bool:
         return any(isinstance(p, Aggregate) for p in self.projection)
 

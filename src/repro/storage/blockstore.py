@@ -39,11 +39,10 @@ class BlockStore:
     def __init__(
         self,
         config: Optional[SebdbConfig] = None,
-        cost: Optional[CostModel] = None,
         trusted_checkpoint: Optional[tuple[int, bytes]] = None,
     ) -> None:
         self.config = config or SebdbConfig.in_memory()
-        self.cost = cost or CostModel()
+        self.cost = CostModel()
         self._segments = SegmentStore(
             self.config.data_dir, self.config.segment_file_size
         )

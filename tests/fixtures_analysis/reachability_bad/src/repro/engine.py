@@ -1,0 +1,25 @@
+class Base:
+    def __init__(self, size, limit=8):
+        self.size = size
+        self.limit = limit
+
+
+class Engine(Base):
+    def __init__(self, size, depth=2, mode="fast"):
+        super().__init__(size)
+        self.depth = depth
+        self.mode = mode
+
+    @classmethod
+    def small(cls):
+        return cls(1)
+
+    def run(self):
+        return self.size * self.depth
+
+    def orphan(self):
+        return self.mode
+
+
+def open_engine(**options):
+    return Engine(**options)

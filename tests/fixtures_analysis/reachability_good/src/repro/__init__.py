@@ -1,0 +1,7 @@
+"""Clean twin of ``reachability_bad``: every definition is named by a root
+and every defaulted parameter is passed - through a target-list string,
+``super().__init__(x)``, ``cls(x)`` or ``**kwargs`` forwarding."""
+
+from .engine import Engine, open_engine
+
+__all__ = ["Engine", "open_engine"]

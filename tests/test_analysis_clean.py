@@ -1,8 +1,8 @@
 """The static-analysis suite gates the tree: zero diagnostics, forever.
 
 If a test here fails, either new code broke the determinism / layering /
-fault-path / query-boundary / commit-path / concurrency / lifecycle
-contract, or a shipped fix regressed.  Run ``python -m tools.analysis``
+fault-path / query-boundary / commit-path / concurrency / lifecycle /
+reachability contract, or a shipped fix regressed.  Run ``python -m tools.analysis``
 locally for the same diagnostics CI shows.
 """
 
@@ -24,7 +24,7 @@ from tools.analysis.rules.determinism import DeterminismRule  # noqa: E402
 
 EXPECTED_RULES = {
     "determinism", "layering", "fault-path", "query-boundary", "commit-path",
-    "concurrency", "lifecycle",
+    "concurrency", "lifecycle", "reachability",
 }
 
 

@@ -269,6 +269,69 @@ class TestCommitPathRule:
         assert len(diags) == 1 and diags[0].line == 2
 
 
+# -- reachability ------------------------------------------------------------
+
+def _findings(tree: str) -> list[tuple[str, int, str]]:
+    """(file, line, subject) per finding; subject is the backquoted name."""
+    return [
+        (Path(d.path).name, d.line, d.message.split("`")[1])
+        for d in run_analysis(FIXTURES / tree, ["reachability"])
+    ]
+
+
+class TestReachabilityRule:
+    def test_bad_tree_reports_dead_definitions_and_unpassed_parameters(self):
+        assert _findings("reachability_bad") == [
+            ("engine.py", 2, "limit"),        # super().__init__(size)
+            ("engine.py", 8, "depth"),        # cls(1), open_engine(size=3)
+            ("engine.py", 8, "mode"),         # nor through **options
+            ("engine.py", 20, "Engine.orphan"),
+            ("helpers.py", 1, "reexported"),  # a subpackage re-export only
+            ("helpers.py", 5, "traced"),
+        ]
+
+    def test_dead_and_unpassed_are_told_apart(self):
+        messages = [
+            d.message
+            for d in run_analysis(FIXTURES / "reachability_bad", ["reachability"])
+        ]
+        assert sum("is unreachable" in m for m in messages) == 3
+        assert sum("no call site passes" in m for m in messages) == 3
+
+    def test_good_twin_reaches_everything(self):
+        # a target-list string reaches `traced` and `Engine.orphan`,
+        # super().__init__(size, 4) passes `limit`, cls(1, 3) passes
+        # `depth`, and open_engine(mode=...) forwards `mode` via **options
+        assert run_analysis(FIXTURES / "reachability_good", ["reachability"]) == []
+
+    def test_keep_entry_excuses_a_parameter_and_a_stale_one_is_reported(
+        self, monkeypatch
+    ):
+        from tools.analysis import policy
+
+        monkeypatch.setattr(policy, "REACHABILITY_KEEP_PARAMS", {
+            "engine.py::Base.__init__(limit)": "deployment setting",
+            "engine.py::Engine.run(speed)": "no such parameter",
+        })
+        findings = _findings("reachability_bad")
+        assert ("engine.py", 2, "limit") not in findings
+        stale = [f for f in findings if f[0] == "policy.py"]
+        assert len(stale) == 1 and "Engine.run(speed)" in stale[0][2]
+
+    def test_a_tree_without_entry_points_is_not_judged(self, tmp_path):
+        module = tmp_path / "src" / "repro" / "node" / "sample.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("def f(x=1):\n    return x\n")
+        assert run_analysis(tmp_path, ["reachability"]) == []
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_sample.py").write_text(
+            "from repro.node.sample import f\n\ndef test_f():\n    f()\n"
+        )
+        assert [d.message.split("`")[1] for d in run_analysis(
+            tmp_path, ["reachability"]
+        )] == ["x"]
+
+
 # -- diagnostics -------------------------------------------------------------
 
 def test_diagnostic_rendering():

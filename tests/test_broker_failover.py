@@ -61,13 +61,32 @@ def make_cluster(num_brokers=3, seed=0, **kwargs):
 
 class TestClusterTopology:
     def test_single_broker_keeps_legacy_topology(self):
-        """num_brokers=1 must register no extra bus endpoints, so every
-        existing single-broker run stays byte-identical."""
+        """One broker is a cluster of one: the facade registers its
+        redirect endpoint as any cluster does, the broker leads from the
+        start, and it orders, delivers and acks as the single-broker
+        pipeline always has (times pinned from before the special case
+        was removed)."""
         bus = MessageBus(seed=1)
-        orderer = KafkaOrderer(bus)
+        orderer = KafkaOrderer(bus, batch_txs=2, timeout_ms=50.0)
         assert orderer.broker_ids == [BROKER_ID]
-        assert ORDERER_ID not in bus.node_ids
-        assert [n for n in bus.node_ids if n.startswith("kafka")] == [BROKER_ID]
+        assert [n for n in bus.node_ids if n.startswith("kafka")] == [
+            BROKER_ID, ORDERER_ID,
+        ]
+        assert orderer.leader_id == BROKER_ID
+        batches, acks = [], []
+        orderer.register_replica(
+            "n0", lambda batch: batches.append([tx.ts for tx in batch])
+        )
+        for i in range(5):
+            orderer.submit(Transaction.create("t", (i,), ts=i, sender="c"),
+                           on_reply=acks.append)
+        bus.run_until_idle()
+        orderer.flush()
+        bus.run_until_idle()
+        assert batches == [[0, 1], [2, 3], [4]]
+        assert acks == [7.5, 7.5, 13.0, 13.0, 57.25]
+        assert (orderer.stats.messages, bus.messages_sent) == (8, 10)
+        assert orderer.stats.elections == orderer.stats.redirects == 0
 
     def test_replicated_topology(self):
         bus, orderer, _ = make_cluster(3, seed=2)

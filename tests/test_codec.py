@@ -255,20 +255,57 @@ class TestTransactionDecoder:
 
     @pytest.mark.parametrize("site", ["tid", "ts", "value"])
     def test_varint_cap_matches_reader(self, site):
-        """A zero spelt in 147 bytes decodes, in 148 it is refused - at
+        """A value spelt in 147 bytes decodes, in 148 it is refused - at
         every varint the kernel reads inline."""
         def spelled(continuation):
-            long_zero = b"\x80" * continuation + b"\x00"
-            tid = long_zero if site == "tid" else b"\x00"
-            ts = long_zero if site == "ts" else b"\x00"
-            values = b"\x01\x03" + long_zero if site == "value" else b"\x00"
+            long_one = b"\x80" * continuation + b"\x01"
+            tid = long_one if site == "tid" else b"\x00"
+            ts = long_one if site == "ts" else b"\x00"
+            values = b"\x01\x03" + long_one if site == "value" else b"\x00"
             return tid + ts + b"\x00" * 5 + values
 
         tx = Transaction.from_bytes(spelled(146))
-        assert (tx.tid, tx.ts) == (0, 0)
-        assert tx.values == ((0,) if site == "value" else ())
+        assert tx == reference_decode(spelled(146))
+        assert tx.to_bytes() == spelled(146)  # minimal, so canonical
         with pytest.raises(CodecError, match="too long"):
             Transaction.from_bytes(spelled(147))
+
+    @pytest.mark.parametrize("site", ["tid", "ts", "length", "int"])
+    def test_non_minimal_varints_are_refused(self, site):
+        """A number spelt with a trailing zero byte (``86 00`` for 6) is
+        refused by the kernel and the reference with the same error."""
+        tx = Transaction.create("donate", ("a", 7), ts=1, sender="org1")
+        raw = tx.with_tid(3).to_bytes()
+        minimal, longer = {
+            "tid": (b"\x06\x01", b"\x86\x00\x01"),   # zig-zag 3, then ts
+            "ts": (b"\x06\x01", b"\x06\x81\x00"),
+            "length": (b"\x04org1", b"\x84\x00org1"),  # senid's length
+            "int": (b"\x03\x0e", b"\x03\x8e\x00"),    # the value 7
+        }[site]
+        assert raw.count(minimal) == 1
+        assert Transaction.from_bytes(raw) == tx.with_tid(3)
+        bad = raw.replace(minimal, longer)
+        with pytest.raises(CodecError, match="non-minimal varint") as kernel:
+            Transaction.from_bytes(bad)
+        with pytest.raises(CodecError) as reference:
+            reference_decode(bad)
+        assert str(kernel.value) == str(reference.value)
+        if site != "int":  # the prefix walker stops before the values
+            with pytest.raises(CodecError, match="non-minimal varint"):
+                Transaction.wire_prefix(bad)
+
+    def test_block_with_an_over_long_tid_is_refused(self):
+        """Before the rule a block whose record spelt its tid in two bytes
+        decoded, and passed ``verify_trans_root`` on the re-encoding."""
+        tx = Transaction.create("donate", ("a",), ts=1, sender="org1").with_tid(3)
+        raw = Block.package(GENESIS_PREV_HASH, 0, 5, [tx]).to_bytes()
+        record = tx.to_bytes()
+        longer = b"\x86\x00" + record[1:]
+        framed = bytes([len(record)]) + record
+        assert raw.count(framed) == 1
+        bad = raw.replace(framed, bytes([len(longer)]) + longer)
+        with pytest.raises(CodecError, match="non-minimal varint"):
+            Block.from_bytes(bad)
 
     @pytest.mark.parametrize("data", [
         b"", b"\x80" * 147 + b"\x00", b"\x00\x00\x00\x00\x00\x00\x00\x01\x09",

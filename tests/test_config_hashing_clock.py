@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock
 from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError
 from repro.common.hashing import (
@@ -96,13 +96,3 @@ class TestClock:
         values = [clock.next_seq() for _ in range(5)]
         assert values == sorted(values)
         assert len(set(values)) == 5
-
-    def test_wall_clock_moves_forward(self):
-        clock = WallClock()
-        first = clock.now_ms()
-        assert clock.now_ms() >= first
-
-    def test_wall_clock_advance_is_noop(self):
-        clock = WallClock()
-        clock.advance(1_000_000)
-        assert clock.now_ms() < 1_000_000

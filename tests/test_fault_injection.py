@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import NetworkError
 from repro.consensus import BYZ_EQUIVOCATE, BYZ_SILENT, PBFTCluster
+from repro.faults import ChaosController, FaultSchedule
 from repro.model import Transaction
 from repro.network import GossipNode, MessageBus
 
@@ -206,6 +207,26 @@ class TestPBFTChaosScenarios:
         delivered = [ts for batch in chains[1] for ts in batch]
         assert sorted(delivered) == list(range(16))
         assert len(delivered) == len(set(delivered))
+
+    def test_scheduled_byzantine_toggle_reaches_the_replica(self):
+        bus, cluster, chains = self.build()
+        schedule = (
+            FaultSchedule()
+            .byzantine(10.0, 3, mode=BYZ_EQUIVOCATE)
+            .heal_byzantine(100.0, 3)
+        )
+        ChaosController(bus, schedule, engine=cluster).arm()
+        bus.run_for(50.0)
+        assert cluster.replicas[3].byzantine == BYZ_EQUIVOCATE
+        for i in range(8):
+            cluster.submit(make_tx(i))
+        bus.run_until_idle()
+        cluster.flush()
+        bus.run_until_idle()
+        assert cluster.replicas[3].byzantine is None
+        # one equivocating replica of four (f = 1) cannot stop agreement
+        assert chains[0] == chains[1] == chains[2]
+        assert sorted(ts for b in chains[0] for ts in b) == list(range(8))
 
     def test_asymmetric_partition_converges_after_heal(self):
         bus, cluster, chains = self.build(request_timeout_ms=2_000.0)

@@ -1,9 +1,9 @@
-"""Tests for the message bus, gossip and failure detection."""
+"""Tests for the message bus and gossip."""
 
 import pytest
 
 from repro.common.errors import NetworkError
-from repro.network import FailureDetector, GossipNode, MessageBus
+from repro.network import GossipNode, MessageBus
 
 
 class TestMessageBus:
@@ -143,36 +143,3 @@ class TestGossip:
         nodes[0].publish("x", 1)
         bus.run_until_idle()
         assert learned.count("x") == 5  # each node learns exactly once
-
-
-class TestFailureDetector:
-    def test_all_alive_with_heartbeats(self):
-        bus = MessageBus(latency_ms=1.0, jitter_ms=0.0)
-        detectors = {}
-        for name in ("a", "b"):
-            def handler(src, msg, me=name):
-                detectors[me].observe(src, msg)
-            bus.register(name, handler)
-        for name in ("a", "b"):
-            detectors[name] = FailureDetector(name, bus, interval_ms=10.0)
-            detectors[name].start()
-        bus.run_for(100.0)
-        for detector in detectors.values():
-            detector.stop()
-        bus.run_until_idle()
-        assert detectors["a"].suspected() == set()
-        assert detectors["b"].alive() == {"a"}
-
-    def test_silent_node_suspected(self):
-        bus = MessageBus(latency_ms=1.0, jitter_ms=0.0)
-        seen = {}
-        def handler_a(src, msg):
-            fd.observe(src, msg)
-        bus.register("a", handler_a)
-        bus.register("silent", lambda s, m: None)
-        fd = FailureDetector("a", bus, interval_ms=10.0, suspect_after=3)
-        fd.start()
-        bus.run_for(100.0)
-        fd.stop()
-        bus.run_until_idle()
-        assert "silent" in fd.suspected()

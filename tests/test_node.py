@@ -158,6 +158,70 @@ class TestAccessControl:
             node.insert("donate", ("J", 1.0), sender="intruder")
 
 
+class TestChannelScopedReads:
+    """``query(..., channel_member=m)`` admits a read only when ``m`` may
+    read every table the statement touches."""
+
+    def make_access(self) -> AccessController:
+        access = AccessController()
+        access.create_channel("private", members={"alice"}, tables={"secret"})
+        return access
+
+    def load(self, node) -> None:
+        node.create_table("CREATE secret (v int)")
+        node.create_table("CREATE open (v int)")
+        node.insert("secret", (1,), sender="alice")
+        node.insert("open", (2,), sender="bob")
+
+    def full_node(self) -> FullNode:
+        node = FullNode("n0", access=self.make_access())
+        self.load(node)
+        return node
+
+    def test_member_reads_protected_table(self):
+        node = self.full_node()
+        result = node.query("SELECT v FROM secret", channel_member="alice")
+        assert result.rows == [(1,)]
+
+    def test_non_member_is_denied(self):
+        node = self.full_node()
+        with pytest.raises(AccessDenied):
+            node.query("SELECT v FROM secret", channel_member="bob")
+
+    def test_unprotected_table_stays_readable(self):
+        node = self.full_node()
+        result = node.query("SELECT v FROM open", channel_member="bob")
+        assert result.rows == [(2,)]
+
+    def test_explain_is_checked_like_the_statement_it_wraps(self):
+        node = self.full_node()
+        with pytest.raises(AccessDenied):
+            node.query("EXPLAIN SELECT v FROM secret", channel_member="bob")
+        assert node.query(
+            "EXPLAIN SELECT v FROM secret", channel_member="alice"
+        ).rows
+
+    def test_two_shard_node_checks_reads_too(self):
+        from repro.common.config import SebdbConfig
+        from repro.shard import ShardedNode
+
+        node = ShardedNode(
+            "s0", config=SebdbConfig.in_memory(num_shards=2),
+            access=self.make_access(),
+        )
+        self.load(node)
+        assert node.query(
+            "SELECT v FROM secret", channel_member="alice"
+        ).rows == [(1,)]
+        assert node.query(
+            "SELECT v FROM open", channel_member="bob"
+        ).rows == [(2,)]
+        with pytest.raises(AccessDenied):
+            node.query("SELECT v FROM secret", channel_member="bob")
+        with pytest.raises(AccessDenied):
+            node.query("EXPLAIN SELECT v FROM secret", channel_member="bob")
+
+
 class TestSmartContracts:
     def make_node(self) -> FullNode:
         node = FullNode("n0")

@@ -25,7 +25,6 @@ from repro.query.operators import extract_constraints
 from repro.query.optimizer import rank_sharded_select
 from repro.query.plan import (
     PathChoice,
-    choose_access_path,
     path_rank_key,
     rank_access_paths,
 )
@@ -108,7 +107,7 @@ class TestDeterministicRanking:
         store, _catalog, indexes = build_tiny_chain(
             schema, [[(i,), (i + 1,)] for i in range(6)]
         )
-        choice = choose_access_path(store, indexes, "solo", {})
+        choice = rank_access_paths(store, indexes, "solo", {})[0]
         assert choice.path is AccessPath.BITMAP
         assert choice.est_seeks < store.height
 
@@ -132,11 +131,11 @@ class TestDeterministicRanking:
         assert layered[0].est_cost_ms == layered[1].est_cost_ms
         assert [c.index.column for c in layered] == ["a", "b"]
         # and the overall choice is deterministic
-        assert choose_access_path(
+        assert rank_access_paths(
             store, indexes, "pair", dict(constraints)
-        ).index.column == choose_access_path(
+        )[0].index.column == rank_access_paths(
             store, indexes, "pair", dict(constraints)
-        ).index.column
+        )[0].index.column
 
 
 # -- the EXPLAIN candidate waterfall -----------------------------------------

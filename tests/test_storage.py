@@ -365,10 +365,16 @@ class TestWirePrefixHostileBytes:
             Transaction.wire_prefix(head + b"\x80" * 147 + b"\x00" * 8)
         with pytest.raises(CodecError, match="too long"):
             Reader(head + b"\x80" * 147 + b"\x00", lead).read_varint()
-        ok = head + b"\x80" * 146 + b"\x00" * 8
-        assert Reader(ok, lead).read_varint() == 0
-        # a zero spelt in 147 bytes, then empty fields up to tname
-        assert Transaction.wire_prefix(ok) == (b"", b"")
+        ok = head + b"\x80" * 146 + b"\x01" + b"\x00" * 7
+        assert Reader(ok, lead).read_varint() == 1 << 1022
+        if lead == 0:  # a huge tid, then empty fields up to tname
+            assert Transaction.wire_prefix(ok) == (b"", b"")
+        else:  # a huge length runs past the buffer
+            with pytest.raises(CodecError, match="underflow"):
+                Transaction.wire_prefix(ok)
+        # a zero spelt in 147 bytes is not minimal
+        with pytest.raises(CodecError, match="non-minimal varint"):
+            Transaction.wire_prefix(head + b"\x80" * 146 + b"\x00" * 8)
 
     def test_lengths_past_the_end(self):
         tx = Transaction.create("donate", ("a",), ts=1, sender="org1").with_tid(3)

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.analysis",
         description="SEBDB static analysis: determinism, layering, "
         "fault-path discipline, query boundaries, call-graph concurrency "
-        "and lifecycle checks.",
+        "and lifecycle checks, and reachability (dead code, unpassed "
+        "defaults).",
     )
     parser.add_argument(
         "root", nargs="?", type=Path, default=DEFAULT_ROOT,

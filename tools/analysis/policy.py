@@ -205,3 +205,21 @@ COMMIT_PATH_ALLOWED: tuple = ("ledger/",)
 
 #: store methods that admit a block into the chain
 COMMIT_METHODS: frozenset = frozenset({"append_block"})
+
+# -- reachability ------------------------------------------------------------
+
+#: directories (relative to the repo root) whose every file is a root
+REACHABILITY_ROOT_DIRS: tuple = ("examples", "benchmarks", "tools", "tests")
+
+#: src/repro modules that are entry points as a whole
+REACHABILITY_ROOT_MODULES: tuple = ("cli.py", "__main__.py")
+
+#: ``"<relpath>::<Class.method>(<param>)"`` -> why the parameter stays
+#: although no call site in the repository passes it.  Only deployment
+#: settings belong here: values a user sets and the repository does not.
+REACHABILITY_KEEP_PARAMS: dict = {
+    "node/network.py::SebdbNetwork.single_node(config)": (
+        "deployment setting: where a single node keeps its chain "
+        "(data_dir), its cache and block sizes"
+    ),
+}

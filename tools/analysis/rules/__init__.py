@@ -8,6 +8,7 @@ from . import (
     layering,
     lifecycle,
     query_boundary,
+    reachability,
 )
 
 __all__ = [
@@ -18,4 +19,5 @@ __all__ = [
     "layering",
     "lifecycle",
     "query_boundary",
+    "reachability",
 ]
