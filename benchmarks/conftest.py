@@ -50,7 +50,7 @@ def save_operator_breakdown(
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     columns = ("operator", "rows_in", "rows_out", "seeks",
-               "page_transfers", "modelled_ms", "wall_ms")
+               "page_transfers", "modelled_ms")
     lines = [f"# {title}", "method\t" + "\t".join(columns)]
     for method, rows in breakdowns.items():
         for row in rows:
@@ -61,7 +61,7 @@ def save_operator_breakdown(
                 method, label,
                 str(row["rows_in"]), str(row["rows_out"]),
                 str(row["seeks"]), str(row["page_transfers"]),
-                f"{row['modelled_ms']:.3f}", f"{row['wall_ms']:.3f}",
+                f"{row['modelled_ms']:.3f}",
             ]))
     (RESULTS_DIR / f"{name}.tsv").write_text("\n".join(lines) + "\n")
 

@@ -23,7 +23,7 @@ from ..model.transaction import Transaction, schema_sync_transaction
 from ..query.engine import MethodArg
 from ..query.result import QueryResult
 from ..sqlparser import nodes
-from ..sqlparser.parser import bind, parse
+from ..sqlparser.parser import parse, prepare
 from .access import AccessController
 
 
@@ -102,9 +102,7 @@ class SqlNode:
     ) -> Optional[QueryResult]:
         """One-stop SQL entry point: routes writes to consensus, reads to
         :meth:`query`.  Returns ``None`` for writes (they commit async)."""
-        statement = parse(sql)
-        if params:
-            statement = bind(statement, tuple(params))
+        statement = prepare(sql, params)
         if isinstance(statement, nodes.CreateTable):
             self.create_table(sql, keypair=keypair)
             return None
@@ -122,9 +120,7 @@ class SqlNode:
         channel_member: Optional[str],
     ) -> nodes.Statement:
         """Parse and bind a read, and check the member may read its tables."""
-        statement = parse(sql) if isinstance(sql, str) else sql
-        if params:
-            statement = bind(statement, tuple(params))
+        statement = prepare(sql, params)
         if self.access is not None and channel_member is not None:
             for table in _tables_of(statement):
                 self.access.check_read(channel_member, table)

@@ -33,7 +33,7 @@ from ..offchain.adapter import OffChainDatabase
 from ..query.engine import MethodArg
 from ..query.result import QueryResult
 from ..sqlparser import nodes
-from ..sqlparser.parser import bind, parse
+from ..sqlparser.parser import prepare
 from .fullnode import FullNode
 
 
@@ -141,9 +141,7 @@ class SebdbNetwork:
     ) -> Optional[QueryResult]:
         """Run one statement.  Writes are submitted (CREATE also commits so
         follow-up INSERTs validate); reads execute on ``node``."""
-        statement = parse(sql)
-        if params:
-            statement = bind(statement, tuple(params))
+        statement = prepare(sql, params)
         if isinstance(statement, nodes.CreateTable):
             self.nodes[node].create_table(sql, keypair=keypair)
             self.commit()

@@ -26,7 +26,7 @@ from ..index.manager import IndexManager
 from ..model.catalog import Catalog
 from ..offchain.adapter import OffChainDatabase
 from ..sqlparser import nodes
-from ..sqlparser.parser import bind, parse
+from ..sqlparser.parser import prepare
 from ..storage.blockstore import BlockStore
 from .logical import LScan
 from .optimizer import Optimizer
@@ -63,7 +63,9 @@ def run_plan(plan: PhysicalPlan, stream: bool = False) -> QueryResult:
 def explain_plan(plan: PhysicalPlan, analyze: bool) -> QueryResult:
     """Render a compiled plan as EXPLAIN [ANALYZE] output."""
     if analyze:
-        # run the statement to completion, then annotate the tree
+        # time every pull, run the statement to completion, then annotate
+        for op in plan.operators():
+            op.timed = True
         for _ in plan.root.execute():
             pass
     return QueryResult(
@@ -117,10 +119,7 @@ class QueryEngine:
         operator pipeline as the result is iterated, and a consumer that
         stops early stops the underlying block reads too.
         """
-        if isinstance(statement, str):
-            statement = parse(statement)
-        if params:
-            statement = bind(statement, tuple(params))
+        statement = prepare(statement, params)
         resolved = _resolve_method(method)
         if isinstance(statement, nodes.Explain):
             return explain_plan(
@@ -145,10 +144,7 @@ class QueryEngine:
         method: MethodArg = None,
     ) -> PhysicalPlan:
         """Compile a read statement to its physical plan without running it."""
-        if isinstance(statement, str):
-            statement = parse(statement)
-        if params:
-            statement = bind(statement, tuple(params))
+        statement = prepare(statement, params)
         if isinstance(statement, nodes.Explain):
             statement = statement.statement
         return self._optimizer.plan(statement, _resolve_method(method))
@@ -164,10 +160,7 @@ class QueryEngine:
         planner's view of eqs (1)-(3).  (``EXPLAIN <stmt>`` renders the
         full operator tree; this older API reports path selection only.)
         """
-        if isinstance(statement, str):
-            statement = parse(statement)
-        if params:
-            statement = bind(statement, tuple(params))
+        statement = prepare(statement, params)
         if isinstance(statement, nodes.Explain):
             statement = statement.statement
         if not isinstance(statement, nodes.Select):

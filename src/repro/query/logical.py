@@ -38,6 +38,7 @@ from .operators import (
     RangeConstraint,
     extract_constraints,
     pseudo_schema,
+    qualifier_side,
     resolve_join_side,
 )
 
@@ -180,21 +181,22 @@ def align_join_columns(
     """Return (left table's join column, right table's join column)."""
     assert stmt.join_on is not None
     a, b = stmt.join_on
-    names = {left_ref.effective_name: "left", right_ref.effective_name: "right"}
-    side_a = names.get(a.table or "", None)
-    side_b = names.get(b.table or "", None)
-    if side_a == "right" or side_b == "left":
+    if (qualifier_side(a.table, left_ref, right_ref) == 1
+            or qualifier_side(b.table, left_ref, right_ref) == 0):
         a, b = b, a
     return a.column, b.column
 
 
 def predicate_side(
-    predicate: nodes.Predicate, left: TableSchema, right: TableSchema
+    predicate: nodes.Predicate,
+    left: TableSchema,
+    right: TableSchema,
+    refs: tuple[nodes.TableRef, nodes.TableRef],
 ) -> str:
     """Which join side an entire predicate subtree can be evaluated on."""
     if isinstance(predicate, (nodes.Comparison, nodes.Between)):
-        return resolve_join_side(predicate.column, left, right)
-    sides = {predicate_side(p, left, right) for p in predicate.parts}
+        return resolve_join_side(predicate.column, left, right, refs)
+    sides = {predicate_side(p, left, right, refs) for p in predicate.parts}
     if sides == {"left"}:
         return "left"
     if sides == {"right"}:
@@ -210,6 +212,7 @@ def split_join_where(
     where: Optional[nodes.Predicate],
     left: TableSchema,
     right: TableSchema,
+    refs: tuple[nodes.TableRef, nodes.TableRef],
 ) -> tuple[
     Optional[nodes.Predicate],
     Optional[nodes.Predicate],
@@ -226,7 +229,7 @@ def split_join_where(
         "left": [], "right": [], "residual": []
     }
     for atom in nodes.conjuncts(where):
-        side = predicate_side(atom, left, right)
+        side = predicate_side(atom, left, right, refs)
         buckets[side if side in ("left", "right") else "residual"].append(atom)
     return (
         and_of(buckets["left"]) if buckets["left"] else None,
@@ -315,7 +318,7 @@ def _lower_join(
         left = catalog.get(left_ref.name)
         right = catalog.get(right_ref.name)
         left_pred, right_pred, residual = split_join_where(
-            stmt.where, left, right
+            stmt.where, left, right, (left_ref, right_ref)
         )
         join: Union[LScan, LOffScan, LJoin] = LJoin(
             kind="onchain",
@@ -339,7 +342,7 @@ def _lower_join(
         off_columns = tuple(offchain.columns(off_ref.name))
         off_schema = pseudo_schema(off_ref.name, off_columns)
         on_pred, off_pred, residual = split_join_where(
-            stmt.where, schema, off_schema
+            stmt.where, schema, off_schema, (on_ref, off_ref)
         )
         if off_pred is not None:
             # off-chain-side predicates stay residual (the local RDBMS is

@@ -21,6 +21,7 @@ from ..sqlparser.nodes import (
     CompareOp,
     Or,
     Predicate,
+    TableRef,
     conjuncts,
 )
 
@@ -112,29 +113,31 @@ def pair_matches(
     lschema: TableSchema,
     rtx: Transaction,
     rschema: TableSchema,
+    refs: tuple[TableRef, TableRef],
 ) -> bool:
     """Evaluate a residual WHERE over a joined (left, right) pair.
 
-    Columns resolve by table qualifier first, then by which side declares
-    the name; a name both sides declare must be qualified (system columns
+    Columns resolve by qualifier first (:func:`qualifier_side` over the
+    join's two FROM entries ``refs``), then by which side declares the
+    name; a name both sides declare must be qualified (system columns
     default to the left/on-chain side).
     """
     if isinstance(predicate, And):
         return all(
-            pair_matches(p, ltx, lschema, rtx, rschema)
+            pair_matches(p, ltx, lschema, rtx, rschema, refs)
             for p in predicate.parts
         )
     if isinstance(predicate, Or):
         return any(
-            pair_matches(p, ltx, lschema, rtx, rschema)
+            pair_matches(p, ltx, lschema, rtx, rschema, refs)
             for p in predicate.parts
         )
     column = predicate.column  # Comparison | Between
-    side = resolve_join_side(column, lschema, rschema)
+    side = resolve_join_side(column, lschema, rschema, refs)
     if side == "residual":
         raise QueryError(
             f"ambiguous column {column.column!r} in join WHERE - "
-            f"qualify it with a table name"
+            f"qualify it with a table alias or name"
         )
     if side == "none":
         raise QueryError(
@@ -144,8 +147,26 @@ def pair_matches(
     return predicate_matches(tx, predicate, schema)
 
 
+def qualifier_side(
+    qualifier: Optional[str], left: TableRef, right: TableRef
+) -> Optional[int]:
+    """The join side (0 left, 1 right) a column qualifier names: an alias
+    first, then a table name.  ``None`` when it names neither side or
+    both (a self-join qualified by its table name)."""
+    if qualifier is not None:
+        for lname, rname in ((left.alias, right.alias), (left.name, right.name)):
+            if qualifier == lname != rname:
+                return 0
+            if qualifier == rname != lname:
+                return 1
+    return None
+
+
 def resolve_join_side(
-    column: ColumnRef, lschema: TableSchema, rschema: TableSchema
+    column: ColumnRef,
+    lschema: TableSchema,
+    rschema: TableSchema,
+    refs: tuple[TableRef, TableRef],
 ) -> str:
     """Which join side a column reference belongs to.
 
@@ -155,10 +176,9 @@ def resolve_join_side(
     """
     from ..model.schema import SYSTEM_COLUMN_NAMES
 
-    if column.table == lschema.name and lschema.has_column(column.column):
-        return "left"
-    if column.table == rschema.name and rschema.has_column(column.column):
-        return "right"
+    side = qualifier_side(column.table, *refs)
+    if side is not None and (lschema, rschema)[side].has_column(column.column):
+        return ("left", "right")[side]
     if lschema.has_column(column.column) and rschema.has_column(column.column):
         return "left" if column.column in SYSTEM_COLUMN_NAMES else "residual"
     if lschema.has_column(column.column):

@@ -3,11 +3,11 @@
 Every read statement compiles to a tree of :class:`PhysicalOperator`
 nodes; execution pulls rows through generator pipelines, so upstream I/O
 stops the moment a downstream operator (``Limit``, a consumed stream)
-stops pulling.  Each operator keeps its own counters - rows in/out,
-seeks, page transfers, modelled milliseconds and wall-clock - which
-``EXPLAIN ANALYZE`` renders and which sum exactly to the query-scoped
-:class:`~repro.storage.costmodel.CostTracker` (leaf operators charge both
-their own tracker and the query tracker through one
+stops pulling.  Each operator counts its rows out and keeps its seeks,
+page transfers and modelled milliseconds, which ``EXPLAIN ANALYZE``
+renders (with wall-clock, timed for it alone) and which sum exactly to the
+query-scoped :class:`~repro.storage.costmodel.CostTracker` (leaf operators
+charge their own tracker and the query tracker through one
 :class:`~repro.storage.scan.StoreScanner`).
 
 Element types flowing between operators:
@@ -57,11 +57,16 @@ def in_window(tx: Transaction, window: Optional[TimeWindow]) -> bool:
 class OperatorStats:
     """Per-operator execution counters (EXPLAIN ANALYZE)."""
 
-    rows_in: int = 0
     rows_out: int = 0
     #: inclusive wall-clock (children are pulled inside this operator)
     wall_ms: float = 0.0
     tracker: Optional[CostTracker] = None
+    #: the children's stats: rows in are exactly the rows they yielded
+    inputs: tuple["OperatorStats", ...] = ()
+
+    @property
+    def rows_in(self) -> int:
+        return sum(stats.rows_out for stats in self.inputs)
 
     @property
     def seeks(self) -> int:
@@ -83,9 +88,10 @@ class PhysicalOperator:
 
     def __init__(self, children: Sequence["PhysicalOperator"] = ()) -> None:
         self.children = tuple(children)
-        self.stats = OperatorStats()
+        self.stats = OperatorStats(inputs=tuple(c.stats for c in self.children))
         self.est_rows: Optional[int] = None
         self.est_cost_ms: Optional[float] = None
+        self.timed = False
 
     # -- contract ----------------------------------------------------------
 
@@ -97,41 +103,31 @@ class PhysicalOperator:
         raise NotImplementedError
 
     def execute(self) -> Iterator[Any]:
-        """Pull rows, accounting wall-clock and output cardinality."""
+        """Pull rows, counting output cardinality (and timing each pull
+        into ``stats.wall_ms`` once EXPLAIN ANALYZE has set ``timed``)."""
+        stats = self.stats
+        for item in self._timed_rows() if self.timed else self._rows():
+            stats.rows_out += 1
+            yield item
+
+    def _timed_rows(self) -> Iterator[Any]:
         # wall_ms is observability-only (EXPLAIN ANALYZE); it never feeds
         # back into simulated time, event order, or any replayed state
-        iterator = self._rows()
+        stats, iterator = self.stats, self._rows()
         while True:
             t0 = time.perf_counter()  # sebdb: allow[determinism] stats only
             try:
                 item = next(iterator)
             except StopIteration:
-                self.stats.wall_ms += (time.perf_counter() - t0) * 1000.0  # sebdb: allow[determinism] stats only
+                stats.wall_ms += (time.perf_counter() - t0) * 1000.0  # sebdb: allow[determinism] stats only
                 return
-            self.stats.wall_ms += (time.perf_counter() - t0) * 1000.0  # sebdb: allow[determinism] stats only
-            self.stats.rows_out += 1
-            yield item
-
-    def _pull(self, child: "PhysicalOperator") -> Iterator[Any]:
-        """Consume a child, counting this operator's input rows."""
-        for item in child.execute():
-            self.stats.rows_in += 1
+            stats.wall_ms += (time.perf_counter() - t0) * 1000.0  # sebdb: allow[determinism] stats only
             yield item
 
     def walk(self, depth: int = 0) -> Iterator[tuple[int, "PhysicalOperator"]]:
         yield depth, self
         for child in self.children:
             yield from child.walk(depth + 1)
-
-    def total_cost(self) -> tuple[int, int, float]:
-        """(seeks, page transfers, modelled ms) summed over the subtree."""
-        seeks = pages = 0
-        modelled = 0.0
-        for _depth, op in self.walk():
-            seeks += op.stats.seeks
-            pages += op.stats.page_transfers
-            modelled += op.stats.modelled_ms
-        return seeks, pages, modelled
 
 
 class _LeafOperator(PhysicalOperator):
@@ -391,7 +387,7 @@ class Filter(PhysicalOperator):
         return self._label
 
     def _rows(self) -> Iterator[Any]:
-        for item in self._pull(self.children[0]):
+        for item in self.children[0].execute():
             if self._accept(item):
                 yield item
 
@@ -418,7 +414,7 @@ class Project(PhysicalOperator):
 
     def _rows(self) -> Iterator[Row]:
         schema, projection = self._schema, self._projection
-        for tx in self._pull(self.children[0]):
+        for tx in self.children[0].execute():
             yield tx, project(tx, schema, projection)
 
 
@@ -435,7 +431,7 @@ class TraceRows(PhysicalOperator):
         return ", ".join(self.COLUMNS)
 
     def _rows(self) -> Iterator[Row]:
-        for tx in self._pull(self.children[0]):
+        for tx in self.children[0].execute():
             yield tx, (tx.tid, tx.ts, tx.senid, tx.tname, tx.values)
 
 
@@ -449,7 +445,7 @@ class Distinct(PhysicalOperator):
 
     def _rows(self) -> Iterator[Row]:
         seen: set = set()
-        for _tx, values in self._pull(self.children[0]):
+        for _tx, values in self.children[0].execute():
             if values in seen:
                 continue
             seen.add(values)
@@ -474,7 +470,7 @@ class Sort(PhysicalOperator):
 
     def _rows(self) -> Iterator[Row]:
         index = self._key_index
-        rows = [values for _tx, values in self._pull(self.children[0])]
+        rows = [values for _tx, values in self.children[0].execute()]
         rows.sort(
             key=lambda row: (row[index] is None, row[index]),
             reverse=self._descending,
@@ -500,7 +496,7 @@ class Limit(PhysicalOperator):
     def _rows(self) -> Iterator[Row]:
         if self._limit <= 0:
             return
-        for count, item in enumerate(self._pull(self.children[0]), start=1):
+        for count, item in enumerate(self.children[0].execute(), start=1):
             yield item
             if count >= self._limit:
                 return
@@ -527,7 +523,7 @@ class Aggregate(PhysicalOperator):
         return items
 
     def _rows(self) -> Iterator[Row]:
-        txs = list(self._pull(self.children[0]))
+        txs = list(self.children[0].execute())
         _columns, rows = aggregate_rows(self._stmt, self._schema, txs)
         for values in rows:
             yield None, values
@@ -613,9 +609,9 @@ class ShardMerge(PhysicalOperator):
     def _rows(self) -> Iterator[Any]:
         if self._key_index is None:
             for child in self.children:
-                yield from self._pull(child)
+                yield from child.execute()
             return
-        iterators = [self._pull(child) for child in self.children]
+        iterators = [child.execute() for child in self.children]
         heap: list[tuple[tuple, int, Any]] = []
         for position, iterator in enumerate(iterators):
             item = next(iterator, _EXHAUSTED)
@@ -666,7 +662,7 @@ class ProjectIndices(PhysicalOperator):
 
     def _rows(self) -> Iterator[Row]:
         indices = self._indices
-        for _tx, values in self._pull(self.children[0]):
+        for _tx, values in self.children[0].execute():
             yield None, tuple(values[i] for i in indices)
 
 
@@ -1013,7 +1009,7 @@ class JoinRows(PhysicalOperator):
         return ", ".join(self._columns)
 
     def _rows(self) -> Iterator[Row]:
-        for left, right in self._pull(self.children[0]):
+        for left, right in self.children[0].execute():
             lrow = left.row()
             rrow = tuple(right) if self._right_is_offchain else right.row()
             if self._picks is None:

@@ -68,6 +68,7 @@ from .operators import (
     projected_columns,
     pseudo_schema,
     pseudo_tx,
+    qualifier_side,
 )
 
 __all__ = [
@@ -381,39 +382,37 @@ class PhysicalPlan:
 
     def operator_cost(self) -> tuple[int, int, float]:
         """(seeks, page transfers, modelled ms) summed over all operators."""
-        return self.root.total_cost()
+        stats = [op.stats for op in self.operators()]
+        return (sum(s.seeks for s in stats), sum(s.page_transfers for s in stats),
+                sum(s.modelled_ms for s in stats))
 
 
 def resolve_join_projection(
-    columns: tuple[str, ...], projection: Sequence[nodes.ProjectionItem]
-) -> tuple[tuple[str, ...], list[int]]:
-    """Resolve projected column refs over a joined row's qualified columns."""
-    indices: list[int] = []
-    out_columns: list[str] = []
+    projection: Sequence[nodes.ProjectionItem],
+    refs: tuple[nodes.TableRef, nodes.TableRef],
+    names: tuple[Sequence[str], Sequence[str]],
+) -> list[tuple[int, int]]:
+    """Resolve projected column refs to ``(side, column index)`` picks over
+    a join's two sides: the side a qualifier names (an alias, then a table
+    name) when it has the column, else the one side that declares it."""
+    picks: list[tuple[int, int]] = []
     for ref in projection:
         if not isinstance(ref, nodes.ColumnRef):
             raise QueryError("aggregates over join results are not supported")
-        qualified = str(ref)
-        if qualified in columns:
-            index = columns.index(qualified)
+        side = qualifier_side(ref.table, *refs)
+        if side is not None and ref.column in names[side]:
+            sides = [side]
         else:
-            matches = [
-                i for i, name in enumerate(columns)
-                if name.rsplit(".", 1)[-1] == ref.column
-            ]
-            if not matches:
-                raise QueryError(
-                    f"join output has no column {ref.column!r}"
-                )
-            if len(matches) > 1:
-                raise QueryError(
-                    f"ambiguous column {ref.column!r} in join projection - "
-                    f"qualify it with a table name"
-                )
-            index = matches[0]
-        indices.append(index)
-        out_columns.append(columns[index])
-    return tuple(out_columns), indices
+            sides = [s for s in (0, 1) if ref.column in names[s]]
+        if not sides:
+            raise QueryError(f"join output has no column {ref.column!r}")
+        if len(sides) > 1:
+            raise QueryError(
+                f"ambiguous column {ref.column!r} in join projection - "
+                f"qualify it with a table alias or name"
+            )
+        picks.append((sides[0], names[sides[0]].index(ref.column)))
+    return picks
 
 
 def finish_pipeline(
@@ -757,14 +756,15 @@ class Planner:
         residual = lplan.residual()
         left_schema = join.left.schema
         right = join.right
+        refs = (join.left.table, right.table)
         if isinstance(right, LScan):
             root = self._onchain_join_leaf(join, decision, tracker)
             right_schema = right.schema
-            right_name, right_columns = right_schema.name, right_schema.column_names
+            right_columns = right_schema.column_names
 
             def accept(pair: tuple[Transaction, Any]) -> bool:
                 return pair_matches(
-                    residual, pair[0], left_schema, pair[1], right_schema
+                    residual, pair[0], left_schema, pair[1], right_schema, refs
                 )
         else:
             root = self._onoff_join_leaf(join, decision, tracker)
@@ -775,18 +775,14 @@ class Planner:
                 return pair_matches(
                     residual, pair[0], left_schema,
                     pseudo_tx(right_name, right_columns, pair[1]),
-                    right_schema,
+                    right_schema, refs,
                 )
         if residual is not None:
             root = phys.Filter(root, accept, predicate_text(residual))
-        columns = tuple(
-            [f"{left_schema.name}.{c}" for c in left_schema.column_names]
-            + [f"{right_name}.{c}" for c in right_columns]
-        )
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         assert isinstance(head, LProject)
         root, columns = self._join_rows(
-            root, stmt, columns, len(left_schema.column_names),
+            root, stmt, refs, (left_schema.column_names, right_columns),
             isinstance(right, LOffScan),
         )
         root = finish_pipeline(root, rest, columns)
@@ -799,22 +795,23 @@ class Planner:
         self,
         root: phys.PhysicalOperator,
         stmt: nodes.Select,
-        columns: tuple[str, ...],
-        left_width: int,
+        refs: tuple[nodes.TableRef, nodes.TableRef],
+        names: tuple[Sequence[str], Sequence[str]],
         right_is_offchain: bool = False,
     ) -> tuple[phys.PhysicalOperator, tuple[str, ...]]:
-        """Fuse the projection into the join's row builder when present."""
+        """Fuse the projection into the join's row builder when present.
+
+        Output columns are qualified by each side's alias, or by its table
+        name when it has none."""
         if stmt.projection:
-            out_columns, indices = resolve_join_projection(columns, stmt.projection)
-            picks = [
-                (0, i) if i < left_width else (1, i - left_width)
-                for i in indices
-            ]
-            return (
-                phys.JoinRows(root, out_columns, picks, right_is_offchain),
-                out_columns,
-            )
-        return phys.JoinRows(root, columns, None, right_is_offchain), columns
+            picks = resolve_join_projection(stmt.projection, refs, names)
+        else:
+            picks = [(s, i) for s in (0, 1) for i in range(len(names[s]))]
+        columns = tuple(
+            f"{refs[s].effective_name}.{names[s][i]}" for s, i in picks
+        )
+        pruned = picks if stmt.projection else None
+        return phys.JoinRows(root, columns, pruned, right_is_offchain), columns
 
     # -- TRACE -------------------------------------------------------------
 

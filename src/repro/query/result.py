@@ -53,9 +53,11 @@ class QueryResult:
         return self._stream is not None
 
     def _drain(self) -> None:
-        if self._stream is not None:
-            for _ in self._stream_iter():
-                pass
+        for tx, values in self._stream or ():
+            self._rows.append(values)
+            if tx is not None:
+                self._transactions.append(tx)
+        self._stream = None
 
     def _stream_iter(self) -> Iterator[tuple[Any, ...]]:
         """Yield all rows, pulling the pipeline past what's materialized."""

@@ -16,7 +16,7 @@ strings, TRUE/FALSE/NULL, and ``?`` placeholders bound at execution.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence, Union
 
 from ..common.errors import ParseError
 from .lexer import Token, TokenType, tokenize
@@ -45,9 +45,27 @@ from .nodes import (
 )
 
 
+#: :func:`parse`'s results by text (never a ParseError); full, it starts over.
+#: Shared process-wide: an AST is frozen dataclasses over tuples and
+#: :func:`bind` builds a new tree, so sharing one cannot change a result.
+_PARSE_CACHE_ENTRIES = 512
+_parsed: dict[str, Statement] = {}
+
+
 def parse(text: str) -> Statement:
     """Parse one statement; raises :class:`ParseError` on bad input."""
-    return _Parser(tokenize(text)).parse_statement()
+    statement = _parsed.get(text)
+    if statement is None:
+        if len(_parsed) >= _PARSE_CACHE_ENTRIES:
+            _parsed.clear()
+        statement = _parsed[text] = _Parser(tokenize(text)).parse_statement()
+    return statement
+
+
+def prepare(sql: Union[str, Statement], params: Sequence[Any]) -> Statement:
+    """``sql`` parsed when it is text, then bound to ``params`` if any."""
+    statement = parse(sql) if isinstance(sql, str) else sql
+    return bind(statement, tuple(params)) if params else statement
 
 
 def bind(statement: Statement, params: tuple[Any, ...]) -> Statement:

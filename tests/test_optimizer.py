@@ -15,12 +15,16 @@ Covers the three observable guarantees of the candidate search:
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.common.config import SebdbConfig
 from repro.index.manager import IndexManager
 from repro.model import Block, Catalog, TableSchema, Transaction, make_genesis
-from repro.query import AccessPath
+from repro.query import AccessPath, physical
+from repro.query.engine import explain_plan
 from repro.query.operators import extract_constraints
 from repro.query.optimizer import rank_sharded_select
 from repro.query.plan import (
@@ -201,6 +205,11 @@ class TestExplainWaterfall:
 
 # -- the forced-plan oracle (fuzz equivalence) -------------------------------
 
+#: an aliased self-join whose WHERE names its sides by alias: one conjunct
+#: is pushed into the left intake, the other stays a residual over pairs
+ALIASED_WHERE = ("SELECT * FROM donate a, donate b ON a.donor = b.donor "
+                 "WHERE a.amount > 900 AND (a.amount > 990 OR b.amount < 100)")
+
 #: (sql, index of the ORDER BY key in the result row, or None)
 FUZZ_CORPUS = [
     ("SELECT * FROM donate WHERE amount BETWEEN 100 AND 400", None),
@@ -220,6 +229,7 @@ FUZZ_CORPUS = [
      "ON distribute.donee = doneeinfo.donee", None),
     # aliased self-join: each tuple is a build row and a probe row
     ("SELECT * FROM donate a, donate b ON a.amount = b.amount", None),
+    (ALIASED_WHERE, None),
     ("TRACE OPERATOR = 'org1'", None),
     ("TRACE OPERATION = 'transfer'", None),
     ("TRACE [350, 820] OPERATOR = 'org3', OPERATION = 'transfer'", None),
@@ -256,6 +266,70 @@ class TestForcedPlanOracle:
                 # ORDER BY pins the key sequence; ties may permute
                 assert [r[order_key] for r in rows] == \
                     [r[order_key] for r in chosen], candidate.label
+
+
+# -- EXPLAIN ANALYZE owns the operator timers --------------------------------
+
+PINNED_ANALYZE = Path(__file__).parent / "fixtures_explain" / "fuzz_corpus_analyze.txt"
+WALL_MS = re.compile(r" wall_ms=[0-9.]+")
+
+
+def pinned_analyze() -> dict[str, dict[str, list[str]]]:
+    """sql -> candidate label -> EXPLAIN ANALYZE lines, wall_ms cut."""
+    pinned: dict[str, dict[str, list[str]]] = {}
+    lines: list[str] = []
+    for line in PINNED_ANALYZE.read_text().splitlines():
+        if line.startswith("## "):
+            sql, label = line[3:].split(" || ")
+            lines = pinned.setdefault(sql, {}).setdefault(label, [])
+        elif not line.startswith("# "):
+            lines.append(line)
+    return pinned
+
+
+def operator_rows(lines: list[str]) -> list[int]:
+    """The ``rows=`` of every operator line of an EXPLAIN ANALYZE."""
+    ops = lines[:next(i for i, line in enumerate(lines)
+                      if line.startswith("Candidates"))]
+    return [int(re.search(r"[ (]rows=(\d+)", line).group(1)) for line in ops]
+
+
+def analyze(chain, candidate) -> list[str]:
+    chain.store.clear_caches()
+    plan = chain.engine.optimizer.force(candidate)
+    return [line for (line,) in explain_plan(plan, analyze=True).rows]
+
+
+class TestAnalyzeTimers:
+    @pytest.mark.parametrize(
+        "sql", [sql for sql, _key in FUZZ_CORPUS if sql != ALIASED_WHERE])
+    def test_analyze_prints_the_pinned_plans(self, chain, sql):
+        # every count, I/O figure and drift is the pinned one; only the
+        # wall clock is free to move
+        got = {}
+        for candidate in chain.engine.optimizer.rank(parse(sql)):
+            lines = analyze(chain, candidate)
+            ops = lines[:len(operator_rows(lines))]
+            assert all(WALL_MS.search(line) for line in ops), lines
+            got[candidate.label] = [WALL_MS.sub("", line) for line in lines]
+        assert got == pinned_analyze()[sql]
+
+    @pytest.mark.parametrize("sql", [sql for sql, _key in FUZZ_CORPUS])
+    def test_plain_run_counts_rows_and_never_reads_the_clock(
+            self, chain, monkeypatch, sql):
+        pinned = pinned_analyze().get(sql)
+        optimizer = chain.engine.optimizer
+        for candidate in optimizer.rank(parse(sql)):
+            expected = operator_rows(
+                pinned[candidate.label] if pinned else analyze(chain, candidate))
+            chain.store.clear_caches()
+            plan = optimizer.force(candidate)
+            with monkeypatch.context() as patch:
+                patch.setattr(physical, "time", None)  # any clock read raises
+                list(plan.root.execute())
+            assert [op.stats.wall_ms for op in plan.operators()] == \
+                [0.0] * len(expected)
+            assert [op.stats.rows_out for op in plan.operators()] == expected
 
 
 # -- sharded fan-out candidates ----------------------------------------------

@@ -13,6 +13,7 @@ from repro.common.errors import CatalogError, QueryError
 from repro.model import Transaction
 from repro.node import FullNode
 from repro.query import AccessPath
+from repro.sqlparser import parse
 
 
 def tids(result):
@@ -345,9 +346,52 @@ class TestSelfJoin:
         yield node
         node.close()
 
+    PAIRS = [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (2.0, 4.0),
+             (3.0, 1.0), (3.0, 3.0), (4.0, 2.0), (4.0, 4.0)]
+
     @pytest.mark.parametrize("method", [None, "scan", "bitmap", "layered"])
     def test_two_donors_two_rows_each(self, node, method):
         result = node.query(self.SQL, method=method)
         pairs = sorted((row[6], row[13]) for row in result.rows)
-        assert pairs == [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0), (2.0, 4.0),
-                         (3.0, 1.0), (3.0, 3.0), (4.0, 2.0), (4.0, 4.0)]
+        assert pairs == self.PAIRS
+
+    @staticmethod
+    def every_candidate(node, sql):
+        """The rows of ``sql`` under every plan the optimizer enumerates."""
+        optimizer = node.engine.optimizer
+        ranked = optimizer.rank(parse(sql))
+        assert len(ranked) > 1
+        return [sorted(row for _tx, row in optimizer.force(c).root.execute())
+                for c in ranked]
+
+    def test_aliases_qualify_where(self, node):
+        sql = self.SQL + " WHERE a.amount > 2 AND (a.amount > 3 OR b.amount < 3)"
+        for rows in self.every_candidate(node, sql):
+            assert [(row[6], row[13]) for row in rows] == \
+                [(3.0, 1.0), (4.0, 2.0), (4.0, 4.0)]
+
+    def test_aliases_qualify_projection(self, node):
+        sql = "SELECT b.amount, a.amount FROM donate a, donate b ON a.donor = b.donor"
+        for rows in self.every_candidate(node, sql):
+            assert rows == sorted((right, left) for left, right in self.PAIRS)
+        assert node.query(sql).columns == ("b.amount", "a.amount")
+        assert node.query(self.SQL).columns[5:7] == ("a.donor", "a.amount")
+
+    @pytest.mark.parametrize("sql", [
+        SQL + " WHERE amount > 2",
+        SQL + " WHERE donate.amount > 2",
+        "SELECT amount FROM donate a, donate b ON a.donor = b.donor",
+        "SELECT donate.amount FROM donate a, donate b ON a.donor = b.donor",
+    ])
+    def test_unaliased_self_join_columns_stay_ambiguous(self, node, sql):
+        with pytest.raises(QueryError, match="ambiguous column 'amount'"):
+            node.query(sql)
+
+    def test_plain_query_leaves_the_timers_off(self, node):
+        result = node.query(self.SQL)
+        assert [op.stats.wall_ms for op in result.plan.operators()] == \
+            [0.0] * len(result.plan.operators())
+        assert result.plan.root.stats.rows_out == len(self.PAIRS)
+        analyzed = node.query("EXPLAIN ANALYZE " + self.SQL)
+        ops = [line for (line,) in analyzed.rows][:len(analyzed.plan.operators())]
+        assert all(re.search(r" wall_ms=[0-9.]+\)$", line) for line in ops)

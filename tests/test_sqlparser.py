@@ -22,8 +22,29 @@ from repro.sqlparser import (
     bind,
     conjuncts,
     parse,
+    parser,
+    prepare,
     tokenize,
 )
+
+_parse = parse
+
+
+@pytest.fixture(autouse=True)
+def parsed_statements_hash(monkeypatch):
+    """Every statement a test here parses hashes all the way down: frozen
+    dataclasses over tuples, which is what lets ``parse`` share one AST
+    between every caller of the same text."""
+    parsed = []
+
+    def recording(text):
+        parsed.append(_parse(text))
+        return parsed[-1]
+
+    monkeypatch.setitem(globals(), "parse", recording)
+    yield
+    for statement in parsed:
+        hash(statement)
 
 
 class TestLexer:
@@ -266,3 +287,40 @@ class TestConjuncts:
         stmt = parse("SELECT * FROM t WHERE a = 1")
         assert conjuncts(stmt.where) == [Comparison(ColumnRef("a"),
                                                     CompareOp.EQ, 1)]
+
+
+class TestParseMemo:
+    SQL = "SELECT * FROM t WHERE a = ? AND b BETWEEN ? AND ?"
+
+    def test_repeated_text_returns_the_same_ast(self):
+        assert parse(self.SQL) is parse(self.SQL)
+        assert prepare(self.SQL, ()) is parse(self.SQL)
+
+    def test_binds_do_not_share_values(self):
+        first = prepare(self.SQL, (1, 2, 3))
+        second = prepare(self.SQL, (4, 5, 6))
+        assert conjuncts(first.where)[0].value == 1
+        assert conjuncts(second.where)[0].value == 4
+        shared = parse(self.SQL)
+        assert conjuncts(shared.where)[0].value is PLACEHOLDER
+        assert bind(shared, (1, 2, 3)) == first
+
+    def test_prepare_passes_a_statement_through(self):
+        statement = parse("GET BLOCK ID = ?")
+        assert prepare(statement, ()) is statement
+        assert prepare(statement, [7]) == GetBlock(BlockLookupKind.BY_ID, 7)
+
+    def test_bad_text_raises_every_time_and_is_never_kept(self):
+        bad = "SELECT * FROM t WHERE"
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parse(bad)
+        assert bad not in parser._parsed
+
+    def test_memo_never_exceeds_its_bound(self):
+        bound = parser._PARSE_CACHE_ENTRIES
+        for i in range(bound + 10):
+            text = f"GET BLOCK ID = {i}"
+            assert parse(text).value == i
+            assert len(parser._parsed) <= bound
+            assert parser._parsed[text] is parse(text)
