@@ -9,6 +9,12 @@ local chain - so identical delivery order means identical chains.
 Engines run on the simulated :class:`~repro.network.bus.MessageBus`;
 drive them with ``bus.run_until_idle()`` (or ``run_for`` when measuring
 throughput over a window).
+
+All three engines build Fig 7's pipeline from the same pieces: a
+:class:`BatchBuffer` cuts batches by size or timeout, a
+:class:`SerialLane` queues work behind one serial thread, and
+:meth:`ConsensusEngine.send` counts every protocol message it puts on
+the bus.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import weakref
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..common.errors import ConfigError
 from ..model.transaction import Transaction
@@ -81,19 +87,6 @@ class ConsensusStats:
     elections: int = 0
     #: submissions that reached a non-leader broker and were redirected
     redirects: int = 0
-
-    def reset(self) -> None:
-        self.submitted = 0
-        self.committed = 0
-        self.batches = 0
-        self.messages = 0
-        self.deduplicated = 0
-        self.view_changes = 0
-        self.checkpoints = 0
-        self.state_transfers = 0
-        self.bulk_transfers = 0
-        self.elections = 0
-        self.redirects = 0
 
 
 class AckChannel:
@@ -230,20 +223,23 @@ class SubmissionLedger:
 class ConsensusEngine(abc.ABC):
     """Interface every pluggable consensus component implements."""
 
-    def __init__(self) -> None:
+    def __init__(self, bus: MessageBus) -> None:
+        self.bus = bus
         self.stats = ConsensusStats()
         self._replicas: dict[str, CommitCallback] = {}
         self._checkpoint_listeners: dict[str, CheckpointCallback] = {}
-        #: set by :meth:`init_client_plumbing`
-        self.ledger: SubmissionLedger
-        self._acks: AckChannel
-
-    def init_client_plumbing(self, bus: MessageBus) -> None:
-        """Wire up the client-side state every engine shares: the
-        nonce-keyed :class:`SubmissionLedger` and the per-bus faultable
-        :class:`AckChannel`."""
+        #: nonce-keyed dedup and re-ack state
         self.ledger = SubmissionLedger()
+        #: acks travel the faultable bus like any other message
         self._acks = AckChannel.for_bus(bus)
+
+    def send(
+        self, src: str, dst: str, message: dict[str, Any],
+        delay_ms: Optional[float] = None, fifo: bool = False,
+    ) -> None:
+        """Put one protocol message on the bus, counted in ``stats.messages``."""
+        self.stats.messages += 1
+        self.bus.send(src, dst, message, delay_ms=delay_ms, fifo=fifo)
 
     def admit_submission(
         self,
@@ -345,41 +341,85 @@ class ConsensusEngine(abc.ABC):
 
 
 class BatchBuffer:
-    """Accumulates transactions until a size or timeout boundary.
+    """Fig 7's size-or-timeout cut, for whatever items an engine orders.
 
     The Fig 7 setup: "block size is set to 200 transactions and timeout
-    for packaging is set to 200 ms".  The owner polls :meth:`take_full`
-    on each append and arms a timer that calls :meth:`take_all` when it
-    fires on a non-empty buffer.
+    for packaging is set to 200 ms".  :meth:`add` hands back a full batch
+    for the owner to cut; otherwise the first item into an empty buffer
+    arms the timeout.  Every cut moves :attr:`epoch`, and a timer fires
+    only if the epoch it was armed at still stands and items wait.
     """
 
-    def __init__(self, max_txs: int) -> None:
+    def __init__(self, max_txs: int, timeout_ms: float, bus: MessageBus) -> None:
         if max_txs <= 0:
             raise ConfigError("max_txs must be positive")
         self._max = max_txs
-        self._buffer: list[tuple[Transaction, Optional[ReplyCallback]]] = []
-        #: increases every time the buffer is emptied; timers compare epochs
+        self._timeout = timeout_ms
+        self._bus = bus
+        self._items: list[Any] = []
+        #: increases every time items are cut; timers compare epochs
         self.epoch = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._items)
 
-    def append(self, tx: Transaction, on_reply: Optional[ReplyCallback]) -> None:
-        self._buffer.append((tx, on_reply))
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._items)
 
-    def take_full(self) -> Optional[list[tuple[Transaction, Optional[ReplyCallback]]]]:
+    def append(self, item: Any) -> None:
+        """Buffer ``item`` without cutting or arming anything."""
+        self._items.append(item)
+
+    def add(self, item: Any, on_timeout: Callable[[], None]) -> Optional[list[Any]]:
+        """Buffer ``item``: a full batch for the owner to cut, else None."""
+        was_empty = not self._items
+        self._items.append(item)
+        full = self.take_full()
+        if full is None and was_empty:
+            self.arm(on_timeout)
+        return full
+
+    def arm(self, on_timeout: Callable[[], None]) -> None:
+        """Call ``on_timeout`` after the timeout, unless a cut comes first."""
+        epoch = self.epoch
+
+        def fire() -> None:
+            if self.epoch == epoch and self._items:
+                on_timeout()
+
+        self._bus.schedule(self._timeout, fire)
+
+    def take_full(self) -> Optional[list[Any]]:
         """A full batch if one is ready, else None."""
-        if len(self._buffer) < self._max:
+        if len(self._items) < self._max:
             return None
-        batch = self._buffer[: self._max]
-        self._buffer = self._buffer[self._max :]
+        batch = self._items[: self._max]
+        self._items = self._items[self._max :]
         self.epoch += 1
         return batch
 
-    def take_all(self) -> list[tuple[Transaction, Optional[ReplyCallback]]]:
+    def take_all(self) -> list[Any]:
         """Everything buffered (timeout path); may be empty."""
-        batch = self._buffer
-        self._buffer = []
+        batch, self._items = self._items, []
         if batch:
             self.epoch += 1
         return batch
+
+
+class SerialLane:
+    """One serial worker: Fig 7's packager thread, CheckTx or DeliverTx.
+
+    A job queues behind the one before it, so its cost bounds sustained
+    throughput and the queueing shows up in client response times.
+    """
+
+    def __init__(self, bus: MessageBus) -> None:
+        self._bus = bus
+        #: simulated time until which the lane is busy
+        self._busy_until = 0.0
+
+    def run(self, cost_ms: float, done: Callable[[], None]) -> None:
+        """Queue a job of ``cost_ms``; ``done`` runs when it finishes."""
+        now = self._bus.clock.now_ms()
+        self._busy_until = max(now, self._busy_until) + cost_ms
+        self._bus.schedule(self._busy_until - now, done)

@@ -38,7 +38,13 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..common.errors import ConfigError, ConsensusError
 from ..model.transaction import Transaction
 from ..network.bus import MessageBus
-from .base import ADMIT_NEW, ReplyCallback
+from .base import (
+    ADMIT_NEW,
+    SUBMIT_LATENCY_MS,
+    BatchBuffer,
+    ReplyCallback,
+    SerialLane,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kafka import KafkaOrderer
@@ -62,6 +68,16 @@ VOTE = "kafka-vote"
 LEADER = "kafka-leader"
 NOT_LEADER = "kafka-not-leader"
 JOIN = "kafka-join"
+
+#: Fig 7's packager cost: a fixed cost per cut block plus one per
+#: transaction, paid on the leader's one serial packager thread
+PER_BLOCK_COST_MS = 5.0
+PER_TX_COST_MS = 0.25
+#: broker -> replica delivery latency; a commit is acked this much later
+DELIVER_LATENCY_MS = 1.0
+#: failed candidacies after which a broker stops campaigning (liveness
+#: capped, like PBFT's view-change escalation)
+MAX_ELECTION_ATTEMPTS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,31 +121,21 @@ class BrokerCluster:
         num_brokers: int,
         batch_txs: int,
         timeout_ms: float,
-        submit_latency_ms: float,
-        per_tx_cost_ms: float,
-        per_block_cost_ms: float,
-        deliver_latency_ms: float,
         broker_id: str,
         election_timeout_ms: float,
-        max_election_attempts: int,
     ) -> None:
         if num_brokers < 1:
             raise ConfigError("num_brokers must be positive")
-        if batch_txs <= 0:
-            raise ConfigError("batch_txs must be positive")
+        #: the shared topic buffer of (tx, reply, note id) entries: it
+        #: survives leader failover, like the replicated topic partition
+        #: it models
+        self.buffer = BatchBuffer(batch_txs, timeout_ms, bus)
         if election_timeout_ms <= 0:
             raise ConfigError("election_timeout_ms must be positive")
         self.engine = engine
         self.bus = bus
         self.num_brokers = num_brokers
-        self.batch_max = batch_txs
-        self.timeout_ms = timeout_ms
-        self.link_latency = submit_latency_ms
-        self.per_tx = per_tx_cost_ms
-        self.per_block = per_block_cost_ms
-        self.deliver_latency = deliver_latency_ms
         self.election_timeout = election_timeout_ms
-        self.max_election_attempts = max_election_attempts
         self.broker_ids = [broker_id] + [
             f"{broker_id}-{i}" for i in range(1, num_brokers)
         ]
@@ -146,10 +152,6 @@ class BrokerCluster:
         #: note ids whose batch committed (resolves follower suspicion)
         self.committed_notes: set[int] = set()
         self._note_seq = 0
-        #: the shared topic buffer (survives leader failover, like the
-        #: replicated topic partition it models)
-        self._batch: list[tuple[Transaction, Optional[ReplyCallback], Optional[int]]] = []
-        self.batch_epoch = 0
         self.brokers = [
             BrokerNode(self, index, node_id)
             for index, node_id in enumerate(self.broker_ids)
@@ -160,35 +162,6 @@ class BrokerCluster:
     def next_note(self) -> int:
         self._note_seq += 1
         return self._note_seq
-
-    @property
-    def batch_len(self) -> int:
-        return len(self._batch)
-
-    def batch_items(self) -> list[tuple[Transaction, Optional[ReplyCallback], Optional[int]]]:
-        return list(self._batch)
-
-    def buffer_append(
-        self,
-        tx: Transaction,
-        reply: Optional[ReplyCallback],
-        note_id: Optional[int],
-    ) -> None:
-        self._batch.append((tx, reply, note_id))
-
-    def take_full(self) -> Optional[list]:
-        if len(self._batch) < self.batch_max:
-            return None
-        batch = self._batch[: self.batch_max]
-        self._batch = self._batch[self.batch_max:]
-        self.batch_epoch += 1
-        return batch
-
-    def take_all(self) -> list:
-        batch, self._batch = self._batch, []
-        if batch:
-            self.batch_epoch += 1
-        return batch
 
     # -- commit -------------------------------------------------------------------
 
@@ -208,10 +181,10 @@ class BrokerCluster:
                 self.committed_notes.add(note_id)
         engine = self.engine
         engine.stats.messages += len(engine.replica_ids)
-        commit_ms = self.bus.clock.now_ms() + self.deliver_latency
+        commit_ms = self.bus.clock.now_ms() + DELIVER_LATENCY_MS
         engine.finish_commit(
             [(tx, reply) for tx, reply, _note in entry.batch],
-            leader_id, commit_ms, self.deliver_latency,
+            leader_id, commit_ms, DELIVER_LATENCY_MS,
         )
 
     # -- membership ------------------------------------------------------------
@@ -272,8 +245,8 @@ class BrokerNode:
         self._acks: dict[str, int] = {}
         #: next log index to push through the packager (leader only)
         self._sched = 0
-        #: simulated time until which the serial packager thread is busy
-        self._busy_until = 0.0
+        #: the serial packager thread
+        self._packager = SerialLane(cluster.bus)
         #: noted submissions awaiting commit: note_id -> (tx, reply, seen_ms)
         self._notes: dict[int, tuple[Transaction, Optional[ReplyCallback], float]] = {}
         self._note_timer_armed = False
@@ -281,6 +254,17 @@ class BrokerNode:
         self._cooldown = 0.0
         self._leader_since = 0.0
         self._last_seen_delivered = 0
+        self._handlers = {
+            SUBMIT: self._on_submit,
+            NOTE: self._on_note,
+            APPEND: self._on_append,
+            APPEND_ACK: self._on_append_ack,
+            FETCH: self._on_fetch,
+            VOTE_REQ: self._on_vote_req,
+            VOTE: self._on_vote,
+            LEADER: self._on_leader,
+            JOIN: self._on_join,
+        }
         cluster.bus.register(node_id, self._on_message)
 
     # -- helpers ----------------------------------------------------------------
@@ -296,10 +280,8 @@ class BrokerNode:
         return self.cluster.bus.clock.now_ms()
 
     def _send(self, dst: str, message: dict, fifo: bool = False) -> None:
-        self.cluster.engine.stats.messages += 1
-        self.cluster.bus.send(
-            self.node_id, dst, message,
-            delay_ms=self.cluster.link_latency, fifo=fifo,
+        self.cluster.engine.send(
+            self.node_id, dst, message, delay_ms=SUBMIT_LATENCY_MS, fifo=fifo,
         )
 
     def _log_position(self) -> tuple[int, int]:
@@ -312,24 +294,9 @@ class BrokerNode:
         if self.crashed or not isinstance(message, dict):
             return
         kind = message.get("kind")
-        if kind == SUBMIT:
-            self._on_submit(src, message)
-        elif kind == NOTE:
-            self._on_note(src, message)
-        elif kind == APPEND:
-            self._on_append(src, message)
-        elif kind == APPEND_ACK:
-            self._on_append_ack(src, message)
-        elif kind == FETCH:
-            self._on_fetch(src, message)
-        elif kind == VOTE_REQ:
-            self._on_vote_req(src, message)
-        elif kind == VOTE:
-            self._on_vote(src, message)
-        elif kind == LEADER:
-            self._on_leader(src, message)
-        elif kind == JOIN:
-            self._on_join(src, message)
+        handler = self._handlers.get(kind) if isinstance(kind, str) else None
+        if handler is not None:
+            handler(src, message)
 
     # -- submissions ---------------------------------------------------------------
 
@@ -342,7 +309,7 @@ class BrokerNode:
         if not isinstance(note_id, int):
             note_id = None
         if self.is_leader:
-            self._admit(tx, reply, note_id)
+            self._enqueue(tx, reply, note_id)
             return
         # wrong broker: remember the submission (it doubles as a note in
         # case the forward is lost), redirect the client, and forward
@@ -366,7 +333,7 @@ class BrokerNode:
             return
         if self.is_leader:
             # the note beat (or replaced) the SUBMIT copy: admit directly
-            self._admit(tx, message.get("on_reply"), note_id)
+            self._enqueue(tx, message.get("on_reply"), note_id)
             return
         self._record_note(note_id, tx, message.get("on_reply"))
 
@@ -382,47 +349,36 @@ class BrokerNode:
             self._notes[note_id] = (tx, reply, self._now())
         self._arm_note_timer()
 
-    def _admit(
+    def _enqueue(
         self,
         tx: Transaction,
         reply: Optional[ReplyCallback],
         note_id: Optional[int],
     ) -> None:
+        """Leader: admit a submission into the shared topic buffer."""
         cluster = self.cluster
-        engine = cluster.engine
         if note_id is not None:
             if note_id in cluster.seen_notes:
                 return  # another copy of this very submission got here first
             cluster.seen_notes.add(note_id)
-        if engine.admit_submission(
-            tx, reply, self.node_id, cluster.deliver_latency
+        if cluster.engine.admit_submission(
+            tx, reply, self.node_id, DELIVER_LATENCY_MS
         ) != ADMIT_NEW:
             return
-        was_empty = cluster.batch_len == 0
         # nonce-carrying txs ack through the ledger; nonce-less ones (every
         # benchmark and Fig 7 submission) keep the callback attached to
         # the buffer entry
-        cluster.buffer_append(tx, None if tx.dedup_key() else reply, note_id)
-        full = cluster.take_full()
+        full = cluster.buffer.add(
+            (tx, None if tx.dedup_key() else reply, note_id),
+            self._cut_on_timeout,
+        )
         if full is not None:
             self._cut(full)
-        elif was_empty:
-            self._arm_cut_timer()
 
-    def _arm_cut_timer(self) -> None:
-        epoch = self.cluster.batch_epoch
-        self.cluster.bus.schedule(
-            self.cluster.timeout_ms, lambda: self._on_cut_timeout(epoch)
-        )
-
-    def _on_cut_timeout(self, batch_epoch: int) -> None:
-        # only fire if the buffer has not been cut since the timer was
-        # armed, and this broker still leads (a successor arms its own)
-        if self.crashed or not self.is_leader:
-            return
-        cluster = self.cluster
-        if cluster.batch_epoch == batch_epoch and cluster.batch_len:
-            self._cut(cluster.take_all())
+    def _cut_on_timeout(self) -> None:
+        # a crashed or deposed broker never cuts; a successor arms its own
+        if not self.crashed and self.is_leader:
+            self._cut(self.cluster.buffer.take_all())
 
     # -- leader: cut, replicate, commit ----------------------------------------
 
@@ -482,10 +438,6 @@ class BrokerNode:
         """Queue batch ``seq`` behind the serial packager thread."""
         cluster = self.cluster
         entry = self.log[seq]
-        now = self._now()
-        work = cluster.per_block + cluster.per_tx * len(entry.batch)
-        start = max(now, self._busy_until)
-        self._busy_until = start + work
         epoch_at_schedule = self.epoch
 
         def finish() -> None:
@@ -496,7 +448,9 @@ class BrokerNode:
                 return
             cluster.deliver(seq, entry, self.node_id)
 
-        cluster.bus.schedule(self._busy_until - now, finish)
+        self._packager.run(
+            PER_BLOCK_COST_MS + PER_TX_COST_MS * len(entry.batch), finish
+        )
 
     def _on_append_ack(self, src: str, message: dict) -> None:
         epoch = message.get("epoch")
@@ -520,7 +474,7 @@ class BrokerNode:
 
     def flush_leader(self) -> None:
         """Cut any partial batch, re-push laggards, re-check quorum."""
-        self._cut(self.cluster.take_all())
+        self._cut(self.cluster.buffer.take_all())
         lagging = False
         for peer in self._peers():
             if self._acks.get(peer, 0) < len(self.log):
@@ -635,8 +589,8 @@ class BrokerNode:
             self._attempts = 0
         if not self._notes or self.is_leader:
             return
-        if self._attempts >= cluster.max_election_attempts:
-            return  # liveness capped, like PBFT's view-change escalation
+        if self._attempts >= MAX_ELECTION_ATTEMPTS:
+            return
         now = self._now()
         oldest = min(seen for _tx, _reply, seen in self._notes.values())
         if (now - oldest >= cluster.election_timeout
@@ -725,12 +679,12 @@ class BrokerNode:
             "kind": LEADER, "epoch": self.epoch, "leader": self.node_id,
         })
         self._repropose_orphans()
-        full = cluster.take_full()
+        full = cluster.buffer.take_full()
         while full is not None:
             self._cut(full)
-            full = cluster.take_full()
-        if cluster.batch_len:
-            self._arm_cut_timer()
+            full = cluster.buffer.take_full()
+        if len(cluster.buffer):
+            cluster.buffer.arm(self._cut_on_timeout)
         self._replicate()
         self._maybe_commit()
 
@@ -755,7 +709,7 @@ class BrokerNode:
                 key = tx.dedup_key()
                 if key is not None:
                     placed_keys.add(key)
-        for tx, _reply, note_id in cluster.batch_items():
+        for tx, _reply, note_id in cluster.buffer:
             if note_id is not None:
                 placed.add(note_id)
             key = tx.dedup_key()
@@ -773,15 +727,15 @@ class BrokerNode:
                 # callback queued against the lost original
                 orphaned = engine.ledger.abandon(tx)
                 if engine.admit_submission(
-                    tx, reply, self.node_id, cluster.deliver_latency
+                    tx, reply, self.node_id, DELIVER_LATENCY_MS
                 ) != ADMIT_NEW:
                     continue  # committed in a surviving entry after all
                 for callback in orphaned:
                     engine.ledger.admit(tx, callback)
-                cluster.buffer_append(tx, None, note_id)
+                cluster.buffer.append((tx, None, note_id))
                 placed_keys.add(key)
             else:
-                cluster.buffer_append(tx, reply, note_id)
+                cluster.buffer.append((tx, reply, note_id))
             cluster.seen_notes.add(note_id)
         self._notes.clear()
 
@@ -796,8 +750,8 @@ class BrokerNode:
         self._cooldown = self._now() + cluster.election_timeout
         for peer in self._peers():
             self._send(peer, {"kind": JOIN, "epoch": self.epoch})
-        if self.is_leader and cluster.batch_len:
-            self._arm_cut_timer()
+        if self.is_leader and len(cluster.buffer):
+            cluster.buffer.arm(self._cut_on_timeout)
         if self.is_leader:
             self._replicate()
             self._maybe_commit()

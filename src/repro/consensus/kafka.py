@@ -8,10 +8,10 @@ peer.
 
 The packager being a single thread is what caps throughput ("it comes to
 a threshold at 400 clients for a single thread is responsible for
-packaging and appending block to disk") - the broker models it with an
-explicit busy-until horizon: work requests queue behind one another, so
-per-tx processing cost bounds sustained throughput, and queueing delay
-shows up in client response times exactly as in the figure.
+packaging and appending block to disk") - the broker queues each commit
+on a :class:`~repro.consensus.base.SerialLane`, so per-tx processing
+cost bounds sustained throughput, and queueing delay shows up in client
+response times exactly as in the figure.
 
 The broker side lives in :mod:`repro.consensus.broker`: one or more real
 bus endpoints (``kafka-broker``, ``kafka-broker-1``, ...) forming a
@@ -60,32 +60,19 @@ class KafkaOrderer(ConsensusEngine):
         bus: MessageBus,
         batch_txs: int = 200,
         timeout_ms: float = 200.0,
-        submit_latency_ms: float = SUBMIT_LATENCY_MS,
-        per_tx_cost_ms: float = 0.25,
-        per_block_cost_ms: float = 5.0,
-        deliver_latency_ms: float = 1.0,
         broker_id: str = BROKER_ID,
         num_brokers: int = 1,
         election_timeout_ms: float = 300.0,
-        max_election_attempts: int = 8,
     ) -> None:
-        super().__init__()
-        self._bus = bus
-        self._submit_latency = submit_latency_ms
+        super().__init__(bus)
         self.broker_id = broker_id
-        self.init_client_plumbing(bus)
         self.cluster = BrokerCluster(
             self, bus,
             num_brokers=num_brokers,
             batch_txs=batch_txs,
             timeout_ms=timeout_ms,
-            submit_latency_ms=submit_latency_ms,
-            per_tx_cost_ms=per_tx_cost_ms,
-            per_block_cost_ms=per_block_cost_ms,
-            deliver_latency_ms=deliver_latency_ms,
             broker_id=broker_id,
             election_timeout_ms=election_timeout_ms,
-            max_election_attempts=max_election_attempts,
         )
         #: where the next submission is published; redirects update it
         self._leader_hint = broker_id
@@ -129,21 +116,19 @@ class KafkaOrderer(ConsensusEngine):
         self.stats.submitted += 1
         note_id = self.cluster.next_note()
         hint = self._leader_hint
-        self.stats.messages += 1
-        self._bus.send(
+        self.send(
             "client", hint,
             {"kind": SUBMIT, "tx": tx, "on_reply": on_reply, "note": note_id},
-            delay_ms=self._submit_latency, fifo=True,
+            delay_ms=SUBMIT_LATENCY_MS, fifo=True,
         )
         for other in self.broker_ids:
             if other == hint:
                 continue
-            self.stats.messages += 1
-            self._bus.send(
+            self.send(
                 "client", other,
                 {"kind": NOTE, "tx": tx, "on_reply": on_reply,
                  "note": note_id},
-                delay_ms=self._submit_latency,
+                delay_ms=SUBMIT_LATENCY_MS,
             )
 
     def flush(self) -> None:

@@ -121,6 +121,17 @@ class _Replica:
         #: a fresh vote or a fresh installation restarts the clock, giving
         #: the (possibly new) primary one full timeout to make progress
         self._vc_cooldown_until = 0.0
+        self._handlers = {
+            REQUEST: self.on_request,
+            PRE_PREPARE: self.on_pre_prepare,
+            PREPARE: self.on_prepare,
+            COMMIT: self.on_commit_msg,
+            VIEW_CHANGE: self.on_view_change,
+            NEW_VIEW: self.on_new_view,
+            CHECKPOINT: self.on_checkpoint,
+            STATE_REQ: self.on_state_req,
+            STATE_RESP: self.on_state_resp,
+        }
         cluster.bus.register(self.node_id, self.handle)
 
     # -- helpers -------------------------------------------------------------
@@ -146,10 +157,9 @@ class _Replica:
     def _broadcast(self, message: dict[str, Any]) -> None:
         if self.byzantine == BYZ_SILENT:
             return
-        self.cluster.stats.messages += self.n - 1
         for peer in range(self.n):
             if peer != self.index:
-                self.cluster.bus.send(self.node_id, f"pbft-{peer}", message)
+                self.cluster.send(self.node_id, f"pbft-{peer}", message)
 
     def _maybe_corrupt(self, digest: bytes) -> bytes:
         if self.byzantine == BYZ_EQUIVOCATE:
@@ -199,48 +209,25 @@ class _Replica:
         kind = message.get("kind")
         if self.byzantine == BYZ_SILENT:
             return
-        if kind == REQUEST:
-            self.on_request(message)
-        elif kind == PRE_PREPARE:
-            self.on_pre_prepare(src, message)
-        elif kind == PREPARE:
-            self.on_prepare(src, message)
-        elif kind == COMMIT:
-            self.on_commit_msg(src, message)
-        elif kind == VIEW_CHANGE:
-            self.on_view_change(src, message)
-        elif kind == NEW_VIEW:
-            self.on_new_view(src, message)
-        elif kind == CHECKPOINT:
-            self.on_checkpoint(src, message)
-        elif kind == STATE_REQ:
-            self.on_state_req(src, message)
-        elif kind == STATE_RESP:
-            self.on_state_resp(src, message)
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(src, message)
 
-    def on_request(self, message: dict[str, Any]) -> None:
+    def on_request(self, _src: str, message: dict[str, Any]) -> None:
         """Every replica tracks requests so backups can detect a dead primary."""
         tx: Transaction = message["tx"]
         now = self.cluster.bus.clock.now_ms()
         self.pending_requests.append((tx, now))
         if self.is_primary:
-            self.cluster.primary_buffer_append(self, tx)
+            self.cluster.enqueue(self, tx)
         else:
-            deadline_epoch = len(self.pending_requests)
             self.cluster.bus.schedule(
-                self.cluster.request_timeout_ms,
-                lambda: self._check_progress(deadline_epoch),
+                self.cluster.request_timeout_ms, self._check_progress
             )
 
-    def _check_progress(self, epoch: int) -> None:
+    def _check_progress(self) -> None:
         """Backup timer: if requests are stuck, vote for a view change."""
-        still_pending = [
-            (tx, t0)
-            for tx, t0 in self.pending_requests
-            if not self.cluster.was_executed(tx)
-        ]
-        self.pending_requests = still_pending
-        if not still_pending or epoch <= 0:
+        if not self._has_stuck_requests():
             return
         if self.cluster.bus.clock.now_ms() < self._vc_cooldown_until:
             # we voted (or installed a view) within the last timeout
@@ -250,13 +237,17 @@ class _Replica:
             return
         self.start_view_change(self.view + 1)
 
-    def _has_stuck_requests(self) -> bool:
-        """Prune executed requests; True when any are still undelivered."""
+    def _prune_pending(self) -> None:
+        """Drop executed requests from ``pending_requests``."""
         self.pending_requests = [
             (tx, t0)
             for tx, t0 in self.pending_requests
             if not self.cluster.was_executed(tx)
         ]
+
+    def _has_stuck_requests(self) -> bool:
+        """Prune executed requests; True when any are still undelivered."""
+        self._prune_pending()
         return bool(self.pending_requests)
 
     def on_pre_prepare(self, src: str, message: dict[str, Any]) -> None:
@@ -357,15 +348,24 @@ class _Replica:
 
     def try_execute(self) -> None:
         """Execute committed sequences strictly in order."""
+        executed = False
         while True:
             state = self.states.get(self.last_executed + 1)
             if state is None or not state.committed or state.batch is None:
-                return
+                break
+            batch_digest = state.digest
+            assert batch_digest is not None  # set together with the batch
             self.last_executed += 1
             state.executed = True
-            self.exec_digest = sha256(self.exec_digest + (state.digest or b""))
-            self.cluster.on_replica_executed(self, self.last_executed, state.batch)
+            self.exec_digest = sha256(self.exec_digest + batch_digest)
+            self.cluster.on_replica_executed(
+                self, self.last_executed, state.batch, batch_digest
+            )
             self._maybe_emit_checkpoint(self.last_executed)
+            executed = True
+        if executed and self.is_primary:
+            # backups prune on their progress timers; the primary arms none
+            self._prune_pending()
 
     # -- view change -------------------------------------------------------------------
 
@@ -581,8 +581,7 @@ class _Replica:
             }
         if len(response) == 1:
             return  # nothing but the kind marker - no useful payload
-        self.cluster.stats.messages += 1
-        self.cluster.bus.send(self.node_id, src, response)
+        self.cluster.send(self.node_id, src, response)
 
     def on_state_resp(self, src: str, message: dict[str, Any]) -> None:
         progressed = False
@@ -614,7 +613,7 @@ class _Replica:
             self.last_executed = seq
             self.state_manifest.pop(seq, None)
             self.exec_digest = sha256(self.exec_digest + state.digest)
-            self.cluster.on_replica_executed(self, seq, batch)
+            self.cluster.on_replica_executed(self, seq, batch, digest)
             self._maybe_emit_checkpoint(seq)
             progressed = True
         if progressed:
@@ -670,14 +669,13 @@ class PBFTCluster(ConsensusEngine):
         checkpoint_interval: int = 32,
         state_tail_limit: int = 64,
     ) -> None:
-        super().__init__()
+        super().__init__(bus)
         if n < 1:
             raise ConsensusError("PBFT needs at least one replica")
         if checkpoint_interval < 1:
             raise ConsensusError("checkpoint_interval must be positive")
         if state_tail_limit < 1:
             raise ConsensusError("state_tail_limit must be positive")
-        self.bus = bus
         self.n = n
         self.f = (n - 1) // 3
         self.request_timeout_ms = request_timeout_ms
@@ -688,10 +686,9 @@ class PBFTCluster(ConsensusEngine):
         #: the responder sends a digest manifest and the payloads move in
         #: bulk over the gossip mesh
         self.state_tail_limit = state_tail_limit
-        self._buffer = BatchBuffer(batch_txs)
-        self._timeout = timeout_ms
+        #: the primary's requests waiting for a batch
+        self._buffer = BatchBuffer(batch_txs, timeout_ms, bus)
         self.replicas = [_Replica(self, i) for i in range(n)]
-        self.init_client_plumbing(bus)
         self._executed_digests: set[bytes] = set()
         #: hashes appended to the primary buffer or proposed - duplicates
         #: (retries and re-broadcast requests) are not buffered again
@@ -802,26 +799,19 @@ class PBFTCluster(ConsensusEngine):
     def flush(self) -> None:
         batch = self._buffer.take_all()
         if batch:
-            self._propose([tx for tx, _ in batch])
+            self._propose(batch)
 
     # -- primary-side batching ------------------------------------------------------
 
-    def primary_buffer_append(self, replica: _Replica, tx: Transaction) -> None:
+    def enqueue(self, primary: _Replica, tx: Transaction) -> None:
+        """Buffer a request at the primary; a full batch is proposed."""
         digest = tx.hash()
         if digest in self._in_pipeline or digest in self._executed_digests:
             return  # a retry of a request already buffered, proposed or done
         self._in_pipeline.add(digest)
-        self._buffer.append(tx, None)
-        full = self._buffer.take_full()
+        full = self._buffer.add(tx, self.flush)
         if full is not None:
-            self._propose([t for t, _ in full], replica)
-        elif len(self._buffer) == 1:
-            epoch = self._buffer.epoch
-            self.bus.schedule(self._timeout, lambda: self._on_timeout(epoch))
-
-    def _on_timeout(self, epoch: int) -> None:
-        if self._buffer.epoch == epoch and len(self._buffer):
-            self._propose([t for t, _ in self._buffer.take_all()])
+            self._propose(full, primary)
 
     def _propose(self, batch: list[Transaction], replica: Optional[_Replica] = None) -> None:
         if not batch:
@@ -892,10 +882,12 @@ class PBFTCluster(ConsensusEngine):
         self._notify_checkpoint(checkpoint)
 
     def on_replica_executed(
-        self, replica: _Replica, seq: int, batch: list[Transaction]
+        self, replica: _Replica, seq: int, batch: list[Transaction],
+        batch_digest: bytes,
     ) -> None:
-        """Called by each replica as it executes; drives delivery and replies."""
-        key = (seq, _batch_digest(batch))
+        """Called by each replica as it executes ``batch`` (whose digest
+        it holds); drives delivery and replies."""
+        key = (seq, batch_digest)
         count = self._exec_counts.get(key, 0) + 1
         self._exec_counts[key] = count
         # deliver to the SEBDB nodes once the batch is final (f+1 matching
@@ -908,10 +900,10 @@ class PBFTCluster(ConsensusEngine):
             # this batch) before handing the rest to the SEBDB nodes
             fresh: list[Transaction] = []
             for tx in batch:
-                digest = tx.hash()
-                if digest in self._executed_digests:
+                tx_digest = tx.hash()
+                if tx_digest in self._executed_digests:
                     continue
-                self._executed_digests.add(digest)
+                self._executed_digests.add(tx_digest)
                 fresh.append(tx)
             if not fresh:
                 return

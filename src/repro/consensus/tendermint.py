@@ -36,6 +36,7 @@ from .base import (
     BatchBuffer,
     ConsensusEngine,
     ReplyCallback,
+    SerialLane,
 )
 
 PROPOSE = "tm-propose"
@@ -63,19 +64,18 @@ class TendermintEngine(ConsensusEngine):
         batch_txs: int = 10_000,
         timeout_ms: float = 200.0,
     ) -> None:
-        super().__init__()
+        super().__init__(bus)
         if n < 1:
             raise ConsensusError("Tendermint needs at least one validator")
-        self.bus = bus
         self.n = n
         self._quorum = (2 * n) // 3 + 1
-        self._buffer = BatchBuffer(batch_txs)
+        #: the mempool: (tx, reply) pairs waiting for a proposal
+        self._buffer = BatchBuffer(batch_txs, timeout_ms, bus)
         self._timeout = timeout_ms
-        self.init_client_plumbing(bus)
         #: serial CheckTx lane of the entry validator
-        self._check_busy_until = 0.0
+        self._check_tx = SerialLane(bus)
         #: serial DeliverTx lane of the (simulated co-located) SEBDB node
-        self._deliver_busy_until = 0.0
+        self._deliver_tx = SerialLane(bus)
         self._height = 0
         self._round_votes: dict[tuple[int, str], set[str]] = {}
         self._proposals: dict[int, list[Transaction]] = {}
@@ -96,8 +96,7 @@ class TendermintEngine(ConsensusEngine):
     ) -> None:
         """Ship the transaction to the entry validator over a lossy link."""
         self.stats.submitted += 1
-        self.stats.messages += 1
-        self.bus.send(
+        self.send(
             "client", ENTRY_ID,
             {"kind": SUBMIT, "tx": tx, "on_reply": on_reply},
             delay_ms=SUBMIT_LATENCY_MS, fifo=True,
@@ -113,35 +112,22 @@ class TendermintEngine(ConsensusEngine):
             tx, on_reply, ENTRY_ID, SUBMIT_LATENCY_MS
         ) != ADMIT_NEW:
             return
-        now = self.bus.clock.now_ms()
-        start = max(now, self._check_busy_until)
-        self._check_busy_until = start + CHECK_TX_COST_MS
-        callback = None if tx.dedup_key() else on_reply
-        self.bus.schedule(
-            self._check_busy_until - now,
-            lambda: self._mempool_add(tx, callback),
-        )
+        # nonce-carrying txs ack through the ledger
+        item = (tx, None if tx.dedup_key() else on_reply)
+
+        def checked() -> None:
+            full = self._buffer.add(item, self.flush)
+            if full is not None:
+                self._start_round(full)
+
+        self._check_tx.run(CHECK_TX_COST_MS, checked)
 
     def flush(self) -> None:
         batch = self._buffer.take_all()
         if batch:
             self._start_round(batch)
 
-    # -- mempool / proposals ---------------------------------------------------------
-
-    def _mempool_add(self, tx: Transaction, on_reply: Optional[ReplyCallback]) -> None:
-        was_empty = len(self._buffer) == 0
-        self._buffer.append(tx, on_reply)
-        full = self._buffer.take_full()
-        if full is not None:
-            self._start_round(full)
-        elif was_empty:
-            epoch = self._buffer.epoch
-            self.bus.schedule(self._timeout, lambda: self._on_timeout(epoch))
-
-    def _on_timeout(self, epoch: int) -> None:
-        if self._buffer.epoch == epoch and len(self._buffer):
-            self._start_round(self._buffer.take_all())
+    # -- proposals -------------------------------------------------------------------
 
     def _start_round(
         self,
@@ -171,9 +157,8 @@ class TendermintEngine(ConsensusEngine):
     def _send_proposal(self, height: int) -> None:
         txs = self._proposals[height]
         proposer = f"tm-{height % self.n}"
-        self.stats.messages += self.n
         for i in range(self.n):
-            self.bus.send(
+            self.send(
                 proposer, f"tm-{i}",
                 {"kind": PROPOSE, "height": height, "txs": txs},
             )
@@ -211,9 +196,8 @@ class TendermintEngine(ConsensusEngine):
         node_id = f"tm-{index}"
 
         def broadcast(kind: str, height: int) -> None:
-            self.stats.messages += self.n
             for i in range(self.n):
-                self.bus.send(
+                self.send(
                     node_id, f"tm-{i}",
                     {"kind": kind, "height": height, "voter": node_id},
                 )
@@ -260,11 +244,6 @@ class TendermintEngine(ConsensusEngine):
         self._committed_heights.add(height)
         txs = self._proposals.pop(height)
         replies = self._replies.pop(height)
-        # serial DeliverTx into SEBDB
-        now = self.bus.clock.now_ms()
-        start = max(now, self._deliver_busy_until)
-        self._deliver_busy_until = start + DELIVER_TX_COST_MS * len(txs)
-        done_in = self._deliver_busy_until - now
 
         def finish() -> None:
             # commit acks are real entry->client messages subject to the
@@ -274,4 +253,5 @@ class TendermintEngine(ConsensusEngine):
             self._height += 1
             self._in_flight = False
 
-        self.bus.schedule(done_in, finish)
+        # serial DeliverTx into SEBDB
+        self._deliver_tx.run(DELIVER_TX_COST_MS * len(txs), finish)

@@ -38,13 +38,18 @@ DISTRIBUTE = TableSchema.create(
 def pytest_generate_tests(metafunc):
     """Parametrize chaos soaks over a seed matrix.
 
-    The default matrix keeps local runs fast; CI's chaos job widens it
-    via ``SEBDB_SOAK_SEEDS`` (comma-separated ints) without touching the
-    tests themselves.
+    Locally a soak runs on its own seeds (``@pytest.mark.soak_seeds(...)``,
+    else 11 and 29), which keeps runs fast; CI's chaos job runs every soak
+    over ``SEBDB_SOAK_SEEDS`` (comma-separated ints) instead, without
+    touching the tests themselves.
     """
     if "soak_seed" in metafunc.fixturenames:
-        raw = os.environ.get("SEBDB_SOAK_SEEDS", "11,29")
-        seeds = [int(part) for part in raw.split(",") if part.strip()]
+        raw = os.environ.get("SEBDB_SOAK_SEEDS")
+        if raw is not None:
+            seeds = [int(part) for part in raw.split(",") if part.strip()]
+        else:
+            marker = metafunc.definition.get_closest_marker("soak_seeds")
+            seeds = list(marker.args) if marker is not None else [11, 29]
         metafunc.parametrize("soak_seed", seeds)
 
 

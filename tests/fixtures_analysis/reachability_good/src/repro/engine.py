@@ -5,10 +5,11 @@ class Base:
 
 
 class Engine(Base):
-    def __init__(self, size, depth=2, mode="fast"):
+    def __init__(self, size, depth=2, mode="fast", verbose=False):
         super().__init__(size, 4)
         self.depth = depth
         self.mode = mode
+        self.verbose = verbose
 
     @classmethod
     def small(cls):

@@ -285,7 +285,8 @@ class TestReachabilityRule:
             ("engine.py", 2, "limit"),        # super().__init__(size)
             ("engine.py", 8, "depth"),        # cls(1), open_engine(size=3)
             ("engine.py", 8, "mode"),         # nor through **options
-            ("engine.py", 20, "Engine.orphan"),
+            ("engine.py", 8, "verbose"),      # nor via make_engine(2)'s **kwargs
+            ("engine.py", 21, "Engine.orphan"),
             ("helpers.py", 1, "reexported"),  # a subpackage re-export only
             ("helpers.py", 5, "traced"),
         ]
@@ -296,12 +297,14 @@ class TestReachabilityRule:
             for d in run_analysis(FIXTURES / "reachability_bad", ["reachability"])
         ]
         assert sum("is unreachable" in m for m in messages) == 3
-        assert sum("no call site passes" in m for m in messages) == 3
+        assert sum("no call site passes" in m for m in messages) == 4
 
     def test_good_twin_reaches_everything(self):
         # a target-list string reaches `traced` and `Engine.orphan`,
         # super().__init__(size, 4) passes `limit`, cls(1, 3) passes
-        # `depth`, and open_engine(mode=...) forwards `mode` via **options
+        # `depth`, open_engine(mode=...) forwards `mode` via **options,
+        # and the test helper make_engine(2, verbose=True) forwards
+        # `verbose` via **kwargs
         assert run_analysis(FIXTURES / "reachability_good", ["reachability"]) == []
 
     def test_keep_entry_excuses_a_parameter_and_a_stale_one_is_reported(

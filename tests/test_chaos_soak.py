@@ -109,11 +109,11 @@ def pbft_soak(seed):
     return report, tips, counters
 
 
+@pytest.mark.soak_seeds(11, 29)
 class TestKafkaChaosSoak:
-    @pytest.mark.parametrize("seed", [11, 29])
-    def test_soak_converges_and_is_deterministic(self, seed):
-        report_a, tips_a, counters_a = kafka_soak(seed)
-        report_b, tips_b, counters_b = kafka_soak(seed)
+    def test_soak_converges_and_is_deterministic(self, soak_seed):
+        report_a, tips_a, counters_a = kafka_soak(soak_seed)
+        report_b, tips_b, counters_b = kafka_soak(soak_seed)
         # safety: the checker passed (would have raised DivergenceError)
         assert report_a.ok and report_b.ok
         # byte-identical chains across all four nodes
@@ -135,11 +135,11 @@ class TestKafkaChaosSoak:
         assert committed == 121
 
 
+@pytest.mark.soak_seeds(7, 23)
 class TestPBFTChaosSoak:
-    @pytest.mark.parametrize("seed", [7, 23])
-    def test_soak_converges_and_is_deterministic(self, seed):
-        report_a, tips_a, counters_a = pbft_soak(seed)
-        report_b, tips_b, counters_b = pbft_soak(seed)
+    def test_soak_converges_and_is_deterministic(self, soak_seed):
+        report_a, tips_a, counters_a = pbft_soak(soak_seed)
+        report_b, tips_b, counters_b = pbft_soak(soak_seed)
         assert report_a.ok and report_b.ok
         assert len(set(tips_a)) == 1
         assert report_a.acked == 60 and report_a.pending == 0
@@ -238,10 +238,10 @@ def cascading_primary_soak(seed):
     return net, sub, report
 
 
+@pytest.mark.soak_seeds(13, 31)
 class TestCascadingPrimaryCrash:
-    @pytest.mark.parametrize("seed", [13, 31])
-    def test_commits_within_bounded_view_changes(self, seed):
-        net, sub, report = cascading_primary_soak(seed)
+    def test_commits_within_bounded_view_changes(self, soak_seed):
+        net, sub, report = cascading_primary_soak(soak_seed)
         # liveness: every request eventually commits and is acked
         assert report.ok
         assert report.acked == 40

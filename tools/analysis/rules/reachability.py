@@ -22,8 +22,10 @@ constructor is reached through its class name (or a subclass that does
 not define its own), ``super().__init__(...)``, ``cls(...)``,
 ``type(self)(...)`` and ``Base.__init__(self, ...)``.  ``**kwargs``
 forwarding is followed: keywords passed to the forwarding function
-count as passed to its callee; a ``**mapping`` of unknown keys or a
-``*args`` spread passes everything.  A callable that escapes as a value
+count as passed to its callee, whether it is a ``src/repro`` definition
+or a helper in a root file (a test's ``make_cluster(**kwargs)``,
+resolved by its name); a ``**mapping`` of unknown keys or a ``*args``
+spread passes everything.  A callable that escapes as a value
 (``handlers[k] = fn``, ``engine_cls = PBFTCluster``) has call sites the
 rule cannot see, so its parameters are not judged.
 
@@ -343,6 +345,19 @@ def _module_uses(module: ModuleInfo) -> Set[str]:
     return _uses(stmts)
 
 
+def _root_functions(trees: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """Module-level functions of root files and methods of their classes."""
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield stmt
+            elif isinstance(stmt, ast.ClassDef):
+                yield from (
+                    item for item in stmt.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+
+
 def _parse_roots(root: Path) -> Iterator[ast.AST]:
     """Every parseable module under the root directories."""
     for dirname in policy.REACHABILITY_ROOT_DIRS:
@@ -384,7 +399,7 @@ class ReachabilityRule(Rule):
         findings = [self._dead(d) for d in defs if d not in live and (
             d.owner is None or d.owner in live
         )]
-        params = _Params(defs, calls)
+        params = _Params(defs, calls, _root_functions(roots))
         keep = dict(policy.REACHABILITY_KEEP_PARAMS)
         for d in defs:
             if d.is_class or d not in live:
@@ -464,9 +479,13 @@ class ReachabilityRule(Rule):
 class _Params:
     """Which defaulted parameters of a definition some call site passes."""
 
-    def __init__(self, defs: List[_Def], calls: _CallIndex) -> None:
+    def __init__(
+        self, defs: List[_Def], calls: _CallIndex, helpers: Iterable[ast.AST]
+    ) -> None:
         self.calls = calls
         self.by_node = {id(d.node): d for d in defs}
+        #: forwarding helpers outside src/repro (a test's ``make_x(**kw)``)
+        self.helpers = {id(node): node.name for node in helpers}
         self.classes: Dict[str, List[_Def]] = {}
         for d in defs:
             if d.is_class:
@@ -549,6 +568,15 @@ class _Params:
                 sites += own_sites
         return sites
 
+    def _helper_sites(self, name: str) -> Optional[List[_Site]]:
+        """Call sites of a root-file helper, by name; None if it escapes."""
+        calls = self.calls
+        if name in calls.escaped or any(
+            method == name for _cls, method in calls.escaped_methods
+        ):
+            return None
+        return calls.by_name.get(name, [])
+
     def _forwarded_keywords(self, fn: ast.AST) -> Set[str]:
         """Keywords that reach ``fn``'s own ``**kwargs`` from its callers."""
         key = id(fn)
@@ -556,7 +584,12 @@ class _Params:
             return self._forwarded[key]
         self._forwarded[key] = {_ANY}  # a forwarding cycle passes anything
         d = self.by_node.get(key)
-        sites = self._sites(d) if d is not None else None
+        if d is not None:
+            sites = self._sites(d)
+        elif key in self.helpers:
+            sites = self._helper_sites(self.helpers[key])
+        else:
+            sites = None
         out: Set[str] = set()
         if sites is None:
             out.add(_ANY)
