@@ -151,7 +151,7 @@ def run_corpus() -> dict[str, tuple[float, str]]:
         result = engine.execute(sql)
         plan = result.plan
         label = plan.candidates[0].label if plan.candidates else plan.access_path
-        measured[qid] = (plan.tracker.elapsed_ms(), label)
+        measured[qid] = (plan.cost().elapsed_ms, label)
     return measured
 
 

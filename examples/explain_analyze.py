@@ -55,7 +55,10 @@ def main() -> None:
     # -- operator costs sum to the query's cost snapshot ---------------------
     node.store.clear_caches()
     result = node.query("SELECT * FROM donate WHERE amount > 900")
-    seeks, pages, modelled = result.plan.operator_cost()
+    stats = [op.stats for op in result.plan.operators()]
+    seeks = sum(s.seeks for s in stats)
+    pages = sum(s.page_transfers for s in stats)
+    modelled = sum(s.modelled_ms for s in stats)
     cost = result.cost
     print(f"\nper-operator totals: seeks={seeks} pages={pages} "
           f"modelled={modelled:.1f} ms")

@@ -34,7 +34,7 @@ from .generator import (
     build_tracking_dataset,
     create_standard_indexes,
 )
-from .metrics import QueryMeasurement
+from .metrics import QueryMeasurement, measure
 
 #: method × distribution labels used throughout Figs 8-16
 SERIES_LABELS = {
@@ -54,18 +54,10 @@ Series = dict[str, list[tuple[Any, float]]]
 
 def _timed(node: FullNode, fn: Callable[[], Any]) -> tuple[Any, QueryMeasurement]:
     """Run a query cold (cost counters reset, caches cleared)."""
+    cost = node.store.cost
     node.store.clear_caches()
-    node.store.cost.reset()
-    before = node.store.cost.snapshot()
-    t0 = time.perf_counter()
-    result = fn()
-    wall = (time.perf_counter() - t0) * 1000.0
-    delta = node.store.cost.snapshot().delta(before)
-    rows = len(result) if hasattr(result, "__len__") else 0
-    return result, QueryMeasurement(
-        wall_ms=wall, modelled_io_ms=delta.elapsed_ms,
-        seeks=delta.seeks, page_transfers=delta.page_transfers, rows=rows,
-    )
+    cost.reset()
+    return measure(fn, cost.snapshot(), cost.snapshot)
 
 
 def operator_breakdown(
@@ -484,10 +476,7 @@ def figs17_19_authenticated(
 
         # ALI Q2 (tracking)
         server = AuthQueryServer(tracking.node)
-        _, meas = _timed(
-            tracking.node, lambda: server.trace_vo("org1")
-        )
-        vo = server.trace_vo("org1")
+        vo, meas = _timed(tracking.node, lambda: server.trace_vo("org1"))
         digest = server.auxiliary_digest(
             "senid", "org1", "org1", vo.chain_height
         )
@@ -504,12 +493,11 @@ def figs17_19_authenticated(
 
         # ALI Q4 (range)
         server4 = AuthQueryServer(dataset.node)
-        _, meas4 = _timed(
+        vo4, meas4 = _timed(
             dataset.node,
             lambda: server4.range_vo("amount", RESULT_LOW, RESULT_HIGH,
                                      table="donate"),
         )
-        vo4 = server4.range_vo("amount", RESULT_LOW, RESULT_HIGH, table="donate")
         digest4 = server4.auxiliary_digest(
             "amount", RESULT_LOW, RESULT_HIGH, vo4.chain_height, table="donate"
         )
@@ -528,8 +516,7 @@ def figs17_19_authenticated(
 
         # basic approach: ship every block, client recomputes merkle roots
         basic = BasicAuthServer(dataset.node)
-        _, meas_b = _timed(dataset.node, lambda: basic.query())
-        basic_vo = basic.query()
+        basic_vo, meas_b = _timed(dataset.node, basic.query)
         headers = dataset.node.store.headers
         in_range = predicate_for_range(key_of, RESULT_LOW, RESULT_HIGH)
 

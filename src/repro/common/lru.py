@@ -49,10 +49,6 @@ class LRUCache(Generic[K, V]):
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self._capacity
-
     def get(self, key: K) -> Optional[V]:
         """Return the cached value and mark it most recently used."""
         if key in self._entries:

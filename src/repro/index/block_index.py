@@ -136,11 +136,6 @@ class BlockIndex:
             bitmap.set(entry.bid)
         return bitmap
 
-    def entry(self, bid: int) -> Optional[BlockEntry]:
-        if 0 <= bid < len(self._entries):
-            return self._entries[bid]
-        return None
-
     def all_blocks_bitmap(self) -> Bitmap:
         """Bitmap selecting every block currently indexed."""
         return Bitmap.range(0, len(self._by_bid))

@@ -50,10 +50,6 @@ class EqualDepthHistogram:
     def num_buckets(self) -> int:
         return len(self._bounds) + 1
 
-    @property
-    def bounds(self) -> list[Any]:
-        return list(self._bounds)
-
     def bucket_of(self, value: Any) -> int:
         """Index of the bucket containing ``value``.
 

@@ -353,9 +353,6 @@ class CommitLog:
                 return record
         return None
 
-    def outcomes(self) -> list[OutcomeRecord]:
-        return [r for r in self._records if isinstance(r, OutcomeRecord)]
-
     def in_doubt(self) -> list[PrepareRecord]:
         """PREPARE records with no OUTCOME - unresolved after a crash."""
         resolved = {r.xid for r in self._records

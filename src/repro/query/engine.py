@@ -11,10 +11,11 @@ Every read statement is lowered to the logical IR, decided by
 :meth:`~repro.query.plan.Planner.build` into a tree of streaming
 operators (:mod:`repro.query.physical`), then executed by pulling rows
 through it (:func:`run_plan` / :func:`explain_plan`, which the shard
-coordinator also calls on its fan-out plans).  Costs are attributed to a
-per-query :class:`~repro.storage.costmodel.CostTracker` created at plan
-time, so two interleaved queries each see exactly their own I/O (the old
-global snapshot-delta accounting double-counted under interleaving).
+coordinator also calls on its fan-out plans).  Costs are attributed to
+each leaf operator's own tracker, created at plan time, and a query's cost
+is their sum (:meth:`~repro.query.plan.PhysicalPlan.cost`), so two
+interleaved queries each see exactly their own I/O (the old global
+snapshot-delta accounting double-counted under interleaving).
 """
 
 from __future__ import annotations

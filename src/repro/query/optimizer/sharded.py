@@ -1,12 +1,12 @@
 """Costed fan-out plans for statements that span shards.
 
 A statement that genuinely spans shards compiles to one subplan per
-shard (each built by that shard's own Planner against its own store,
-indexes and scoped tracker) under a single ShardMerge.  The routing
-decision - which shards, and whether to fan out at all - belongs to the
-ShardRouter (:mod:`repro.shard.routing`); this module enumerates the
-fan-out shapes over the shards it is handed, like any other decision,
-and assembles the chosen one:
+shard (each built by that shard's own Planner against its own store and
+indexes, its leaf charging its own tracker) under a single ShardMerge.
+The routing decision - which shards, and whether to fan out at all -
+belongs to the ShardRouter (:mod:`repro.shard.routing`); this module
+enumerates the fan-out shapes over the shards it is handed, like any
+other decision, and assembles the chosen one:
 
 * **per-shard-best** (the chosen default) - every shard picks its own
   cheapest access path, ordered statements sort per shard and k-way
@@ -31,14 +31,12 @@ from typing import Optional, Sequence
 
 from ...common.errors import QueryError
 from ...sqlparser import nodes
-from ...storage.costmodel import CostTracker
 from .. import physical as phys
 from ..aggregates import aggregate_columns, resolve_order_index
 from ..logical import LAggregate, LScan, LSort, LTrace, LogicalPlan
 from ..operators import projected_columns
 from ..plan import (
     AccessPath,
-    FanoutTracker,
     PathChoice,
     PhysicalPlan,
     Planner,
@@ -97,13 +95,12 @@ def _build_fanout(
     streams through one blocking Aggregate.
     """
     shard_ids = [sid for sid, _planner in shard_planners]
-    trackers: list[CostTracker] = []
-    inputs: list[phys.PhysicalOperator] = []
-    for (_sid, planner), (_lplan, scan, _paths), choice in zip(
-        shard_planners, rankings, choices
-    ):
-        trackers.append(planner.store.cost.tracker())
-        inputs.append(planner.scan_leaf(scan, choice, trackers[-1]))
+    inputs = [
+        planner.scan_leaf(scan, choice)
+        for (_sid, planner), (_lplan, scan, _paths), choice in zip(
+            shard_planners, rankings, choices
+        )
+    ]
     # every shard holds the same catalog: the first lowering speaks for all
     lplan, first_scan, _paths = rankings[0]
     stmt, schema = lplan.statement, first_scan.schema
@@ -139,8 +136,7 @@ def _build_fanout(
     root = finish_pipeline(root, rest, columns)
     return PhysicalPlan(
         root=root, columns=columns, access_path="shard-merge",
-        tracker=FanoutTracker(trackers), statement=stmt,
-        choice=choices[0],
+        statement=stmt, choice=choices[0],
     )
 
 
@@ -279,20 +275,18 @@ def plan_sharded_trace(
     ``method``, else each shard's own Algorithm-1 default (a shard
     without the index degrades to its bitmaps on its own).
     """
-    trackers = [planner.store.cost.tracker() for _sid, planner in shard_planners]
     leaves: list[phys.PhysicalOperator] = []
-    for (_sid, planner), tracker in zip(shard_planners, trackers):
+    for _sid, planner in shard_planners:
         trace = planner.lower(stmt).unwrap_source()
         assert isinstance(trace, LTrace)
         decision = TraceDecision(
             method if method is not None
             else default_trace_path(planner.indexes, trace)
         )
-        leaves.append(planner.trace_leaf(trace, decision, tracker))
+        leaves.append(planner.trace_leaf(trace, decision))
     shard_ids = [sid for sid, _planner in shard_planners]
     return PhysicalPlan(
         root=phys.TraceRows(phys.ShardMerge(leaves, shard_ids)),
         columns=phys.TraceRows.COLUMNS,
-        access_path="shard-merge", tracker=FanoutTracker(trackers),
-        statement=stmt,
+        access_path="shard-merge", statement=stmt,
     )

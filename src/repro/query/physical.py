@@ -5,10 +5,10 @@ nodes; execution pulls rows through generator pipelines, so upstream I/O
 stops the moment a downstream operator (``Limit``, a consumed stream)
 stops pulling.  Each operator counts its rows out and keeps its seeks,
 page transfers and modelled milliseconds, which ``EXPLAIN ANALYZE``
-renders (with wall-clock, timed for it alone) and which sum exactly to the
-query-scoped :class:`~repro.storage.costmodel.CostTracker` (leaf operators
-charge their own tracker and the query tracker through one
-:class:`~repro.storage.scan.StoreScanner`).
+renders (with wall-clock, timed for it alone).  Only leaf operators read:
+each charges its own tracker through its
+:class:`~repro.storage.scan.StoreScanner`, and the query's cost is the sum
+of those trackers (:meth:`repro.query.plan.PhysicalPlan.cost`).
 
 Element types flowing between operators:
 
@@ -36,7 +36,7 @@ from ..model.transaction import SCHEMA_TNAME, Transaction
 from ..offchain.adapter import OffChainDatabase
 from ..sqlparser.nodes import ColumnRef, Select, TimeWindow
 from ..storage.blockstore import BlockStore
-from ..storage.costmodel import CostTracker
+from ..storage.costmodel import CostModel
 from .aggregates import aggregate_rows
 from .operators import RangeConstraint, project
 
@@ -60,7 +60,8 @@ class OperatorStats:
     rows_out: int = 0
     #: inclusive wall-clock (children are pulled inside this operator)
     wall_ms: float = 0.0
-    tracker: Optional[CostTracker] = None
+    #: a leaf's own I/O ledger; None on the operators that never read
+    tracker: Optional[CostModel] = None
     #: the children's stats: rows in are exactly the rows they yielded
     inputs: tuple["OperatorStats", ...] = ()
 
@@ -133,12 +134,10 @@ class PhysicalOperator:
 class _LeafOperator(PhysicalOperator):
     """An operator that performs I/O through the scan interface."""
 
-    def __init__(self, store: BlockStore, tracker: Optional[CostTracker]) -> None:
+    def __init__(self, store: BlockStore) -> None:
         super().__init__()
-        own = store.cost.tracker()
-        self.stats.tracker = own
-        trackers = (tracker, own) if tracker is not None else (own,)
-        self.scanner = store.scanner(*trackers)
+        self.stats.tracker = store.cost.tracker()
+        self.scanner = store.scanner(self.stats.tracker)
 
 
 # -- access-path leaves (yield Transaction) --------------------------------
@@ -150,12 +149,11 @@ class _BlockScan(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         candidate: Bitmap,
         schema: TableSchema,
         window: Optional[TimeWindow],
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._candidate = candidate
         self._schema = schema
         self._window = window
@@ -194,14 +192,13 @@ class LayeredLookup(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         index: LayeredIndex,
         constraint: RangeConstraint,
         candidate: Bitmap,
         schema: TableSchema,
         window: Optional[TimeWindow],
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._index = index
         self._constraint = constraint
         self._candidate = candidate
@@ -234,13 +231,12 @@ class _TraceBlockScan(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         candidate: Bitmap,
         operator: Optional[str],
         operation: Optional[str],
         window: Optional[TimeWindow],
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._candidate = candidate
         self._operator = operator
         self._operation = operation
@@ -287,7 +283,6 @@ class TraceLayered(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         candidate: Bitmap,
         sender_index: Optional[LayeredIndex],
         tname_index: Optional[LayeredIndex],
@@ -295,7 +290,7 @@ class TraceLayered(_LeafOperator):
         operation: Optional[str],
         window: Optional[TimeWindow],
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._candidate = candidate
         self._sender_index = sender_index
         self._tname_index = tname_index
@@ -348,11 +343,10 @@ class BlockLookup(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         height: int,
         label: str,
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._height = height
         self._label = label
         self.block = None  # filled at execution
@@ -585,10 +579,6 @@ class ShardMerge(PhysicalOperator):
         self._column = column
         self._descending = descending
 
-    @property
-    def shard_ids(self) -> tuple[int, ...]:
-        return self._shard_ids
-
     def describe(self) -> str:
         shards = ",".join(str(s) for s in self._shard_ids)
         if self._key_index is None:
@@ -683,7 +673,6 @@ class HashJoin(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         candidate: Bitmap,
         left: TableSchema,
         right: TableSchema,
@@ -695,7 +684,7 @@ class HashJoin(_LeafOperator):
         pushed: str = "",
         build_side: str = "right",
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._candidate = candidate
         self._left = left
         self._right = right
@@ -767,7 +756,6 @@ class MergeJoin(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         left_index: LayeredIndex,
         right_index: LayeredIndex,
         left_blocks: Bitmap,
@@ -779,7 +767,7 @@ class MergeJoin(_LeafOperator):
         right_accept: Optional[Callable[[Transaction], bool]] = None,
         pushed: str = "",
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._left_index = left_index
         self._right_index = right_index
         self._left_blocks = left_blocks
@@ -860,7 +848,6 @@ class OnOffHashJoin(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         candidate: Bitmap,
         offchain: OffChainDatabase,
         onchain: TableSchema,
@@ -871,7 +858,7 @@ class OnOffHashJoin(_LeafOperator):
         on_accept: Optional[Callable[[Transaction], bool]] = None,
         pushed: str = "",
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._candidate = candidate
         self._offchain = offchain
         self._onchain = onchain
@@ -917,7 +904,6 @@ class OnOffMergeJoin(_LeafOperator):
     def __init__(
         self,
         store: BlockStore,
-        tracker: Optional[CostTracker],
         candidate: Bitmap,
         index: LayeredIndex,
         onchain: TableSchema,
@@ -928,7 +914,7 @@ class OnOffMergeJoin(_LeafOperator):
         on_accept: Optional[Callable[[Transaction], bool]] = None,
         pushed: str = "",
     ) -> None:
-        super().__init__(store, tracker)
+        super().__init__(store)
         self._candidate = candidate
         self._index = index
         self._onchain = onchain

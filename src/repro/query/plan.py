@@ -44,7 +44,7 @@ from ..offchain.adapter import OffChainDatabase
 from ..sqlparser import nodes
 from ..sqlparser.nodes import predicate_text
 from ..storage.blockstore import BlockStore
-from ..storage.costmodel import CostSnapshot, CostTracker
+from ..storage.costmodel import CostSnapshot
 from . import physical as phys
 from .aggregates import aggregate_columns, resolve_order_index
 from .logical import (
@@ -74,7 +74,6 @@ from .operators import (
 __all__ = [
     "AccessPath",
     "CandidateInfo",
-    "FanoutTracker",
     "JoinDecision",
     "PathChoice",
     "PhysicalPlan",
@@ -286,39 +285,6 @@ def _tx_accept(
     return lambda tx: predicate_matches(tx, predicate, schema)
 
 
-class FanoutTracker:
-    """Query-scoped cost view over a fanned-out (multi-shard) plan.
-
-    Each shard's subplan charges its own tracker, created from that
-    shard's cost model; this object sums them so ``result.cost`` keeps
-    meaning "the I/O this query incurred" across the fan-out while the
-    per-shard trackers keep the disjoint attribution EXPLAIN shows.
-    """
-
-    def __init__(self, parts: Sequence[CostTracker]) -> None:
-        self.parts = tuple(parts)
-
-    @property
-    def seeks(self) -> int:
-        return sum(part.seeks for part in self.parts)
-
-    @property
-    def page_transfers(self) -> int:
-        return sum(part.page_transfers for part in self.parts)
-
-    def elapsed_ms(self) -> float:
-        return sum(part.elapsed_ms() for part in self.parts)
-
-    def snapshot(self) -> CostSnapshot:
-        return CostSnapshot(
-            seeks=self.seeks,
-            page_transfers=self.page_transfers,
-            bytes_read=sum(part.bytes_read for part in self.parts),
-            bytes_written=sum(part.bytes_written for part in self.parts),
-            elapsed_ms=self.elapsed_ms(),
-        )
-
-
 @dataclasses.dataclass
 class CandidateInfo:
     """One row of the EXPLAIN candidate waterfall (a costed alternative
@@ -338,9 +304,6 @@ class PhysicalPlan:
     root: phys.PhysicalOperator
     columns: tuple[str, ...]
     access_path: str
-    #: query-scoped cost tracker every leaf operator charges (a
-    #: :class:`FanoutTracker` when the plan spans shards)
-    tracker: CostTracker | FanoutTracker
     statement: nodes.Statement
     choice: Optional[PathChoice] = None
     #: the BlockLookup leaf (GET BLOCK only), to recover ``result.block``
@@ -355,7 +318,7 @@ class PhysicalPlan:
             lines.append(
                 f"Candidates ({len(self.candidates)} enumerated, cost-ranked):"
             )
-            actual_ms = self.operator_cost()[2] if analyze else 0.0
+            actual_ms = self.cost().elapsed_ms if analyze else 0.0
             for rank, info in enumerate(self.candidates, start=1):
                 marker = "*" if info.chosen else " "
                 line = (
@@ -380,11 +343,20 @@ class PhysicalPlan:
     def operators(self) -> list[phys.PhysicalOperator]:
         return [op for _depth, op in self.root.walk()]
 
-    def operator_cost(self) -> tuple[int, int, float]:
-        """(seeks, page transfers, modelled ms) summed over all operators."""
-        stats = [op.stats for op in self.operators()]
-        return (sum(s.seeks for s in stats), sum(s.page_transfers for s in stats),
-                sum(s.modelled_ms for s in stats))
+    def cost(self) -> CostSnapshot:
+        """The I/O this query incurred so far: its leaf operators' own
+        trackers summed in walk order - one leaf per chain, so one per
+        shard on a fan-out.  Each leaf prices its own counters; the
+        priced milliseconds are summed, never re-priced."""
+        parts = [op.stats.tracker.snapshot() for op in self.operators()
+                 if op.stats.tracker is not None]
+        return CostSnapshot(
+            seeks=sum(part.seeks for part in parts),
+            page_transfers=sum(part.page_transfers for part in parts),
+            bytes_read=sum(part.bytes_read for part in parts),
+            bytes_written=sum(part.bytes_written for part in parts),
+            elapsed_ms=sum((part.elapsed_ms for part in parts), 0.0),
+        )
 
 
 def resolve_join_projection(
@@ -530,7 +502,7 @@ class Planner:
     # -- SELECT ------------------------------------------------------------
 
     def scan_leaf(
-        self, scan: LScan, choice: PathChoice, tracker: CostTracker
+        self, scan: LScan, choice: PathChoice
     ) -> phys.PhysicalOperator:
         """One chain's tuple stream for an on-chain scan: the access-path
         leaf (eqs 1-3) plus the residual filter.
@@ -550,20 +522,20 @@ class Planner:
             if window_bits is not None:
                 candidate = candidate & window_bits
             root: phys.PhysicalOperator = phys.LayeredLookup(
-                store, tracker, choice.index, choice.constraint,
+                store, choice.index, choice.constraint,
                 candidate, schema, scan.window,
             )
         elif choice.path is AccessPath.BITMAP:
             candidate = indexes.table_index.blocks_for_table(schema.name)
             if window_bits is not None:
                 candidate = candidate & window_bits
-            root = phys.BitmapScan(store, tracker, candidate, schema, scan.window)
+            root = phys.BitmapScan(store, candidate, schema, scan.window)
         else:
             candidate = (
                 window_bits if window_bits is not None
                 else indexes.block_index.all_blocks_bitmap()
             )
-            root = phys.SeqScan(store, tracker, candidate, schema, scan.window)
+            root = phys.SeqScan(store, candidate, schema, scan.window)
         root.est_rows = choice.est_rows or None
         root.est_cost_ms = choice.est_cost_ms
         if scan.predicate is not None:
@@ -580,8 +552,7 @@ class Planner:
         stmt = lplan.statement
         assert isinstance(stmt, nodes.Select)
         choice = decision.choice
-        tracker = self._store.cost.tracker()
-        root = self.scan_leaf(scan, choice, tracker)
+        root = self.scan_leaf(scan, choice)
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         if isinstance(head, LAggregate):
             columns = aggregate_columns(stmt)
@@ -593,7 +564,7 @@ class Planner:
         root = finish_pipeline(root, rest, columns)
         return PhysicalPlan(
             root=root, columns=columns, access_path=choice.path.value,
-            tracker=tracker, statement=stmt, choice=choice,
+            statement=stmt, choice=choice,
         )
 
     def _build_offchain(
@@ -603,7 +574,6 @@ class Planner:
         assert isinstance(stmt, nodes.Select)
         offchain = self._require_offchain()
         columns = scan.columns
-        tracker = self._store.cost.tracker()
         root: phys.PhysicalOperator = phys.OffchainScan(
             offchain, scan.table.name
         )
@@ -629,13 +599,13 @@ class Planner:
         root = finish_pipeline(root, rest, out_columns)
         return PhysicalPlan(
             root=root, columns=out_columns, access_path="offchain",
-            tracker=tracker, statement=stmt,
+            statement=stmt,
         )
 
     # -- joins -------------------------------------------------------------
 
     def _onchain_join_leaf(
-        self, join: LJoin, decision: JoinDecision, tracker: CostTracker
+        self, join: LJoin, decision: JoinDecision
     ) -> phys.PhysicalOperator:
         """The fused on-chain join operator (Algorithm 2 / hash baselines),
         single-side WHERE conjuncts pushed inside as intake filters."""
@@ -672,7 +642,7 @@ class Planner:
                 & indexes.table_index.blocks_for_table(right.name)
             )
             return phys.MergeJoin(
-                store, tracker, left_index, right_index,
+                store, left_index, right_index,
                 left_blocks, right_blocks, left, right, window,
                 left_accept, right_accept, pushed,
             )
@@ -683,12 +653,12 @@ class Planner:
                 | indexes.table_index.blocks_for_table(right.name)
             )
         return phys.HashJoin(
-            store, tracker, candidate, left, right, left_col, right_col,
+            store, candidate, left, right, left_col, right_col,
             window, left_accept, right_accept, pushed, decision.build_side,
         )
 
     def _onoff_join_leaf(
-        self, join: LJoin, decision: JoinDecision, tracker: CostTracker
+        self, join: LJoin, decision: JoinDecision
     ) -> phys.PhysicalOperator:
         """The fused on/off-chain join operator (Algorithm 3 / hash baselines)."""
         store, indexes = self._store, self._indexes
@@ -734,7 +704,7 @@ class Planner:
                 if mask is not None:
                     candidate = candidate & mask
             return phys.OnOffMergeJoin(
-                store, tracker, candidate, index, onchain, off_table,
+                store, candidate, index, onchain, off_table,
                 off_rows, off_key, window, on_accept, pushed,
             )
         candidate = window_bits
@@ -743,7 +713,7 @@ class Planner:
                 onchain.name
             )
         return phys.OnOffHashJoin(
-            store, tracker, candidate, offchain, onchain, on_col,
+            store, candidate, offchain, onchain, on_col,
             off_table, off_key, window, on_accept, pushed,
         )
 
@@ -752,13 +722,12 @@ class Planner:
     ) -> PhysicalPlan:
         stmt = lplan.statement
         assert isinstance(stmt, nodes.Select)
-        tracker = self._store.cost.tracker()
         residual = lplan.residual()
         left_schema = join.left.schema
         right = join.right
         refs = (join.left.table, right.table)
         if isinstance(right, LScan):
-            root = self._onchain_join_leaf(join, decision, tracker)
+            root = self._onchain_join_leaf(join, decision)
             right_schema = right.schema
             right_columns = right_schema.column_names
 
@@ -767,7 +736,7 @@ class Planner:
                     residual, pair[0], left_schema, pair[1], right_schema, refs
                 )
         else:
-            root = self._onoff_join_leaf(join, decision, tracker)
+            root = self._onoff_join_leaf(join, decision)
             right_name, right_columns = right.table.name, right.columns
             right_schema = pseudo_schema(right_name, right_columns)
 
@@ -788,7 +757,7 @@ class Planner:
         root = finish_pipeline(root, rest, columns)
         return PhysicalPlan(
             root=root, columns=columns, access_path=decision.method.value,
-            tracker=tracker, statement=stmt,
+            statement=stmt,
         )
 
     def _join_rows(
@@ -816,7 +785,7 @@ class Planner:
     # -- TRACE -------------------------------------------------------------
 
     def trace_leaf(
-        self, trace: LTrace, decision: TraceDecision, tracker: CostTracker
+        self, trace: LTrace, decision: TraceDecision
     ) -> phys.PhysicalOperator:
         """The TRACE leaf (Algorithm 1) under the decided strategy; the
         sharded fan-out concatenates one per shard."""
@@ -844,7 +813,7 @@ class Planner:
                     )
                 candidate = candidate & tname_index.candidate_blocks_eq(operation)
             return phys.TraceLayered(
-                store, tracker, candidate, sender_index, tname_index,
+                store, candidate, sender_index, tname_index,
                 operator, operation, trace.window,
             )
         if decision.method is AccessPath.BITMAP:
@@ -853,21 +822,19 @@ class Planner:
             if operation is not None:
                 candidate = candidate & indexes.table_index.blocks_for_table(operation)
             return phys.TraceBitmap(
-                store, tracker, candidate, operator, operation, trace.window
+                store, candidate, operator, operation, trace.window
             )
         return phys.TraceScan(
-            store, tracker, candidate, operator, operation, trace.window
+            store, candidate, operator, operation, trace.window
         )
 
     def _build_trace(
         self, lplan: LogicalPlan, trace: LTrace, decision: TraceDecision
     ) -> PhysicalPlan:
-        tracker = self._store.cost.tracker()
-        root = phys.TraceRows(self.trace_leaf(trace, decision, tracker))
+        root = phys.TraceRows(self.trace_leaf(trace, decision))
         return PhysicalPlan(
             root=root, columns=phys.TraceRows.COLUMNS,
-            access_path=decision.method.value, tracker=tracker,
-            statement=lplan.statement,
+            access_path=decision.method.value, statement=lplan.statement,
         )
 
     # -- GET BLOCK ---------------------------------------------------------
@@ -887,15 +854,13 @@ class Planner:
             raise QueryError(
                 f"no block found for {lookup.kind.value}={lookup.value!r}"
             )
-        tracker = self._store.cost.tracker()
         leaf = phys.BlockLookup(
-            self._store, tracker, entry.bid,
-            f"{lookup.kind.value}={lookup.value!r}",
+            self._store, entry.bid, f"{lookup.kind.value}={lookup.value!r}"
         )
         root = phys.TraceRows(leaf)
         return PhysicalPlan(
             root=root, columns=phys.TraceRows.COLUMNS,
-            access_path="block-index", tracker=tracker, statement=stmt,
+            access_path="block-index", statement=stmt,
             block_op=leaf,
         )
 

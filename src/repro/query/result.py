@@ -9,8 +9,8 @@ pipeline before returning) or *streaming* (``engine.execute(...,
 stream=True)``): a streaming result pulls rows through the physical plan
 on demand while iterated, so a consumer that stops early stops the
 underlying block reads too.  Accessing ``rows``, ``transactions`` or
-``len()`` drains the remainder; ``cost`` always reflects the I/O charged
-to the query's scoped tracker *so far*.
+``len()`` drains the remainder; ``cost`` always reflects the I/O its leaf
+operators charged *so far* (:meth:`~repro.query.plan.PhysicalPlan.cost`).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class QueryResult:
     def cost(self) -> Optional[CostSnapshot]:
         """I/O charged to this query so far (scoped, interleaving-safe)."""
         if self.plan is not None:
-            return self.plan.tracker.snapshot()
+            return self.plan.cost()
         return None
 
     # -- sequence protocol -------------------------------------------------

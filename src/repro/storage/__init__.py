@@ -1,7 +1,7 @@
 """Block storage: segment files, block store, caches, I/O cost model."""
 
 from .blockstore import BlockStore
-from .costmodel import CostModel, CostSnapshot, CostTracker
+from .costmodel import CostModel, CostSnapshot
 from .scan import StoreScanner
 from .segment import BlockLocation, SegmentStore
 
@@ -10,7 +10,6 @@ __all__ = [
     "BlockStore",
     "CostModel",
     "CostSnapshot",
-    "CostTracker",
     "SegmentStore",
     "StoreScanner",
 ]

@@ -29,7 +29,7 @@ from ..common.hashing import hash_leaf, merkle_root_from_leaves
 from ..common.lru import LRUCache
 from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
-from .costmodel import CostModel, CostTracker
+from .costmodel import CostModel
 from .segment import BlockLocation, SegmentStore
 
 
@@ -258,12 +258,12 @@ class BlockStore:
     # -- reads ---------------------------------------------------------------
 
     def read_block(
-        self, height: int, trackers: Sequence[CostTracker] = ()
+        self, height: int, tracker: Optional[CostModel] = None
     ) -> Block:
         """Read a whole block: one seek + size/pagesize transfers on miss.
 
-        ``trackers`` are per-scope cost trackers (usually one per query
-        and one per plan operator) charged alongside the global model, so
+        ``tracker`` is a scoped ledger (a leaf operator's own, see
+        :meth:`CostModel.tracker`) charged alongside the global model, so
         interleaved readers each account exactly their own I/O.
         """
         self._check_height(height)
@@ -272,7 +272,7 @@ class BlockStore:
             return cached
         location = self._locations[height]
         self.cost.record_read(location.length, seeks=1)
-        for tracker in trackers:
+        if tracker is not None:
             tracker.record_read(location.length, seeks=1)
         data = self._segments.read(location)
         block = Block.from_bytes(data)
@@ -286,7 +286,7 @@ class BlockStore:
 
     def read_transaction(
         self, height: int, tx_index: int,
-        trackers: Sequence[CostTracker] = (),
+        tracker: Optional[CostModel] = None,
     ) -> Transaction:
         """Read a single tuple: one random I/O (seek + 1-page transfer).
 
@@ -301,13 +301,13 @@ class BlockStore:
             )
         if self.config.cache_mode == "block":
             # the block cache policy serves point reads out of whole blocks
-            return self.read_block(height, trackers).transactions[tx_index]
+            return self.read_block(height, tracker).transactions[tx_index]
         cached = self._tx_cache.get((height, tx_index))
         if cached is not None:
             return cached
         offset, length = offsets[tx_index]
         self.cost.record_read(length, seeks=1)
-        for tracker in trackers:
+        if tracker is not None:
             tracker.record_read(length, seeks=1)
         raw = self._segments.read_range(self._locations[height], offset, length)
         tx = Transaction.from_bytes(raw)
@@ -320,13 +320,13 @@ class BlockStore:
         height: int,
         tnames: Optional[Collection[str]] = None,
         senid: Optional[str] = None,
-        trackers: Sequence[CostTracker] = (),
+        tracker: Optional[CostModel] = None,
     ) -> list[Transaction]:
         """The block's tuples of ``tnames`` (and of ``senid``), in block order.
 
         What the whole-block access paths read (eqs 1-2, the hash joins):
         the same I/O as :meth:`read_block` - one seek plus the block's
-        length on a miss, to the global model and every tracker - but
+        length on a miss, to the global model and the tracker - but
         only the tuples the caller keeps are decoded.  The filter runs on
         each transaction's wire prefix, against the filter strings
         encoded once; ``None`` leaves a dimension unfiltered.  Comparison
@@ -338,13 +338,13 @@ class BlockStore:
         self._check_height(height)
         if self.config.cache_mode == "block":
             return [
-                tx for tx in self.read_block(height, trackers).transactions
+                tx for tx in self.read_block(height, tracker).transactions
                 if (tnames is None or tx.tname in tnames)
                 and (senid is None or tx.senid == senid)
             ]
         location = self._locations[height]
         self.cost.record_read(location.length, seeks=1)
-        for tracker in trackers:
+        if tracker is not None:
             tracker.record_read(location.length, seeks=1)
         data = self._segments.read(location)
         offsets = self._tx_offsets[height]
@@ -364,11 +364,11 @@ class BlockStore:
             out.append(Transaction.from_bytes(raw))
         return out
 
-    def scanner(self, *trackers: CostTracker) -> "StoreScanner":
+    def scanner(self, tracker: CostModel) -> "StoreScanner":
         """The scan interface query operators must read through."""
         from .scan import StoreScanner
 
-        return StoreScanner(self, trackers)
+        return StoreScanner(self, tracker)
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
         """Sequential scan of blocks ``start .. end-1``."""

@@ -13,7 +13,8 @@ number of matching tuples.
 
 Every read issued by the block store is recorded here as *seeks* and *page
 transfers*, so tests can assert the equations hold exactly and benchmarks
-can report modelled latency alongside wall-clock time.
+can report modelled latency alongside wall-clock time.  A leaf operator's
+scoped ledger is a model too (:meth:`CostModel.tracker`).
 """
 
 from __future__ import annotations
@@ -130,56 +131,19 @@ class CostModel:
         tuples = left_tuples + right_tuples
         return tuples * (self.seek_ms + self.transfer_ms + self.cpu_tuple_ms)
 
-    def tracker(self) -> "CostTracker":
-        """A fresh scoped tracker priced with this model's timings."""
-        return CostTracker(model=self)
+    def tracker(self) -> "CostModel":
+        """A fresh scoped ledger: this model's prices, zeroed counters.
 
-
-@dataclasses.dataclass
-class CostTracker:
-    """Per-scope (usually per-query) I/O counters.
-
-    The block store charges every read to its global :class:`CostModel`
-    *and* to any trackers passed along with the read, so two interleaved
-    queries each see exactly their own I/O instead of a shared
-    snapshot-delta that double-counts the other query's reads.  Pricing
-    comes from the owning model, so a tracker's ``elapsed_ms`` is
-    directly comparable with the closed-form estimates.
-    """
-
-    model: CostModel
-    seeks: int = 0
-    page_transfers: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def record_read(self, nbytes: int, seeks: int = 1) -> None:
-        self.seeks += seeks
-        self.page_transfers += self.model.pages_for(nbytes)
-        self.bytes_read += nbytes
-
-    def record_write(self, nbytes: int, seeks: int = 0) -> None:
-        self.seeks += seeks
-        self.bytes_written += nbytes
-
-    def elapsed_ms(self) -> float:
-        return (self.seeks * self.model.seek_ms
-                + self.page_transfers * self.model.transfer_ms)
-
-    def snapshot(self) -> "CostSnapshot":
-        return CostSnapshot(
-            seeks=self.seeks,
-            page_transfers=self.page_transfers,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            elapsed_ms=self.elapsed_ms(),
-        )
-
-    def reset(self) -> None:
-        self.seeks = 0
-        self.page_transfers = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
+        The block store charges every read to its global model *and* to
+        the one tracker passed along with the read (a leaf operator's
+        own), so two interleaved queries each see exactly their own I/O
+        instead of a shared snapshot-delta that double-counts the other
+        query's reads.  The prices are this model's, so a tracker's
+        ``elapsed_ms`` is directly comparable with the closed-form
+        estimates.
+        """
+        return CostModel(self.seek_ms, self.transfer_ms, self.page_size,
+                         self.cpu_tuple_ms)
 
 
 @dataclasses.dataclass(frozen=True)

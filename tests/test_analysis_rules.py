@@ -307,6 +307,16 @@ class TestReachabilityRule:
         # `verbose` via **kwargs
         assert run_analysis(FIXTURES / "reachability_good", ["reachability"]) == []
 
+    def test_only_an_attribute_keeps_a_method_alive(self):
+        # a same-named local no longer stands in for a read of the
+        # property; reading it as an attribute does
+        assert _findings("reachability_attr_bad") == [
+            ("stats.py", 6, "Histogram.bounds"),
+        ]
+        assert run_analysis(
+            FIXTURES / "reachability_attr_good", ["reachability"]
+        ) == []
+
     def test_keep_entry_excuses_a_parameter_and_a_stale_one_is_reported(
         self, monkeypatch
     ):

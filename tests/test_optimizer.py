@@ -172,7 +172,7 @@ class TestExplainWaterfall:
 
     def test_plain_explain_does_not_execute(self, chain):
         result = chain.engine.execute(f"EXPLAIN {self.JOIN_SQL}")
-        assert result.plan.tracker.seeks == 0
+        assert result.plan.cost().seeks == 0
         assert "wall_ms" not in explain_text(result)
 
     def test_analyze_reports_actuals_and_drift(self, chain):

@@ -23,7 +23,6 @@ from repro.model.transaction import Transaction, schema_sync_transaction
 from repro.node.fullnode import FullNode
 from repro.query.optimizer import plan_sharded_select
 from repro.query.physical import ShardMerge
-from repro.query.plan import FanoutTracker
 from repro.shard import (
     CRASH_AFTER_DECISION,
     CRASH_AFTER_PREPARE,
@@ -348,26 +347,68 @@ class TestShardMergeReads:
 
     def test_cost_attribution_is_disjoint_per_shard(self):
         node = self.make_populated()
+        shards = [node.shards[sid] for sid in sorted(node.shards)]
+        before = [shard.store.cost.snapshot() for shard in shards]
         result = node.query("SELECT k, v FROM t")
         assert result.access_path == "shard-merge"
-        tracker = result.plan.tracker
-        assert isinstance(tracker, FanoutTracker)
-        assert len(tracker.parts) == 3
-        for part in tracker.parts:
-            assert part.seeks > 0  # every shard was actually charged
-        snapshot = tracker.snapshot()
-        assert snapshot.seeks == sum(p.seeks for p in tracker.parts)
-        assert snapshot.page_transfers == sum(
-            p.page_transfers for p in tracker.parts
-        )
-        # per-shard charge equals that shard's own scan, nothing pooled:
-        # the per-leaf operator trackers EXPLAIN shows add up to the same
-        leaf_seeks = sorted(
-            op.stats.tracker.seeks
-            for op in result.plan.operators()
+        leaves = [
+            op.stats.tracker for op in result.plan.operators()
             if op.stats.tracker is not None
+        ]
+        assert len(leaves) == 3
+        for leaf in leaves:
+            assert leaf.seeks > 0  # every shard was actually charged
+        snapshot = result.cost
+        assert snapshot.seeks == sum(leaf.seeks for leaf in leaves)
+        assert snapshot.page_transfers == sum(
+            leaf.page_transfers for leaf in leaves
         )
-        assert sorted(p.seeks for p in tracker.parts) == leaf_seeks
+        # per-shard charge equals that shard's own store I/O, nothing
+        # pooled: each leaf tracker matches its own shard's global model
+        for shard, earlier, leaf in zip(shards, before, leaves):
+            delta = shard.store.cost.snapshot().delta(earlier)
+            assert (delta.seeks, delta.page_transfers) == \
+                (leaf.seeks, leaf.page_transfers)
+        node.close()
+
+    def test_fanout_cost_is_exactly_the_shards_own(self):
+        """A fan-out's cost is, field by field and bit for bit, the sum in
+        shard order of each shard's solo run of the same statement - and
+        the EXPLAIN ANALYZE act_ms line shows that same figure."""
+        node = self.make_populated()
+        sql = "SELECT k, v FROM t WHERE k > 3"
+        shards = [node.shards[sid] for sid in sorted(node.shards)]
+
+        def cold() -> None:
+            for shard in shards:
+                shard.store.clear_caches()
+
+        cold()
+        result = node.query(sql)
+        assert result.access_path == "shard-merge"
+        fanout = result.cost
+        solos = []
+        for shard in shards:
+            cold()
+            solos.append(shard.query(sql).cost)
+        assert len(solos) == 3 and all(solo.seeks > 0 for solo in solos)
+        assert fanout.seeks == sum(solo.seeks for solo in solos)
+        assert fanout.page_transfers == sum(
+            solo.page_transfers for solo in solos
+        )
+        assert fanout.bytes_read == sum(solo.bytes_read for solo in solos)
+        assert fanout.bytes_written == sum(
+            solo.bytes_written for solo in solos
+        )
+        elapsed = 0.0
+        for solo in solos:
+            elapsed += solo.elapsed_ms
+        assert fanout.elapsed_ms == elapsed  # summed as priced, not re-priced
+        cold()
+        analyzed = node.query(f"EXPLAIN ANALYZE {sql}")
+        text = "\n".join(line for (line,) in analyzed.rows)
+        assert f"act_ms={fanout.elapsed_ms:.3f}" in text
+        assert analyzed.plan.cost() == fanout
         node.close()
 
     def test_aggregates_span_shards(self):

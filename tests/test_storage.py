@@ -397,10 +397,10 @@ class TestScanBlock:
             store = one_block_store(txs, cache_mode)
             for height in (0, 1):  # the empty genesis, then the mixed block
                 block, block_own, block_global = cold_read(
-                    store, lambda t: store.read_block(height, trackers=[t]))
+                    store, lambda t: store.read_block(height, t))
                 scanned, scan_own, scan_global = cold_read(
                     store,
-                    lambda t: store.scan_block(height, tnames, senid, trackers=[t]))
+                    lambda t: store.scan_block(height, tnames, senid, t))
                 expected = [
                     tx for tx in block.transactions
                     if (tnames is None or tx.tname in tnames)
@@ -433,13 +433,14 @@ class TestScanBlock:
         with pytest.raises(StorageError):
             store.scan_block(9, ("donate",))
 
-    def test_scanner_forwards_to_every_tracker(self):
+    def test_scanner_forwards_to_its_tracker(self):
         store = build_store(2)
-        query, own = store.cost.tracker(), store.cost.tracker()
-        rows = store.scanner(query, own).scan_block(2, ("donate",), "org0")
+        store.cost.reset()
+        own = store.cost.tracker()
+        rows = store.scanner(own).scan_block(2, ("donate",), "org0")
         assert [tx.values[0] for tx in rows] == ["v0", "v2"]
-        assert query.seeks == own.seeks == 1
-        assert query.bytes_read == own.bytes_read == store.block_size(2)
+        assert own.seeks == store.cost.seeks == 1
+        assert own.bytes_read == store.cost.bytes_read == store.block_size(2)
 
     @pytest.mark.parametrize("damage", ["trailing", "truncated", "count", "header"])
     def test_framing_is_still_checked(self, damage, monkeypatch):

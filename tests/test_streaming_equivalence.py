@@ -93,7 +93,10 @@ def random_window(rng):
 
 
 def assert_operator_costs_consistent(result):
-    seeks, pages, modelled = result.plan.operator_cost()
+    stats = [op.stats for op in result.plan.operators()]
+    seeks = sum(s.seeks for s in stats)
+    pages = sum(s.page_transfers for s in stats)
+    modelled = sum(s.modelled_ms for s in stats)
     cost = result.cost
     assert (seeks, pages) == (cost.seeks, cost.page_transfers)
     assert modelled == pytest.approx(cost.elapsed_ms)

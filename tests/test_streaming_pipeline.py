@@ -88,13 +88,20 @@ def test_explain_via_param_binding(chain):
 # -- per-operator costs sum to the query's CostSnapshot ----------------------
 
 
+def operator_cost(plan):
+    """(seeks, page transfers, modelled ms) summed over all operators."""
+    stats = [op.stats for op in plan.operators()]
+    return (sum(s.seeks for s in stats), sum(s.page_transfers for s in stats),
+            sum(s.modelled_ms for s in stats))
+
+
 @pytest.mark.parametrize("method", ["scan", "bitmap", "layered"])
 def test_operator_costs_sum_to_query_snapshot(chain, method):
     result = run(chain, "SELECT * FROM donate WHERE amount > 100",
                  method=method)
     assert len(result.rows) > 0
     cost = result.cost
-    seeks, pages, modelled = result.plan.operator_cost()
+    seeks, pages, modelled = operator_cost(result.plan)
     assert seeks == cost.seeks
     assert pages == cost.page_transfers
     assert modelled == pytest.approx(cost.elapsed_ms)
@@ -109,7 +116,7 @@ def test_join_operator_costs_sum_to_query_snapshot(chain):
         method="layered",
     )
     cost = result.cost
-    seeks, pages, modelled = result.plan.operator_cost()
+    seeks, pages, modelled = operator_cost(result.plan)
     assert (seeks, pages) == (cost.seeks, cost.page_transfers)
     assert modelled == pytest.approx(cost.elapsed_ms)
 
@@ -229,8 +236,8 @@ def test_streaming_result_is_lazy(chain):
     assert result.is_streaming
     it = iter(result)
     next(it)
-    seeks_after_first = result.plan.tracker.seeks
+    seeks_after_first = result.plan.cost().seeks
     rest = list(it)
-    assert result.plan.tracker.seeks > seeks_after_first
+    assert result.plan.cost().seeks > seeks_after_first
     assert len(rest) + 1 == len(result.rows)
     assert not result.is_streaming

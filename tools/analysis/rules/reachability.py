@@ -16,8 +16,12 @@ Resolution is by *name*, and conservative: a use of ``close`` anywhere
 live keeps every ``close`` alive, a call ``x.f(1, 2)`` passes the first
 two parameters of every ``f``, and a dotted-identifier string
 (``"FullNode.query"`` in a tracer's target list, a ``getattr`` name)
-counts as a use of each of its parts.  So the rule may miss dead code
-that shares a name with live code; it does not report live code.  A
+counts as a use of each of its parts.  A method or property is only
+ever reached through an attribute (``x.close``) or such a string: a
+local variable, parameter or nested function named ``close`` keeps
+module-level ``close`` definitions alive, not methods.  So the rule may
+miss dead code that shares a name with live code; it does not report
+live code.  A
 constructor is reached through its class name (or a subclass that does
 not define its own), ``super().__init__(...)``, ``cls(...)``,
 ``type(self)(...)`` and ``Base.__init__(self, ...)``.  ``**kwargs``
@@ -118,21 +122,29 @@ class _Site:
     spread: object = None
 
 
+def _attr(name: str) -> str:
+    """How a use through an attribute (or a dotted string) is recorded:
+    only these reach methods, while module-level definitions are reached
+    by either form."""
+    return "." + name
+
+
 def _uses(nodes: Iterable[ast.AST]) -> Set[str]:
-    """Every name the given code mentions: names, attributes, id strings."""
+    """Every name the given code mentions: bare names as themselves,
+    attributes and id-string parts as :func:`_attr` of themselves."""
     out: Set[str] = set()
     for root in nodes:
         for node in ast.walk(root):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                out.add(_attr(node.attr))
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and _DOTTED.match(node.value)
             ):
-                out.update(node.value.split("."))
+                out.update(_attr(part) for part in node.value.split("."))
             elif isinstance(node, ast.alias) and node.asname:
                 out.update(node.name.split("."))
     return out
@@ -418,7 +430,8 @@ class ReachabilityRule(Rule):
             by_name.setdefault(d.name, []).append(d)
         live: Set[_Def] = set()
         queue = deque(
-            d for d in defs if d.owner is None and d.name in used
+            d for d in defs if d.owner is None
+            and (d.name in used or _attr(d.name) in used)
         )
         while queue:
             d = queue.popleft()
@@ -428,13 +441,15 @@ class ReachabilityRule(Rule):
             fresh = d.uses - used
             used |= fresh
             for name in fresh:
+                via_attr = name.startswith(".")
                 queue.extend(
-                    x for x in by_name.get(name, ())
-                    if x.owner is None or x.owner in live
+                    x for x in by_name.get(name.lstrip("."), ())
+                    if x.owner is None or (via_attr and x.owner in live)
                 )
             if d.is_class:
                 queue.extend(
-                    m for m in d.methods if _dunder(m.name) or m.name in used
+                    m for m in d.methods
+                    if _dunder(m.name) or _attr(m.name) in used
                 )
         return live
 
