@@ -85,7 +85,7 @@ def build_engine() -> QueryEngine:
     catalog = Catalog()
     genesis = make_genesis(0, list(ONCHAIN_SCHEMAS))
     store.append_block(genesis)
-    catalog.apply_block(genesis)
+    catalog.apply_transactions(genesis.transactions)
     indexes = IndexManager(store, order=8, histogram_depth=16)
     prev = store.tip_hash
     tid = len(genesis.transactions)

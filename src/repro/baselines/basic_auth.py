@@ -15,8 +15,7 @@ import dataclasses
 from typing import Any, Callable, Optional, Sequence
 
 from ..common.errors import VerificationError
-from ..common.hashing import hash_leaf
-from ..mht.merkle import merkle_root_from_leaves
+from ..common.hashing import merkle_root
 from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
 from ..node.fullnode import FullNode
@@ -74,9 +73,7 @@ def verify_basic_vo(
             raise VerificationError(
                 f"server shipped unknown block {block.header.height}"
             )
-        root = merkle_root_from_leaves(
-            [hash_leaf(tx.to_bytes()) for tx in block.transactions]
-        )
+        root = merkle_root([tx.to_bytes() for tx in block.transactions])
         if root != header.trans_root:
             raise VerificationError(
                 f"block {block.header.height}: transaction root mismatch"

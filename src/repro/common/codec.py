@@ -45,6 +45,28 @@ VARINT_MAX_SHIFT = 1024
 NON_MINIMAL_VARINT = "non-minimal varint"
 
 
+def encode_varint(value: int) -> bytes:
+    """The minimal varint spelling of ``value``."""
+    if value < 0:
+        raise CodecError(f"varint cannot encode negative value {value}")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def encode_signed(value: int) -> bytes:
+    """The zig-zag varint spelling of a signed ``value``."""
+    # zig-zag encoding maps signed ints onto unsigned ones:
+    # 0, -1, 1, -2, 2 ... -> 0, 1, 2, 3, 4 ...
+    return encode_varint(2 * value if value >= 0 else -2 * value - 1)
+
+
 class Writer:
     """Append-only binary writer."""
 
@@ -55,23 +77,10 @@ class Writer:
         self._parts.append(data)
 
     def write_varint(self, value: int) -> None:
-        if value < 0:
-            raise CodecError(f"varint cannot encode negative value {value}")
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self._parts.append(bytes(out))
+        self._parts.append(encode_varint(value))
 
     def write_signed(self, value: int) -> None:
-        # zig-zag encoding maps signed ints onto unsigned ones:
-        # 0, -1, 1, -2, 2 ... -> 0, 1, 2, 3, 4 ...
-        self.write_varint(2 * value if value >= 0 else -2 * value - 1)
+        self._parts.append(encode_signed(value))
 
     def write_bytes(self, data: bytes) -> None:
         self.write_varint(len(data))

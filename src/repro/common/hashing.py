@@ -59,6 +59,11 @@ def merkle_root_from_leaves(leaves: Sequence[bytes]) -> bytes:
     return level[0]
 
 
+def merkle_root(items: Sequence[bytes]) -> bytes:
+    """Root hash over raw ``items`` (hashes each as a leaf first)."""
+    return merkle_root_from_leaves([hash_leaf(item) for item in items])
+
+
 def hash_concat(parts: Iterable[bytes]) -> bytes:
     """Hash the concatenation of ``parts``.
 

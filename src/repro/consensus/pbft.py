@@ -690,8 +690,9 @@ class PBFTCluster(ConsensusEngine):
         self._buffer = BatchBuffer(batch_txs, timeout_ms, bus)
         self.replicas = [_Replica(self, i) for i in range(n)]
         self._executed_digests: set[bytes] = set()
-        #: hashes appended to the primary buffer or proposed - duplicates
-        #: (retries and re-broadcast requests) are not buffered again
+        #: hashes appended to the primary buffer or proposed and not yet
+        #: executed - duplicates (retries and re-broadcast requests) are
+        #: not buffered again
         self._in_pipeline: set[bytes] = set()
         #: executions per (seq, batch digest) - keying by digest stops a
         #: replica fed a corrupted state transfer from completing an f+1
@@ -903,6 +904,8 @@ class PBFTCluster(ConsensusEngine):
                 tx_digest = tx.hash()
                 if tx_digest in self._executed_digests:
                     continue
+                # done, not in flight: enqueue's dedup now finds it here
+                self._in_pipeline.discard(tx_digest)
                 self._executed_digests.add(tx_digest)
                 fresh.append(tx)
             if not fresh:

@@ -8,10 +8,14 @@ Serves three roles in SEBDB:
   which is the paper's point (i) about layered-index benefits),
 * the skeleton that the Merkle B-tree (:mod:`repro.mht.mbtree`) reuses.
 
-Duplicate keys are supported: each key maps to a list of payloads.  Leaves
-are chained for range scans.  The tree is append-friendly (rightmost-leaf
-inserts of monotone keys keep leaves full) and supports classic top-down
-search; deletion is deliberately absent because blocks are immutable.
+Duplicate keys are supported: a key holds its one payload bare, or a
+:class:`_Group` of two or more.  On the ``benchmarks/perf`` workloads
+65-84 % of a block's level-2 keys hold one position, and a container for
+each of them is heap per key per block per index (DESIGN.md §9).
+Leaves are chained for range scans.  The tree is append-friendly
+(rightmost-leaf inserts of monotone keys keep leaves full) and supports
+classic top-down search; deletion is deliberately absent because blocks
+are immutable.
 """
 
 from __future__ import annotations
@@ -19,6 +23,17 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Sequence
 
 from ..common.errors import IndexError_
+
+
+class _Group(tuple):
+    """The payloads of a key that holds two or more."""
+
+    __slots__ = ()
+
+
+def _payloads(slot: Any) -> tuple[Any, ...]:
+    """Every payload of a leaf slot, in insertion order."""
+    return slot if type(slot) is _Group else (slot,)
 
 
 class _Node:
@@ -29,8 +44,11 @@ class _Node:
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.keys: list[Any] = []
-        self.children: list[_Node] = []      # internal nodes only
-        self.values: list[list[Any]] = []    # leaves only; parallel to keys
+        # a leaf has no children and an internal node no payloads: the
+        # unused one is the shared empty tuple, not a list per node
+        self.children: Sequence[_Node] = () if is_leaf else []
+        #: leaves only; parallel to keys: a payload or a _Group
+        self.values: Sequence[Any] = [] if is_leaf else ()
         self.next_leaf: Optional[_Node] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -40,6 +58,8 @@ class _Node:
 
 class BPlusTree:
     """A B+-tree with order ``order`` (max children per internal node)."""
+
+    __slots__ = ("_order", "_root", "_size", "_height")
 
     def __init__(self, order: int = 32) -> None:
         if order < 3:
@@ -78,10 +98,10 @@ class BPlusTree:
         if node.is_leaf:
             idx = _lower_bound(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx].append(value)
+                node.values[idx] = _Group(_payloads(node.values[idx]) + (value,))
                 return None
             node.keys.insert(idx, key)
-            node.values.insert(idx, [value])
+            node.values.insert(idx, value)
             self._size += 1
             if len(node.keys) >= self._order:
                 return self._split_leaf(node)
@@ -142,7 +162,10 @@ class BPlusTree:
         for start in range(0, len(keys), per_leaf):
             leaf = _Node(is_leaf=True)
             leaf.keys = keys[start : start + per_leaf]
-            leaf.values = [grouped[k] for k in leaf.keys]
+            leaf.values = [
+                values[0] if len(values) == 1 else _Group(values)
+                for values in map(grouped.__getitem__, leaf.keys)
+            ]
             if leaves:
                 leaves[-1].next_leaf = leaf
             leaves.append(leaf)
@@ -176,7 +199,7 @@ class BPlusTree:
         leaf = self._find_leaf(key)
         idx = _lower_bound(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return list(leaf.values[idx])
+            return list(_payloads(leaf.values[idx]))
         return []
 
     def range(
@@ -206,8 +229,12 @@ class BPlusTree:
                 if high is not None:
                     if key > high or (not include_high and key == high):
                         return
-                for payload in leaf.values[idx]:
-                    yield key, payload
+                slot = leaf.values[idx]
+                if type(slot) is _Group:
+                    for payload in slot:
+                        yield key, payload
+                else:
+                    yield key, slot
                 idx += 1
             leaf = leaf.next_leaf
             idx = 0
@@ -217,7 +244,7 @@ class BPlusTree:
         leaf = self._find_leaf(key)
         idx = _upper_bound(leaf.keys, key) - 1
         if idx >= 0:
-            return leaf.keys[idx], list(leaf.values[idx])
+            return leaf.keys[idx], list(_payloads(leaf.values[idx]))
         # key smaller than everything in this leaf; scan from the start
         prev: Optional[tuple[Any, list[Any]]] = None
         for k, v in self.items():
@@ -227,6 +254,15 @@ class BPlusTree:
         if prev is None:
             return None
         return prev[0], self.search(prev[0])
+
+    def keys(self) -> list[Any]:
+        """The distinct keys, in order."""
+        out: list[Any] = []
+        leaf: Optional[_Node] = self._leftmost_leaf()
+        while leaf is not None:
+            out.extend(leaf.keys)
+            leaf = leaf.next_leaf
+        return out
 
     def min_key(self) -> Optional[Any]:
         leaf = self._leftmost_leaf()
@@ -242,8 +278,8 @@ class BPlusTree:
         """All (key, payload) pairs in key order."""
         leaf: Optional[_Node] = self._leftmost_leaf()
         while leaf is not None:
-            for key, payloads in zip(leaf.keys, leaf.values):
-                for payload in payloads:
+            for key, slot in zip(leaf.keys, leaf.values):
+                for payload in _payloads(slot):
                     yield key, payload
             leaf = leaf.next_leaf
 

@@ -38,6 +38,8 @@ class SecondLevelTree(Protocol):
     def range(self, low: Any = None, high: Any = None,
               include_low: bool = True, include_high: bool = True) -> Iterable[tuple[Any, Any]]: ...
 
+    def keys(self) -> list[Any]: ...
+
 
 #: Builds a level-2 tree from (key, position) pairs; receives the block so
 #: authenticated factories can hash the actual records into leaf digests.
@@ -95,10 +97,9 @@ class LayeredIndex:
         self._value_bitmaps: dict[Any, Bitmap] = {}
         # level 1, continuous: block id -> bucket bitmap (int)
         self._bucket_bits: dict[int, int] = {}
-        # level 2: block id -> tree (only blocks with indexed values)
+        # level 2: block id -> tree (only blocks with indexed values); its
+        # keys are also the block's distinct values (join intersect test)
         self._trees: dict[int, SecondLevelTree] = {}
-        # per-block distinct values (discrete join intersect test)
-        self._block_values: dict[int, set[Any]] = {}
         self._num_blocks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -135,10 +136,8 @@ class LayeredIndex:
                 bits |= 1 << self.histogram.bucket_of(key)
             self._bucket_bits[bid] = bits
         else:
-            values = {key for key, _ in pairs}
-            for value in values:
+            for value in {key for key, _ in pairs}:
                 self._value_bitmaps.setdefault(value, Bitmap()).set(bid)
-            self._block_values[bid] = values
         self._trees[bid] = self._tree_factory(pairs, block)
 
     def refresh_histogram(self, histogram: EqualDepthHistogram) -> None:
@@ -245,10 +244,11 @@ class LayeredIndex:
             low = self.histogram.bucket_range(buckets[0])[0]
             high = self.histogram.bucket_range(buckets[-1])[1]
             return (low, high)
-        values = self._block_values.get(bid)
-        if not values:
+        tree = self._trees.get(bid)
+        if tree is None:
             return None
-        return (min(values), max(values))
+        values = tree.keys()
+        return (values[0], values[-1])
 
     def block_bucket_ranges(self, bid: int) -> list[tuple[Any, Any]]:
         """Ranges (l, u) of the buckets present in block ``bid``.
@@ -266,13 +266,15 @@ class LayeredIndex:
                 for i in range(self.histogram.num_buckets)
                 if bits >> i & 1
             ]
-        return [(v, v) for v in sorted(self._block_values.get(bid, ()))]
+        tree = self._trees.get(bid)
+        return [] if tree is None else [(v, v) for v in tree.keys()]
 
     def block_values(self, bid: int) -> set[Any]:
         """Distinct values in block ``bid`` (discrete indexes only)."""
         if self.continuous:
             raise IndexError_("block_values is only defined for discrete indexes")
-        return set(self._block_values.get(bid, ()))
+        tree = self._trees.get(bid)
+        return set() if tree is None else set(tree.keys())
 
 
 def ranges_intersect(

@@ -23,7 +23,7 @@ layering violation the ``commit-path`` analysis rule rejects.
 from __future__ import annotations
 
 import collections
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock
 from ..common.errors import ConfigError, LedgerError, StorageError
@@ -33,8 +33,8 @@ from ..crypto.group import Point
 from ..crypto.keys import address_of
 from ..model.block import Block
 from ..model.catalog import Catalog
-from ..model.transaction import Transaction
-from ..storage.blockstore import BlockStore
+from ..model.transaction import SCHEMA_TNAME, Transaction
+from ..storage.blockstore import BlockStore, serialize_block
 from ..storage.segment import BlockLocation
 from .commitlog import CheckpointRecord, CommitLog
 from .stats import LedgerStats
@@ -108,19 +108,27 @@ class LedgerPipeline:
         self._apply_block(genesis, location)
         self._next_tid = len(genesis.transactions)
 
-    def rebuild_from_store(self) -> None:
+    def rebuild_from_store(self, schema_heights: Iterable[int]) -> None:
         """Re-derive catalog and tid counter from a recovered chain.
 
         Index backfill is the :class:`~repro.index.manager.IndexManager`
         constructor's own job, so only the catalog and the sequencer are
         rebuilt here; the recovery reads do not count against the cost
-        model.
+        model.  ``schema_heights`` are the blocks holding schema
+        transactions (the backfilled table index knows them); only those
+        are scanned, and only their schema transactions decoded.  The tid
+        counter needs just the last non-empty block.
         """
-        for block in self._store.iter_blocks():
-            self._catalog.apply_block(block)
-            if block.transactions:
-                self._next_tid = max(self._next_tid, block.last_tid + 1)
-        self._applied_height = self._store.height
+        store = self._store
+        for height in schema_heights:
+            self._catalog.apply_transactions(
+                store.scan_block(height, (SCHEMA_TNAME,)))
+        for height in reversed(range(store.height)):
+            if store.transactions_in_block(height):
+                last_tid = store.read_block(height).last_tid
+                self._next_tid = max(self._next_tid, last_tid + 1)
+                break
+        self._applied_height = store.height
         self._store.cost.reset()
 
     def resolve_wal(self) -> dict:
@@ -227,6 +235,9 @@ class LedgerPipeline:
         Same persist and apply stages as a local commit; validate checks
         chaining and the Merkle root instead of re-sequencing, and the
         notify stage is skipped (an adopted block is never re-announced).
+        The root covers each transaction's bytes while apply reads its
+        fields, so a peer's transaction whose fields no longer encode to
+        its bytes is rejected first.
         """
         with self.stats.timed("validate", len(block.transactions)):
             if block.header.height != self._store.height:
@@ -238,6 +249,11 @@ class LedgerPipeline:
                     and block.header.prev_hash != self._store.tip_hash):
                 raise StorageError(
                     f"block {block.header.height} does not chain to our tip"
+                )
+            if not all(tx.wire_matches_fields() for tx in block.transactions):
+                raise StorageError(
+                    f"block {block.header.height} carries a transaction "
+                    f"whose fields disagree with its bytes"
                 )
             if not block.verify_trans_root():
                 raise StorageError(
@@ -337,9 +353,14 @@ class LedgerPipeline:
         return outcome.valid
 
     def _persist_block(self, block: Block) -> Optional[BlockLocation]:
-        """Persist stage: intent record, segment append, commit record."""
+        """Persist stage: intent record, segment append, commit record.
+
+        The block is serialized once: the intent record takes its length,
+        and the append (or a torn append's half) writes its bytes.
+        """
         with self.stats.timed("persist", len(block.transactions)):
-            data = block.to_bytes()
+            serialized = serialize_block(block)
+            data = serialized[0]
             self.log.begin(block.header.height, block.block_hash(), len(data))
             self.stats.wal_begun += 1
             if self._crash_persist is not None:
@@ -350,11 +371,13 @@ class LedgerPipeline:
                         data[: max(1, len(data) // 2)]
                     )
                 else:
-                    self._store.append_block(block, notify=False)
+                    self._store.append_block(block, notify=False,
+                                             serialized=serialized)
                 if on_crash is not None:
                     on_crash()
                 return None
-            location = self._store.append_block(block, notify=False)
+            location = self._store.append_block(block, notify=False,
+                                                serialized=serialized)
             self.log.commit(block.header.height)
             self.stats.wal_committed += 1
         return location
@@ -364,12 +387,12 @@ class LedgerPipeline:
 
         The only chain state a block changes beyond the store itself is
         the catalog (``__schema__`` transactions); it goes through
-        :meth:`Catalog.apply_block`, the same call
+        :meth:`Catalog.apply_transactions`, the same call
         :meth:`rebuild_from_store` makes, so live apply and recovery
         share one route.
         """
         with self.stats.timed("apply", len(block.transactions)):
-            self._catalog.apply_block(block)
+            self._catalog.apply_transactions(block.transactions)
             self._store.notify_append_listeners(block, location)
             if block.transactions:
                 self._next_tid = max(self._next_tid, block.last_tid + 1)

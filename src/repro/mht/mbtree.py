@@ -95,6 +95,10 @@ class MBTree:
         hi = bisect.bisect_right(self._keys, key)
         return self._payloads[lo:hi]
 
+    def keys(self) -> list[Any]:
+        """The distinct keys, in order."""
+        return list(dict.fromkeys(self._keys))
+
     def range(
         self,
         low: Any = None,

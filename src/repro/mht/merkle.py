@@ -19,6 +19,7 @@ from ..common.hashing import (
     EMPTY_MERKLE_ROOT as EMPTY_ROOT,
     hash_children,
     hash_leaf,
+    merkle_root,
     merkle_root_from_leaves,
 )
 
@@ -30,11 +31,6 @@ __all__ = [
     "merkle_root_from_leaves",
     "verify_proof",
 ]
-
-
-def merkle_root(items: Sequence[bytes]) -> bytes:
-    """Root hash over raw ``items`` (hashes each as a leaf first)."""
-    return merkle_root_from_leaves([hash_leaf(item) for item in items])
 
 
 @dataclasses.dataclass(frozen=True)

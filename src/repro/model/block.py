@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..common.codec import Reader, Writer
 from ..common.errors import CodecError, StorageError
-from ..common.hashing import hash_leaf, merkle_root_from_leaves, sha256
+from ..common.hashing import merkle_root, sha256
 from ..crypto.keys import KeyPair
 from .transaction import Transaction
 
@@ -98,7 +98,7 @@ class Block:
         for tx in txs:
             if not tx.is_sequenced:
                 raise StorageError("cannot package an unsequenced transaction")
-        root = merkle_root_from_leaves([hash_leaf(tx.to_bytes()) for tx in txs])
+        root = merkle_root([tx.to_bytes() for tx in txs])
         header = BlockHeader(
             prev_hash=prev_hash,
             height=height,
@@ -138,10 +138,12 @@ class Block:
         return {tx.tname for tx in self.transactions}
 
     def verify_trans_root(self) -> bool:
-        """Recompute the Merkle root and compare with the header."""
-        root = merkle_root_from_leaves(
-            [hash_leaf(tx.to_bytes()) for tx in self.transactions]
-        )
+        """Recompute the Merkle root and compare with the header.
+
+        A block read from a store hashes the records it was decoded from
+        (:meth:`Transaction.from_record`), not a re-encoding of them.
+        """
+        root = merkle_root([tx.to_bytes() for tx in self.transactions])
         return root == self.header.trans_root
 
     # -- wire format ------------------------------------------------------
@@ -155,13 +157,17 @@ class Block:
         return writer.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Block":
+    def from_bytes(cls, data: bytes, *, keep_records: bool = True) -> "Block":
+        """Decode a block; each transaction keeps the record it came from
+        (:meth:`Transaction.from_record`) unless ``keep_records`` is off,
+        as it is for a block that goes into a cache."""
         reader = Reader(data)
         header = BlockHeader.from_bytes(reader.read_bytes())
         count = reader.read_varint()
+        decode = Transaction.from_record if keep_records else Transaction.from_bytes
         txs = []
         for _ in range(count):
-            txs.append(Transaction.from_bytes(reader.read_bytes()))
+            txs.append(decode(reader.read_bytes()))
         if reader.remaining():
             raise CodecError(
                 f"{reader.remaining()} trailing bytes after block {header.height}"

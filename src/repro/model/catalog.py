@@ -8,10 +8,11 @@ nodes exactly like ordinary data does.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..common.errors import CatalogError
-from .block import Block
 from .schema import TableSchema
-from .transaction import SCHEMA_TNAME, schema_from_sync_transaction
+from .transaction import SCHEMA_TNAME, Transaction, schema_from_sync_transaction
 
 
 class Catalog:
@@ -43,10 +44,11 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}")
         return self._tables[lowered]
 
-    def apply_block(self, block: Block) -> list[TableSchema]:
-        """Pick up schema-sync transactions from a freshly applied block."""
+    def apply_transactions(self, txs: Iterable[Transaction]) -> list[TableSchema]:
+        """Register the schema of every schema-sync transaction in ``txs``
+        not registered yet; other transactions are skipped."""
         registered = []
-        for tx in block.transactions:
+        for tx in txs:
             if tx.tname == SCHEMA_TNAME:
                 schema = schema_from_sync_transaction(tx)
                 if schema.name not in self._tables:

@@ -12,6 +12,19 @@ with ``read_from`` as its reference and fallback), and ``wire_prefix``
 walks its first six fields without decoding them, which is how a block
 scan rejects other tables' tuples cheaply.  The field order is written
 down once, next to ``to_bytes``.
+
+A transaction is immutable by contract: build a changed one with
+``dataclasses.replace``, never by assigning a field.  The contract is what
+lets the wire bytes travel with the transaction (``_wire``): consensus
+digests, Merkle leaves and the block store all reuse one encoding, and a
+field assigned after the bytes are cached would leave them stale.  Three
+places attach them - the first ``to_bytes`` of an unsequenced
+transaction, :meth:`Transaction.with_tid` (the parent's bytes with the
+``tid`` prefix swapped) and :meth:`Transaction.from_record` (the stored
+record a block was decoded from).  ``dataclasses.replace`` starts a copy
+without them.  The class is not frozen because a frozen dataclass pays
+for every field on every construction, and decoding constructs one per
+tuple read.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from ..common.codec import (
     VARINT_MAX_SHIFT,
     Reader,
     Writer,
+    encode_signed,
 )
 from ..common.errors import CodecError, SignatureError
 from ..common.hashing import sha256
@@ -60,7 +74,7 @@ _unpack_double = struct.Struct(">d").unpack_from
 
 @dataclasses.dataclass(slots=True)
 class Transaction:
-    """One on-chain tuple.
+    """One on-chain tuple, immutable by contract (see the module docstring).
 
     Attributes
     ----------
@@ -95,6 +109,9 @@ class Transaction:
     pubkey: bytes = b""
     sig: bytes = b""
     nonce: str = ""
+    #: the wire encoding once known; never part of equality or the repr
+    _wire: Optional[bytes] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -111,6 +128,7 @@ class Transaction:
         tx = cls(ts=ts, senid=senid, tname=tname.lower(), values=tuple(values),
                  nonce=nonce)
         if keypair is not None:
+            # nothing has encoded ``tx`` yet, so no bytes can go stale
             tx.pubkey = keypair.public_key
             tx.sig = keypair.sign(tx.signing_payload())
         return tx
@@ -159,8 +177,21 @@ class Transaction:
         return self.tid != UNASSIGNED_TID
 
     def with_tid(self, tid: int) -> "Transaction":
-        """Copy of this transaction with the global id assigned."""
-        return dataclasses.replace(self, tid=tid)
+        """Copy of this transaction with the global id assigned.
+
+        ``tid`` is the first wire field, so the copy inherits this
+        transaction's bytes, if it has them, with the ``tid`` prefix
+        swapped.
+        """
+        sequenced = Transaction(self.ts, self.senid, self.tname, self.values,
+                                tid, self.pubkey, self.sig, self.nonce)
+        wire = self._wire
+        if wire is not None:
+            end = 0
+            while wire[end] & 0x80:
+                end += 1
+            sequenced._wire = encode_signed(tid) + wire[end + 1:]
+        return sequenced
 
     # -- row view ---------------------------------------------------------
 
@@ -193,23 +224,26 @@ class Transaction:
     #
     # Field order: tid, ts, sig, pubkey, senid, tname, nonce, values.  The
     # order of the first six is load-bearing: :meth:`wire_prefix` walks
-    # them by position, so ``to_bytes``, ``read_from``, :func:`_decode` and
-    # ``wire_prefix`` change together or not at all (and a change
-    # re-encodes every chain).
+    # them by position and :meth:`with_tid` swaps the leading ``tid``, so
+    # :func:`_encode`, ``read_from``, :func:`_decode`, ``wire_prefix`` and
+    # ``with_tid`` change together or not at all (and a change re-encodes
+    # every chain).
 
     def to_bytes(self) -> bytes:
-        writer = Writer()
-        writer.write_signed(self.tid)
-        writer.write_varint(self.ts)
-        writer.write_bytes(self.sig)
-        writer.write_bytes(self.pubkey)
-        writer.write_str(self.senid)
-        writer.write_str(self.tname)
-        writer.write_str(self.nonce)
-        writer.write_varint(len(self.values))
-        for value in self.values:
-            writer.write_value(value)
-        return writer.getvalue()
+        """The wire encoding: the attached bytes, else a fresh encode.
+
+        An unsequenced transaction keeps its first encoding, so every
+        digest consensus takes of it, and every sequenced copy, reuses
+        it.  A sequenced transaction attaches bytes only through
+        :meth:`with_tid` or :meth:`from_record`: the copies a point read
+        caches stay as small as they were decoded.
+        """
+        wire = self._wire
+        if wire is None:
+            wire = _encode(self)
+            if self.tid == UNASSIGNED_TID:
+                self._wire = wire
+        return wire
 
     @classmethod
     def read_from(cls, reader: Reader) -> "Transaction":
@@ -255,6 +289,18 @@ class Transaction:
             raise CodecError(
                 f"{reader.remaining()} trailing bytes after transaction"
             )
+        return tx
+
+    @classmethod
+    def from_record(cls, record: bytes) -> "Transaction":
+        """Decode a stored record and keep it as the wire bytes.
+
+        Decoding accepts one spelling per value, so the record is what
+        :func:`_encode` would write; hashes and re-serializations of the
+        result read the bytes the chain stored.
+        """
+        tx = cls.from_bytes(record)
+        tx._wire = record
         return tx
 
     @staticmethod
@@ -313,9 +359,35 @@ class Transaction:
         return sha256(self.to_bytes())
 
     def size_bytes(self) -> int:
-        """Serialized size (re-encodes: a decoded transaction's size is
-        the length of the bytes it came from)."""
+        """Serialized size: the length of :meth:`to_bytes`."""
         return len(self.to_bytes())
+
+    def wire_matches_fields(self) -> bool:
+        """Whether the attached bytes, if any, still encode the fields.
+
+        False only when a field was assigned after the bytes were
+        attached, which breaks the contract.  Catch-up asks it of a peer's
+        in-memory transactions, which this node did not decode itself:
+        the Merkle root covers the bytes, the catalog and indexes read
+        the fields.
+        """
+        return self._wire is None or _encode(self) == self._wire
+
+
+def _encode(tx: Transaction) -> bytes:
+    """The full encode behind :meth:`Transaction.to_bytes`."""
+    writer = Writer()
+    writer.write_signed(tx.tid)
+    writer.write_varint(tx.ts)
+    writer.write_bytes(tx.sig)
+    writer.write_bytes(tx.pubkey)
+    writer.write_str(tx.senid)
+    writer.write_str(tx.tname)
+    writer.write_str(tx.nonce)
+    writer.write_varint(len(tx.values))
+    for value in tx.values:
+        writer.write_value(value)
+    return writer.getvalue()
 
 
 def _long_varint(data: bytes, start: int) -> tuple[int, int]:

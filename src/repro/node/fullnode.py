@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 from ..common.clock import Clock
 from ..common.config import SebdbConfig
 from ..common.errors import StorageError
+from ..common.hashing import merkle_root
 from ..consensus.base import Checkpoint, ConsensusEngine, ReplyCallback
 from ..crypto.keys import KeyPair
 from ..index.manager import IndexManager
@@ -23,7 +24,7 @@ from ..ledger import CRASH_TORN, CheckpointRecord, CommitLog, LedgerPipeline
 from ..model.block import Block
 from ..model.catalog import Catalog
 from ..model.genesis import make_genesis
-from ..model.transaction import Transaction
+from ..model.transaction import SCHEMA_TNAME, Transaction
 from ..offchain.adapter import OffChainDatabase
 from ..query.engine import MethodArg, QueryEngine
 from ..query.result import QueryResult
@@ -89,7 +90,8 @@ class FullNode(SqlNode):
             # the store recovered an existing chain from its segment files:
             # rebuild the catalog and the tid counter instead of re-creating
             # a genesis block
-            self.ledger.rebuild_from_store()
+            self.ledger.rebuild_from_store(
+                self.indexes.table_index.blocks_for_table(SCHEMA_TNAME))
         else:
             if genesis is None:
                 genesis = make_genesis(timestamp=int(self.clock.now_ms()))
@@ -260,26 +262,28 @@ class FullNode(SqlNode):
         prev_hash: Optional[bytes] = None
         count = 0
         for height in range(start, self.store.height):
-            block = self.store.read_block(height)
-            if prev_hash is not None and block.header.prev_hash != prev_hash:
+            # the stored records are what the root commits to: hash them
+            # as they are, without decoding a transaction
+            header, records = self.store.read_records(height)
+            if prev_hash is not None and header.prev_hash != prev_hash:
                 raise StorageError(
-                    f"chain broken at height {block.header.height}: "
+                    f"chain broken at height {header.height}: "
                     f"prev_hash does not match our block "
-                    f"{block.header.height - 1}"
+                    f"{header.height - 1}"
                 )
-            if not block.verify_trans_root():
+            if merkle_root(records) != header.trans_root:
                 raise StorageError(
-                    f"block {block.header.height} has a corrupt "
+                    f"block {header.height} has a corrupt "
                     f"transaction root"
                 )
             if height > 0:
                 prev_ts = self.store.header(height - 1).timestamp
-                if block.header.timestamp < prev_ts:
+                if header.timestamp < prev_ts:
                     raise StorageError(
-                        f"block {block.header.height} timestamp regresses "
+                        f"block {header.height} timestamp regresses "
                         f"below its parent's"
                     )
-            prev_hash = block.block_hash()
+            prev_hash = header.block_hash()
             count += 1
         return count
 

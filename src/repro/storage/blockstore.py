@@ -20,12 +20,13 @@ accounting only charges the cost model on cache misses.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from array import array
+from typing import Callable, Collection, Iterator, Optional
 
-from ..common.codec import Reader, Writer
+from ..common.codec import Reader, Writer, encode_varint
 from ..common.config import SebdbConfig
 from ..common.errors import CodecError, StorageError
-from ..common.hashing import hash_leaf, merkle_root_from_leaves
+from ..common.hashing import merkle_root
 from ..common.lru import LRUCache
 from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
@@ -47,8 +48,9 @@ class BlockStore:
             self.config.data_dir, self.config.segment_file_size
         )
         self._locations: list[BlockLocation] = []
-        #: per block: list of (offset_in_block, length) for each transaction
-        self._tx_offsets: list[list[tuple[int, int]]] = []
+        #: per block: each transaction's offset in the block and length,
+        #: flat - ``[offset_0, length_0, offset_1, length_1, ...]``
+        self._tx_offsets: list[array] = []
         self._headers: list[BlockHeader] = []
         self._tip_hash: Optional[bytes] = None
         # entries are sized by the stored length they were decoded from
@@ -123,15 +125,14 @@ class BlockStore:
                 try:
                     header = BlockHeader.from_bytes(reader.read_bytes())
                     count = reader.read_varint()
-                    tx_offsets: list[tuple[int, int]] = []
+                    tx_offsets = array("I")
                     records = []
                     for _ in range(count):
-                        length = reader.read_varint()
-                        start = reader.position
-                        record = reader.read_raw(length)
+                        record = reader.read_bytes()
                         Transaction.from_bytes(record)
                         records.append(record)
-                        tx_offsets.append((start - offset, length))
+                        tx_offsets.append(reader.position - len(record) - offset)
+                        tx_offsets.append(len(record))
                 except CodecError:
                     return skipped  # torn tail: stop at the last complete block
                 if header.height != self.height:
@@ -141,8 +142,7 @@ class BlockStore:
                     return skipped
                 if header.height < verify_below:
                     skipped += 1
-                elif header.trans_root != merkle_root_from_leaves(
-                        [hash_leaf(record) for record in records]):
+                elif header.trans_root != merkle_root(records):
                     return skipped
                 self._locations.append(BlockLocation(
                     segment=segment, offset=offset,
@@ -196,7 +196,10 @@ class BlockStore:
 
     # -- writes ------------------------------------------------------------
 
-    def append_block(self, block: Block, *, notify: bool = True) -> BlockLocation:
+    def append_block(
+        self, block: Block, *, notify: bool = True,
+        serialized: Optional[tuple[bytes, array]] = None,
+    ) -> BlockLocation:
         """Append a sealed block; verifies chaining against the tip.
 
         Only the ledger pipeline's persist stage may call this (enforced
@@ -204,7 +207,8 @@ class BlockStore:
         through :class:`repro.ledger.LedgerPipeline`.  With
         ``notify=False`` the append listeners (index/MHT maintenance) are
         deferred; the pipeline fires them in its apply stage via
-        :meth:`notify_append_listeners`.
+        :meth:`notify_append_listeners`.  ``serialized`` is the block's
+        :func:`serialize_block` output when the caller already has it.
         """
         if block.header.height != self.height:
             raise StorageError(
@@ -214,7 +218,9 @@ class BlockStore:
             raise StorageError(
                 f"block {block.header.height} does not chain to the tip"
             )
-        data, offsets = _serialize_with_offsets(block)
+        if serialized is None:
+            serialized = serialize_block(block)
+        data, offsets = serialized
         location = self._segments.append(data)
         # appending is one seek at most (sequential after the first write)
         self.cost.record_write(len(data), seeks=0)
@@ -275,14 +281,17 @@ class BlockStore:
         if tracker is not None:
             tracker.record_read(location.length, seeks=1)
         data = self._segments.read(location)
-        block = Block.from_bytes(data)
-        if self.config.cache_mode == "block":
-            self._block_cache.put(height, block, len(data))
+        if self.config.cache_mode != "block":
+            return Block.from_bytes(data)
+        # a cached block keeps its decoded fields only: the entry is sized
+        # by the stored length, which the records would add to uncounted
+        block = Block.from_bytes(data, keep_records=False)
+        self._block_cache.put(height, block, len(data))
         return block
 
     def transactions_in_block(self, height: int) -> int:
         self._check_height(height)
-        return len(self._tx_offsets[height])
+        return len(self._tx_offsets[height]) // 2
 
     def read_transaction(
         self, height: int, tx_index: int,
@@ -295,7 +304,7 @@ class BlockStore:
         """
         self._check_height(height)
         offsets = self._tx_offsets[height]
-        if not 0 <= tx_index < len(offsets):
+        if not 0 <= tx_index < len(offsets) // 2:
             raise StorageError(
                 f"block {height} has no transaction index {tx_index}"
             )
@@ -305,7 +314,8 @@ class BlockStore:
         cached = self._tx_cache.get((height, tx_index))
         if cached is not None:
             return cached
-        offset, length = offsets[tx_index]
+        offset = offsets[2 * tx_index]
+        length = offsets[2 * tx_index + 1]
         self.cost.record_read(length, seeks=1)
         if tracker is not None:
             tracker.record_read(length, seeks=1)
@@ -342,19 +352,14 @@ class BlockStore:
                 if (tnames is None or tx.tname in tnames)
                 and (senid is None or tx.senid == senid)
             ]
-        location = self._locations[height]
-        self.cost.record_read(location.length, seeks=1)
-        if tracker is not None:
-            tracker.record_read(location.length, seeks=1)
-        data = self._segments.read(location)
-        offsets = self._tx_offsets[height]
-        _check_block_framing(data, offsets)
+        _header, data, offsets = self._read_framed(height, tracker)
         want_tnames = (
             None if tnames is None else {name.encode("utf-8") for name in tnames}
         )
         want_senid = None if senid is None else senid.encode("utf-8")
         out = []
-        for offset, length in offsets:
+        pairs = iter(offsets)
+        for offset, length in zip(pairs, pairs):
             raw = data[offset : offset + length]
             sender, table = Transaction.wire_prefix(raw)
             if want_tnames is not None and table not in want_tnames:
@@ -363,6 +368,37 @@ class BlockStore:
                 continue
             out.append(Transaction.from_bytes(raw))
         return out
+
+    def read_records(self, height: int) -> tuple[BlockHeader, list[bytes]]:
+        """A block's header and its transactions' stored records, undecoded.
+
+        What chain verification hashes: the same I/O and framing checks
+        as :meth:`scan_block`, and no transaction decoded.  Under
+        ``cache_mode="block"`` the block comes through the cache, and its
+        transactions, which keep no records there, are encoded again.
+        """
+        self._check_height(height)
+        if self.config.cache_mode == "block":
+            block = self.read_block(height)
+            return block.header, [tx.to_bytes() for tx in block.transactions]
+        header, data, offsets = self._read_framed(height, None)
+        pairs = iter(offsets)
+        return header, [data[offset : offset + length]
+                        for offset, length in zip(pairs, pairs)]
+
+    def _read_framed(
+        self, height: int, tracker: Optional[CostModel]
+    ) -> tuple[BlockHeader, bytes, array]:
+        """A stored block's header, bytes and offsets, framing checked;
+        charges the whole block's read to the global model and
+        ``tracker``."""
+        location = self._locations[height]
+        self.cost.record_read(location.length, seeks=1)
+        if tracker is not None:
+            tracker.record_read(location.length, seeks=1)
+        data = self._segments.read(location)
+        offsets = self._tx_offsets[height]
+        return _check_block_framing(data, offsets), data, offsets
 
     def scanner(self, tracker: CostModel) -> "StoreScanner":
         """The scan interface query operators must read through."""
@@ -400,51 +436,52 @@ class BlockStore:
         self._tx_cache.clear()
 
 
-def _check_block_framing(data: bytes, offsets: Sequence[tuple[int, int]]) -> None:
+def _check_block_framing(data: bytes, offsets: array) -> BlockHeader:
     """The framing checks of :meth:`Block.from_bytes`, without the body.
 
     The header parses, the transaction count is the one the offsets were
     built from, and the last transaction ends where the bytes do.
+    Returns the parsed header.
     """
     reader = Reader(data)
     header = BlockHeader.from_bytes(reader.read_bytes())
     count = reader.read_varint()
-    if count != len(offsets):
+    if count != len(offsets) // 2:
         raise CodecError(
             f"block {header.height} holds {count} transactions, "
-            f"{len(offsets)} were indexed"
+            f"{len(offsets) // 2} were indexed"
         )
-    end = offsets[-1][0] + offsets[-1][1] if offsets else reader.position
+    end = offsets[-2] + offsets[-1] if offsets else reader.position
     if end != len(data):
         raise CodecError(
             f"block {header.height} is {len(data)} bytes, its transactions "
             f"end at {end}"
         )
+    return header
 
 
-def _serialize_with_offsets(block: Block) -> tuple[bytes, list[tuple[int, int]]]:
-    """Serialize a block, recording each transaction's (offset, length).
+def serialize_block(block: Block) -> tuple[bytes, array]:
+    """Serialize a block, recording each transaction's offset and length.
 
-    Mirrors :meth:`Block.to_bytes` byte-for-byte; the offsets address the
-    raw transaction bytes (after their varint length prefix) so a point
-    read deserializes directly with :meth:`Transaction.from_bytes`.
+    Mirrors :meth:`Block.to_bytes` byte-for-byte; the offsets (flat, as
+    :attr:`BlockStore._tx_offsets` keeps them) address the raw
+    transaction bytes after their varint length prefix, so a point read
+    deserializes directly with :meth:`Transaction.from_bytes`.
     """
-    header_bytes = block.header.to_bytes()
     writer = Writer()
-    writer.write_bytes(header_bytes)
+    writer.write_bytes(block.header.to_bytes())
     writer.write_varint(len(block.transactions))
     prefix = writer.getvalue()
     parts = [prefix]
     position = len(prefix)
-    offsets: list[tuple[int, int]] = []
+    offsets = array("I")
     for tx in block.transactions:
         tx_bytes = tx.to_bytes()
-        lp = Writer()
-        lp.write_varint(len(tx_bytes))
-        length_prefix = lp.getvalue()
+        length_prefix = encode_varint(len(tx_bytes))
         parts.append(length_prefix)
-        position += len(length_prefix)
-        offsets.append((position, len(tx_bytes)))
         parts.append(tx_bytes)
+        position += len(length_prefix)
+        offsets.append(position)
+        offsets.append(len(tx_bytes))
         position += len(tx_bytes)
     return b"".join(parts), offsets

@@ -84,7 +84,7 @@ class SmallChain:
         self.catalog = Catalog()
         genesis = make_genesis(0, [DONATE, TRANSFER, DISTRIBUTE])
         self.store.append_block(genesis)
-        self.catalog.apply_block(genesis)
+        self.catalog.apply_transactions(genesis.transactions)
         self.indexes = IndexManager(self.store, order=8, histogram_depth=8)
         prev = self.store.tip_hash
         tid = len(genesis.transactions)

@@ -1,5 +1,7 @@
 """Tests for the ChainSQL and basic-authentication baselines."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import (
@@ -106,7 +108,9 @@ class TestBasicAuth:
         server, headers = self.make(tracking_dataset)
         vo = server.query()
         block = Block.from_bytes(vo.block_bytes[3])
-        block.transactions[0].values = ("forged",)
+        forged = dataclasses.replace(block.transactions[0], values=("forged",))
+        block = Block(header=block.header,
+                      transactions=(forged,) + block.transactions[1:])
         doctored = list(vo.block_bytes)
         doctored[3] = block.to_bytes()
         vo = type(vo)(chain_height=vo.chain_height,

@@ -323,7 +323,7 @@ class TestDecodedFootprint:
     def test_no_instance_dict(self, sample_tx):
         decoded = Transaction.from_bytes(sample_tx.to_bytes())
         assert not hasattr(decoded, "__dict__")
-        decoded.values = ("tampered",)  # still a mutable record
+        decoded.values = ("tampered",)  # slots; immutable only by contract
         assert decoded.values == ("tampered",)
 
     def test_names_are_shared(self, monkeypatch):

@@ -231,6 +231,25 @@ class TestPBFT:
         assert [len(r.pending_requests) <= 5 for r in cluster.replicas] == [
             True] * 4
 
+    def test_in_pipeline_digests_stay_bounded(self):
+        """A request's digest leaves the in-flight set once it executes;
+        the executed set keeps retries out."""
+        bus = MessageBus(seed=8)
+        cluster = PBFTCluster(bus, n=4, batch_txs=5, timeout_ms=20)
+        collect_chains(cluster)
+        txs = [make_tx(i) for i in range(300)]
+        for i, tx in enumerate(txs):
+            bus.schedule(i * 2.0, lambda tx=tx: cluster.submit(tx))
+        bus.run_until_idle()
+        assert cluster.stats.committed == 300
+        assert len(cluster._in_pipeline) <= 5
+        # a retry of an executed request is not buffered again
+        cluster.submit(txs[0])
+        bus.run_until_idle()
+        cluster.flush()
+        bus.run_until_idle()
+        assert cluster.stats.committed == 300
+
     def test_primary_crash_triggers_view_change(self):
         cluster, chains, replies = self.run_cluster(
             crash=0, txs=3, request_timeout=100.0

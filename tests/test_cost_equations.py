@@ -34,7 +34,7 @@ def setup():
     other = TableSchema.create("other", [("x", "string")])
     genesis = make_genesis(0, [SCHEMA, other])
     store.append_block(genesis)
-    catalog.apply_block(genesis)
+    catalog.apply_transactions(genesis.transactions)
     indexes = IndexManager(store, order=8, histogram_depth=4)
     prev = store.tip_hash
     tid = 2

@@ -10,6 +10,7 @@ from repro.common.clock import Clock
 from repro.common.codec import Writer
 from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, LedgerError, StorageError
+from repro.consensus import PBFTCluster
 from repro.crypto import KeyPair
 from repro.faults.checker import InvariantChecker
 from repro.ledger import pipeline as pipeline_module
@@ -23,6 +24,7 @@ from repro.ledger import (
 )
 from repro.model import TableSchema, make_genesis
 from repro.model.block import Block
+from repro.model import transaction as transaction_module
 from repro.model.catalog import Catalog
 from repro.model.transaction import (
     SCHEMA_TNAME,
@@ -30,6 +32,7 @@ from repro.model.transaction import (
     schema_from_sync_transaction,
     schema_sync_transaction,
 )
+from repro.network import MessageBus
 from repro.node import FullNode
 from repro.node.stats import collect_stats
 from repro.storage.blockstore import BlockStore
@@ -644,3 +647,49 @@ class TestLiveRebuildAdopt:
                         == live.query(f"SELECT * FROM {table}").rows)
             node.close()
         live.close()
+
+
+class TestOneEncodingPerTransaction:
+    """The wire bytes travel with the transaction: PBFT's request and batch
+    digests, the Merkle leaves, the segment appends and the ALI leaf
+    digests of every replica reuse one encoding."""
+
+    def test_four_pbft_nodes_encode_each_transaction_once(self, tmp_path,
+                                                          monkeypatch):
+        bus = MessageBus(seed=5)
+        engine = PBFTCluster(bus, n=4, batch_txs=10)
+        genesis = make_genesis(0, [DONATE, TRANSFER])
+        nodes = [
+            FullNode(f"node-{i}", config=durable_config(tmp_path / f"node-{i}"),
+                     consensus=engine, clock=bus.clock, genesis=genesis)
+            for i in range(4)
+        ]
+        for node in nodes:
+            node.create_index("senid", authenticated=True)
+            node.create_index("amount", table="donate", authenticated=True)
+        count = 60
+        txs = [
+            Transaction.create("donate", (f"d{i % 7}", "edu", float(i)),
+                               ts=i + 1, sender=f"org{i % 3}")
+            for i in range(count)
+        ]
+        encoded = []
+        encode = transaction_module._encode
+
+        def counting_encode(tx):
+            encoded.append(tx)
+            return encode(tx)
+
+        monkeypatch.setattr(transaction_module, "_encode", counting_encode)
+        acks = []
+        for tx in txs:
+            nodes[0].submit_transaction(tx, acks.append)
+        bus.run_until_idle()
+        engine.flush()
+        bus.run_until_idle()
+        assert len(acks) == count
+        for node in nodes:
+            assert node.store.tip_hash == nodes[0].store.tip_hash
+            assert sum(node.store.transactions_in_block(h)
+                       for h in range(1, node.store.height)) == count
+        assert len(encoded) <= count

@@ -104,7 +104,7 @@ class TestGenesisAndChain:
         schema = TableSchema.create("t", [("a", "int")])
         genesis = make_genesis(0, [schema])
         catalog = Catalog()
-        catalog.apply_block(genesis)
+        catalog.apply_transactions(genesis.transactions)
         assert "t" in catalog
 
     def test_verify_chain_accepts_valid(self):

@@ -1,5 +1,7 @@
 """Tests for transactions: signing, sequencing, serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,16 @@ from hypothesis import strategies as st
 from repro.common.errors import SignatureError
 from repro.crypto import KeyPair
 from repro.model import (
+    GENESIS_PREV_HASH,
     SCHEMA_TNAME,
+    Block,
     TableSchema,
     Transaction,
     UNASSIGNED_TID,
     schema_from_sync_transaction,
     schema_sync_transaction,
 )
+from repro.storage.blockstore import serialize_block
 
 
 class TestCreation:
@@ -111,6 +116,83 @@ class TestSerialization:
         assert restored.tname == tname.lower()
         assert restored.values == tuple(values)
         assert restored.ts == ts
+
+
+_WIRE_KEYPAIR = KeyPair.from_seed("wire-bytes")
+
+#: every value tag, and strings / bytes long enough for multi-byte lengths
+_wire_values = st.lists(st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),  # NaN and infinities too: the checks compare bytes
+    st.text(max_size=40), st.binary(max_size=40),
+    st.text(min_size=128, max_size=160), st.binary(min_size=128, max_size=160),
+), max_size=6)
+
+_tids = st.integers(min_value=-(2**40), max_value=2**70).filter(
+    lambda tid: tid != UNASSIGNED_TID)
+
+_wire_txs = st.builds(
+    lambda tname, values, ts, signed, nonce: Transaction.create(
+        tname, values, ts=ts, nonce=nonce, sender="org-1",
+        keypair=_WIRE_KEYPAIR if signed else None,
+    ),
+    tname=st.text(alphabet="abcdef", min_size=1, max_size=6),
+    values=_wire_values,
+    ts=st.integers(0, 2**70),
+    signed=st.booleans(),
+    nonce=st.text(max_size=8),
+)
+
+
+def fresh_bytes(tx: Transaction, **changes) -> bytes:
+    """The encoding of a transaction built field by field from ``tx``."""
+    fields = {name: getattr(tx, name) for name in (
+        "ts", "senid", "tname", "values", "tid", "pubkey", "sig", "nonce")}
+    fields.update(changes)
+    return Transaction(**fields).to_bytes()
+
+
+class TestWireBytes:
+    """The bytes a transaction carries are always the bytes of its fields."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wire_txs, st.booleans(), _tids, _tids)
+    def test_with_tid_swaps_the_prefix(self, tx, encode_first, tid, retid):
+        if encode_first:
+            tx.to_bytes()
+        sequenced = tx.with_tid(tid)
+        assert sequenced.to_bytes() == fresh_bytes(tx, tid=tid)
+        # the copy carries bytes exactly when its parent had them
+        assert (sequenced.to_bytes() is sequenced.to_bytes()) == encode_first
+        assert sequenced.with_tid(retid).to_bytes() == fresh_bytes(tx, tid=retid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wire_txs, _tids, _wire_values)
+    def test_replace_never_carries_old_bytes(self, tx, tid, values):
+        tx.to_bytes()
+        for base in (tx, tx.with_tid(tid)):
+            changed = dataclasses.replace(base, values=tuple(values))
+            assert changed.to_bytes() == fresh_bytes(base, values=tuple(values))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(_wire_txs, _tids, st.booleans()),
+                    min_size=1, max_size=5))
+    def test_decoded_block_returns_its_stored_records(self, entries):
+        txs = []
+        for tx, tid, encode_first in entries:
+            if encode_first:
+                tx.to_bytes()
+            txs.append(tx.with_tid(tid))
+        block = Block.package(GENESIS_PREV_HASH, 0, 0, txs)
+        data, offsets = serialize_block(block)
+        assert data == block.to_bytes()
+        decoded = Block.from_bytes(data)
+        for index, tx in enumerate(decoded.transactions):
+            start, length = offsets[2 * index], offsets[2 * index + 1]
+            assert tx.to_bytes() == data[start : start + length]
+            assert tx.to_bytes() is tx.to_bytes()  # attached, not re-encoded
+        assert decoded.verify_trans_root()
 
 
 class TestRowView:

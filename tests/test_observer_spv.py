@@ -1,5 +1,7 @@
 """Tests for gossip-fed observer nodes and SPV inclusion proofs."""
 
+import dataclasses
+
 import pytest
 
 from repro import SebdbNetwork, ThinClient
@@ -133,8 +135,9 @@ class TestObserverNodes:
             mg.announce(member.store.read_block(h))
         bus.run_until_idle()
         good = member.store.read_block(member.store.height - 1)
-        bad = Block.from_bytes(good.to_bytes())  # deep copy, then tamper
-        bad.transactions[0].values = ("evil",)
+        evil = dataclasses.replace(good.transactions[0], values=("evil",))
+        bad = Block(header=good.header,
+                    transactions=(evil,) + good.transactions[1:])
         g1.gossip.publish(f"block-{good.header.height:012d}", bad.to_bytes())
         bus.run_until_idle()
         # the observer rejected the rumor and can still accept the truth

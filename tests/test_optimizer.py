@@ -57,7 +57,7 @@ def build_tiny_chain(schema: TableSchema, rows: list[list[tuple]]):
     catalog = Catalog()
     genesis = make_genesis(0, [schema])
     store.append_block(genesis)
-    catalog.apply_block(genesis)
+    catalog.apply_transactions(genesis.transactions)
     indexes = IndexManager(store, order=8, histogram_depth=4)
     prev = store.tip_hash
     tid = len(genesis.transactions)

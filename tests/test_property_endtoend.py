@@ -32,7 +32,7 @@ def build_chain(seed: int, num_blocks: int, txs_per_block: int):
     catalog = Catalog()
     genesis = make_genesis(0, [SCHEMA])
     store.append_block(genesis)
-    catalog.apply_block(genesis)
+    catalog.apply_transactions(genesis.transactions)
     indexes = IndexManager(store, order=6, histogram_depth=5)
     prev = store.tip_hash
     tid = 1

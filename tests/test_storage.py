@@ -208,6 +208,17 @@ class TestCaching:
         assert tx.values[0] == "v1"
         assert store.cost.seeks == 0  # came from the cached block
 
+    def test_block_cache_keeps_no_records(self):
+        # a cached block holds its decoded fields only (its entry is sized
+        # by the stored length); an uncached read keeps each record
+        cached = build_store(2, SebdbConfig.in_memory(cache_mode="block"))
+        uncached = build_store(2, SebdbConfig.in_memory(cache_mode="none"))
+        for tx in cached.read_block(1).transactions:
+            assert tx.to_bytes() is not tx.to_bytes()
+        for tx in uncached.read_block(1).transactions:
+            assert tx.to_bytes() is tx.to_bytes()
+        assert cached.read_records(1) == uncached.read_records(1)
+
     def test_no_cache_mode(self):
         config = SebdbConfig.in_memory(cache_mode="none")
         store = build_store(2, config)

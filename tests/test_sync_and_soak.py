@@ -1,5 +1,6 @@
 """Chain catch-up (sync_from) tests plus a randomized soak scenario."""
 
+import dataclasses
 import random
 
 import pytest
@@ -60,11 +61,30 @@ class TestSyncFrom:
         lagging = FullNode("lagging", genesis=source.store.read_block(0))
         # peer serves a block with a doctored transaction
         good = source.store.read_block(1)
-        bad = Block(header=good.header, transactions=good.transactions)
-        bad.transactions[0].values = ("forged", 0.0)
+        forged = dataclasses.replace(good.transactions[0], values=("forged", 0.0))
+        bad = Block(header=good.header,
+                    transactions=(forged,) + good.transactions[1:])
         with pytest.raises(StorageError):
             lagging.accept_block(bad)
         assert lagging.store.height == 1  # untouched
+
+    def test_field_assigned_peer_rejected(self):
+        source = populated_node()
+        lagging = FullNode("lagging", genesis=source.store.read_block(0))
+        # a peer that assigns a field after decoding: the bytes (and so
+        # the Merkle root) stay honest, the fields the catalog and
+        # indexes read do not
+        lagging.accept_block(source.store.read_block(1))  # the schema
+        bad = Block.from_bytes(source.store.read_block(2).to_bytes())
+        bad.transactions[0].values = ("forged", 0.0)
+        assert bad.verify_trans_root()
+        with pytest.raises(StorageError, match="disagree with its bytes"):
+            lagging.accept_block(bad)
+        assert lagging.store.height == 2  # untouched
+        # the honest chain is still adoptable
+        lagging.sync_from(source)
+        assert lagging.store.tip_hash == source.store.tip_hash
+        assert len(lagging.query("SELECT * FROM t")) == 15
 
     def test_forked_peer_rejected(self):
         source = populated_node(rows=10)

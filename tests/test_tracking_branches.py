@@ -22,7 +22,7 @@ def bare_chain(with_indexes: bool):
     catalog = Catalog()
     genesis = make_genesis(0, [SCHEMA])
     store.append_block(genesis)
-    catalog.apply_block(genesis)
+    catalog.apply_transactions(genesis.transactions)
     indexes = IndexManager(store, order=6, histogram_depth=4)
     prev = store.tip_hash
     tid = 1
