@@ -33,7 +33,7 @@ from ..crypto.group import Point
 from ..crypto.keys import address_of
 from ..model.block import Block
 from ..model.catalog import Catalog
-from ..model.transaction import SCHEMA_TNAME, Transaction
+from ..model.transaction import Transaction
 from ..storage.blockstore import BlockStore, serialize_block
 from ..storage.segment import BlockLocation
 from .commitlog import CheckpointRecord, CommitLog
@@ -108,27 +108,21 @@ class LedgerPipeline:
         self._apply_block(genesis, location)
         self._next_tid = len(genesis.transactions)
 
-    def rebuild_from_store(self, schema_heights: Iterable[int]) -> None:
+    def rebuild_from_store(
+        self, schema_transactions: Iterable[Transaction], next_tid: int
+    ) -> None:
         """Re-derive catalog and tid counter from a recovered chain.
 
-        Index backfill is the :class:`~repro.index.manager.IndexManager`
-        constructor's own job, so only the catalog and the sequencer are
-        rebuilt here; the recovery reads do not count against the cost
-        model.  ``schema_heights`` are the blocks holding schema
-        transactions (the backfilled table index knows them); only those
-        are scanned, and only their schema transactions decoded.  The tid
-        counter needs just the last non-empty block.
+        Both come from the blocks the store's segment parse decoded (a
+        :class:`~repro.index.manager.ChainBackfill` gathers them while it
+        builds the indexes), so nothing is read or decoded again:
+        ``schema_transactions`` are the chain's schema transactions in
+        order, ``next_tid`` one past its last tid.  The recovery reads do
+        not count against the cost model.
         """
-        store = self._store
-        for height in schema_heights:
-            self._catalog.apply_transactions(
-                store.scan_block(height, (SCHEMA_TNAME,)))
-        for height in reversed(range(store.height)):
-            if store.transactions_in_block(height):
-                last_tid = store.read_block(height).last_tid
-                self._next_tid = max(self._next_tid, last_tid + 1)
-                break
-        self._applied_height = store.height
+        self._catalog.apply_transactions(schema_transactions)
+        self._next_tid = max(self._next_tid, next_tid)
+        self._applied_height = self._store.height
         self._store.cost.reset()
 
     def resolve_wal(self) -> dict:
@@ -192,6 +186,11 @@ class LedgerPipeline:
         with self.stats.timed("sequence", len(accepted)):
             sequenced = []
             for tx in accepted:
+                # an unsequenced transaction keeps its first encoding and
+                # every replica is handed the same batch objects, so all
+                # their sequenced copies inherit one encode
+                if not tx.is_sequenced:
+                    tx.to_bytes()
                 sequenced.append(tx.with_tid(self._next_tid))
                 self._next_tid += 1
         with self.stats.timed("package", len(sequenced)):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, TYPE_CHECKING
 
+from ..common.codec import Reader
 from ..common.errors import QueryError
 from ..index.bitmap import Bitmap
 from ..index.layered import LayeredIndex
@@ -98,19 +99,25 @@ class AuthQueryServer:
         window: Optional[TimeWindow] = None,
         height: Optional[int] = None,
     ) -> QueryVO:
-        """VO for a range (or point, low == high) query on an ALI column."""
+        """VO for a range (or point, low == high) query on an ALI column.
+
+        Each visited block contributes its MB-tree range proof and the
+        records the proof covers, exactly as the chain stores them: one
+        :meth:`~repro.storage.blockstore.BlockStore.read_records_at` per
+        block, nothing decoded or re-encoded, so the thin client hashes
+        the very bytes the block's Merkle root committed to.
+        """
         index = self._ali(column, table)
-        h = self._node.store.height if height is None else height
+        store = self._node.store
+        h = store.height if height is None else height
         blocks: list[BlockVO] = []
         for bid in self._candidate_blocks(index, low, high, h, window, table):
             tree = index.tree(bid)
             assert isinstance(tree, MBTree)
             proof = tree.range_proof(low, high)
             covered = tree.covered_payloads(proof)
-            records = tuple(
-                self._node.store.read_transaction(bid, position).to_bytes()
-                for _key, position in covered
-            )
+            records = tuple(store.read_records_at(
+                bid, [position for _key, position in covered]))
             blocks.append(BlockVO(height=bid, records=records, proof=proof))
         return QueryVO(
             chain_height=h, column=column, low=low, high=high,
@@ -132,27 +139,26 @@ class AuthQueryServer:
 
         This is the "simple authenticated query" classic blockchains
         offer (is this transaction in a block?); a thin client checks it
-        against the block header it already stores.
+        against the block header it already stores.  The path is built
+        over the block's stored records: tids are consecutive inside a
+        block, so the position is ``tid - first_tid``, confirmed against
+        the record's leading ``tid`` varint.
         """
         entry = self._node.indexes.block_index.by_tid(tid)
         if entry is None:
             raise QueryError(f"no block contains transaction {tid}")
-        block = self._node.store.read_block(entry.bid)
-        position = None
-        for i, tx in enumerate(block.transactions):
-            if tx.tid == tid:
-                position = i
-                break
-        if position is None:
+        _header, records = self._node.store.read_records(entry.bid)
+        position = tid - entry.first_tid
+        if (not 0 <= position < len(records)
+                or Reader(records[position]).read_signed() != tid):
             raise QueryError(f"transaction {tid} not found in block {entry.bid}")
         from ..mht.merkle import MerkleTree
 
-        tree = MerkleTree([tx.to_bytes() for tx in block.transactions])
         return InclusionProof(
             height=entry.bid,
             position=position,
-            tx_bytes=block.transactions[position].to_bytes(),
-            steps=tuple(tree.proof(position)),
+            tx_bytes=records[position],
+            steps=tuple(MerkleTree(records).proof(position)),
         )
 
     # -- phase two: the auxiliary node ------------------------------------------------

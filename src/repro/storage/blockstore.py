@@ -5,13 +5,20 @@ byte offsets of every transaction inside its block (so the layered index
 can read a *single* tuple with one random I/O, eq. 3 of the paper), the
 headers kept for thin clients, and the read cache.
 
-Three reads: :meth:`BlockStore.read_block` (a whole decoded block),
-:meth:`BlockStore.read_transaction` (one tuple by position) and
+Four reads: :meth:`BlockStore.read_block` (a whole decoded block),
+:meth:`BlockStore.read_transaction` (one tuple by position),
 :meth:`BlockStore.scan_block` - the whole block's I/O, but only the
 tuples of the wanted tables/sender decoded, the rest rejected on their
 wire prefix (:meth:`Transaction.wire_prefix`) through the same per-block
-offsets.  A block mixes every table, so that is what the scan, bitmap
-and hash-join operators read.
+offsets; a block mixes every table, so that is what the scan, bitmap
+and hash-join operators read - and :meth:`BlockStore.read_records_at`,
+the stored records at given positions of one block, undecoded, which is
+what a VO ships.
+
+A reopen parses every segment and decodes each stored record once; a
+:class:`RecoverySink` handed to the constructor receives those decoded
+blocks one at a time, so the node's chain-wide indexes are rebuilt
+without reading the chain a second time.
 
 Caching (Fig 22): ``cache_mode="block"`` keeps whole recently-read blocks;
 ``cache_mode="transaction"`` keeps individual recently-read tuples.  Cost
@@ -21,7 +28,7 @@ accounting only charges the cost model on cache misses.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Collection, Iterator, Optional
+from typing import Callable, Collection, Iterator, Optional, Protocol, Sequence
 
 from ..common.codec import Reader, Writer, encode_varint
 from ..common.config import SebdbConfig
@@ -34,6 +41,16 @@ from .costmodel import CostModel
 from .segment import BlockLocation, SegmentStore
 
 
+class RecoverySink(Protocol):
+    """Hears each block a reopen's segment parse admits, in height order."""
+
+    def add_block(self, block: Block, location: BlockLocation) -> None:
+        """One admitted block, decoded by the parse."""
+
+    def reset(self) -> None:
+        """Forget every block heard so far: the parse starts over."""
+
+
 class BlockStore:
     """Append-only, cache-fronted, cost-accounted block storage."""
 
@@ -41,6 +58,7 @@ class BlockStore:
         self,
         config: Optional[SebdbConfig] = None,
         trusted_checkpoint: Optional[tuple[int, bytes]] = None,
+        recovered: Optional[RecoverySink] = None,
     ) -> None:
         self.config = config or SebdbConfig.in_memory()
         self.cost = CostModel()
@@ -65,10 +83,12 @@ class BlockStore:
         #: diagnostics of the most recent segment recovery
         self.recovery_report: dict[str, object] = {}
         if self.config.data_dir is not None:
-            self._recover_from_segments(trusted_checkpoint)
+            self._recover_from_segments(trusted_checkpoint, recovered)
 
     def _recover_from_segments(
-        self, trusted_checkpoint: Optional[tuple[int, bytes]] = None
+        self,
+        trusted_checkpoint: Optional[tuple[int, bytes]],
+        recovered: Optional[RecoverySink],
     ) -> None:
         """Rebuild chain state by re-parsing existing on-disk segments.
 
@@ -86,11 +106,15 @@ class BlockStore:
         chain does not reproduce the anchor hash, the whole store is
         re-parsed with full verification - a corrupted store must never
         hide behind a checkpoint.
+
+        ``recovered`` hears every block the parse admits, decoded; a
+        fallback re-parse resets it first, so it ends up holding exactly
+        what the final parse admitted.
         """
         verify_below = 0
         if trusted_checkpoint is not None:
             verify_below = max(0, trusted_checkpoint[0])
-        skipped = self._parse_segments(verify_below)
+        skipped = self._parse_segments(verify_below, recovered)
         fallback = False
         if verify_below:
             t_height, t_tip = trusted_checkpoint
@@ -101,20 +125,26 @@ class BlockStore:
             if not anchored:
                 fallback = True
                 self._reset_chain_state()
-                skipped = self._parse_segments(0)
+                if recovered is not None:
+                    recovered.reset()
+                skipped = self._parse_segments(0, recovered)
         self.recovery_report = {
             "blocks": self.height,
             "merkle_skipped": skipped,
             "trusted_fallback": fallback,
         }
 
-    def _parse_segments(self, verify_below: int) -> int:
+    def _parse_segments(
+        self, verify_below: int, recovered: Optional[RecoverySink]
+    ) -> int:
         """Sequentially parse every segment; returns Merkle checks skipped.
 
         The Merkle leaves are hashed from the transaction bytes as stored,
         so a stored record must be exactly what the header committed to.
         Each record is still decoded: one that does not decode is a torn
-        or damaged tail like any other framing error.
+        or damaged tail like any other framing error.  Each admitted
+        block goes to ``recovered`` with those decoded transactions, and
+        is then dropped: the chain is never held in memory.
         """
         skipped = 0
         for segment in range(self._segments.segment_count):
@@ -127,9 +157,10 @@ class BlockStore:
                     count = reader.read_varint()
                     tx_offsets = array("I")
                     records = []
+                    txs = []
                     for _ in range(count):
                         record = reader.read_bytes()
-                        Transaction.from_bytes(record)
+                        txs.append(Transaction.from_bytes(record))
                         records.append(record)
                         tx_offsets.append(reader.position - len(record) - offset)
                         tx_offsets.append(len(record))
@@ -144,14 +175,18 @@ class BlockStore:
                     skipped += 1
                 elif header.trans_root != merkle_root(records):
                     return skipped
-                self._locations.append(BlockLocation(
+                location = BlockLocation(
                     segment=segment, offset=offset,
                     length=reader.position - offset,
-                ))
+                )
+                self._locations.append(location)
                 self._tx_offsets.append(tx_offsets)
                 self._headers.append(header)
                 self._tip_hash = header.block_hash()
                 offset = reader.position
+                if recovered is not None:
+                    recovered.add_block(
+                        Block(header=header, transactions=tuple(txs)), location)
         return skipped
 
     def _reset_chain_state(self) -> None:
@@ -324,6 +359,45 @@ class BlockStore:
         if self.config.cache_mode == "transaction":
             self._tx_cache.put((height, tx_index), tx, length)
         return tx
+
+    def read_records_at(
+        self, height: int, positions: Sequence[int]
+    ) -> list[bytes]:
+        """The stored records at ``positions`` of one block, undecoded.
+
+        What a VO ships: the bytes the chain stores, in the order of
+        ``positions``.  Each record is charged what a
+        :meth:`read_transaction` miss is charged - one seek plus its
+        pages - while the segment is read once, over the span from the
+        first wanted record to the end of the last.  Nothing is decoded,
+        so the transaction cache is neither read nor filled.  Under
+        ``cache_mode="block"`` the records come from the cached block, as
+        in :meth:`read_records`.
+        """
+        self._check_height(height)
+        offsets = self._tx_offsets[height]
+        for position in positions:
+            if not 0 <= position < len(offsets) // 2:
+                raise StorageError(
+                    f"block {height} has no transaction index {position}"
+                )
+        if self.config.cache_mode == "block":
+            transactions = self.read_block(height).transactions
+            return [transactions[position].to_bytes() for position in positions]
+        if not positions:
+            return []
+        start = min(offsets[2 * position] for position in positions)
+        end = max(offsets[2 * position] + offsets[2 * position + 1]
+                  for position in positions)
+        span = self._segments.read_range(
+            self._locations[height], start, end - start)
+        out = []
+        for position in positions:
+            offset = offsets[2 * position] - start
+            length = offsets[2 * position + 1]
+            self.cost.record_read(length, seeks=1)
+            out.append(span[offset : offset + length])
+        return out
 
     def scan_block(
         self,

@@ -10,7 +10,7 @@ from repro.common.clock import Clock
 from repro.common.codec import Writer
 from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, LedgerError, StorageError
-from repro.consensus import PBFTCluster
+from repro.consensus import KafkaOrderer, PBFTCluster
 from repro.crypto import KeyPair
 from repro.faults.checker import InvariantChecker
 from repro.ledger import pipeline as pipeline_module
@@ -666,6 +666,49 @@ class TestOneEncodingPerTransaction:
         ]
         for node in nodes:
             node.create_index("senid", authenticated=True)
+            node.create_index("amount", table="donate", authenticated=True)
+        count = 60
+        txs = [
+            Transaction.create("donate", (f"d{i % 7}", "edu", float(i)),
+                               ts=i + 1, sender=f"org{i % 3}")
+            for i in range(count)
+        ]
+        encoded = []
+        encode = transaction_module._encode
+
+        def counting_encode(tx):
+            encoded.append(tx)
+            return encode(tx)
+
+        monkeypatch.setattr(transaction_module, "_encode", counting_encode)
+        acks = []
+        for tx in txs:
+            nodes[0].submit_transaction(tx, acks.append)
+        bus.run_until_idle()
+        engine.flush()
+        bus.run_until_idle()
+        assert len(acks) == count
+        for node in nodes:
+            assert node.store.tip_hash == nodes[0].store.tip_hash
+            assert sum(node.store.transactions_in_block(h)
+                       for h in range(1, node.store.height)) == count
+        assert len(encoded) <= count
+
+    def test_three_kafka_nodes_encode_each_transaction_once(self, tmp_path,
+                                                             monkeypatch):
+        # nothing digests a Kafka submission, so the ledger's sequence stage
+        # encodes it; the three replicas share the delivered batch objects
+        bus = MessageBus(seed=5)
+        engine = KafkaOrderer(bus, batch_txs=10)
+        genesis = make_genesis(0, [DONATE, TRANSFER])
+        nodes = [
+            FullNode(f"node-{i}", config=durable_config(tmp_path / f"node-{i}"),
+                     consensus=engine, clock=bus.clock, genesis=genesis)
+            for i in range(3)
+        ]
+        for node in nodes:
+            node.create_index("senid", authenticated=True)
+            node.create_index("tname", authenticated=True)
             node.create_index("amount", table="donate", authenticated=True)
         count = 60
         txs = [

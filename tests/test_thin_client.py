@@ -9,8 +9,10 @@ from repro.client import (
     prob_right_digest_wins,
     prob_wrong_digest_wins,
 )
+from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, VerificationError
 from repro.mht.vo import BlockVO, QueryVO, verify_query_vo
+from repro.model import transaction as transaction_module
 from repro.node import SebdbNetwork
 from repro.node.auth import AuthQueryServer
 
@@ -179,6 +181,108 @@ class TestTamperDetection:
         with pytest.raises(VerificationError):
             verify_query_vo(bad, key_of=lambda tx: tx.senid,
                             expected_digest=digest)
+
+
+#: (column, low, high, table) of one VO per authenticated index
+VO_QUERIES = (
+    ("senid", "org1", "org1", None),
+    ("tname", "donate", "donate", None),
+    ("amount", 12.0, 47.0, "donate"),
+)
+
+
+@pytest.fixture(scope="module", params=["transaction", "block"])
+def vo_node(request):
+    """One node over a multi-block chain with authenticated ``senid``,
+    ``tname`` and ``amount`` indexes, under each cache policy."""
+    net = SebdbNetwork(num_nodes=1, consensus="kafka", batch_txs=16,
+                       timeout_ms=40,
+                       config=SebdbConfig.in_memory(cache_mode=request.param))
+    net.execute("CREATE donate (donor string, project string, amount decimal)")
+    net.execute("CREATE transfer (donor string, amount decimal)")
+    for i in range(90):
+        table = "donate" if i % 3 else "transfer"
+        values = (f"'d{i % 7}', 'edu', {float(i)}" if table == "donate"
+                  else f"'d{i % 7}', {float(i)}")
+        net.execute(f"INSERT INTO {table} VALUES ({values})",
+                    sender=f"org{i % 4}")
+    net.commit()
+    node = net.node(0)
+    node.create_index("senid", authenticated=True)
+    node.create_index("tname", authenticated=True)
+    node.create_index("amount", table="donate", authenticated=True)
+    return node
+
+
+def build_vos(node):
+    server = AuthQueryServer(node)
+    return [server.range_vo(column, low, high, table=table)
+            for column, low, high, table in VO_QUERIES]
+
+
+class TestVOStoredBytes:
+    """A VO ships the records as the chain stores them: the same bytes a
+    decode-and-re-encode of each point read produced, with no codec work
+    and no transaction-cache traffic."""
+
+    def test_records_equal_reencoded_point_reads(self, vo_node):
+        for (column, _low, _high, table), vo in zip(VO_QUERIES,
+                                                     build_vos(vo_node)):
+            index = vo_node.indexes.layered(column, table)
+            assert len(vo.blocks) > 1
+            for block in vo.blocks:
+                tree = index.tree(block.height)
+                positions = [position for _key, position
+                             in tree.covered_payloads(block.proof)]
+                assert list(block.records) == [
+                    vo_node.store.read_transaction(block.height, position)
+                    .to_bytes()
+                    for position in positions
+                ]
+
+    def test_vo_build_neither_encodes_nor_decodes(self, vo_node, monkeypatch):
+        calls = {"_encode": 0, "_decode": 0}
+        for name in calls:
+            original = getattr(transaction_module, name)
+
+            def counted(arg, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(arg)
+
+            monkeypatch.setattr(transaction_module, name, counted)
+        vo_node.store.clear_caches()
+        cold = build_vos(vo_node)
+        cold_calls = dict(calls)
+        warm = build_vos(vo_node)
+        assert warm == cold
+        assert sum(len(b.records) for vo in cold for b in vo.blocks) > 0
+        if vo_node.config.cache_mode == "block":
+            # a cached block keeps no records: its records are encoded
+            # again, but once cached it is never decoded again
+            assert calls["_decode"] == cold_calls["_decode"]
+        else:
+            assert calls == {"_encode": 0, "_decode": 0}
+
+    def test_cold_vo_charges_one_seek_per_record(self, vo_node):
+        store = vo_node.store
+        for query in VO_QUERIES:
+            store.clear_caches()
+            cache = store.tx_cache
+            traffic = (cache.hits, cache.misses, len(cache))
+            before = store.cost.snapshot()
+            column, low, high, table = query
+            vo = AuthQueryServer(vo_node).range_vo(column, low, high,
+                                                   table=table)
+            after = store.cost.snapshot()
+            records = [r for block in vo.blocks for r in block.records]
+            if vo_node.config.cache_mode == "block":
+                # whole blocks through the block cache, one miss each
+                assert after.seeks - before.seeks == len(vo.blocks)
+                continue
+            assert after.seeks - before.seeks == len(records)
+            assert (after.page_transfers - before.page_transfers
+                    == sum(store.cost.pages_for(len(r)) for r in records))
+            assert (cache.hits, cache.misses, len(cache)) == traffic
 
 
 class TestSamplingMath:
