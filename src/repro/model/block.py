@@ -157,17 +157,15 @@ class Block:
         return writer.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes, *, keep_records: bool = True) -> "Block":
+    def from_bytes(cls, data: bytes) -> "Block":
         """Decode a block; each transaction keeps the record it came from
-        (:meth:`Transaction.from_record`) unless ``keep_records`` is off,
-        as it is for a block that goes into a cache."""
+        (:meth:`Transaction.from_record`)."""
         reader = Reader(data)
         header = BlockHeader.from_bytes(reader.read_bytes())
         count = reader.read_varint()
-        decode = Transaction.from_record if keep_records else Transaction.from_bytes
         txs = []
         for _ in range(count):
-            txs.append(decode(reader.read_bytes()))
+            txs.append(Transaction.from_record(reader.read_bytes()))
         if reader.remaining():
             raise CodecError(
                 f"{reader.remaining()} trailing bytes after block {header.height}"

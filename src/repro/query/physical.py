@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import time
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Iterator, Optional, Sequence
 
 from ..common.errors import QueryError
 from ..index.bitmap import Bitmap
@@ -212,9 +212,12 @@ class LayeredLookup(_LeafOperator):
 
     def _rows(self) -> Iterator[Transaction]:
         low, high = self._constraint.low, self._constraint.high
+        read = self.scanner.read_positions
         for bid in self._candidate:
-            for _key, position in self._index.range_block(bid, low, high):
-                tx = self.scanner.read_transaction(bid, position)
+            entries = self._index.range_block(bid, low, high)
+            if not entries:
+                continue
+            for tx in read(bid, [position for _key, position in entries]):
                 if tx.tname != self._schema.name:
                     continue
                 if not in_window(tx, self._window):
@@ -307,21 +310,19 @@ class TraceLayered(_LeafOperator):
         return f"blocks={len(self._candidate)}, " + ", ".join(dims)
 
     def _rows(self) -> Iterator[Transaction]:
+        read = self.scanner.read_positions
         for bid in self._candidate:
-            positions: Optional[set[int]] = None
+            positions: Optional[Collection[int]] = None
             if self._sender_index is not None:
-                positions = set(self._sender_index.search_block(bid, self._operator))
+                positions = self._sender_index.search_block(bid, self._operator)
             if self._tname_index is not None:
-                tname_positions = set(
-                    self._tname_index.search_block(bid, self._operation)
-                )
-                positions = (
-                    tname_positions if positions is None
-                    else positions & tname_positions
-                )
+                tname_positions = self._tname_index.search_block(bid, self._operation)
+                positions = (tname_positions if positions is None
+                             else set(positions).intersection(tname_positions))
             assert positions is not None
-            for position in sorted(positions):
-                tx = self.scanner.read_transaction(bid, position)
+            if not positions:
+                continue
+            for tx in read(bid, sorted(positions)):
                 if tx.tname == SCHEMA_TNAME:
                     continue
                 if self._operator is not None and tx.senid != self._operator:
@@ -816,14 +817,10 @@ class MergeJoin(_LeafOperator):
                 j_end = j
                 while j_end < len(right_entries) and right_entries[j_end][0] == rkey:
                     j_end += 1
-                left_txs = [
-                    self.scanner.read_transaction(lbid, pos)
-                    for _, pos in left_entries[i:i_end]
-                ]
-                right_txs = [
-                    self.scanner.read_transaction(rbid, pos)
-                    for _, pos in right_entries[j:j_end]
-                ]
+                left_txs = list(self.scanner.read_positions(
+                    lbid, [pos for _, pos in left_entries[i:i_end]]))
+                right_txs = list(self.scanner.read_positions(
+                    rbid, [pos for _, pos in right_entries[j:j_end]]))
                 for ltx in left_txs:
                     if ltx.tname != self._left.name or not in_window(ltx, self._window):
                         continue
@@ -952,10 +949,8 @@ class OnOffMergeJoin(_LeafOperator):
                 j_end = j
                 while j_end < len(off_rows) and off_rows[j_end][off_key] == rkey:
                     j_end += 1
-                txs = [
-                    self.scanner.read_transaction(bid, pos)
-                    for _, pos in entries[i:i_end]
-                ]
+                txs = list(self.scanner.read_positions(
+                    bid, [pos for _, pos in entries[i:i_end]]))
                 for tx in txs:
                     if (tx.tname != self._onchain.name
                             or not in_window(tx, self._window)):

@@ -5,15 +5,17 @@ byte offsets of every transaction inside its block (so the layered index
 can read a *single* tuple with one random I/O, eq. 3 of the paper), the
 headers kept for thin clients, and the read cache.
 
-Four reads: :meth:`BlockStore.read_block` (a whole decoded block),
-:meth:`BlockStore.read_transaction` (one tuple by position),
-:meth:`BlockStore.scan_block` - the whole block's I/O, but only the
-tuples of the wanted tables/sender decoded, the rest rejected on their
-wire prefix (:meth:`Transaction.wire_prefix`) through the same per-block
-offsets; a block mixes every table, so that is what the scan, bitmap
-and hash-join operators read - and :meth:`BlockStore.read_records_at`,
-the stored records at given positions of one block, undecoded, which is
-what a VO ships.
+Two reads.  :meth:`BlockStore.read_positions` yields the tuples at given
+positions of one block, decoded or as stored records;
+:meth:`BlockStore.read_transaction` (one tuple) and
+:meth:`BlockStore.read_records_at` (what a VO ships) are one call of it.
+The framed whole-block read charges a block's I/O and checks its framing
+for :meth:`BlockStore.read_block` (a whole decoded block),
+:meth:`BlockStore.scan_block` (only the wanted tables'/sender's tuples
+decoded, the rest rejected on their wire prefix; a block mixes every
+table, so that is what the scan, bitmap and hash-join operators read)
+and :meth:`BlockStore.read_records` (the stored records chain
+verification hashes).
 
 A reopen parses every segment and decodes each stored record once; a
 :class:`RecoverySink` handed to the constructor receives those decoded
@@ -311,22 +313,75 @@ class BlockStore:
         cached = self._block_cache.get(height)
         if cached is not None:
             return cached
-        location = self._locations[height]
-        self.cost.record_read(location.length, seeks=1)
-        if tracker is not None:
-            tracker.record_read(location.length, seeks=1)
-        data = self._segments.read(location)
-        if self.config.cache_mode != "block":
-            return Block.from_bytes(data)
+        header, records = self._read_framed(height, tracker)
         # a cached block keeps its decoded fields only: the entry is sized
         # by the stored length, which the records would add to uncounted
-        block = Block.from_bytes(data, keep_records=False)
-        self._block_cache.put(height, block, len(data))
+        caching = self.config.cache_mode == "block"
+        decode = Transaction.from_bytes if caching else Transaction.from_record
+        block = Block(header, tuple(decode(record) for record in records))
+        if caching:
+            self._block_cache.put(height, block, self._locations[height].length)
         return block
 
     def transactions_in_block(self, height: int) -> int:
         self._check_height(height)
         return len(self._tx_offsets[height]) // 2
+
+    def read_positions(
+        self, height: int, positions: Sequence[int],
+        tracker: Optional[CostModel] = None, *, raw: bool = False,
+    ) -> Iterator[Transaction | bytes]:
+        """The tuples at ``positions`` of one block, lazily, in that order.
+
+        Every position is checked before anything is read.  Each is then
+        what one point read costs (eq. 3): a transaction-cache probe and,
+        on a miss, one seek plus its pages charged to the global model
+        and ``tracker``, the tuple decoded and cached before the next
+        position is probed - so a consumer that stops early has paid for
+        the positions it took and no more.  The segment is read once, on
+        the first miss, over the span from the first wanted record to the
+        end of the last.  ``raw`` yields the stored records undecoded
+        (what a VO ships) and leaves the transaction cache alone.  Under
+        ``cache_mode="block"`` every position is served out of
+        :meth:`read_block`, a raw one encoded again.
+        """
+        self._check_height(height)
+        offsets = self._tx_offsets[height]
+        count = len(offsets) // 2
+        for position in positions:
+            if not 0 <= position < count:
+                raise StorageError(
+                    f"block {height} has no transaction index {position}"
+                )
+        if self.config.cache_mode == "block":
+            for position in positions:
+                tx = self.read_block(height, tracker).transactions[position]
+                yield tx.to_bytes() if raw else tx
+            return
+        tx_cache = self._tx_cache
+        span = None
+        for position in positions:
+            if not raw:
+                cached = tx_cache.get((height, position))
+                if cached is not None:
+                    yield cached
+                    continue
+            offset = offsets[2 * position]
+            length = offsets[2 * position + 1]
+            self.cost.record_read(length, seeks=1)
+            if tracker is not None:
+                tracker.record_read(length, seeks=1)
+            if span is None:  # records are stored in position order
+                start = offsets[2 * min(positions)]
+                last = max(positions)
+                end = offsets[2 * last] + offsets[2 * last + 1]
+                span = self._segments.read_range(
+                    self._locations[height], start, end - start)
+            item = span[offset - start : offset - start + length]
+            if not raw:
+                item = Transaction.from_bytes(item)
+                tx_cache.put((height, position), item, length)
+            yield item
 
     def read_transaction(
         self, height: int, tx_index: int,
@@ -334,70 +389,17 @@ class BlockStore:
     ) -> Transaction:
         """Read a single tuple: one random I/O (seek + 1-page transfer).
 
-        This is the access path the layered index uses; under the block
-        cache policy it falls back to reading the whole block.
+        One position of :meth:`read_positions`; under the block cache
+        policy it falls back to reading the whole block.
         """
-        self._check_height(height)
-        offsets = self._tx_offsets[height]
-        if not 0 <= tx_index < len(offsets) // 2:
-            raise StorageError(
-                f"block {height} has no transaction index {tx_index}"
-            )
-        if self.config.cache_mode == "block":
-            # the block cache policy serves point reads out of whole blocks
-            return self.read_block(height, tracker).transactions[tx_index]
-        cached = self._tx_cache.get((height, tx_index))
-        if cached is not None:
-            return cached
-        offset = offsets[2 * tx_index]
-        length = offsets[2 * tx_index + 1]
-        self.cost.record_read(length, seeks=1)
-        if tracker is not None:
-            tracker.record_read(length, seeks=1)
-        raw = self._segments.read_range(self._locations[height], offset, length)
-        tx = Transaction.from_bytes(raw)
-        if self.config.cache_mode == "transaction":
-            self._tx_cache.put((height, tx_index), tx, length)
-        return tx
+        return next(self.read_positions(height, (tx_index,), tracker))
 
     def read_records_at(
         self, height: int, positions: Sequence[int]
     ) -> list[bytes]:
-        """The stored records at ``positions`` of one block, undecoded.
-
-        What a VO ships: the bytes the chain stores, in the order of
-        ``positions``.  Each record is charged what a
-        :meth:`read_transaction` miss is charged - one seek plus its
-        pages - while the segment is read once, over the span from the
-        first wanted record to the end of the last.  Nothing is decoded,
-        so the transaction cache is neither read nor filled.  Under
-        ``cache_mode="block"`` the records come from the cached block, as
-        in :meth:`read_records`.
-        """
-        self._check_height(height)
-        offsets = self._tx_offsets[height]
-        for position in positions:
-            if not 0 <= position < len(offsets) // 2:
-                raise StorageError(
-                    f"block {height} has no transaction index {position}"
-                )
-        if self.config.cache_mode == "block":
-            transactions = self.read_block(height).transactions
-            return [transactions[position].to_bytes() for position in positions]
-        if not positions:
-            return []
-        start = min(offsets[2 * position] for position in positions)
-        end = max(offsets[2 * position] + offsets[2 * position + 1]
-                  for position in positions)
-        span = self._segments.read_range(
-            self._locations[height], start, end - start)
-        out = []
-        for position in positions:
-            offset = offsets[2 * position] - start
-            length = offsets[2 * position + 1]
-            self.cost.record_read(length, seeks=1)
-            out.append(span[offset : offset + length])
-        return out
+        """The stored records at ``positions`` of one block, undecoded:
+        what a VO ships, charged to the global model only."""
+        return list(self.read_positions(height, positions, raw=True))
 
     def scan_block(
         self,
@@ -426,15 +428,13 @@ class BlockStore:
                 if (tnames is None or tx.tname in tnames)
                 and (senid is None or tx.senid == senid)
             ]
-        _header, data, offsets = self._read_framed(height, tracker)
+        _header, records = self._read_framed(height, tracker)
         want_tnames = (
             None if tnames is None else {name.encode("utf-8") for name in tnames}
         )
         want_senid = None if senid is None else senid.encode("utf-8")
         out = []
-        pairs = iter(offsets)
-        for offset, length in zip(pairs, pairs):
-            raw = data[offset : offset + length]
+        for raw in records:
             sender, table = Transaction.wire_prefix(raw)
             if want_tnames is not None and table not in want_tnames:
                 continue
@@ -446,33 +446,28 @@ class BlockStore:
     def read_records(self, height: int) -> tuple[BlockHeader, list[bytes]]:
         """A block's header and its transactions' stored records, undecoded.
 
-        What chain verification hashes: the same I/O and framing checks
-        as :meth:`scan_block`, and no transaction decoded.  Under
-        ``cache_mode="block"`` the block comes through the cache, and its
-        transactions, which keep no records there, are encoded again.
+        What chain verification hashes: the bytes on disk, in every cache
+        mode - the same I/O and framing checks as :meth:`scan_block`, and
+        no transaction decoded.
         """
         self._check_height(height)
-        if self.config.cache_mode == "block":
-            block = self.read_block(height)
-            return block.header, [tx.to_bytes() for tx in block.transactions]
-        header, data, offsets = self._read_framed(height, None)
-        pairs = iter(offsets)
-        return header, [data[offset : offset + length]
-                        for offset, length in zip(pairs, pairs)]
+        return self._read_framed(height, None)
 
     def _read_framed(
         self, height: int, tracker: Optional[CostModel]
-    ) -> tuple[BlockHeader, bytes, array]:
-        """A stored block's header, bytes and offsets, framing checked;
-        charges the whole block's read to the global model and
-        ``tracker``."""
+    ) -> tuple[BlockHeader, list[bytes]]:
+        """A stored block's header and records, framing checked; charges
+        the whole block's read to the global model and ``tracker``.
+        Every whole-block read goes through here."""
         location = self._locations[height]
         self.cost.record_read(location.length, seeks=1)
         if tracker is not None:
             tracker.record_read(location.length, seeks=1)
         data = self._segments.read(location)
         offsets = self._tx_offsets[height]
-        return _check_block_framing(data, offsets), data, offsets
+        pairs = iter(offsets)
+        return _check_block_framing(data, offsets), [
+            data[offset : offset + length] for offset, length in zip(pairs, pairs)]
 
     def scanner(self, tracker: CostModel) -> "StoreScanner":
         """The scan interface query operators must read through."""

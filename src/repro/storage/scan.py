@@ -10,13 +10,14 @@ operators read, so a query's I/O is exactly the sum of its leaves'
 trackers.
 
 Three reads, one per shape of access: ``read_block`` (GET BLOCK),
-``read_transaction`` (the layered paths) and ``scan_block`` (every
+``read_positions`` (the index-driven paths: a block's wanted positions,
+handed over at once and read lazily) and ``scan_block`` (every
 whole-block path: the block's I/O, the wanted tables'/sender's tuples).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Optional
+from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
 
 from ..model.block import Block
 from ..model.transaction import Transaction
@@ -38,8 +39,10 @@ class StoreScanner:
     def read_block(self, height: int) -> Block:
         return self._store.read_block(height, self._tracker)
 
-    def read_transaction(self, height: int, tx_index: int) -> Transaction:
-        return self._store.read_transaction(height, tx_index, self._tracker)
+    def read_positions(
+        self, height: int, positions: Sequence[int]
+    ) -> Iterator[Transaction]:
+        return self._store.read_positions(height, positions, self._tracker)
 
     def scan_block(
         self,

@@ -1,4 +1,4 @@
-"""Known-bad query-boundary fixture: all four bodies below are flagged."""
+"""Known-bad query-boundary fixture: all five bodies below are flagged."""
 
 
 class Op:
@@ -12,6 +12,10 @@ def scan(store):
 
 def filtered(store):
     return store.scan_block(0, ("donate",))  # BAD: the filtered read, same bypass
+
+
+def positions(store):
+    return list(store.read_positions(0, [2, 0]))  # BAD: the positional read, same bypass
 
 
 def peek(store):

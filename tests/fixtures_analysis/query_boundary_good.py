@@ -4,9 +4,9 @@
 class Leaf:
     def rows(self):
         block = self.scanner.read_block(3)
-        tx = self.scanner.read_transaction(3, 0)
+        yield from self.scanner.read_positions(3, [2, 0])
         yield from self.scanner.scan_block(3, ("donate",))
-        del block, tx
+        del block
 
 
 def build(store, tracker):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.codec import Writer
 from repro.common.config import SebdbConfig
-from repro.common.errors import CodecError
+from repro.common.errors import CodecError, StorageError
 from repro.model import Block, Transaction, make_genesis, verify_chain
 from repro.model import transaction as transaction_module
 from repro.node import FullNode, SebdbNetwork
@@ -187,6 +187,28 @@ class TestFullNodeRecovery:
         reopened = FullNode("n0", config=durable_config(tmp_path))
         headers_after = [h.block_hash() for h in reopened.store.headers]
         assert headers_before == headers_after
+
+
+class TestVerifyReadsTheDisk:
+    @pytest.mark.parametrize("cache_mode", ["none", "transaction", "block"])
+    def test_flipped_record_byte_under_a_warm_cache(self, tmp_path, cache_mode):
+        """Chain verification hashes the stored bytes, not a cached copy."""
+        node = FullNode("n0", config=durable_config(tmp_path,
+                                                    cache_mode=cache_mode))
+        node.create_table("CREATE donate (donor string, amount decimal)")
+        node.insert("donate", ("d0", 1.0))
+        height = node.store.height - 1
+        assert node.verify_local_chain(full=True) == node.store.height
+        node.store.read_block(height)  # warm the cache
+        _header, records = node.store.read_records(height)
+        location = node.store.location(height)
+        path = tmp_path / f"segment-{location.segment:06d}.dat"
+        data = bytearray(path.read_bytes())
+        at = data.index(records[-1], location.offset)
+        data[at + len(records[-1]) - 1] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="corrupt transaction root"):
+            node.verify_local_chain(full=True)
 
 
 def chain_indexes(node):

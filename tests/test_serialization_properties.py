@@ -44,9 +44,12 @@ def test_block_roundtrip_property(txs, timestamp):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.lists(tx_strategy, min_size=1, max_size=6),
-                min_size=1, max_size=5))
-def test_store_point_reads_match_block_reads(blocks_of_txs):
-    """read_transaction(h, i) == read_block(h).transactions[i], always."""
+                min_size=1, max_size=5),
+       st.lists(st.integers(0, 63), max_size=12))
+def test_store_point_reads_match_block_reads(blocks_of_txs, picks):
+    """read_transaction(h, i) == read_block(h).transactions[i], always;
+    so is the positional read over any position list, unsorted and with
+    duplicates, decoded or as the stored records."""
     store = BlockStore(SebdbConfig.in_memory(cache_mode="none"))
     prev = b"\x00" * 32
     for height, txs in enumerate(blocks_of_txs):
@@ -58,8 +61,14 @@ def test_store_point_reads_match_block_reads(blocks_of_txs):
         prev = block.block_hash()
     for height in range(store.height):
         block = store.read_block(height)
-        for i in range(store.transactions_in_block(height)):
+        count = store.transactions_in_block(height)
+        for i in range(count):
             assert store.read_transaction(height, i) == block.transactions[i]
+        positions = [pick % count for pick in picks]
+        expected = [block.transactions[i] for i in positions]
+        assert list(store.read_positions(height, positions)) == expected
+        assert store.read_records_at(height, positions) == [
+            tx.to_bytes() for tx in expected]
 
 
 class TestGetBlockEdges:

@@ -1,6 +1,7 @@
 """Tests for segment files, the block store, caches and the cost model."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -314,9 +315,9 @@ _senid_filters = st.one_of(
     st.none(), st.sampled_from(SCAN_SENDERS + ("nobody",)))
 
 
-def one_block_store(txs, cache_mode):
+def one_block_store(txs, cache_mode, **overrides):
     """An empty genesis plus one block holding ``txs``, tids assigned."""
-    store = BlockStore(SebdbConfig.in_memory(cache_mode=cache_mode))
+    store = BlockStore(SebdbConfig.in_memory(cache_mode=cache_mode, **overrides))
     genesis = make_genesis()
     store.append_block(genesis)
     sequenced = [tx.with_tid(i * 50) for i, tx in enumerate(txs)]
@@ -471,6 +472,65 @@ class TestScanBlock:
         if damage != "count":
             with pytest.raises(CodecError):
                 store.read_block(1)
+
+
+def cache_counters(store):
+    return tuple((cache.hits, cache.misses, cache.evictions, cache.used_bytes)
+                 for cache in (store.tx_cache, store.block_cache))
+
+
+class TestReadPositions:
+    @settings(deadline=None, max_examples=40)
+    @given(txs=st.lists(_unsequenced, min_size=1, max_size=8),
+           picks=st.lists(st.integers(0, 63), max_size=10),
+           stop=st.integers(0, 10), cache_bytes=st.sampled_from((300, 1 << 20)))
+    def test_equals_successive_point_reads(self, txs, picks, stop, cache_bytes):
+        """The positional read over P leaves what len(P) read_transaction
+        calls leave - tuples, global and tracker I/O, cache traffic and
+        evictions - in every cache mode, and when the consumer stops
+        after k rows it leaves what k calls leave."""
+        positions = [pick % len(txs) for pick in picks]
+        k = min(stop, len(positions))
+        for cache_mode in CACHE_MODES:
+            for take in {k, len(positions)}:
+                point_store = one_block_store(txs, cache_mode,
+                                              cache_bytes=cache_bytes)
+                point = cold_read(point_store, lambda t: [
+                    point_store.read_transaction(1, p, t)
+                    for p in positions[:take]])
+                store = one_block_store(txs, cache_mode, cache_bytes=cache_bytes)
+                batch = cold_read(store, lambda t: list(
+                    islice(store.read_positions(1, positions, t), take)))
+                assert batch == point, (cache_mode, take)
+                assert cache_counters(store) == cache_counters(point_store)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("cache_mode", CACHE_MODES)
+    def test_out_of_range_charges_nothing(self, cache_mode, raw):
+        store = build_store(2, SebdbConfig.in_memory(cache_mode=cache_mode))
+        tracker = store.cost.tracker()
+        before = store.cost.snapshot()
+        for positions in ([0, 1, 4], [-1], [3, 2, 99]):
+            with pytest.raises(StorageError, match="no transaction index"):
+                list(store.read_positions(1, positions, tracker, raw=raw))
+        assert store.cost.snapshot() == before
+        assert (tracker.seeks, tracker.bytes_read) == (0, 0)
+        assert cache_counters(store) == ((0, 0, 0, 0), (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("cache_mode", ["none", "transaction"])
+    def test_one_segment_span_on_the_first_miss(self, cache_mode, monkeypatch):
+        store = build_store(2, SebdbConfig.in_memory(cache_mode=cache_mode))
+        spans = []
+        read_range = store._segments.read_range
+        monkeypatch.setattr(store._segments, "read_range",
+                            lambda *args: spans.append(args) or read_range(*args))
+        store.read_transaction(1, 1)
+        spans.clear()
+        rows = store.read_positions(1, [1, 3, 0, 3])
+        assert next(rows).values[0] == "v1"
+        assert len(spans) == (0 if cache_mode == "transaction" else 1)
+        assert [tx.values[0] for tx in rows] == ["v3", "v0", "v3"]
+        assert len(spans) == 1
 
 
 class TestCostModel:

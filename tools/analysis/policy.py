@@ -129,7 +129,8 @@ QUERY_SCOPE: tuple = ("query", "query/optimizer")
 
 #: methods that perform storage I/O and must be tracker-accounted
 IO_METHODS: frozenset = frozenset(
-    {"read_block", "read_transaction", "scan_block", "iter_blocks"}
+    {"read_block", "read_transaction", "read_positions", "scan_block",
+     "iter_blocks"}
 )
 
 #: receiver names that identify the scan interface
