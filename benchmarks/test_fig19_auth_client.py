@@ -38,7 +38,8 @@ def test_fig19_shapes(benchmark, auth_series):
 
     def client_verify():
         return verify_query_vo(vo, key_of=lambda tx: tx.senid,
-                               expected_digest=digest)
+                               expected_digest=digest,
+                               query=("senid", "org1", "org1"))
 
     verified = benchmark(client_verify)
     assert len(verified.transactions) == RESULT

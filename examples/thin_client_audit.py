@@ -93,7 +93,8 @@ def main() -> None:
     )
     try:
         verify_query_vo(lying_vo, key_of=lambda tx: tx.senid,
-                        expected_digest=honest_digest)
+                        expected_digest=honest_digest,
+                        query=("senid", "org1", "org1"))
         print("\nBUG: the tampered VO was not detected!")
     except VerificationError as exc:
         print(f"\nlying server caught: {type(exc).__name__}: {exc}")

@@ -484,7 +484,8 @@ def figs17_19_authenticated(
         for _ in range(3):  # min over repeats dampens wall-clock noise
             t0 = time.perf_counter()
             verified = verify_query_vo(vo, key_of=lambda tx: tx.senid,
-                                       expected_digest=digest)
+                                       expected_digest=digest,
+                                       query=("senid", "org1", "org1"))
             client_ms = min(client_ms, (time.perf_counter() - t0) * 1000.0)
         assert len(verified.transactions) == result_size
         vo_size["ALI-Q2"].append((num_blocks, vo.size_bytes() / 1024.0))
@@ -505,8 +506,9 @@ def figs17_19_authenticated(
         client4_ms = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            verified4 = verify_query_vo(vo4, key_of=key_of,
-                                        expected_digest=digest4)
+            verified4 = verify_query_vo(
+                vo4, key_of=key_of, expected_digest=digest4,
+                query=("amount", RESULT_LOW, RESULT_HIGH))
             client4_ms = min(client4_ms,
                              (time.perf_counter() - t0) * 1000.0)
         assert len(verified4.transactions) == result_size

@@ -32,7 +32,12 @@ from .sampling import digest_error_probability
 
 @dataclasses.dataclass
 class AuthenticatedAnswer:
-    """A verified query answer plus the verification metadata."""
+    """A verified query answer plus the verification metadata.
+
+    ``transactions`` are the client's cached rows (see
+    :class:`ThinClient`), shared with every later answer that ships the
+    same stored bytes: treat them as read-only.
+    """
 
     transactions: tuple[Transaction, ...]
     vo_size_bytes: int
@@ -43,7 +48,16 @@ class AuthenticatedAnswer:
 
 
 class ThinClient:
-    """Header-only client verifying answers from untrusted full nodes."""
+    """Header-only client verifying answers from untrusted full nodes.
+
+    Besides the headers it keeps the decoded row of every record it has
+    verified, keyed by the record's leaf digest and bounded by
+    :data:`~repro.mht.vo.ROW_CACHE_ENTRIES`, so a record shipped again is
+    hashed and checked again but not decoded again.  Answers hand out
+    those row objects: a caller must not mutate a returned transaction,
+    or later answers carrying the same record would check and return the
+    mutated fields.
+    """
 
     def __init__(
         self,
@@ -59,6 +73,9 @@ class ThinClient:
         self._headers: list[BlockHeader] = []
         self._byz_ratio = byzantine_ratio
         self._max_byz = (len(self._nodes) - 1) // 3
+        #: leaf digest -> decoded transaction of every record verified so
+        #: far (bounded, see :func:`~repro.mht.vo.verify_query_vo`)
+        self._rows: dict[bytes, Transaction] = {}
 
     # -- header sync (what a thin client actually stores) ---------------------
 
@@ -112,7 +129,9 @@ class ThinClient:
             exclude=server_node,
         )
         result = verify_query_vo(
-            vo, key_of=key_of, expected_digest=digest, extra_filter=extra_filter
+            vo, key_of=key_of, expected_digest=digest,
+            extra_filter=extra_filter, rows=self._rows,
+            query=(column, low, high),
         )
         return AuthenticatedAnswer(
             transactions=result.transactions,
@@ -231,10 +250,12 @@ class ThinClient:
             n_aux, m, exclude=server_node,
         )
         by_operator = verify_query_vo(
-            vo_op, key_of=lambda tx: tx.senid, expected_digest=digest_op
+            vo_op, key_of=lambda tx: tx.senid, expected_digest=digest_op,
+            rows=self._rows, query=("senid", operator, operator),
         )
         by_operation = verify_query_vo(
-            vo_kind, key_of=lambda tx: tx.tname, expected_digest=digest_kind
+            vo_kind, key_of=lambda tx: tx.tname, expected_digest=digest_kind,
+            rows=self._rows, query=("tname", operation, operation),
         )
         operation_tids = {tx.tid for tx in by_operation.transactions}
         both = tuple(

@@ -68,12 +68,10 @@ def hash_concat(parts: Iterable[bytes]) -> bytes:
     """Hash the concatenation of ``parts``.
 
     Used by auxiliary full nodes to digest the MB-tree roots a query
-    visits (section VI of the paper).
+    visits (section VI of the paper), and by the MB-tree to hash a node's
+    children.
     """
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def hex_digest(data: bytes) -> str:

@@ -40,11 +40,11 @@ class TableBitmapIndex:
         """Set bit ``block.height`` on every table (and sender) present."""
         bid = block.height
         for tname in block.table_names():
-            self._tables.setdefault(tname, Bitmap()).set(bid)
+            _bitmap(self._tables, tname).set(bid)
         for tx in block.transactions:
             self._counts[tx.tname] = self._counts.get(tx.tname, 0) + 1
             if self._track_senders:
-                self._senders.setdefault(tx.senid, Bitmap()).set(bid)
+                _bitmap(self._senders, tx.senid).set(bid)
         self._num_blocks = max(self._num_blocks, bid + 1)
 
     def blocks_for_table(self, tname: str) -> Bitmap:
@@ -72,3 +72,11 @@ class TableBitmapIndex:
         if not self._num_blocks:
             return 0.0
         return len(self.blocks_for_table(tname)) / self._num_blocks
+
+
+def _bitmap(bitmaps: dict[str, Bitmap], key: str) -> Bitmap:
+    """The bitmap of ``key``, created only when it is missing."""
+    bitmap = bitmaps.get(key)
+    if bitmap is None:
+        bitmap = bitmaps[key] = Bitmap()
+    return bitmap

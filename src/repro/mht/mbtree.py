@@ -214,7 +214,8 @@ class MBRangeProof:
     def size_bytes(self) -> int:
         """VO size metric of Figs 17: digests carried by this proof."""
         return sum(
-            len(d) for left, right in self.fills for d in (*left, *right)
+            sum(map(len, left)) + sum(map(len, right))
+            for left, right in self.fills
         ) + 16  # small fixed overhead for the counters/flags
 
 

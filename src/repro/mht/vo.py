@@ -38,7 +38,7 @@ class BlockVO:
 
     def size_bytes(self) -> int:
         """Contribution to the VO-size metric (Fig 17)."""
-        return sum(len(r) for r in self.records) + self.proof.size_bytes()
+        return sum(map(len, self.records)) + self.proof.size_bytes()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,12 +66,20 @@ class VerifiedResult:
 
 KeyFn = Callable[[Transaction], Any]
 
+#: decoded records a ``rows`` map passed to :func:`verify_query_vo` holds
+#: before it starts over (the bound of a thin client's row memory; a full
+#: map is cleared, as the codec's intern caches are, so a stream of new
+#: records cannot switch the sharing off for good)
+ROW_CACHE_ENTRIES = 1 << 16
+
 
 def verify_query_vo(
     vo: QueryVO,
     key_of: KeyFn,
     expected_digest: Optional[bytes] = None,
     extra_filter: Optional[Callable[[Transaction], bool]] = None,
+    rows: Optional[dict[bytes, Transaction]] = None,
+    query: Optional[tuple[str, Any, Any]] = None,
 ) -> VerifiedResult:
     """Thin-client verification of a :class:`QueryVO`.
 
@@ -84,7 +92,33 @@ def verify_query_vo(
     ``extra_filter`` implements client-side post-filtering for
     multi-dimension tracking: the proven-complete result on one dimension
     is narrowed locally, preserving completeness.
+
+    ``rows`` maps the leaf digest of a record verified before to its
+    decoded transaction, so a record is decoded once however many VOs
+    ship it; it is filled here and cleared when it holds
+    :data:`ROW_CACHE_ENTRIES`.  Every shipped record is still hashed,
+    every root rebuilt and every key, sort, boundary and range check
+    run: the digest is of the bytes shipped, so a record that differs
+    from the cached one by a single byte misses and is decoded anew.
+    The returned transactions are the map's objects: they are shared
+    with every later answer that ships the same bytes and must not be
+    mutated.
+
+    ``query`` is the ``(column, low, high)`` the caller asked, and a VO
+    proving anything else is refused.  Without it the VO's own bounds
+    are trusted, which is sound only for a VO the caller built itself: a
+    block's MB-root does not depend on the range its proof covers, so
+    the honest block set with per-block proofs for another range still
+    meets the auxiliary digest.
     """
+    if query is not None and (vo.column, vo.low, vo.high) != query:
+        column, low, high = query
+        raise VerificationError(
+            f"VO proves {vo.column} in [{vo.low!r}, {vo.high!r}], the query "
+            f"asked {column} in [{low!r}, {high!r}]"
+        )
+    if rows is None:
+        rows = {}
     roots: list[bytes] = []
     matched: list[Transaction] = []
     seen_heights: set[int] = set()
@@ -97,7 +131,8 @@ def verify_query_vo(
                 f"height {vo.chain_height}"
             )
         seen_heights.add(block_vo.height)
-        roots.append(_verify_block_vo(block_vo, vo.low, vo.high, key_of, matched))
+        roots.append(
+            _verify_block_vo(block_vo, vo.low, vo.high, key_of, matched, rows))
     digest = hash_concat(roots)
     if expected_digest is not None and digest != expected_digest:
         raise VerificationError(
@@ -117,15 +152,26 @@ def _verify_block_vo(
     high: Any,
     key_of: KeyFn,
     matched_out: list[Transaction],
+    rows: dict[bytes, Transaction],
 ) -> bytes:
     """Verify one block's proof; append its matches; return the MB-root."""
     proof = block_vo.proof
-    if len(block_vo.records) != proof.covered:
+    records = block_vo.records
+    if len(records) != proof.covered:
         raise VerificationError(
-            f"block {block_vo.height}: {len(block_vo.records)} records for "
+            f"block {block_vo.height}: {len(records)} records for "
             f"a proof covering {proof.covered}"
         )
-    txs = [Transaction.from_bytes(raw) for raw in block_vo.records]
+    leaf_digests = [hash_leaf(raw) for raw in records]
+    txs = []
+    for raw, digest in zip(records, leaf_digests):
+        tx = rows.get(digest)
+        if tx is None:
+            tx = Transaction.from_bytes(raw)
+            if len(rows) >= ROW_CACHE_ENTRIES:
+                rows.clear()
+            rows[digest] = tx
+        txs.append(tx)
     keys = [key_of(tx) for tx in txs]
     if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
         raise VerificationError(
@@ -170,7 +216,6 @@ def _verify_block_vo(
                 f"block {block_vo.height}: result key {key!r} above range"
             )
         matched_out.append(tx)
-    leaf_digests = [hash_leaf(raw) for raw in block_vo.records]
     return reconstruct_root(proof, leaf_digests)
 
 

@@ -150,9 +150,11 @@ class FullNode(SqlNode):
     def close(self) -> None:
         """End-of-life hook; callers end a node's life through it.
 
-        There is nothing to release: the node owns no thread, pool or
-        open file (segment and log files are opened per call).
+        Releases the block store's held segment read descriptors; the
+        node owns no thread or pool, and its commit log is opened per
+        call.
         """
+        self.store.close()
 
     # -- engine checkpoints -----------------------------------------------------
 

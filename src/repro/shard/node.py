@@ -293,7 +293,8 @@ class ShardedNode(SqlNode):
         )
 
     def close(self) -> None:
-        """End-of-life hook: ends every shard's (nothing to release today)."""
+        """End-of-life hook: ends every shard's, releasing its segment
+        read descriptors."""
         for sid in sorted(self.shards):
             self.shards[sid].close()
 

@@ -298,6 +298,13 @@ class BlockStore:
             )
         return self._segments.truncate_after(0, 0)
 
+    def close(self) -> None:
+        """Release the segment files' held read descriptors.
+
+        The store stays usable: a later read opens its segment again.
+        """
+        self._segments.close()
+
     # -- reads ---------------------------------------------------------------
 
     def read_block(

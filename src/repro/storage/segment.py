@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import weakref
 from pathlib import Path
 from typing import Optional
 
@@ -30,9 +31,15 @@ class BlockLocation:
 class SegmentStore:
     """A sequence of append-only segments, on disk or in memory.
 
-    On disk, every read opens its segment unbuffered, ``pread``s the exact
-    range and closes it again: no long-lived handle, and no ``Path`` or
-    ``stat`` on the point-read path (the directory is kept as a ``str``).
+    On disk, the first read of a segment opens one read-only descriptor
+    for it and every read ``pread``s the exact range through that held
+    descriptor: no ``open``, ``Path`` or ``stat`` on the point-read path.
+    Appends go through the same inode, so a held descriptor sees them;
+    :meth:`truncate_after` closes every descriptor before it cuts or
+    unlinks a file, so no read sees a stale inode.  :meth:`close`
+    releases the descriptors (a store nobody closes releases them when
+    it is collected); the store stays usable, and a later read opens
+    its segment again.
     """
 
     def __init__(self, data_dir: Optional[Path], segment_size: int) -> None:
@@ -43,6 +50,9 @@ class SegmentStore:
         self._memory: list[bytearray] = []
         self._active = 0
         self._active_offset = 0
+        #: segment number -> read-only descriptor, opened on first read
+        self._fds: dict[int, int] = {}
+        weakref.finalize(self, _close_all, self._fds)
         if self._dir is not None:
             os.makedirs(self._dir, exist_ok=True)
             self._recover()
@@ -99,6 +109,7 @@ class SegmentStore:
         themselves stay immutable.
         """
         removed = 0
+        self.close()
         if self._dir is None:
             while len(self._memory) <= segment:
                 self._memory.append(bytearray())
@@ -124,6 +135,10 @@ class SegmentStore:
         self._active = segment
         self._active_offset = offset
         return removed
+
+    def close(self) -> None:
+        """Release every held read descriptor; later reads open anew."""
+        _close_all(self._fds)
 
     def append(self, data: bytes) -> BlockLocation:
         """Append ``data`` to the active segment, rolling over when full."""
@@ -168,15 +183,25 @@ class SegmentStore:
                     f"{offset}+{length} > {len(buf)}"
                 )
             return bytes(buf[offset : offset + length])
-        path = self._segment_path(segment)
-        try:
-            fh = open(path, "rb", buffering=0)
-        except FileNotFoundError:
-            raise StorageError(f"missing segment file {path}") from None
-        with fh:
-            data = os.pread(fh.fileno(), length, offset)
+        fd = self._fds.get(segment)
+        if fd is None:
+            try:
+                fd = os.open(self._segment_path(segment), os.O_RDONLY)
+            except FileNotFoundError:
+                raise StorageError(
+                    f"missing segment file {self._segment_path(segment)}"
+                ) from None
+            self._fds[segment] = fd
+        data = os.pread(fd, length, offset)
         if len(data) != length:
             raise StorageError(
-                f"short read from {path}: wanted {length}, got {len(data)}"
+                f"short read from {self._segment_path(segment)}: wanted "
+                f"{length}, got {len(data)}"
             )
         return data
+
+
+def _close_all(fds: dict[int, int]) -> None:
+    """Close and forget every descriptor in ``fds``."""
+    while fds:
+        os.close(fds.popitem()[1])

@@ -1,5 +1,7 @@
 """Tests for crash recovery: re-opening a node from its segment files."""
 
+import os
+
 import pytest
 
 from repro.common.codec import Writer
@@ -71,6 +73,42 @@ class TestBlockStoreRecovery:
 
         store = BlockStore(durable_config(tmp_path))
         assert store.height == 3  # genesis + schema + one insert
+        assert verify_chain(store.iter_blocks())
+
+    def test_multi_byte_length_record_survives_reopen(self, tmp_path):
+        node = FullNode("n0", config=durable_config(tmp_path))
+        node.create_table("CREATE t (a string)")
+        node.insert("t", ("long-" * 60,))
+        node.insert("t", ("short",))
+        _header, records = node.store.read_records(2)
+        assert len(records[0]) >= 128  # a two-byte length prefix
+        height, tip = node.store.height, node.store.tip_hash
+        node.close()
+
+        store = BlockStore(durable_config(tmp_path))
+        assert (store.height, store.tip_hash) == (height, tip)
+        assert store.read_transaction(2, 0).values == ("long-" * 60,)
+        assert store.read_transaction(3, 0).values == ("short",)
+        assert verify_chain(store.iter_blocks())
+
+    def test_tail_cut_inside_a_length_prefix(self, tmp_path):
+        node = FullNode("n0", config=durable_config(tmp_path))
+        node.create_table("CREATE t (a string)")
+        node.insert("t", ("committed",))
+        node.insert("t", ("torn-" * 60,))
+        last = node.store.height - 1
+        _header, records = node.store.read_records(last)
+        location = node.store.location(last)
+        node.close()
+        path = tmp_path / f"segment-{location.segment:06d}.dat"
+        data = path.read_bytes()
+        at = data.index(records[0], location.offset)
+        assert data[at - 2] & 0x80 and not data[at - 1] & 0x80
+        os.truncate(path, at - 1)  # keep the prefix's first byte only
+
+        store = BlockStore(durable_config(tmp_path))
+        assert store.height == last  # stops at the last complete block
+        assert store.read_transaction(last - 1, 0).values == ("committed",)
         assert verify_chain(store.iter_blocks())
 
     def test_tampered_block_stops_recovery(self, tmp_path):

@@ -1,5 +1,8 @@
 """Tests for segment files, the block store, caches and the cost model."""
 
+import errno
+import gc
+import os
 import random
 from itertools import islice
 
@@ -117,6 +120,97 @@ class TestSegmentStore:
         loc = seg.append(b"abc")
         with pytest.raises(StorageError, match="short read"):
             seg.read(BlockLocation(loc.segment, loc.offset, 10))
+
+
+def held_fds(seg):
+    """The read descriptors ``seg`` holds, by segment."""
+    return dict(seg._fds)
+
+
+def assert_closed(fds):
+    for fd in fds:
+        with pytest.raises(OSError) as info:
+            os.fstat(fd)
+        assert info.value.errno == errno.EBADF
+
+
+class TestHeldReadHandles:
+    """One read descriptor per segment, opened on the first read and
+    released by ``close()``, by garbage collection and before
+    ``truncate_after`` cuts or unlinks a file."""
+
+    def test_one_descriptor_per_segment(self, tmp_path):
+        seg = SegmentStore(tmp_path, 64)
+        locs = [seg.append(bytes([i]) * 40) for i in range(4)]
+        for _ in range(3):
+            for i, loc in enumerate(locs):
+                assert seg.read(loc) == bytes([i]) * 40
+        assert sorted(held_fds(seg)) == sorted({loc.segment for loc in locs})
+        seg.close()
+
+    def test_read_after_truncate_sees_new_bytes(self, tmp_path):
+        seg = SegmentStore(tmp_path, 16)
+        first = seg.append(b"A" * 10)
+        cut = seg.append(b"B" * 10)
+        assert cut.segment == 1
+        assert seg.read(first) == b"A" * 10
+        assert seg.read(cut) == b"B" * 10
+        stale = list(held_fds(seg).values())
+        assert seg.truncate_after(0, 10) == 10
+        assert_closed(stale)
+        # the same segment numbers and offsets, new files' contents
+        again = seg.append(b"c" * 10)
+        assert again == cut
+        assert seg.read(again) == b"c" * 10
+        assert seg.read(first) == b"A" * 10
+        seg.close()
+
+    def test_close_releases_descriptors(self, tmp_path):
+        seg = SegmentStore(tmp_path, 64)
+        locs = [seg.append(bytes([i]) * 40) for i in range(3)]
+        for loc in locs:
+            seg.read(loc)
+        fds = list(held_fds(seg).values())
+        assert len(fds) == len({loc.segment for loc in locs}) > 1
+        seg.close()
+        assert held_fds(seg) == {}
+        assert_closed(fds)
+        seg.close()  # idempotent
+
+    def test_collection_releases_descriptors(self, tmp_path):
+        seg = SegmentStore(tmp_path, 64)
+        seg.read(seg.append(b"kept"))
+        fds = list(held_fds(seg).values())
+        assert fds
+        del seg
+        gc.collect()
+        assert_closed(fds)
+
+    def test_reads_after_close_open_the_segment_again(self, tmp_path):
+        seg = SegmentStore(tmp_path, 64)
+        loc = seg.append(b"persisted")
+        assert seg.read(loc) == b"persisted"
+        seg.close()
+        assert seg.read(loc) == b"persisted"
+        assert list(held_fds(seg)) == [loc.segment]
+        later = seg.append(b"more")
+        assert seg.read(later) == b"more"
+        seg.close()
+        assert held_fds(seg) == {}
+
+    def test_node_close_releases_descriptors(self, tmp_path):
+        from repro.node import FullNode
+
+        node = FullNode("n0", config=SebdbConfig.in_memory(data_dir=tmp_path))
+        node.create_table("CREATE t (a string)")
+        node.insert("t", ("x",))
+        assert len(node.query("SELECT * FROM t")) == 1
+        fds = list(held_fds(node.store._segments).values())
+        assert fds
+        node.close()
+        assert_closed(fds)
+        assert len(node.query("SELECT * FROM t")) == 1
+        node.close()
 
 
 class TestBlockStore:

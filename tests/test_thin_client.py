@@ -11,6 +11,7 @@ from repro.client import (
 )
 from repro.common.config import SebdbConfig
 from repro.common.errors import ConfigError, VerificationError
+from repro.mht import vo as vo_module
 from repro.mht.vo import BlockVO, QueryVO, verify_query_vo
 from repro.model import transaction as transaction_module
 from repro.node import SebdbNetwork
@@ -108,6 +109,38 @@ class TestAuthenticatedQueries:
         assert answer.blocks_verified if hasattr(answer, "blocks_verified") else True
 
 
+def serve(monkeypatch, edit):
+    """Make every server answer ``range_vo`` with ``edit(server, vo)`` of
+    its honest VO."""
+    honest = AuthQueryServer.range_vo
+
+    def served(self, column, low, high, table=None, window=None, height=None):
+        vo = honest(self, column, low, high, table=table, window=window,
+                    height=height)
+        return edit(self, vo)
+
+    monkeypatch.setattr(AuthQueryServer, "range_vo", served)
+
+
+def proofs_for(low, high, table=None):
+    """An edit keeping the honest block set but proving ``[low, high]``
+    in each block, and saying so in the VO."""
+
+    def edit(server, vo):
+        node = server._node
+        index = node.indexes.layered(vo.column, table)
+        blocks = []
+        for block in vo.blocks:
+            tree = index.tree(block.height)
+            proof = tree.range_proof(low, high)
+            positions = [p for _key, p in tree.covered_payloads(proof)]
+            records = tuple(node.store.read_records_at(block.height, positions))
+            blocks.append(BlockVO(block.height, records, proof))
+        return QueryVO(vo.chain_height, vo.column, low, high, tuple(blocks))
+
+    return edit
+
+
 class TestTamperDetection:
     def server(self, auth_net):
         return AuthQueryServer(auth_net.node(0))
@@ -181,6 +214,62 @@ class TestTamperDetection:
         with pytest.raises(VerificationError):
             verify_query_vo(bad, key_of=lambda tx: tx.senid,
                             expected_digest=digest)
+
+    # A block's MB-root does not depend on the range its proof covers:
+    # the honest block set with proofs for another range meets the
+    # auxiliary digest, so the client checks the VO proves its query.
+    def test_range_answered_for_a_narrower_range(self, auth_net, monkeypatch):
+        client = ThinClient(auth_net.nodes, seed=4)
+        schema = auth_net.node(0).catalog.get("donate")
+        honest = client.authenticated_range(
+            "amount", 20.0, 40.0, table="donate", schema=schema)
+        assert len(honest.transactions) == 21
+        serve(monkeypatch, proofs_for(30.0, 30.0, table="donate"))
+        with pytest.raises(VerificationError, match="VO proves amount"):
+            client.authenticated_range(
+                "amount", 20.0, 40.0, table="donate", schema=schema)
+
+    def test_trace_answered_for_another_sender(self, auth_net, monkeypatch):
+        client = ThinClient(auth_net.nodes, seed=2)
+        honest = client.authenticated_trace("org1")
+        assert {tx.senid for tx in honest.transactions} == {"org1"}
+        serve(monkeypatch, proofs_for("org2", "org2"))
+        with pytest.raises(VerificationError, match="VO proves senid"):
+            client.authenticated_trace("org1")
+
+    @pytest.mark.parametrize("column", ["senid", "tname"])
+    def test_two_index_trace_checks_both_vos(self, vo_node, monkeypatch,
+                                             column):
+        client = ThinClient([vo_node], seed=1)
+        honest = client.authenticated_trace_two_index("org1", "transfer")
+        assert honest.transactions
+        other = {"senid": "org2", "tname": "donate"}[column]
+        forge = proofs_for(other, other)
+        serve(monkeypatch, lambda server, vo: (
+            forge(server, vo) if vo.column == column else vo))
+        with pytest.raises(VerificationError, match=f"VO proves {column}"):
+            client.authenticated_trace_two_index("org1", "transfer")
+
+    def test_forged_vo_meets_the_digest_unless_the_query_is_given(
+            self, auth_net):
+        # what ``query=`` closes: without it the forgery verifies
+        server = AuthQueryServer(auth_net.node(0))
+        honest = server.range_vo("senid", "org1", "org1")
+        digest = server.auxiliary_digest("senid", "org1", "org1",
+                                         honest.chain_height)
+        forged = proofs_for("org2", "org2")(server, honest)
+        result = verify_query_vo(forged, key_of=lambda tx: tx.senid,
+                                 expected_digest=digest)
+        assert result.transactions
+        assert {tx.senid for tx in result.transactions} == {"org2"}
+        with pytest.raises(VerificationError, match="VO proves senid"):
+            verify_query_vo(forged, key_of=lambda tx: tx.senid,
+                            expected_digest=digest,
+                            query=("senid", "org1", "org1"))
+        asked = verify_query_vo(honest, key_of=lambda tx: tx.senid,
+                                expected_digest=digest,
+                                query=("senid", "org1", "org1"))
+        assert {tx.senid for tx in asked.transactions} == {"org1"}
 
 
 #: (column, low, high, table) of one VO per authenticated index
@@ -283,6 +372,118 @@ class TestVOStoredBytes:
             assert (after.page_transfers - before.page_transfers
                     == sum(store.cost.pages_for(len(r)) for r in records))
             assert (cache.hits, cache.misses, len(cache)) == traffic
+
+
+def counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(data):
+        calls[name] = calls.get(name, 0) + 1
+        return original(data)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestRowMap:
+    """The thin client decodes a verified record once: later VOs shipping
+    the same stored bytes reuse its row, and are still verified in full."""
+
+    def test_answers_equal_with_and_without_a_map(self, vo_node):
+        key_of = {"senid": lambda tx: tx.senid, "tname": lambda tx: tx.tname,
+                  "amount": lambda tx: tx.values[2]}
+        server = AuthQueryServer(vo_node)
+        rows = {}
+        for column, low, high, table in VO_QUERIES * 2:
+            vo = server.range_vo(column, low, high, table=table)
+            digest = server.auxiliary_digest(column, low, high,
+                                             vo.chain_height, table=table)
+            plain = verify_query_vo(vo, key_of=key_of[column],
+                                    expected_digest=digest)
+            mapped = verify_query_vo(vo, key_of=key_of[column],
+                                     expected_digest=digest, rows=rows)
+            assert mapped == plain
+            assert len(plain.transactions) > 0
+        assert rows
+
+    def test_second_trace_decodes_nothing_and_hashes_everything(
+            self, auth_net, monkeypatch):
+        shipped = []
+        serve(monkeypatch, lambda server, vo: shipped.append(vo) or vo)
+        calls = {}
+        counting(monkeypatch, transaction_module, "_decode", calls)
+        counting(monkeypatch, vo_module, "hash_leaf", calls)
+        client = ThinClient(auth_net.nodes, seed=2)
+        first = client.authenticated_trace("org1")
+        records = sum(len(b.records) for b in shipped[0].blocks)
+        assert records > len(first.transactions) > 0
+        assert calls == {"_decode": records, "hash_leaf": records}
+        second = client.authenticated_trace("org1")
+        assert shipped[1] == shipped[0]
+        assert calls == {"_decode": records, "hash_leaf": 2 * records}
+        assert second.transactions == first.transactions
+        assert all(a is b for a, b in zip(second.transactions,
+                                          first.transactions))
+
+    def test_answers_share_row_objects_by_design(self, auth_net):
+        # the documented contract: a record verified by one query comes
+        # back from any other as the same (read-only) object
+        client = ThinClient(auth_net.nodes, seed=2)
+        schema = auth_net.node(0).catalog.get("donate")
+        traced = {tx.tid: tx for tx in
+                  client.authenticated_trace("org1").transactions}
+        ranged = client.authenticated_range(
+            "amount", 20.0, 40.0, table="donate", schema=schema)
+        shared = [tx for tx in ranged.transactions if tx.senid == "org1"]
+        assert len(shared) == 6
+        assert all(tx is traced[tx.tid] for tx in shared)
+        fresh = ThinClient(auth_net.nodes, seed=2).authenticated_trace("org1")
+        assert fresh.transactions == tuple(traced.values())
+        assert not any(a is b for a, b in zip(fresh.transactions,
+                                              traced.values()))
+
+    def test_forgery_of_a_cached_record_rejected(self, auth_net, monkeypatch):
+        import dataclasses
+
+        from repro.model import Transaction
+
+        client = ThinClient(auth_net.nodes, seed=2)
+        honest = client.authenticated_trace("org1")
+        target = honest.transactions[0]
+
+        def forge(server, vo):
+            blocks = list(vo.blocks)
+            for i, block in enumerate(blocks):
+                records = list(block.records)
+                for j, raw in enumerate(records):
+                    tx = Transaction.from_bytes(raw)
+                    if tx == target:
+                        twin = dataclasses.replace(
+                            tx, values=("evil",) + tx.values[1:])
+                        records[j] = twin.to_bytes()
+                        blocks[i] = BlockVO(block.height, tuple(records),
+                                            block.proof)
+                        return QueryVO(vo.chain_height, vo.column, vo.low,
+                                       vo.high, tuple(blocks))
+            raise AssertionError("target record not shipped")
+
+        serve(monkeypatch, forge)
+        with pytest.raises(VerificationError, match="digest mismatch"):
+            client.authenticated_trace("org1")
+        monkeypatch.undo()
+        again = client.authenticated_trace("org1")
+        assert again.transactions == honest.transactions
+        assert target.values[0] != "evil"
+
+    def test_map_clears_at_its_bound(self, auth_net, monkeypatch):
+        monkeypatch.setattr(vo_module, "ROW_CACHE_ENTRIES", 5)
+        server = AuthQueryServer(auth_net.node(0))
+        vo = server.range_vo("senid", "org1", "org1")
+        assert sum(len(b.records) for b in vo.blocks) > 5
+        rows = {}
+        mapped = verify_query_vo(vo, key_of=lambda tx: tx.senid, rows=rows)
+        assert 0 < len(rows) <= 5
+        plain = verify_query_vo(vo, key_of=lambda tx: tx.senid)
+        assert mapped == plain
 
 
 class TestSamplingMath:
