@@ -41,14 +41,15 @@ class SecondLevelTree(Protocol):
     def keys(self) -> list[Any]: ...
 
 
-#: Builds a level-2 tree from (key, position) pairs; receives the block so
-#: authenticated factories can hash the actual records into leaf digests.
-TreeFactory = Callable[[Sequence[tuple[Any, Any]], Block], SecondLevelTree]
+RecordAt = Callable[[int], bytes]  # position in a block -> stored record
+#: Builds a level-2 tree from (key, position) pairs; receives the block's
+#: records so authenticated factories can hash them into leaf digests.
+TreeFactory = Callable[[Sequence[tuple[Any, Any]], RecordAt], SecondLevelTree]
 Extractor = Callable[..., Any]  # Transaction -> key value (or None to skip)
 
 
 def _default_tree_factory(order: int) -> TreeFactory:
-    def build(pairs: Sequence[tuple[Any, Any]], block: Block) -> SecondLevelTree:
+    def build(pairs: Sequence[tuple[Any, Any]], record_at: RecordAt) -> SecondLevelTree:
         return BPlusTree.bulk_load(pairs, order=order)
 
     return build
@@ -114,18 +115,26 @@ class LayeredIndex:
     # -- maintenance -----------------------------------------------------------
 
     def add_block(self, block: Block) -> None:
-        """Append-time update: level-1 entry + bulk-loaded level-2 tree."""
-        bid = block.height
+        """Append-time update: :meth:`add_entries` keyed by the extractor."""
+        txs = block.transactions
+        pairs: list[tuple[Any, int]] = []
+        for position, tx in enumerate(txs):
+            key = self._extract(tx)
+            if key is not None:
+                pairs.append((key, position))
+        self.add_entries(block.height, pairs,
+                         lambda position: txs[position].to_bytes())
+
+    def add_entries(self, bid: int, pairs: list[tuple[Any, int]],
+                    record_at: RecordAt) -> None:
+        """Level-1 entry + bulk-loaded level-2 tree of block ``bid`` from
+        its ``(key, position)`` pairs (NULL and skipped keys left out);
+        ``record_at(position)`` is the stored record an ALI leaf hashes.
+        The one build path, for append time and the manager's backfill."""
         if bid < self._num_blocks:
             raise IndexError_(
                 f"layered index on {self.column!r} already covers block {bid}"
             )
-        pairs: list[tuple[Any, int]] = []
-        for position, tx in enumerate(block.transactions):
-            key = self._extract(tx)
-            if key is None:
-                continue
-            pairs.append((key, position))
         self._num_blocks = bid + 1
         if not pairs:
             return
@@ -138,7 +147,7 @@ class LayeredIndex:
         else:
             for value in {key for key, _ in pairs}:
                 self._value_bitmaps.setdefault(value, Bitmap()).set(bid)
-        self._trees[bid] = self._tree_factory(pairs, block)
+        self._trees[bid] = self._tree_factory(pairs, record_at)
 
     def refresh_histogram(self, histogram: EqualDepthHistogram) -> None:
         """Swap in a freshly sampled histogram and rebucket level 1.

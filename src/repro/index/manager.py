@@ -4,7 +4,10 @@ Owns the block-level B+-tree, the table-level bitmap index and every
 layered index of a node.  It subscribes to the block store so each
 appended block updates all structures in one pass, and it can create a new
 layered index over an existing chain (sampling history for the histogram,
-then backfilling level-1 entries and level-2 trees block by block).
+then backfilling level-1 entries and level-2 trees block by block) from
+the stored records: other tables' are skipped on their wire prefix
+(:meth:`Transaction.wire_prefix`), which also holds ``senid`` / ``tname``
+keys, so only records keyed on another column are decoded.
 
 A reopened node does not read its chain back for the first two: a
 :class:`ChainBackfill` hears the blocks the store's segment parse has
@@ -13,12 +16,12 @@ just decoded and builds them as they stream past.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..common.errors import CatalogError, IndexError_
 from ..model.block import Block
 from ..model.schema import TableSchema
-from ..model.transaction import SCHEMA_TNAME, Transaction
+from ..model.transaction import SCHEMA_TNAME, Transaction, decode_name
 from ..storage.blockstore import BlockStore
 from ..storage.segment import BlockLocation
 from .block_index import BlockIndex
@@ -168,16 +171,17 @@ class IndexManager:
             continuous = schema.column_type(lowered).is_continuous
         histogram = None
         if continuous:
-            histogram = self._sample_histogram(extractor)
+            histogram = EqualDepthHistogram.from_sample(
+                self._sample_values(key, extractor), self._histogram_depth)
         tree_factory: Optional[TreeFactory] = None
         if authenticated:
             # local import: mht depends on index/common, never on manager
             from ..common.hashing import hash_leaf
             from ..mht.mbtree import MBTree
 
-            def tree_factory(pairs: Any, block: Block) -> Any:  # type: ignore[misc]
+            def tree_factory(pairs: Any, record_at: Any) -> Any:  # type: ignore[misc]
                 def digest(key: Any, position: int) -> bytes:
-                    return hash_leaf(block.transactions[position].to_bytes())
+                    return hash_leaf(record_at(position))
 
                 return MBTree.bulk_load(pairs, order=self._order, digest_fn=digest)
 
@@ -189,15 +193,52 @@ class IndexManager:
             order=self._order,
             tree_factory=tree_factory,
         )
-        for height in range(self._store.height):
-            index.add_block(self._store.read_block(height))
+        for height, pairs, records in self._keyed_blocks(key, extractor):
+            index.add_entries(height, pairs, records.__getitem__)
         self._layered[key] = index
         return index
 
-    def _sample_histogram(
-        self, extractor: Callable[[Transaction], Any]
-    ) -> EqualDepthHistogram:
-        """Sample historical transactions for the equal-depth histogram.
+    def _keyed_blocks(
+        self,
+        key: tuple[Optional[str], str],
+        extractor: Callable[[Transaction], Any],
+        newest_first: bool = False,
+    ) -> Iterator[tuple[int, list[tuple[Any, int]], list[bytes]]]:
+        """``(height, (key, position) pairs, stored records)`` of each
+        block the table bitmaps list for ``key``'s table (every block for
+        a global index), read once undecoded.  A ``senid`` / ``tname`` key
+        is the prefix string, interned as a decode interns it; any other
+        is ``extractor`` of the decoded record."""
+        table, column = key
+        heights: Sequence[int] = range(self._store.height)
+        if table is not None:
+            heights = list(self.table_index.blocks_for_table(table))
+        want = table and table.encode("utf-8")
+        slot = {"senid": 0, "tname": 1}.get(column)
+        for height in reversed(heights) if newest_first else heights:
+            _header, records = self._store.read_records(height)
+            pairs = []
+            for position, record in enumerate(records):
+                prefix = Transaction.wire_prefix(record)
+                if want and prefix[1] != want:
+                    continue
+                if slot is not None:
+                    value = decode_name(prefix[slot])
+                else:
+                    value = extractor(Transaction.from_bytes(record))
+                    if value is None:
+                        continue
+                pairs.append((value, position))
+            yield height, pairs, records
+
+    def _sample_values(
+        self,
+        key: tuple[Optional[str], str],
+        extractor: Callable[[Transaction], Any],
+        newest_first: bool = False,
+    ) -> list[Any]:
+        """Historical values for an equal-depth histogram, block by block
+        until a block takes the sample past the cap.
 
         At creation time the sample walks the chain from genesis (cheap,
         and any slice is representative of a fresh chain).  A *refresh*
@@ -205,24 +246,10 @@ class IndexManager:
         sample to the oldest blocks forever, which is exactly the
         staleness ``\\analyze`` exists to fix.
         """
-        sample = self._sample_values(extractor)
-        return EqualDepthHistogram.from_sample(sample, self._histogram_depth)
-
-    def _sample_values(
-        self,
-        extractor: Callable[[Transaction], Any],
-        newest_first: bool = False,
-    ) -> list[Any]:
         sample: list[Any] = []
-        heights = range(self._store.height)
-        if newest_first:
-            heights = range(self._store.height - 1, -1, -1)
-        for height in heights:
-            block = self._store.read_block(height)
-            for tx in block.transactions:
-                value = extractor(tx)
-                if value is not None:
-                    sample.append(value)
+        for _height, pairs, _records in self._keyed_blocks(
+                key, extractor, newest_first):
+            sample.extend(value for value, _position in pairs)
             if len(sample) >= _HISTOGRAM_SAMPLE_CAP:
                 break
         return sample
@@ -243,7 +270,8 @@ class IndexManager:
         ):
             if not index.continuous:
                 continue  # discrete indexes estimate from value bitmaps
-            sample = self._sample_values(index.extractor, newest_first=True)
+            sample = self._sample_values((table, column), index.extractor,
+                                         newest_first=True)
             index.refresh_histogram(
                 EqualDepthHistogram.from_sample(sample, self._histogram_depth)
             )

@@ -319,12 +319,13 @@ class Transaction:
         (length-prefixed), then slices the next two length-prefixed
         fields; nothing else is allocated.  A block scan compares these
         bytes with its encoded filter and calls :meth:`from_bytes` on the
-        matches only.  Total over hostile bytes: every step is bounded by
-        ``len(data)`` and by ``Reader``'s varint cap, non-minimal varints
-        are refused as ``Reader`` refuses them, and the only error is
-        :class:`CodecError`.  The strings are *not* validated as UTF-8 -
-        ``read_str`` does that for the encodings a caller goes on to
-        decode.
+        matches only; a new layered index's backfill does too, and keys
+        ``senid`` / ``tname`` on them.  Total over hostile bytes: every
+        step is bounded by ``len(data)`` and by ``Reader``'s varint cap,
+        non-minimal varints are refused as ``Reader`` refuses them, and
+        the only error is :class:`CodecError`.  The strings are *not*
+        validated as UTF-8 - ``read_str`` does that for the encodings a
+        caller goes on to decode, :func:`decode_name` for a kept string.
         """
         try:
             pos = 0
@@ -412,6 +413,19 @@ def _intern(raw: bytes, cache: dict[bytes, str], entries: int) -> str:
         cache.clear()
     cache[raw] = text
     return text
+
+
+def decode_name(raw: bytes) -> str:
+    """A raw ``senid`` / ``tname`` of :meth:`Transaction.wire_prefix` as a
+    decode returns it: the same interned ``str``, and :class:`CodecError`
+    where ``read_str`` refuses the bytes as UTF-8."""
+    name = _names.get(raw)
+    if name is None:
+        try:
+            name = _intern(raw, _names, _NAME_CACHE_ENTRIES)
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"invalid UTF-8 string: {exc}") from exc
+    return name
 
 
 def _decode(data: bytes) -> Optional[Transaction]:

@@ -15,7 +15,7 @@ for :meth:`BlockStore.read_block` (a whole decoded block),
 decoded, the rest rejected on their wire prefix; a block mixes every
 table, so that is what the scan, bitmap and hash-join operators read)
 and :meth:`BlockStore.read_records` (the stored records chain
-verification hashes).
+verification hashes and a new layered index keys).
 
 A reopen parses every segment and decodes each stored record once; a
 :class:`RecoverySink` handed to the constructor receives those decoded
@@ -453,9 +453,9 @@ class BlockStore:
     def read_records(self, height: int) -> tuple[BlockHeader, list[bytes]]:
         """A block's header and its transactions' stored records, undecoded.
 
-        What chain verification hashes: the bytes on disk, in every cache
-        mode - the same I/O and framing checks as :meth:`scan_block`, and
-        no transaction decoded.
+        What chain verification hashes and a new layered index keys: the
+        bytes on disk, in every cache mode - the same I/O and framing
+        checks as :meth:`scan_block`, and no transaction decoded.
         """
         self._check_height(height)
         return self._read_framed(height, None)

@@ -1,4 +1,4 @@
-"""Known-bad query-boundary fixture: all five bodies below are flagged."""
+"""Known-bad query-boundary fixture: all seven bodies below are flagged."""
 
 
 class Op:
@@ -16,6 +16,14 @@ def filtered(store):
 
 def positions(store):
     return list(store.read_positions(0, [2, 0]))  # BAD: the positional read, same bypass
+
+
+def records(store):
+    return store.read_records(0)  # BAD: the undecoded whole-block read, same bypass
+
+
+def shipped(store):
+    return store.read_records_at(0, [1])  # BAD: the undecoded point read, same bypass
 
 
 def peek(store):

@@ -223,9 +223,11 @@ class TestQueryBoundaryRule:
         module = _module("query_boundary_bad.py", "query/fixture.py")
         diags = _run_rule_module(QueryBoundaryRule(), module)
         messages = "\n".join(d.message for d in diags)
-        assert len(diags) == 5
+        assert len(diags) == 7
         assert "read_transaction" in messages
         assert "read_positions" in messages
+        assert "read_records" in messages
+        assert "read_records_at" in messages
         assert "read_block" in messages
         assert "scan_block" in messages
         assert "private BlockStore attribute" in messages

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.common.errors import IndexError_
+from repro.bench.generator import (
+    Dataset,
+    build_join_dataset,
+    create_standard_indexes,
+)
+from repro.bench.schema import ONCHAIN_SCHEMAS
+from repro.common.config import SebdbConfig
+from repro.common.errors import CodecError, IndexError_
+from repro.common.hashing import hash_leaf
 from repro.index import (
     Bitmap,
     BlockIndex,
@@ -11,7 +19,13 @@ from repro.index import (
     TableBitmapIndex,
     ranges_intersect,
 )
+from repro.index import manager as manager_module
+from repro.index.histogram import EqualDepthHistogram
+from repro.index.manager import app_extractor, system_extractor
+from repro.mht.mbtree import MBTree
 from repro.model import Block, GENESIS_PREV_HASH, Transaction
+from repro.model.genesis import make_genesis
+from repro.node.fullnode import FullNode
 from repro.storage.segment import BlockLocation
 
 
@@ -286,3 +300,191 @@ class TestIndexManager:
                    for tx in block.transactions):
                 truth.add(height)
         assert got == truth
+
+
+# -- backfill from stored records ---------------------------------------------
+
+#: histogram sample cap for these tests: small enough that the sample
+#: stops part-way through the chain
+SAMPLE_CAP = 9
+
+
+def mixed_block(height):
+    """Block ``height`` of a chain whose tables come and go: every fourth
+    block holds donations only, so the transfer and distribute indexes
+    skip it; one donation has a NULL amount."""
+    out = []
+    for i in range(6):
+        sender = f"org{(height + i) % 3}"
+        kind = 0 if height % 4 == 0 else (height + i) % 3
+        if kind == 0:
+            amount = None if (height, i) == (5, 1) else float(height * 7 + i)
+            values = (f"donor{i}", "edu", amount)
+            out.append(Transaction.create("donate", values, ts=height * 100 + i,
+                                          sender=sender))
+        elif kind == 1:
+            values = ("edu", f"donor{i}", f"org{i % 4}", 5.0)
+            out.append(Transaction.create("transfer", values,
+                                          ts=height * 100 + i, sender=sender))
+        else:
+            values = ("edu", f"donor{i}", f"org{i % 3}", f"donee{height % 5}", 1.0)
+            out.append(Transaction.create("distribute", values,
+                                          ts=height * 100 + i, sender=sender))
+    return out
+
+
+def mixed_node(cache_mode="transaction", data_dir=None, blocks=12):
+    """Genesis with the schema transactions, then ``blocks`` data blocks."""
+    config = SebdbConfig.in_memory(cache_mode=cache_mode, data_dir=data_dir)
+    node = FullNode("backfill", config=config,
+                    genesis=make_genesis(0, ONCHAIN_SCHEMAS))
+    for height in range(1, blocks + 1):
+        node.apply_batch(mixed_block(height))
+    return node
+
+
+def reference_extractor(node, table, column):
+    if table is None or column in ("senid", "tname", "ts", "tid"):
+        return system_extractor(column, table)
+    return app_extractor(node.catalog.get(table), column)
+
+
+def decoded_sample(store, extractor, heights):
+    """The histogram sample drawn from decoded blocks: values in block
+    order, stopping after the block that takes it to the cap."""
+    sample = []
+    for height in heights:
+        for tx in store.read_block(height).transactions:
+            value = extractor(tx)
+            if value is not None:
+                sample.append(value)
+        if len(sample) >= SAMPLE_CAP:
+            break
+    return sample
+
+
+def bucket_ranges(histogram):
+    return [histogram.bucket_range(i) for i in range(histogram.num_buckets)]
+
+
+def ali_factory(order):
+    def build(pairs, record_at):
+        return MBTree.bulk_load(
+            pairs, order=order,
+            digest_fn=lambda key, position: hash_leaf(record_at(position)))
+
+    return build
+
+
+def structures(index):
+    """Everything a layered index holds: value bitmaps, bucket bits and,
+    per block, the level-2 entries and (ALI) the MB-root."""
+    return (
+        index._value_bitmaps,
+        index._bucket_bits,
+        {bid: list(tree.range(None, None)) for bid, tree in index._trees.items()},
+        {bid: getattr(tree, "root", None) for bid, tree in index._trees.items()},
+    )
+
+
+class TestBackfillFromRecords:
+    """An index created over history equals one fed decoded blocks."""
+
+    @pytest.mark.parametrize("authenticated", [False, True])
+    @pytest.mark.parametrize("cache_mode", ["transaction", "block"])
+    def test_created_index_equals_decoded_reference(
+            self, monkeypatch, cache_mode, authenticated):
+        monkeypatch.setattr(manager_module, "_HISTOGRAM_SAMPLE_CAP", SAMPLE_CAP)
+        node = mixed_node(cache_mode)
+        store = node.store
+        created_at = store.height
+        create_standard_indexes(
+            Dataset(node=node, num_blocks=created_at, txs_per_block=6,
+                    result_size=0, distribution="uniform"),
+            authenticated=authenticated)
+        node.apply_batch(mixed_block(created_at))  # after creation
+        order = node.config.bptree_order
+        indexes = node.indexes.layered_indexes
+        assert len(indexes) == 6
+        for (table, column), index in indexes.items():
+            extractor = reference_extractor(node, table, column)
+            histogram = None
+            if index.continuous:
+                sample = decoded_sample(store, extractor, range(created_at))
+                histogram = EqualDepthHistogram.from_sample(
+                    sample, node.config.histogram_depth)
+                assert bucket_ranges(index.histogram) == bucket_ranges(histogram)
+            reference = LayeredIndex(
+                column, extractor, index.continuous, histogram=histogram,
+                order=order,
+                tree_factory=ali_factory(order) if authenticated else None)
+            for height in range(store.height):
+                reference.add_block(store.read_block(height))
+            assert structures(index) == structures(reference), (table, column)
+            assert index._trees, (table, column)
+        # senid keys come off the wire prefix as the str a decode returns
+        decoded = {tx.senid: tx.senid for tx in store.read_block(1).transactions}
+        for key in indexes[(None, "senid")]._value_bitmaps:
+            assert key not in decoded or key is decoded[key]
+        # the chain has blocks without transfer rows; that index skipped them
+        transfer = indexes[("transfer", "organization")]
+        assert set(transfer._trees) < set(range(1, store.height))
+
+    def test_refresh_samples_as_decoded_blocks_do(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "_HISTOGRAM_SAMPLE_CAP", SAMPLE_CAP)
+        node = mixed_node()
+        node.create_index("amount", table="donate")
+        for height in range(node.store.height, node.store.height + 4):
+            node.apply_batch(mixed_block(height))
+        refreshed = node.refresh_statistics()
+        extractor = reference_extractor(node, "donate", "amount")
+        sample = decoded_sample(node.store, extractor,
+                                range(node.store.height - 1, -1, -1))
+        assert refreshed == {"donate.amount": len(sample)}
+        expected = EqualDepthHistogram.from_sample(
+            sample, node.config.histogram_depth)
+        index = node.indexes.layered("amount", "donate")
+        assert bucket_ranges(index.histogram) == bucket_ranges(expected)
+
+    def test_six_indexes_decode_at_most_twice_per_record(self, monkeypatch):
+        dataset = build_join_dataset(num_blocks=30, txs_per_block=40,
+                                     table_rows=200, result_pairs=50)
+        store = dataset.store
+        records = sum(store.transactions_in_block(h) for h in range(store.height))
+        decodes = []
+        from_bytes = Transaction.from_bytes
+
+        def counting(cls, data):
+            decodes.append(1)
+            return from_bytes(data)
+
+        monkeypatch.setattr(Transaction, "from_bytes", classmethod(counting))
+        create_standard_indexes(dataset)
+        assert len(dataset.indexes.layered_indexes) == 6
+        assert 0 < len(decodes) <= 2 * records
+
+    @pytest.mark.parametrize("field, column, table", [
+        ("senid", "senid", None),
+        ("tname", "tname", None),
+        ("senid", "amount", "donate"),
+    ])
+    def test_flipped_name_byte_is_a_codec_error(self, tmp_path, field,
+                                                column, table):
+        """A prefix key is validated as UTF-8, as a decode validates it."""
+        node = mixed_node(data_dir=tmp_path, blocks=2)
+        try:
+            height = node.store.height - 1
+            _header, records = node.store.read_records(height)
+            record = next(r for r in records
+                          if Transaction.wire_prefix(r)[1] == b"donate")
+            name = Transaction.wire_prefix(record)[field == "tname"]
+            location = node.store.location(height)
+            path = tmp_path / f"segment-{location.segment:06d}.dat"
+            data = bytearray(path.read_bytes())
+            at = data.index(record, location.offset) + record.index(name)
+            data[at] = 0xFF
+            path.write_bytes(bytes(data))
+            with pytest.raises(CodecError):
+                node.create_index(column, table=table)
+        finally:
+            node.close()

@@ -130,7 +130,7 @@ QUERY_SCOPE: tuple = ("query", "query/optimizer")
 #: methods that perform storage I/O and must be tracker-accounted
 IO_METHODS: frozenset = frozenset(
     {"read_block", "read_transaction", "read_positions", "scan_block",
-     "iter_blocks"}
+     "iter_blocks", "read_records", "read_records_at"}
 )
 
 #: receiver names that identify the scan interface
