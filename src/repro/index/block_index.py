@@ -127,14 +127,12 @@ class BlockIndex:
         range overlaps the window; ``None`` bounds are open.  This is the
         ``BI(c, e)`` step of Algorithms 1-3.
         """
-        bitmap = Bitmap()
+        bits = 0
         for entry in self._entries:
-            if start_ts is not None and entry.max_ts < start_ts:
-                continue
-            if end_ts is not None and entry.min_ts > end_ts:
-                continue
-            bitmap.set(entry.bid)
-        return bitmap
+            if ((start_ts is None or entry.max_ts >= start_ts)
+                    and (end_ts is None or entry.min_ts <= end_ts)):
+                bits |= 1 << entry.bid
+        return Bitmap(bits)
 
     def all_blocks_bitmap(self) -> Bitmap:
         """Bitmap selecting every block currently indexed."""

@@ -21,7 +21,8 @@ composes with level 1 for time-window queries.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from ..common.errors import IndexError_
 from ..model.block import Block
@@ -101,6 +102,8 @@ class LayeredIndex:
         # level 2: block id -> tree (only blocks with indexed values); its
         # keys are also the block's distinct values (join intersect test)
         self._trees: dict[int, SecondLevelTree] = {}
+        #: level 2 by block id, read-only: what the layered leaves walk
+        self.trees: Mapping[int, SecondLevelTree] = MappingProxyType(self._trees)
         self._num_blocks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -198,11 +201,11 @@ class LayeredIndex:
             mask = 0
             for bucket in self.histogram.buckets_overlapping(low, high):
                 mask |= 1 << bucket
-            result = Bitmap()
+            blocks = 0
             for bid, bits in self._bucket_bits.items():
                 if bits & mask:
-                    result.set(bid)
-            return result
+                    blocks |= 1 << bid
+            return Bitmap(blocks)
         result = Bitmap()
         for value, bitmap in self._value_bitmaps.items():
             if (low is None or value >= low) and (high is None or value <= high):

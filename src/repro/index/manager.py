@@ -16,6 +16,7 @@ just decoded and builds them as they stream past.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..common.errors import CatalogError, IndexError_
@@ -69,6 +70,22 @@ def app_extractor(schema: TableSchema, column: str) -> Callable[[Transaction], A
         return tx.values[position]
 
     return extract
+
+
+KeyedBlock = tuple[int, list[tuple[Any, int]], list[bytes]]
+
+
+def _sample_blocks(blocks: Iterator[KeyedBlock]) -> list[KeyedBlock]:
+    """The histogram sample's blocks: taken from ``blocks`` until one
+    takes the sample's values past the cap, the rest left unread."""
+    taken: list[KeyedBlock] = []
+    size = 0
+    for block in blocks:
+        taken.append(block)
+        size += len(block[1])
+        if size >= _HISTOGRAM_SAMPLE_CAP:
+            break
+    return taken
 
 
 class ChainBackfill:
@@ -169,10 +186,17 @@ class IndexManager:
                 )
             extractor = app_extractor(schema, lowered)
             continuous = schema.column_type(lowered).is_continuous
+        blocks = self._keyed_blocks(key, extractor)
+        sampled: list[KeyedBlock] = []
         histogram = None
         if continuous:
+            # the sample's blocks are kept and built below: one read and
+            # one decode per keyed record
+            sampled = _sample_blocks(blocks)
             histogram = EqualDepthHistogram.from_sample(
-                self._sample_values(key, extractor), self._histogram_depth)
+                [value for _height, pairs, _records in sampled
+                 for value, _position in pairs],
+                self._histogram_depth)
         tree_factory: Optional[TreeFactory] = None
         if authenticated:
             # local import: mht depends on index/common, never on manager
@@ -193,7 +217,7 @@ class IndexManager:
             order=self._order,
             tree_factory=tree_factory,
         )
-        for height, pairs, records in self._keyed_blocks(key, extractor):
+        for height, pairs, records in itertools.chain(sampled, blocks):
             index.add_entries(height, pairs, records.__getitem__)
         self._layered[key] = index
         return index
@@ -203,7 +227,7 @@ class IndexManager:
         key: tuple[Optional[str], str],
         extractor: Callable[[Transaction], Any],
         newest_first: bool = False,
-    ) -> Iterator[tuple[int, list[tuple[Any, int]], list[bytes]]]:
+    ) -> Iterator[KeyedBlock]:
         """``(height, (key, position) pairs, stored records)`` of each
         block the table bitmaps list for ``key``'s table (every block for
         a global index), read once undecoded.  A ``senid`` / ``tname`` key
@@ -246,13 +270,10 @@ class IndexManager:
         sample to the oldest blocks forever, which is exactly the
         staleness ``\\analyze`` exists to fix.
         """
-        sample: list[Any] = []
-        for _height, pairs, _records in self._keyed_blocks(
-                key, extractor, newest_first):
-            sample.extend(value for value, _position in pairs)
-            if len(sample) >= _HISTOGRAM_SAMPLE_CAP:
-                break
-        return sample
+        return [
+            value for _height, pairs, _records in _sample_blocks(
+                self._keyed_blocks(key, extractor, newest_first))
+            for value, _position in pairs]
 
     def refresh_statistics(self) -> dict[str, int]:
         """Rebuild every continuous layered index's equal-depth histogram

@@ -9,9 +9,9 @@ the ordering service sequences the transaction.
 This module owns the wire layout: ``to_bytes`` / ``read_from`` write and
 read it, ``from_bytes`` decodes it in one fused pass (:func:`_decode`,
 with ``read_from`` as its reference and fallback), and ``wire_prefix``
-walks its first six fields without decoding them, which is how a block
-scan rejects other tables' tuples cheaply.  The field order is written
-down once, next to ``to_bytes``.
+walks its first six fields without decoding them, which is how a new
+layered index keys stored records and skips other tables' cheaply.  The
+field order is written down once, next to ``to_bytes``.
 
 A transaction is immutable by contract: build a changed one with
 ``dataclasses.replace``, never by assigning a field.  The contract is what
@@ -317,10 +317,10 @@ class Transaction:
 
         Steps over ``tid`` and ``ts`` (varints) and ``sig`` and ``pubkey``
         (length-prefixed), then slices the next two length-prefixed
-        fields; nothing else is allocated.  A block scan compares these
-        bytes with its encoded filter and calls :meth:`from_bytes` on the
-        matches only; a new layered index's backfill does too, and keys
-        ``senid`` / ``tname`` on them.  Total over hostile bytes: every
+        fields; nothing else is allocated.  A new layered index's
+        backfill compares these bytes with its table's encoded name,
+        calls :meth:`from_bytes` on the matches only, and keys ``senid`` /
+        ``tname`` on them.  Total over hostile bytes: every
         step is bounded by ``len(data)`` and by ``Reader``'s varint cap,
         non-minimal varints are refused as ``Reader`` refuses them, and
         the only error is :class:`CodecError`.  The strings are *not*

@@ -3,10 +3,10 @@
 Every read statement compiles to a tree of :class:`PhysicalOperator`
 nodes; execution pulls rows through generator pipelines, so upstream I/O
 stops the moment a downstream operator (``Limit``, a consumed stream)
-stops pulling.  Each operator counts its rows out and keeps its seeks,
-page transfers and modelled milliseconds, which ``EXPLAIN ANALYZE``
-renders (with wall-clock, timed for it alone).  Only leaf operators read:
-each charges its own tracker through its
+stops pulling.  Each operator counts its own rows out as it yields them
+and keeps its seeks, page transfers and modelled milliseconds, which
+``EXPLAIN ANALYZE`` renders (with wall-clock, timed for it alone).  Only
+leaf operators read: each charges its own tracker through its
 :class:`~repro.storage.scan.StoreScanner`, and the query's cost is the sum
 of those trackers (:meth:`repro.query.plan.PhysicalPlan.cost`).
 
@@ -101,15 +101,14 @@ class PhysicalOperator:
         return ""
 
     def _rows(self) -> Iterator[Any]:
+        """The operator's rows; it adds each to ``stats.rows_out`` as it
+        yields it."""
         raise NotImplementedError
 
     def execute(self) -> Iterator[Any]:
-        """Pull rows, counting output cardinality (and timing each pull
-        into ``stats.wall_ms`` once EXPLAIN ANALYZE has set ``timed``)."""
-        stats = self.stats
-        for item in self._timed_rows() if self.timed else self._rows():
-            stats.rows_out += 1
-            yield item
+        """The operator's rows (each pull timed into ``stats.wall_ms``
+        once EXPLAIN ANALYZE has set ``timed``)."""
+        return self._timed_rows() if self.timed else self._rows()
 
     def _timed_rows(self) -> Iterator[Any]:
         # wall_ms is observability-only (EXPLAIN ANALYZE); it never feeds
@@ -162,6 +161,7 @@ class _BlockScan(_LeafOperator):
         return f"{self._schema.name}, blocks={len(self._candidate)}"
 
     def _rows(self) -> Iterator[Transaction]:
+        stats = self.stats
         tnames = (self._schema.name,)
         for bid in self._candidate:
             for tx in self.scanner.scan_block(bid, tnames):
@@ -169,6 +169,7 @@ class _BlockScan(_LeafOperator):
                     continue
                 if not in_window(tx, self._window):
                     continue
+                stats.rows_out += 1
                 yield tx
 
 
@@ -211,17 +212,23 @@ class LayeredLookup(_LeafOperator):
                 f"[{c.low!r}, {c.high!r}], blocks={len(self._candidate)}")
 
     def _rows(self) -> Iterator[Transaction]:
+        stats = self.stats
         low, high = self._constraint.low, self._constraint.high
-        read = self.scanner.read_positions
+        tree_of = self._index.trees.get
+        read, tracker = self.scanner.positional_read()
         for bid in self._candidate:
-            entries = self._index.range_block(bid, low, high)
-            if not entries:
+            tree = tree_of(bid)
+            if tree is None:
                 continue
-            for tx in read(bid, [position for _key, position in entries]):
+            positions = [position for _key, position in tree.range(low, high)]
+            if not positions:
+                continue
+            for tx in read(bid, positions, tracker):
                 if tx.tname != self._schema.name:
                     continue
                 if not in_window(tx, self._window):
                     continue
+                stats.rows_out += 1
                 yield tx
 
 
@@ -263,10 +270,12 @@ class _TraceBlockScan(_LeafOperator):
         return in_window(tx, self._window)
 
     def _rows(self) -> Iterator[Transaction]:
+        stats = self.stats
         tnames = None if self._operation is None else (self._operation,)
         for bid in self._candidate:
             for tx in self.scanner.scan_block(bid, tnames, self._operator):
                 if self._matches(tx):
+                    stats.rows_out += 1
                     yield tx
 
 
@@ -310,19 +319,26 @@ class TraceLayered(_LeafOperator):
         return f"blocks={len(self._candidate)}, " + ", ".join(dims)
 
     def _rows(self) -> Iterator[Transaction]:
-        read = self.scanner.read_positions
+        stats = self.stats
+        read, tracker = self.scanner.positional_read()
+        sender_tree = (None if self._sender_index is None
+                       else self._sender_index.trees.get)
+        tname_tree = (None if self._tname_index is None
+                      else self._tname_index.trees.get)
         for bid in self._candidate:
             positions: Optional[Collection[int]] = None
-            if self._sender_index is not None:
-                positions = self._sender_index.search_block(bid, self._operator)
-            if self._tname_index is not None:
-                tname_positions = self._tname_index.search_block(bid, self._operation)
+            if sender_tree is not None:
+                tree = sender_tree(bid)
+                positions = [] if tree is None else tree.search(self._operator)
+            if tname_tree is not None:
+                tree = tname_tree(bid)
+                tname_positions = [] if tree is None else tree.search(self._operation)
                 positions = (tname_positions if positions is None
                              else set(positions).intersection(tname_positions))
             assert positions is not None
             if not positions:
                 continue
-            for tx in read(bid, sorted(positions)):
+            for tx in read(bid, sorted(positions), tracker):
                 if tx.tname == SCHEMA_TNAME:
                     continue
                 if self._operator is not None and tx.senid != self._operator:
@@ -330,6 +346,7 @@ class TraceLayered(_LeafOperator):
                 if self._operation is not None and tx.tname != self._operation:
                     continue
                 if in_window(tx, self._window):
+                    stats.rows_out += 1
                     yield tx
 
 
@@ -356,8 +373,11 @@ class BlockLookup(_LeafOperator):
         return self._label
 
     def _rows(self) -> Iterator[Transaction]:
+        stats = self.stats
         self.block = self.scanner.read_block(self._height)
-        yield from self.block.transactions
+        for tx in self.block.transactions:
+            stats.rows_out += 1
+            yield tx
 
 
 # -- streaming relational operators ----------------------------------------
@@ -382,8 +402,10 @@ class Filter(PhysicalOperator):
         return self._label
 
     def _rows(self) -> Iterator[Any]:
+        stats = self.stats
         for item in self.children[0].execute():
             if self._accept(item):
+                stats.rows_out += 1
                 yield item
 
 
@@ -408,8 +430,9 @@ class Project(PhysicalOperator):
         return ", ".join(str(ref) for ref in self._projection)
 
     def _rows(self) -> Iterator[Row]:
-        schema, projection = self._schema, self._projection
+        stats, schema, projection = self.stats, self._schema, self._projection
         for tx in self.children[0].execute():
+            stats.rows_out += 1
             yield tx, project(tx, schema, projection)
 
 
@@ -426,7 +449,9 @@ class TraceRows(PhysicalOperator):
         return ", ".join(self.COLUMNS)
 
     def _rows(self) -> Iterator[Row]:
+        stats = self.stats
         for tx in self.children[0].execute():
+            stats.rows_out += 1
             yield tx, (tx.tid, tx.ts, tx.senid, tx.tname, tx.values)
 
 
@@ -445,6 +470,7 @@ class Distinct(PhysicalOperator):
                 continue
             seen.add(values)
             # dedup loses the row/transaction alignment
+            self.stats.rows_out += 1
             yield None, values
 
 
@@ -471,6 +497,7 @@ class Sort(PhysicalOperator):
             reverse=self._descending,
         )
         for values in rows:
+            self.stats.rows_out += 1
             yield None, values
 
 
@@ -491,7 +518,9 @@ class Limit(PhysicalOperator):
     def _rows(self) -> Iterator[Row]:
         if self._limit <= 0:
             return
+        stats = self.stats
         for count, item in enumerate(self.children[0].execute(), start=1):
+            stats.rows_out += 1
             yield item
             if count >= self._limit:
                 return
@@ -521,6 +550,7 @@ class Aggregate(PhysicalOperator):
         txs = list(self.children[0].execute())
         _columns, rows = aggregate_rows(self._stmt, self._schema, txs)
         for values in rows:
+            self.stats.rows_out += 1
             yield None, values
 
 
@@ -598,9 +628,12 @@ class ShardMerge(PhysicalOperator):
         return (0, value)
 
     def _rows(self) -> Iterator[Any]:
+        stats = self.stats
         if self._key_index is None:
             for child in self.children:
-                yield from child.execute()
+                for item in child.execute():
+                    stats.rows_out += 1
+                    yield item
             return
         iterators = [child.execute() for child in self.children]
         heap: list[tuple[tuple, int, Any]] = []
@@ -610,6 +643,7 @@ class ShardMerge(PhysicalOperator):
                 heapq.heappush(heap, (self._key(item), position, item))
         while heap:
             _key, position, item = heapq.heappop(heap)
+            stats.rows_out += 1
             yield item
             item = next(iterators[position], _EXHAUSTED)
             if item is not _EXHAUSTED:
@@ -633,7 +667,9 @@ class OffchainScan(PhysicalOperator):
         return self._table
 
     def _rows(self) -> Iterator[Row]:
+        stats = self.stats
         for row in self._offchain.fetch_all(self._table):
+            stats.rows_out += 1
             yield None, tuple(row)
 
 
@@ -652,8 +688,9 @@ class ProjectIndices(PhysicalOperator):
         return ", ".join(self._columns)
 
     def _rows(self) -> Iterator[Row]:
-        indices = self._indices
+        stats, indices = self.stats, self._indices
         for _tx, values in self.children[0].execute():
+            stats.rows_out += 1
             yield None, tuple(values[i] for i in indices)
 
 
@@ -734,11 +771,13 @@ class HashJoin(_LeafOperator):
                 if tx.tname == probe_name and (
                         probe_accept is None or probe_accept(tx)):
                     probes.append(tx)
+        stats = self.stats
         for tx in probes:
             key = tx.row()[probe_key]
             if key is None:
                 continue
             for match in build.get(key, ()):
+                stats.rows_out += 1
                 if build_on_left:
                     yield match, tx
                 else:
@@ -802,6 +841,7 @@ class MergeJoin(_LeafOperator):
     ) -> Iterator[tuple[Transaction, Transaction]]:
         left_entries = self._left_index.range_block(lbid)   # sorted (key, pos)
         right_entries = self._right_index.range_block(rbid)
+        read, tracker = self.scanner.positional_read()
         i = j = 0
         while i < len(left_entries) and j < len(right_entries):
             lkey = left_entries[i][0]
@@ -817,10 +857,10 @@ class MergeJoin(_LeafOperator):
                 j_end = j
                 while j_end < len(right_entries) and right_entries[j_end][0] == rkey:
                     j_end += 1
-                left_txs = list(self.scanner.read_positions(
-                    lbid, [pos for _, pos in left_entries[i:i_end]]))
-                right_txs = list(self.scanner.read_positions(
-                    rbid, [pos for _, pos in right_entries[j:j_end]]))
+                left_txs = list(read(
+                    lbid, [pos for _, pos in left_entries[i:i_end]], tracker))
+                right_txs = list(read(
+                    rbid, [pos for _, pos in right_entries[j:j_end]], tracker))
                 for ltx in left_txs:
                     if ltx.tname != self._left.name or not in_window(ltx, self._window):
                         continue
@@ -833,6 +873,7 @@ class MergeJoin(_LeafOperator):
                         if (self._right_accept is not None
                                 and not self._right_accept(rtx)):
                             continue
+                        self.stats.rows_out += 1
                         yield ltx, rtx
                 i, j = i_end, j_end
 
@@ -872,6 +913,7 @@ class OnOffHashJoin(_LeafOperator):
         return base + (f", pushed: {self._pushed}" if self._pushed else "")
 
     def _rows(self) -> Iterator[tuple[Transaction, tuple]]:
+        stats = self.stats
         build: dict[Any, list[tuple]] = {}
         for row in self._offchain.fetch_all(self._off_table):
             key = row[self._off_key]
@@ -888,6 +930,7 @@ class OnOffHashJoin(_LeafOperator):
                 if key is None:
                     continue
                 for row in build.get(key, ()):
+                    stats.rows_out += 1
                     yield tx, row
 
 
@@ -934,6 +977,7 @@ class OnOffMergeJoin(_LeafOperator):
     def _merge_block(self, bid: int) -> Iterator[tuple[Transaction, tuple]]:
         entries = self._index.range_block(bid)  # sorted (key, position)
         off_rows, off_key = self._off_rows, self._off_key
+        read, tracker = self.scanner.positional_read()
         i = j = 0
         while i < len(entries) and j < len(off_rows):
             lkey = entries[i][0]
@@ -949,8 +993,7 @@ class OnOffMergeJoin(_LeafOperator):
                 j_end = j
                 while j_end < len(off_rows) and off_rows[j_end][off_key] == rkey:
                     j_end += 1
-                txs = list(self.scanner.read_positions(
-                    bid, [pos for _, pos in entries[i:i_end]]))
+                txs = list(read(bid, [pos for _, pos in entries[i:i_end]], tracker))
                 for tx in txs:
                     if (tx.tname != self._onchain.name
                             or not in_window(tx, self._window)):
@@ -958,6 +1001,7 @@ class OnOffMergeJoin(_LeafOperator):
                     if self._on_accept is not None and not self._on_accept(tx):
                         continue
                     for row in off_rows[j:j_end]:
+                        self.stats.rows_out += 1
                         yield tx, row
                 i, j = i_end, j_end
 
@@ -990,7 +1034,9 @@ class JoinRows(PhysicalOperator):
         return ", ".join(self._columns)
 
     def _rows(self) -> Iterator[Row]:
+        stats = self.stats
         for left, right in self.children[0].execute():
+            stats.rows_out += 1
             lrow = left.row()
             rrow = tuple(right) if self._right_is_offchain else right.row()
             if self._picks is None:

@@ -12,10 +12,10 @@ positions of one block, decoded or as stored records;
 The framed whole-block read charges a block's I/O and checks its framing
 for :meth:`BlockStore.read_block` (a whole decoded block),
 :meth:`BlockStore.scan_block` (only the wanted tables'/sender's tuples
-decoded, the rest rejected on their wire prefix; a block mixes every
-table, so that is what the scan, bitmap and hash-join operators read)
-and :meth:`BlockStore.read_records` (the stored records chain
-verification hashes and a new layered index keys).
+sliced and decoded, picked on the integer scan tags the store keeps per
+record; a block mixes every table, so that is what the scan, bitmap and
+hash-join operators read) and :meth:`BlockStore.read_records` (the
+stored records chain verification hashes and a new layered index keys).
 
 A reopen parses every segment and decodes each stored record once; a
 :class:`RecoverySink` handed to the constructor receives those decoded
@@ -30,7 +30,9 @@ accounting only charges the cost model on cache misses.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Collection, Iterator, Optional, Protocol, Sequence
+from typing import (
+    Callable, Collection, Iterable, Iterator, Optional, Protocol, Sequence,
+)
 
 from ..common.codec import Reader, Writer, encode_varint
 from ..common.config import SebdbConfig
@@ -71,6 +73,11 @@ class BlockStore:
         #: per block: each transaction's offset in the block and length,
         #: flat - ``[offset_0, length_0, offset_1, length_1, ...]``
         self._tx_offsets: list[array] = []
+        #: scan tags, per block: each transaction's ``tname`` and ``senid``
+        #: as the small int ``_tag_ids`` gave that name, in block order
+        self._tx_tables: list[array] = []
+        self._tx_senders: list[array] = []
+        self._tag_ids: dict[str, int] = {}
         self._headers: list[BlockHeader] = []
         self._tip_hash: Optional[bytes] = None
         # entries are sized by the stored length they were decoded from
@@ -183,6 +190,7 @@ class BlockStore:
                 )
                 self._locations.append(location)
                 self._tx_offsets.append(tx_offsets)
+                self._add_tags(txs)
                 self._headers.append(header)
                 self._tip_hash = header.block_hash()
                 offset = reader.position
@@ -194,6 +202,9 @@ class BlockStore:
     def _reset_chain_state(self) -> None:
         self._locations = []
         self._tx_offsets = []
+        self._tx_tables = []
+        self._tx_senders = []
+        self._tag_ids = {}
         self._headers = []
         self._tip_hash = None
         self.clear_caches()
@@ -263,11 +274,24 @@ class BlockStore:
         self.cost.record_write(len(data), seeks=0)
         self._locations.append(location)
         self._tx_offsets.append(offsets)
+        self._add_tags(block.transactions)
         self._headers.append(block.header)
         self._tip_hash = block.block_hash()
         if notify:
             self.notify_append_listeners(block, location)
         return location
+
+    def _add_tags(self, txs: Sequence[Transaction]) -> None:
+        """Record a new block's scan tags, from its decoded transactions."""
+        ids = self._tag_ids
+        tag = ids.setdefault  # a new name takes the next free tag
+        tables = [tag(tx.tname, len(ids)) for tx in txs]
+        senders = [tag(tx.senid, len(ids)) for tx in txs]
+        # one byte a tag while the store knows at most 256 names: the tags
+        # grow with the chain, on every replica
+        typecode = "B" if len(ids) <= 256 else "I"
+        self._tx_tables.append(array(typecode, tables))
+        self._tx_senders.append(array(typecode, senders))
 
     def notify_append_listeners(self, block: Block, location: BlockLocation) -> None:
         """Fire the append listeners for an already-persisted block."""
@@ -320,12 +344,13 @@ class BlockStore:
         cached = self._block_cache.get(height)
         if cached is not None:
             return cached
-        header, records = self._read_framed(height, tracker)
+        header, data, offsets = self._read_framed(height, tracker)
         # a cached block keeps its decoded fields only: the entry is sized
         # by the stored length, which the records would add to uncounted
         caching = self.config.cache_mode == "block"
         decode = Transaction.from_bytes if caching else Transaction.from_record
-        block = Block(header, tuple(decode(record) for record in records))
+        block = Block(header, tuple(
+            decode(record) for record in _records(data, offsets)))
         if caching:
             self._block_cache.put(height, block, self._locations[height].length)
         return block
@@ -418,15 +443,17 @@ class BlockStore:
         """The block's tuples of ``tnames`` (and of ``senid``), in block order.
 
         What the whole-block access paths read (eqs 1-2, the hash joins):
-        the same I/O as :meth:`read_block` - one seek plus the block's
-        length on a miss, to the global model and the tracker - but
-        only the tuples the caller keeps are decoded.  The filter runs on
-        each transaction's wire prefix, against the filter strings
-        encoded once; ``None`` leaves a dimension unfiltered.  Comparison
-        is exact, so this is a pre-filter for the operator's own tests,
-        never a replacement.  Under ``cache_mode="block"`` the decoded
-        block is what the cache holds, so it is filtered by attribute
-        instead.
+        the same I/O and framing checks as :meth:`read_block` - one seek
+        plus the block's length on a miss, to the global model and the
+        tracker - but only the tuples the caller keeps are sliced out and
+        decoded.  They are picked on the block's scan tags: each
+        transaction's ``tname`` and ``senid`` as the small int the store
+        gave that exact string, so the filter compares ints and never
+        looks at the records it drops.  ``None`` leaves a dimension
+        unfiltered.  Comparison is exact, so this is a pre-filter for the
+        operator's own tests, never a replacement.  Under
+        ``cache_mode="block"`` the decoded block is what the cache holds,
+        so it is filtered by attribute instead.
         """
         self._check_height(height)
         if self.config.cache_mode == "block":
@@ -435,19 +462,21 @@ class BlockStore:
                 if (tnames is None or tx.tname in tnames)
                 and (senid is None or tx.senid == senid)
             ]
-        _header, records = self._read_framed(height, tracker)
-        want_tnames = (
-            None if tnames is None else {name.encode("utf-8") for name in tnames}
-        )
-        want_senid = None if senid is None else senid.encode("utf-8")
+        _header, data, offsets = self._read_framed(height, tracker)
+        tag = self._tag_ids.get  # a name no record carries matches none
+        keep: Iterable[int] = range(len(offsets) // 2)
+        if tnames is not None:
+            want = {tag(name) for name in tnames}
+            keep = [i for i, table in enumerate(self._tx_tables[height])
+                    if table in want]
+        if senid is not None:
+            sender, senders = tag(senid), self._tx_senders[height]
+            keep = [i for i in keep if senders[i] == sender]
+        decode = Transaction.from_bytes
         out = []
-        for raw in records:
-            sender, table = Transaction.wire_prefix(raw)
-            if want_tnames is not None and table not in want_tnames:
-                continue
-            if want_senid is not None and sender != want_senid:
-                continue
-            out.append(Transaction.from_bytes(raw))
+        for i in keep:
+            offset = offsets[2 * i]
+            out.append(decode(data[offset : offset + offsets[2 * i + 1]]))
         return out
 
     def read_records(self, height: int) -> tuple[BlockHeader, list[bytes]]:
@@ -458,23 +487,22 @@ class BlockStore:
         checks as :meth:`scan_block`, and no transaction decoded.
         """
         self._check_height(height)
-        return self._read_framed(height, None)
+        header, data, offsets = self._read_framed(height, None)
+        return header, _records(data, offsets)
 
     def _read_framed(
         self, height: int, tracker: Optional[CostModel]
-    ) -> tuple[BlockHeader, list[bytes]]:
-        """A stored block's header and records, framing checked; charges
-        the whole block's read to the global model and ``tracker``.
-        Every whole-block read goes through here."""
+    ) -> tuple[BlockHeader, bytes, array]:
+        """A stored block's header, bytes and record offsets, framing
+        checked; charges the whole block's read to the global model and
+        ``tracker``.  Every whole-block read goes through here."""
         location = self._locations[height]
         self.cost.record_read(location.length, seeks=1)
         if tracker is not None:
             tracker.record_read(location.length, seeks=1)
         data = self._segments.read(location)
         offsets = self._tx_offsets[height]
-        pairs = iter(offsets)
-        return _check_block_framing(data, offsets), [
-            data[offset : offset + length] for offset, length in zip(pairs, pairs)]
+        return _check_block_framing(data, offsets), data, offsets
 
     def scanner(self, tracker: CostModel) -> "StoreScanner":
         """The scan interface query operators must read through."""
@@ -510,6 +538,12 @@ class BlockStore:
     def clear_caches(self) -> None:
         self._block_cache.clear()
         self._tx_cache.clear()
+
+
+def _records(data: bytes, offsets: array) -> list[bytes]:
+    """Every stored record of a block's bytes, sliced at its offsets."""
+    pairs = iter(offsets)
+    return [data[offset : offset + length] for offset, length in zip(pairs, pairs)]
 
 
 def _check_block_framing(data: bytes, offsets: array) -> BlockHeader:

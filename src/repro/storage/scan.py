@@ -10,14 +10,15 @@ operators read, so a query's I/O is exactly the sum of its leaves'
 trackers.
 
 Three reads, one per shape of access: ``read_block`` (GET BLOCK),
-``read_positions`` (the index-driven paths: a block's wanted positions,
-handed over at once and read lazily) and ``scan_block`` (every
+``positional_read`` (the index-driven paths: the store's
+``read_positions`` - a block's wanted positions, handed over at once and
+read lazily - with the tracker to charge) and ``scan_block`` (every
 whole-block path: the block's I/O, the wanted tables'/sender's tuples).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence
 
 from ..model.block import Block
 from ..model.transaction import Transaction
@@ -39,10 +40,19 @@ class StoreScanner:
     def read_block(self, height: int) -> Block:
         return self._store.read_block(height, self._tracker)
 
-    def read_positions(
-        self, height: int, positions: Sequence[int]
-    ) -> Iterator[Transaction]:
-        return self._store.read_positions(height, positions, self._tracker)
+    def positional_read(
+        self,
+    ) -> tuple[Callable[[int, Sequence[int], CostModel], Iterator[Transaction]],
+               CostModel]:
+        """The store's positional read and this scanner's tracker.
+
+        ``read(height, positions, tracker)`` is
+        :meth:`BlockStore.read_positions` charged to this scanner's
+        tracker.  An index-driven leaf takes the pair once and calls it
+        block after block, with no forwarding call in between; it must
+        pass the tracker it was given.
+        """
+        return self._store.read_positions, self._tracker
 
     def scan_block(
         self,

@@ -4,7 +4,8 @@
 class Leaf:
     def rows(self):
         block = self.scanner.read_block(3)
-        yield from self.scanner.read_positions(3, [2, 0])
+        read, tracker = self.scanner.positional_read()
+        yield from read(3, [2, 0], tracker)
         yield from self.scanner.scan_block(3, ("donate",))
         del block
 

@@ -1,6 +1,8 @@
 """Tests for the block-level, table-level and layered indexes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.generator import (
     Dataset,
@@ -101,6 +103,60 @@ class TestBlockIndex:
         block = Block.package(GENESIS_PREV_HASH, 0, 50, [])
         index.add_block(block, loc())
         assert index.by_bid(0).first_tid == -1
+
+
+_bounds = st.none() | st.integers(-5, 105)
+
+
+class TestLevelOneBitmaps:
+    """Candidate bitmaps built as one int select exactly the blocks a
+    per-block ``Bitmap.set`` loop selects."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(blocks=st.lists(st.lists(st.integers(0, 100), max_size=4),
+                           max_size=12),
+           start=_bounds, end=_bounds)
+    def test_window_bitmap_equals_reference_loop(self, blocks, start, end):
+        # transaction timestamps jump back and forth between blocks; only
+        # the packaging timestamps (the heights) are monotone
+        index = BlockIndex(order=4)
+        prev, tid, expected = GENESIS_PREV_HASH, 0, Bitmap()
+        for height, stamps in enumerate(blocks):
+            txs = [Transaction.create("t", (), ts=ts, sender="s").with_tid(tid + i)
+                   for i, ts in enumerate(stamps)]
+            block = Block.package(prev, height, height, txs)
+            index.add_block(block, loc(height))
+            prev, tid = block.block_hash(), tid + len(txs)
+            low, high = (min(stamps), max(stamps)) if stamps else (height, height)
+            if start is not None and high < start:
+                continue
+            if end is not None and low > end:
+                continue
+            expected.set(height)
+        assert index.window_bitmap(start, end) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(blocks=st.lists(st.lists(st.none() | st.integers(0, 100), max_size=4),
+                           max_size=12),
+           bounds=st.lists(st.integers(0, 100), max_size=4),
+           low=_bounds, high=_bounds)
+    def test_continuous_candidates_equal_reference_loop(
+            self, blocks, bounds, low, high):
+        histogram = EqualDepthHistogram(sorted(set(bounds)))
+        index = LayeredIndex("v", lambda tx: tx.values[0], continuous=True,
+                             histogram=histogram, order=4)
+        mask = 0
+        for bucket in histogram.buckets_overlapping(low, high):
+            mask |= 1 << bucket
+        expected, tid = Bitmap(), 0
+        for height, values in enumerate(blocks):
+            specs = [("t", "s", (value,), height) for value in values]
+            index.add_block(make_block(height, specs, start_tid=tid))
+            tid += len(values)
+            for value in values:
+                if value is not None and mask >> histogram.bucket_of(value) & 1:
+                    expected.set(height)
+        assert index.candidate_blocks_range(low, high) == expected
 
 
 class TestTableBitmapIndex:
@@ -445,6 +501,36 @@ class TestBackfillFromRecords:
             sample, node.config.histogram_depth)
         index = node.indexes.layered("amount", "donate")
         assert bucket_ranges(index.histogram) == bucket_ranges(expected)
+
+    def test_continuous_index_reads_and_decodes_each_record_once(
+            self, monkeypatch):
+        """The histogram sample's blocks are built, not read again: one
+        read per block of the table, one decode per record of it."""
+        monkeypatch.setattr(manager_module, "_HISTOGRAM_SAMPLE_CAP", SAMPLE_CAP)
+        node = mixed_node()
+        store = node.store
+        blocks = list(node.indexes.table_index.blocks_for_table("donate"))
+        donations = sum(tx.tname == "donate" for height in blocks
+                        for tx in store.read_block(height).transactions)
+        assert donations > SAMPLE_CAP  # the sample stops short of the chain
+        reads, decodes = [], []
+        read_records = store.read_records
+
+        def reading(height):
+            reads.append(height)
+            return read_records(height)
+
+        from_bytes = Transaction.from_bytes
+
+        def counting(cls, data):
+            decodes.append(1)
+            return from_bytes(data)
+
+        monkeypatch.setattr(store, "read_records", reading)
+        monkeypatch.setattr(Transaction, "from_bytes", classmethod(counting))
+        node.create_index("amount", table="donate")
+        assert reads == blocks
+        assert len(decodes) == donations
 
     def test_six_indexes_decode_at_most_twice_per_record(self, monkeypatch):
         dataset = build_join_dataset(num_blocks=30, txs_per_block=40,

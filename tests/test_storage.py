@@ -4,12 +4,14 @@ import errno
 import gc
 import os
 import random
+import tempfile
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.generator import build_join_dataset
 from repro.common.codec import Reader
 from repro.common.config import SebdbConfig
 from repro.common.errors import CodecError, StorageError
@@ -22,6 +24,7 @@ from repro.model import (
     make_genesis,
 )
 from repro.storage import BlockLocation, BlockStore, CostModel, SegmentStore
+from repro.storage.blockstore import serialize_block
 
 
 def make_block(prev, height, count=4, tname="donate", start_tid=0):
@@ -492,31 +495,126 @@ class TestWirePrefixHostileBytes:
             Transaction.wire_prefix(b"\x00\x00" + b"\xff" * 100 + b"\x7f")
 
 
+def assert_scan_equals_filtered_read(store, heights, tnames, senid, label):
+    """Same tuples, same order, same bytes, same I/O as a whole-block read
+    filtered afterwards."""
+    for height in heights:
+        block, block_own, block_global = cold_read(
+            store, lambda t: store.read_block(height, t))
+        scanned, scan_own, scan_global = cold_read(
+            store, lambda t: store.scan_block(height, tnames, senid, t))
+        expected = [
+            tx for tx in block.transactions
+            if (tnames is None or tx.tname in tnames)
+            and (senid is None or tx.senid == senid)
+        ]
+        assert [tx.to_bytes() for tx in scanned] == \
+            [tx.to_bytes() for tx in expected], (label, height)
+        assert scanned == expected, (label, height)
+        assert scan_own == block_own == scan_global == block_global
+        assert scan_own[0] == 1
+
+
 class TestScanBlock:
     @settings(deadline=None)
     @given(txs=st.lists(_unsequenced, max_size=12), tnames=_tname_filters,
            senid=_senid_filters)
     def test_equals_filtered_read_block(self, txs, tnames, senid):
-        """Same tuples, same order, same bytes, same I/O as a whole-block
-        read filtered afterwards - in every cache mode."""
+        """In every cache mode, whichever way the store learnt its blocks:
+        appended, parsed on a reopen (through a checkpoint fallback that
+        parses twice), appended after the reopen, and past a torn tail
+        the reopen left and ``discard_torn_tail`` cut."""
         for cache_mode in CACHE_MODES:
             store = one_block_store(txs, cache_mode)
-            for height in (0, 1):  # the empty genesis, then the mixed block
-                block, block_own, block_global = cold_read(
-                    store, lambda t: store.read_block(height, t))
-                scanned, scan_own, scan_global = cold_read(
-                    store,
-                    lambda t: store.scan_block(height, tnames, senid, t))
-                expected = [
-                    tx for tx in block.transactions
-                    if (tnames is None or tx.tname in tnames)
-                    and (senid is None or tx.senid == senid)
-                ]
-                assert [tx.to_bytes() for tx in scanned] == \
-                    [tx.to_bytes() for tx in expected], cache_mode
-                assert scanned == expected
-                assert scan_own == block_own == scan_global == block_global
-                assert scan_own[0] == 1
+            # the empty genesis, then the mixed block
+            assert_scan_equals_filtered_read(
+                store, (0, 1), tnames, senid, cache_mode)
+            block = Block.package(
+                store.header(1).block_hash(), 2, 199,
+                [tx.with_tid(5000 + i) for i, tx in enumerate(reversed(txs))])
+            with tempfile.TemporaryDirectory() as data_dir:
+                config = SebdbConfig.in_memory(cache_mode=cache_mode,
+                                               data_dir=data_dir)
+                written = BlockStore(config)
+                for height in (0, 1):
+                    written.append_block(store.read_block(height))
+                written.simulate_torn_append(serialize_block(block)[0][:-3])
+                written.close()
+                reopened = BlockStore(config, trusted_checkpoint=(2, b"\0" * 32))
+                try:
+                    assert reopened.recovery_report["trusted_fallback"]
+                    assert reopened.height == 2
+                    assert_scan_equals_filtered_read(
+                        reopened, (0, 1), tnames, senid, (cache_mode, "reopened"))
+                    assert reopened.discard_torn_tail() > 0
+                    reopened.append_block(block)
+                    assert_scan_equals_filtered_read(
+                        reopened, (0, 1, 2), tnames, senid,
+                        (cache_mode, "appended after the reopen"))
+                finally:
+                    reopened.close()
+
+    def test_tags_past_one_byte(self):
+        """Blocks tagged while the store knew at most 256 names keep a
+        byte a tag, later blocks wider tags; both scan alike, also after
+        a reopen re-tags them all."""
+        with tempfile.TemporaryDirectory() as data_dir:
+            config = SebdbConfig.in_memory(cache_mode="none", data_dir=data_dir)
+            store = BlockStore(config)
+            genesis = make_genesis()
+            store.append_block(genesis)
+            prev, tid = genesis.block_hash(), 0
+            for height in range(1, 4):  # 151, 301 and 451 names known after
+                txs = [Transaction.create(
+                    "donate", (i,), ts=height,
+                    sender=f"s{150 * (height - 1) + i}").with_tid(tid + i)
+                    for i in range(150)]
+                block = Block.package(prev, height, height, txs)
+                store.append_block(block)
+                prev, tid = block.block_hash(), tid + 150
+            store.close()
+            for opened in (store, BlockStore(config)):
+                try:
+                    for height in range(1, 4):
+                        for sender in (f"s{150 * (height - 1)}",
+                                       f"s{150 * height - 1}"):
+                            rows = opened.scan_block(height, ("donate",), sender)
+                            assert [tx.senid for tx in rows] == [sender]
+                        assert opened.scan_block(height, None, "s450") == []
+                        assert len(opened.scan_block(height, ("donate",))) == 150
+                finally:
+                    opened.close()
+
+    def test_join_scan_decodes_only_kept_records(self, monkeypatch):
+        """A hash join over 100 blocks of 60 records picks its tables'
+        records on the scan tags: no wire prefix walked, and only the two
+        tables' 600 records decoded out of 6 000."""
+        dataset = build_join_dataset(num_blocks=100, txs_per_block=60,
+                                     table_rows=300, result_pairs=50)
+        engine = dataset.node.engine
+        dataset.store.clear_caches()
+        prefixes, decodes = [], []
+        wire_prefix = Transaction.wire_prefix
+        from_bytes = Transaction.from_bytes
+
+        def walking(data):
+            prefixes.append(1)
+            return wire_prefix(data)
+
+        def counting(cls, data):
+            decodes.append(1)
+            return from_bytes(data)
+
+        monkeypatch.setattr(Transaction, "wire_prefix", staticmethod(walking))
+        monkeypatch.setattr(Transaction, "from_bytes", classmethod(counting))
+        result = engine.execute(
+            "SELECT * FROM transfer, distribute "
+            "ON transfer.organization = distribute.organization",
+            method="bitmap")
+        assert result.plan.root.children[0].name == "HashJoin"
+        assert len(result) >= 50
+        assert prefixes == []
+        assert len(decodes) == 600
 
     def test_filter_is_exact_not_case_folded(self):
         tx = Transaction.create("donate", (), ts=1, sender="Org1")
