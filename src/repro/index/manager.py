@@ -5,9 +5,10 @@ layered index of a node.  It subscribes to the block store so each
 appended block updates all structures in one pass, and it can create a new
 layered index over an existing chain (sampling history for the histogram,
 then backfilling level-1 entries and level-2 trees block by block) from
-the stored records: other tables' are skipped on their wire prefix
-(:meth:`Transaction.wire_prefix`), which also holds ``senid`` / ``tname``
-keys, so only records keyed on another column are decoded.
+the stored records.  Each record's table and sender come from the store's
+scan tags (:meth:`BlockStore.record_names`): other tables' records are
+skipped on them and ``senid`` / ``tname`` keys taken from them, so only
+records keyed on another column are decoded.
 
 A reopened node does not read its chain back for the first two: a
 :class:`ChainBackfill` hears the blocks the store's segment parse has
@@ -22,7 +23,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from ..common.errors import CatalogError, IndexError_
 from ..model.block import Block
 from ..model.schema import TableSchema
-from ..model.transaction import SCHEMA_TNAME, Transaction, decode_name
+from ..model.transaction import SCHEMA_TNAME, Transaction
 from ..storage.blockstore import BlockStore
 from ..storage.segment import BlockLocation
 from .block_index import BlockIndex
@@ -106,7 +107,7 @@ class ChainBackfill:
 
     def reset(self) -> None:
         self.block_index = BlockIndex(order=self._order)
-        self.table_index = TableBitmapIndex(track_senders=True)
+        self.table_index = TableBitmapIndex()
         self.schema_transactions: list[Transaction] = []
         self.next_tid = 0
         #: blocks heard so far: heights ``0 .. height-1``
@@ -230,24 +231,24 @@ class IndexManager:
     ) -> Iterator[KeyedBlock]:
         """``(height, (key, position) pairs, stored records)`` of each
         block the table bitmaps list for ``key``'s table (every block for
-        a global index), read once undecoded.  A ``senid`` / ``tname`` key
-        is the prefix string, interned as a decode interns it; any other
+        a global index), read once undecoded.  Other tables' records are
+        skipped on the store's :meth:`~BlockStore.record_names`, and a
+        ``senid`` / ``tname`` key is the store's name string; any other
         is ``extractor`` of the decoded record."""
         table, column = key
         heights: Sequence[int] = range(self._store.height)
         if table is not None:
             heights = list(self.table_index.blocks_for_table(table))
-        want = table and table.encode("utf-8")
-        slot = {"senid": 0, "tname": 1}.get(column)
         for height in reversed(heights) if newest_first else heights:
             _header, records = self._store.read_records(height)
+            tnames, senids = self._store.record_names(height)
+            names = {"senid": senids, "tname": tnames}.get(column)
             pairs = []
             for position, record in enumerate(records):
-                prefix = Transaction.wire_prefix(record)
-                if want and prefix[1] != want:
+                if table and tnames[position] != table:
                     continue
-                if slot is not None:
-                    value = decode_name(prefix[slot])
+                if names is not None:
+                    value = names[position]
                 else:
                     value = extractor(Transaction.from_bytes(record))
                     if value is None:

@@ -6,8 +6,8 @@ least one transaction of that table.  When a new table appears a new
 bitmap is added; when a block arrives the bitmaps of every table present
 in it get their new bit set.
 
-The same structure optionally tracks ``SenID`` ("the index can also be
-created on SenID for tracking query").
+The same structure also tracks ``SenID`` ("the index can also be created
+on SenID for tracking query").
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from .bitmap import Bitmap
 class TableBitmapIndex:
     """Maps a key (table name or sender id) to its block-presence bitmap."""
 
-    def __init__(self, track_senders: bool = False) -> None:
+    def __init__(self) -> None:
         self._tables: dict[str, Bitmap] = {}
         self._senders: dict[str, Bitmap] = {}
         self._counts: dict[str, int] = {}
-        self._track_senders = track_senders
         self._num_blocks = 0
 
     @property
@@ -43,8 +42,7 @@ class TableBitmapIndex:
             _bitmap(self._tables, tname).set(bid)
         for tx in block.transactions:
             self._counts[tx.tname] = self._counts.get(tx.tname, 0) + 1
-            if self._track_senders:
-                _bitmap(self._senders, tx.senid).set(bid)
+            _bitmap(self._senders, tx.senid).set(bid)
         self._num_blocks = max(self._num_blocks, bid + 1)
 
     def blocks_for_table(self, tname: str) -> Bitmap:

@@ -7,10 +7,8 @@ and ``sig`` itself, because the global transaction id is only assigned when
 the ordering service sequences the transaction.
 
 This module owns the wire layout: ``to_bytes`` / ``read_from`` write and
-read it, ``from_bytes`` decodes it in one fused pass (:func:`_decode`,
-with ``read_from`` as its reference and fallback), and ``wire_prefix``
-walks its first six fields without decoding them, which is how a new
-layered index keys stored records and skips other tables' cheaply.  The
+read it, and ``from_bytes`` decodes it in one fused pass
+(:func:`_decode`, with ``read_from`` as its reference and fallback).  The
 field order is written down once, next to ``to_bytes``.
 
 A transaction is immutable by contract: build a changed one with
@@ -34,7 +32,6 @@ import struct
 from typing import Any, Optional, Sequence
 
 from ..common.codec import (
-    NON_MINIMAL_VARINT,
     TAG_BYTES,
     TAG_FALSE,
     TAG_FLOAT,
@@ -230,10 +227,9 @@ class Transaction:
 
     # -- wire format ------------------------------------------------------
     #
-    # Field order: tid, ts, sig, pubkey, senid, tname, nonce, values.  The
-    # order of the first six is load-bearing: :meth:`wire_prefix` walks
-    # them by position and :meth:`with_tid` swaps the leading ``tid``, so
-    # :func:`_encode`, ``read_from``, :func:`_decode`, ``wire_prefix`` and
+    # Field order: tid, ts, sig, pubkey, senid, tname, nonce, values.
+    # ``tid`` first is load-bearing: :meth:`with_tid` swaps the leading
+    # field, so :func:`_encode`, ``read_from``, :func:`_decode` and
     # ``with_tid`` change together or not at all (and a change re-encodes
     # every chain).
 
@@ -311,58 +307,6 @@ class Transaction:
         tx._wire = record
         return tx
 
-    @staticmethod
-    def wire_prefix(data: bytes) -> tuple[bytes, bytes]:
-        """Raw UTF-8 ``(senid, tname)`` of an encoding, without decoding it.
-
-        Steps over ``tid`` and ``ts`` (varints) and ``sig`` and ``pubkey``
-        (length-prefixed), then slices the next two length-prefixed
-        fields; nothing else is allocated.  A new layered index's
-        backfill compares these bytes with its table's encoded name,
-        calls :meth:`from_bytes` on the matches only, and keys ``senid`` /
-        ``tname`` on them.  Total over hostile bytes: every
-        step is bounded by ``len(data)`` and by ``Reader``'s varint cap,
-        non-minimal varints are refused as ``Reader`` refuses them, and
-        the only error is :class:`CodecError`.  The strings are *not*
-        validated as UTF-8 - ``read_str`` does that for the encodings a
-        caller goes on to decode, :func:`decode_name` for a kept string.
-        """
-        try:
-            pos = 0
-            for _skipped in ("tid", "ts"):
-                mark = pos
-                while data[pos] & 0x80:
-                    pos += 1
-                if 7 * (pos - mark) > VARINT_MAX_SHIFT:
-                    raise CodecError("varint too long")
-                if pos > mark and not data[pos]:
-                    raise CodecError(NON_MINIMAL_VARINT)
-                pos += 1
-            # lengths under 128 are one byte; anything longer goes to Reader
-            for _skipped in ("sig", "pubkey"):
-                length = data[pos]
-                pos += 1
-                if length & 0x80:
-                    length, pos = _long_varint(data, pos - 1)
-                pos += length
-            length = data[pos]
-            pos += 1
-            if length & 0x80:
-                length, pos = _long_varint(data, pos - 1)
-            senid = data[pos : pos + length]
-            pos += length
-            # a senid cut short by the end of the buffer fails here
-            length = data[pos]
-            pos += 1
-            if length & 0x80:
-                length, pos = _long_varint(data, pos - 1)
-            end = pos + length
-        except IndexError:
-            raise CodecError("buffer underflow in transaction prefix") from None
-        if end > len(data):
-            raise CodecError("buffer underflow in transaction prefix")
-        return senid, data[pos:end]
-
     def hash(self) -> bytes:
         """Hash over the full serialized transaction (Merkle leaf input)."""
         return sha256(self.to_bytes())
@@ -399,13 +343,6 @@ def _encode(tx: Transaction) -> bytes:
     return writer.getvalue()
 
 
-def _long_varint(data: bytes, start: int) -> tuple[int, int]:
-    """``(value, next position)`` of a multi-byte varint: the rare path of
-    :meth:`Transaction.wire_prefix`, left to :class:`Reader`."""
-    reader = Reader(data, start)
-    return reader.read_varint(), reader.position
-
-
 def _intern(raw: bytes, cache: dict[bytes, str], entries: int) -> str:
     """Decode a string ``cache`` does not hold yet, and keep it there."""
     text = raw.decode("utf-8")
@@ -413,19 +350,6 @@ def _intern(raw: bytes, cache: dict[bytes, str], entries: int) -> str:
         cache.clear()
     cache[raw] = text
     return text
-
-
-def decode_name(raw: bytes) -> str:
-    """A raw ``senid`` / ``tname`` of :meth:`Transaction.wire_prefix` as a
-    decode returns it: the same interned ``str``, and :class:`CodecError`
-    where ``read_str`` refuses the bytes as UTF-8."""
-    name = _names.get(raw)
-    if name is None:
-        try:
-            name = _intern(raw, _names, _NAME_CACHE_ENTRIES)
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 string: {exc}") from exc
-    return name
 
 
 def _decode(data: bytes) -> Optional[Transaction]:

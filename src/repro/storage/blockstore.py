@@ -16,6 +16,9 @@ sliced and decoded, picked on the integer scan tags the store keeps per
 record; a block mixes every table, so that is what the scan, bitmap and
 hash-join operators read) and :meth:`BlockStore.read_records` (the
 stored records chain verification hashes and a new layered index keys).
+The scan tags also answer :meth:`BlockStore.record_names`, each record's
+``tname`` and ``senid`` without a read: what a new layered index skips
+other tables' records on and keys ``senid`` / ``tname`` with.
 
 A reopen parses every segment and decodes each stored record once; a
 :class:`RecoverySink` handed to the constructor receives those decoded
@@ -30,9 +33,12 @@ accounting only charges the cost model on cache misses.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
+from types import MethodType
 from typing import (
     Callable, Collection, Iterable, Iterator, Optional, Protocol, Sequence,
 )
+from weakref import WeakMethod
 
 from ..common.codec import Reader, Writer, encode_varint
 from ..common.config import SebdbConfig
@@ -43,6 +49,8 @@ from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
 from .costmodel import CostModel
 from .segment import BlockLocation, SegmentStore
+
+Listener = Callable[[Block, BlockLocation], None]
 
 
 class RecoverySink(Protocol):
@@ -78,6 +86,8 @@ class BlockStore:
         self._tx_tables: list[array] = []
         self._tx_senders: list[array] = []
         self._tag_ids: dict[str, int] = {}
+        #: tag -> name: ``_tag_ids`` inverted, for :meth:`record_names`
+        self._tag_names: list[str] = []
         self._headers: list[BlockHeader] = []
         self._tip_hash: Optional[bytes] = None
         # entries are sized by the stored length they were decoded from
@@ -88,7 +98,9 @@ class BlockStore:
         self._tx_cache: LRUCache[tuple[int, int], Transaction] = LRUCache(
             self.config.cache_bytes if self.config.cache_mode == "transaction" else 0,
         )
-        self._listeners: list[Callable[[Block, BlockLocation], None]] = []
+        #: each listener behind a call that returns it, or None once a
+        #: weakly held one is gone
+        self._listeners: list[Callable[[], Optional[Listener]]] = []
         #: diagnostics of the most recent segment recovery
         self.recovery_report: dict[str, object] = {}
         if self.config.data_dir is not None:
@@ -205,6 +217,7 @@ class BlockStore:
         self._tx_tables = []
         self._tx_senders = []
         self._tag_ids = {}
+        self._tag_names = []
         self._headers = []
         self._tip_hash = None
         self.clear_caches()
@@ -232,9 +245,17 @@ class BlockStore:
         self._check_height(height)
         return self._headers[height]
 
-    def add_listener(self, listener: Callable[[Block, BlockLocation], None]) -> None:
-        """Register a callback fired after every successful append."""
-        self._listeners.append(listener)
+    def add_listener(self, listener: Listener) -> None:
+        """Register a callback fired after every successful append.
+
+        A bound method is held weakly: its object (an index manager, which
+        holds the store) forms no reference cycle with the store, and
+        stops hearing appends once nothing else holds it.
+        """
+        if isinstance(listener, MethodType):
+            self._listeners.append(WeakMethod(listener))
+        else:
+            self._listeners.append(lambda: listener)
 
     def _check_height(self, height: int) -> None:
         if not 0 <= height < len(self._locations):
@@ -284,9 +305,13 @@ class BlockStore:
     def _add_tags(self, txs: Sequence[Transaction]) -> None:
         """Record a new block's scan tags, from its decoded transactions."""
         ids = self._tag_ids
+        known = len(ids)
         tag = ids.setdefault  # a new name takes the next free tag
         tables = [tag(tx.tname, len(ids)) for tx in txs]
         senders = [tag(tx.senid, len(ids)) for tx in txs]
+        grown = len(ids) - known
+        if grown:  # the dict's last ``grown`` names, in tag order
+            self._tag_names += reversed([*islice(reversed(ids), grown)])
         # one byte a tag while the store knows at most 256 names: the tags
         # grow with the chain, on every replica
         typecode = "B" if len(ids) <= 256 else "I"
@@ -295,8 +320,10 @@ class BlockStore:
 
     def notify_append_listeners(self, block: Block, location: BlockLocation) -> None:
         """Fire the append listeners for an already-persisted block."""
-        for listener in self._listeners:
-            listener(block, location)
+        for held in self._listeners:
+            listener = held()
+            if listener is not None:
+                listener(block, location)
 
     def simulate_torn_append(self, data: bytes) -> None:
         """Fault hook: write raw bytes without admitting a block.
@@ -478,6 +505,15 @@ class BlockStore:
             offset = offsets[2 * i]
             out.append(decode(data[offset : offset + offsets[2 * i + 1]]))
         return out
+
+    def record_names(self, height: int) -> tuple[list[str], list[str]]:
+        """Each of the block's transactions' ``tname`` and ``senid``, in
+        block order, off its scan tags: no read, no I/O charged, nothing
+        decoded.  Equal names are one shared ``str``, the store's own."""
+        self._check_height(height)
+        names = self._tag_names
+        return ([names[t] for t in self._tx_tables[height]],
+                [names[t] for t in self._tx_senders[height]])
 
     def read_records(self, height: int) -> tuple[BlockHeader, list[bytes]]:
         """A block's header and its transactions' stored records, undecoded.

@@ -290,9 +290,6 @@ class TestTransactionDecoder:
         with pytest.raises(CodecError) as reference:
             reference_decode(bad)
         assert str(kernel.value) == str(reference.value)
-        if site != "int":  # the prefix walker stops before the values
-            with pytest.raises(CodecError, match="non-minimal varint"):
-                Transaction.wire_prefix(bad)
 
     def test_block_with_an_over_long_tid_is_refused(self):
         """Before the rule a block whose record spelt its tid in two bytes

@@ -161,7 +161,7 @@ class TestLevelOneBitmaps:
 
 class TestTableBitmapIndex:
     def build(self):
-        index = TableBitmapIndex(track_senders=True)
+        index = TableBitmapIndex()
         index.add_block(make_block(0, [("a", "s1", (), 0), ("b", "s2", (), 1)]))
         index.add_block(make_block(1, [("a", "s1", (), 2)], start_tid=2))
         index.add_block(make_block(2, [("b", "s1", (), 3)], start_tid=3))
@@ -443,6 +443,24 @@ def structures(index):
     )
 
 
+def flip_name_byte(node, data_dir, field):
+    """Overwrite the first byte of a donation's ``field`` (``senid`` or
+    ``tname``) in the newest block's segment file, in place: the record's
+    ``(height, position, name)``."""
+    height = node.store.height - 1
+    _header, records = node.store.read_records(height)
+    position, tx = next((i, tx) for i, tx in enumerate(map(Transaction.from_bytes, records))
+                        if tx.tname == "donate")
+    record, name = records[position], getattr(tx, field)
+    location = node.store.location(height)
+    path = data_dir / f"segment-{location.segment:06d}.dat"
+    data = bytearray(path.read_bytes())
+    at = data.index(record, location.offset) + record.index(name.encode("utf-8"))
+    data[at] = 0xFF
+    path.write_bytes(bytes(data))
+    return height, position, name
+
+
 class TestBackfillFromRecords:
     """An index created over history equals one fed decoded blocks."""
 
@@ -478,10 +496,16 @@ class TestBackfillFromRecords:
                 reference.add_block(store.read_block(height))
             assert structures(index) == structures(reference), (table, column)
             assert index._trees, (table, column)
-        # senid keys come off the wire prefix as the str a decode returns
-        decoded = {tx.senid: tx.senid for tx in store.read_block(1).transactions}
-        for key in indexes[(None, "senid")]._value_bitmaps:
-            assert key not in decoded or key is decoded[key]
+        # a senid / tname key is the store's own name string, one object
+        # per name, in level 1 and in the level-2 trees built over history
+        names = {name: name for height in range(store.height)
+                 for column in store.record_names(height) for name in column}
+        for column in ("senid", "tname"):
+            index = indexes[(None, column)]
+            keys = list(index._value_bitmaps)
+            keys += [key for height in range(created_at)
+                     for key, _position in index._trees[height].range(None, None)]
+            assert all(key is names[key] for key in keys), column
         # the chain has blocks without transfer rows; that index skipped them
         transfer = indexes[("transfer", "organization")]
         assert set(transfer._trees) < set(range(1, store.height))
@@ -550,27 +574,32 @@ class TestBackfillFromRecords:
         assert 0 < len(decodes) <= 2 * records
 
     @pytest.mark.parametrize("field, column, table", [
-        ("senid", "senid", None),
-        ("tname", "tname", None),
         ("senid", "amount", "donate"),
     ])
     def test_flipped_name_byte_is_a_codec_error(self, tmp_path, field,
                                                 column, table):
-        """A prefix key is validated as UTF-8, as a decode validates it."""
+        """A record keyed on a value column is decoded, and a decode
+        validates its names as UTF-8."""
         node = mixed_node(data_dir=tmp_path, blocks=2)
         try:
-            height = node.store.height - 1
-            _header, records = node.store.read_records(height)
-            record = next(r for r in records
-                          if Transaction.wire_prefix(r)[1] == b"donate")
-            name = Transaction.wire_prefix(record)[field == "tname"]
-            location = node.store.location(height)
-            path = tmp_path / f"segment-{location.segment:06d}.dat"
-            data = bytearray(path.read_bytes())
-            at = data.index(record, location.offset) + record.index(name)
-            data[at] = 0xFF
-            path.write_bytes(bytes(data))
+            flip_name_byte(node, tmp_path, field)
             with pytest.raises(CodecError):
                 node.create_index(column, table=table)
+        finally:
+            node.close()
+
+    @pytest.mark.parametrize("column", ["senid", "tname"])
+    def test_flipped_name_byte_keyed_as_parsed(self, tmp_path, column):
+        """A global ``senid`` / ``tname`` index keys each record under the
+        name the store tagged when it verified the block, and does not read
+        the name off disk again."""
+        node = mixed_node(data_dir=tmp_path, blocks=2)
+        try:
+            height, position, name = flip_name_byte(node, tmp_path, column)
+            _header, records = node.store.read_records(height)
+            with pytest.raises(CodecError):
+                Transaction.from_bytes(records[position])
+            index = node.create_index(column)
+            assert position in index.search_block(height, name)
         finally:
             node.close()

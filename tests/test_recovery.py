@@ -1,6 +1,8 @@
 """Tests for crash recovery: re-opening a node from its segment files."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -225,6 +227,25 @@ class TestFullNodeRecovery:
         reopened = FullNode("n0", config=durable_config(tmp_path))
         headers_after = [h.block_hash() for h in reopened.store.headers]
         assert headers_before == headers_after
+
+    def test_closed_node_frees_its_chain_state_without_the_collector(
+            self, tmp_path):
+        """The store holds its index manager's listener weakly, so the two
+        form no cycle: dropping a closed node frees both by reference
+        counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            node = FullNode("n0", config=durable_config(tmp_path))
+            node.create_table("CREATE t (a string)")
+            node.insert("t", ("x",))
+            node.create_index("a", table="t")
+            held = weakref.ref(node.store), weakref.ref(node.indexes)
+            node.close()
+            del node
+            assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestVerifyReadsTheDisk:

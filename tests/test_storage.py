@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generator import build_join_dataset
-from repro.common.codec import Reader
 from repro.common.config import SebdbConfig
 from repro.common.errors import CodecError, StorageError
 from repro.crypto import KeyPair
@@ -433,72 +432,18 @@ def cold_read(store, read):
             (delta.seeks, delta.page_transfers, delta.bytes_read))
 
 
-def check_wire_prefix(data):
-    """The walker raises nothing but CodecError, and wherever the full
-    decode succeeds it names that transaction's sender and table."""
-    try:
-        prefix = Transaction.wire_prefix(data)
-    except CodecError:
-        prefix = None
-    try:
-        tx = Transaction.from_bytes(data)
-    except CodecError:
-        return
-    assert prefix == (tx.senid.encode("utf-8"), tx.tname.encode("utf-8"))
-
-
-class TestWirePrefixHostileBytes:
-    @settings(deadline=None)
-    @given(st.binary(max_size=400))
-    def test_arbitrary_bytes(self, data):
-        check_wire_prefix(data)
-
-    @settings(max_examples=40, deadline=None)
-    @given(_unsequenced, st.integers(-1, 2**40))
-    def test_every_truncation_and_single_byte_mutation(self, tx, tid):
-        raw = tx.with_tid(tid).to_bytes()
-        assert Transaction.wire_prefix(raw) == (
-            tx.senid.encode("utf-8"), tx.tname.encode("utf-8"))
-        for cut in range(len(raw)):
-            check_wire_prefix(raw[:cut])
-        for i, byte in enumerate(raw):
-            for mutant in {byte ^ 0x01, byte ^ 0x80, 0x00, 0xFF} - {byte}:
-                check_wire_prefix(raw[:i] + bytes([mutant]) + raw[i + 1:])
-
-    @pytest.mark.parametrize("lead", [0, 2, 3, 5])
-    def test_varint_cap_matches_reader(self, lead):
-        """146 continuation bytes are a (huge) varint, 147 are refused -
-        in a skipped field, a skipped length and a kept length alike."""
-        head = b"\x00" * lead
-        with pytest.raises(CodecError, match="too long"):
-            Transaction.wire_prefix(head + b"\x80" * 147 + b"\x00" * 8)
-        with pytest.raises(CodecError, match="too long"):
-            Reader(head + b"\x80" * 147 + b"\x00", lead).read_varint()
-        ok = head + b"\x80" * 146 + b"\x01" + b"\x00" * 7
-        assert Reader(ok, lead).read_varint() == 1 << 1022
-        if lead == 0:  # a huge tid, then empty fields up to tname
-            assert Transaction.wire_prefix(ok) == (b"", b"")
-        else:  # a huge length runs past the buffer
-            with pytest.raises(CodecError, match="underflow"):
-                Transaction.wire_prefix(ok)
-        # a zero spelt in 147 bytes is not minimal
-        with pytest.raises(CodecError, match="non-minimal varint"):
-            Transaction.wire_prefix(head + b"\x80" * 146 + b"\x00" * 8)
-
-    def test_lengths_past_the_end(self):
-        tx = Transaction.create("donate", ("a",), ts=1, sender="org1").with_tid(3)
-        raw = tx.to_bytes()
-        tname_at = raw.index(b"\x06donate")
-        with pytest.raises(CodecError):  # tname claims one byte too many
-            Transaction.wire_prefix(raw[:tname_at] + b"\x07donate")
-        with pytest.raises(CodecError):  # a sig length no buffer can hold
-            Transaction.wire_prefix(b"\x00\x00" + b"\xff" * 100 + b"\x7f")
+def assert_record_names_decoded(store, height, label):
+    """The store's names of a block's records are the decoded ones."""
+    txs = store.read_block(height).transactions
+    assert store.record_names(height) == (
+        [tx.tname for tx in txs], [tx.senid for tx in txs]), (label, height)
 
 
 def assert_scan_equals_filtered_read(store, heights, tnames, senid, label):
     """Same tuples, same order, same bytes, same I/O as a whole-block read
-    filtered afterwards."""
+    filtered afterwards, and record names as the block decodes."""
     for height in heights:
+        assert_record_names_decoded(store, height, label)
         block, block_own, block_global = cold_read(
             store, lambda t: store.read_block(height, t))
         scanned, scan_own, scan_global = cold_read(
@@ -557,21 +502,25 @@ class TestScanBlock:
     def test_tags_past_one_byte(self):
         """Blocks tagged while the store knew at most 256 names keep a
         byte a tag, later blocks wider tags; both scan alike, also after
-        a reopen re-tags them all."""
+        a reopen re-tags them all, and after a checkpoint fallback whose
+        verified parse admits fewer blocks, and names, than the first."""
         with tempfile.TemporaryDirectory() as data_dir:
             config = SebdbConfig.in_memory(cache_mode="none", data_dir=data_dir)
             store = BlockStore(config)
-            genesis = make_genesis()
-            store.append_block(genesis)
-            prev, tid = genesis.block_hash(), 0
-            for height in range(1, 4):  # 151, 301 and 451 names known after
+            blocks = [make_genesis()]
+            store.append_block(blocks[0])
+
+            def donations(height, first_sender):
                 txs = [Transaction.create(
                     "donate", (i,), ts=height,
-                    sender=f"s{150 * (height - 1) + i}").with_tid(tid + i)
+                    sender=f"s{first_sender + i}").with_tid(150 * (height - 1) + i)
                     for i in range(150)]
-                block = Block.package(prev, height, height, txs)
-                store.append_block(block)
-                prev, tid = block.block_hash(), tid + 150
+                return Block.package(blocks[height - 1].block_hash(), height,
+                                     height, txs)
+
+            for height in range(1, 4):  # 151, 301 and 451 names known after
+                blocks.append(donations(height, 150 * (height - 1)))
+                store.append_block(blocks[-1])
             store.close()
             for opened in (store, BlockStore(config)):
                 try:
@@ -582,30 +531,45 @@ class TestScanBlock:
                             assert [tx.senid for tx in rows] == [sender]
                         assert opened.scan_block(height, None, "s450") == []
                         assert len(opened.scan_block(height, ("donate",))) == 150
+                        assert_record_names_decoded(opened, height, "wide tags")
                 finally:
                     opened.close()
+            # a sender of block 3 altered on disk: the checkpoint's parse
+            # admits and tags it, the verified parse stops before block 3
+            path = os.path.join(data_dir, f"segment-{store.location(3).segment:06d}.dat")
+            with open(path, "rb") as segment:
+                data = segment.read()
+            assert data.count(b"\x04s449") == 1
+            with open(path, "wb") as segment:
+                segment.write(data.replace(b"\x04s449", b"\x04s44x"))
+            reopened = BlockStore(config, trusted_checkpoint=(4, b"\0" * 32))
+            try:
+                assert reopened.recovery_report["trusted_fallback"]
+                assert reopened.height == 3
+                assert reopened.discard_torn_tail() > 0
+                reopened.append_block(donations(3, 600))  # 150 new names
+                rows = reopened.scan_block(3, ("donate",), "s749")
+                assert [tx.senid for tx in rows] == ["s749"]
+                for height in range(4):
+                    assert_record_names_decoded(reopened, height, "fallback")
+            finally:
+                reopened.close()
 
     def test_join_scan_decodes_only_kept_records(self, monkeypatch):
         """A hash join over 100 blocks of 60 records picks its tables'
-        records on the scan tags: no wire prefix walked, and only the two
-        tables' 600 records decoded out of 6 000."""
+        records on the scan tags: only the two tables' 600 records decoded
+        out of 6 000."""
         dataset = build_join_dataset(num_blocks=100, txs_per_block=60,
                                      table_rows=300, result_pairs=50)
         engine = dataset.node.engine
         dataset.store.clear_caches()
-        prefixes, decodes = [], []
-        wire_prefix = Transaction.wire_prefix
+        decodes = []
         from_bytes = Transaction.from_bytes
-
-        def walking(data):
-            prefixes.append(1)
-            return wire_prefix(data)
 
         def counting(cls, data):
             decodes.append(1)
             return from_bytes(data)
 
-        monkeypatch.setattr(Transaction, "wire_prefix", staticmethod(walking))
         monkeypatch.setattr(Transaction, "from_bytes", classmethod(counting))
         result = engine.execute(
             "SELECT * FROM transfer, distribute "
@@ -613,7 +577,6 @@ class TestScanBlock:
             method="bitmap")
         assert result.plan.root.children[0].name == "HashJoin"
         assert len(result) >= 50
-        assert prefixes == []
         assert len(decodes) == 600
 
     def test_filter_is_exact_not_case_folded(self):
