@@ -36,7 +36,8 @@ class SebdbConfig:
         Packaging timeout: a non-empty block is sealed after this many
         simulated milliseconds even if not full (Fig 7 uses 200 ms).
     bptree_order:
-        Fan-out of all B+-trees.
+        Fan-out of the block-level B+-tree and of the MB-trees' digest
+        levels.
     histogram_depth:
         Number of buckets in the equal-depth histogram backing layered
         indexes on continuous attributes (Fig 11 uses 100).

@@ -1,4 +1,5 @@
-"""The three SEBDB index structures plus the B+-tree they build on."""
+"""The three SEBDB index structures plus the B+-tree and the sorted run
+they build on."""
 
 from .bitmap import Bitmap
 from .block_index import BlockEntry, BlockIndex

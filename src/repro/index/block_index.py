@@ -11,6 +11,7 @@ answers all three lookups via floor searches, and its leaves stay full
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from ..common.errors import IndexError_
@@ -49,6 +50,13 @@ class BlockIndex:
         self._by_ts: BPlusTree = BPlusTree(order)
         self._entries: list[BlockEntry] = []
         self._last: Optional[BlockEntry] = None
+        # window_bitmap's bounds on the blocks a window can touch: the
+        # running maximum of max_ts per entry, and the suffix minimum of
+        # min_ts as a stack of (entry index, min_ts) with both increasing,
+        # one pair per entry whose min_ts is below every later one's
+        self._max_ts_prefix: list[int] = []
+        self._min_ts_at: list[int] = []
+        self._min_ts_suffix: list[int] = []
 
     def __len__(self) -> int:
         return len(self._by_bid)
@@ -91,6 +99,14 @@ class BlockIndex:
             self._by_tid.insert(entry.first_tid, entry)
         # timestamps may repeat across blocks; B+-tree handles duplicates
         self._by_ts.insert((entry.timestamp, entry.bid), entry)
+        prefix = self._max_ts_prefix
+        prefix.append(max(prefix[-1], entry.max_ts) if prefix else entry.max_ts)
+        at, suffix = self._min_ts_at, self._min_ts_suffix
+        while suffix and suffix[-1] >= entry.min_ts:
+            at.pop()
+            suffix.pop()
+        at.append(len(self._entries))
+        suffix.append(entry.min_ts)
         self._entries.append(entry)
         self._last = entry
 
@@ -125,10 +141,20 @@ class BlockIndex:
 
         A block qualifies when its [min_ts, max_ts] transaction-timestamp
         range overlaps the window; ``None`` bounds are open.  This is the
-        ``BI(c, e)`` step of Algorithms 1-3.
+        ``BI(c, e)`` step of Algorithms 1-3.  Only the entries between
+        the first whose running ``max_ts`` reaches ``s`` and the last whose
+        suffix-minimum ``min_ts`` is at most ``e`` are tested: every entry
+        outside lies wholly before or after the window.
         """
+        lo = 0 if start_ts is None else bisect_left(self._max_ts_prefix, start_ts)
+        hi = len(self._entries)
+        if end_ts is not None:
+            # the last stack pair with min_ts <= e: every entry after its
+            # index has a later min_ts above e
+            k = bisect_right(self._min_ts_suffix, end_ts)
+            hi = self._min_ts_at[k - 1] + 1 if k else 0
         bits = 0
-        for entry in self._entries:
+        for entry in self._entries[lo:hi]:
             if ((start_ts is None or entry.max_ts >= start_ts)
                     and (end_ts is None or entry.min_ts <= end_ts)):
                 bits |= 1 << entry.bid

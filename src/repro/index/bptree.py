@@ -1,17 +1,15 @@
 """In-memory B+-tree.
 
-Serves three roles in SEBDB:
-
-* the **block-level index** on ``(bid, tid, Ts)`` (one tree per chain),
-* the **second level of the layered index** (one tree per block, built by
-  bulk loading when the block is appended - no rebalancing afterwards,
-  which is the paper's point (i) about layered-index benefits),
-* the skeleton that the Merkle B-tree (:mod:`repro.mht.mbtree`) reuses.
+The **block-level index** on ``(bid, tid, Ts)`` (one tree per chain,
+:mod:`repro.index.block_index`) inserts into it as blocks are appended.
+Level 2 of the layered index is not a ``BPlusTree``: a per-block tree
+that is bulk-loaded once and never changed is kept as its packed leaf
+level, a :class:`~repro.index.sorted_run.SortedRun`, and so is the
+Merkle B-tree (:mod:`repro.mht.mbtree`).  :meth:`BPlusTree.bulk_load`
+builds the same tree that run stands for, with packed leaves.
 
 Duplicate keys are supported: a key holds its one payload bare, or a
-:class:`_Group` of two or more.  On the ``benchmarks/perf`` workloads
-65-84 % of a block's level-2 keys hold one position, and a container for
-each of them is heap per key per block per index (DESIGN.md §9).
+:class:`_Group` of two or more (DESIGN.md §9).
 Leaves are chained for range scans.  The tree is append-friendly
 (rightmost-leaf inserts of monotone keys keep leaves full) and supports
 classic top-down search; deletion is deliberately absent because blocks

@@ -9,10 +9,13 @@ Level 1 describes, per block, where an attribute's values can be:
   buckets of an equal-depth histogram (a bucket's bit is set when the
   block contains a value inside that bucket's range).
 
-Level 2 is one B+-tree per block on the attribute, bulk-loaded when the
-block is chained, mapping values to transaction positions inside the
-block.  The Authenticated Layered Index (ALI) swaps the level-2 trees for
-Merkle B-trees via the ``tree_factory`` hook.
+Level 2 is, per block, the paper's bulk-loaded B+-tree on the attribute,
+built when the block is chained and mapping values to transaction
+positions inside the block.  A tree that never changes is kept as its
+packed leaf level: a :class:`~repro.index.sorted_run.SortedRun`, searched
+with ``bisect`` and answered with slices.  The Authenticated Layered
+Index (ALI) swaps in Merkle B-trees via the ``tree_factory`` hook; they
+are runs too, with digest levels on top.
 
 Benefits reproduced from the paper: batch appends never rebalance an old
 structure, empty queries are filtered at level 1, and the block-level index
@@ -22,38 +25,26 @@ composes with level 1 for time-window queries.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..common.errors import IndexError_
 from ..model.block import Block
 from .bitmap import Bitmap
-from .bptree import BPlusTree
 from .histogram import EqualDepthHistogram
-
-
-class SecondLevelTree(Protocol):
-    """What level 2 must offer (both BPlusTree and MBTree satisfy it)."""
-
-    def search(self, key: Any) -> list[Any]: ...
-
-    def range(self, low: Any = None, high: Any = None,
-              include_low: bool = True, include_high: bool = True) -> Iterable[tuple[Any, Any]]: ...
-
-    def keys(self) -> list[Any]: ...
-
+from .sorted_run import SortedRun
 
 RecordAt = Callable[[int], bytes]  # position in a block -> stored record
-#: Builds a level-2 tree from (key, position) pairs; receives the block's
+#: Builds a level-2 run from (key, position) pairs; receives the block's
 #: records so authenticated factories can hash them into leaf digests.
-TreeFactory = Callable[[Sequence[tuple[Any, Any]], RecordAt], SecondLevelTree]
+TreeFactory = Callable[[Sequence[tuple[Any, Any]], RecordAt], SortedRun]
 Extractor = Callable[..., Any]  # Transaction -> key value (or None to skip)
 
 
-def _default_tree_factory(order: int) -> TreeFactory:
-    def build(pairs: Sequence[tuple[Any, Any]], record_at: RecordAt) -> SecondLevelTree:
-        return BPlusTree.bulk_load(pairs, order=order)
-
-    return build
+def _default_tree_factory(pairs: Sequence[tuple[Any, Any]],
+                          record_at: RecordAt) -> SortedRun:
+    """Plain level 2: the pairs stably sorted on the key, so a key's
+    positions stay in block order."""
+    return SortedRun.bulk_load(pairs)
 
 
 class LayeredIndex:
@@ -71,8 +62,6 @@ class LayeredIndex:
     histogram:
         Required when ``continuous``; built by sampling history at index
         creation time (:meth:`IndexManager.create_layered_index` does it).
-    order:
-        Fan-out for level-2 B+-trees.
     tree_factory:
         Override to build authenticated (MB-tree) second levels.
     """
@@ -83,7 +72,6 @@ class LayeredIndex:
         extractor: Extractor,
         continuous: bool,
         histogram: Optional[EqualDepthHistogram] = None,
-        order: int = 32,
         tree_factory: Optional[TreeFactory] = None,
     ) -> None:
         if continuous and histogram is None:
@@ -94,16 +82,16 @@ class LayeredIndex:
         self.continuous = continuous
         self.histogram = histogram
         self._extract = extractor
-        self._tree_factory = tree_factory or _default_tree_factory(order)
+        self._tree_factory = tree_factory or _default_tree_factory
         # level 1, discrete: value -> block bitmap
         self._value_bitmaps: dict[Any, Bitmap] = {}
         # level 1, continuous: block id -> bucket bitmap (int)
         self._bucket_bits: dict[int, int] = {}
         # level 2: block id -> tree (only blocks with indexed values); its
         # keys are also the block's distinct values (join intersect test)
-        self._trees: dict[int, SecondLevelTree] = {}
+        self._trees: dict[int, SortedRun] = {}
         #: level 2 by block id, read-only: what the layered leaves walk
-        self.trees: Mapping[int, SecondLevelTree] = MappingProxyType(self._trees)
+        self.trees: Mapping[int, SortedRun] = MappingProxyType(self._trees)
         self._num_blocks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -117,14 +105,18 @@ class LayeredIndex:
 
     # -- maintenance -----------------------------------------------------------
 
-    def add_block(self, block: Block) -> None:
-        """Append-time update: :meth:`add_entries` keyed by the extractor."""
+    def add_block(self, block: Block,
+                  names: Optional[Sequence[str]] = None) -> None:
+        """Append-time update: :meth:`add_entries` keyed by the extractor.
+        ``names``, one per transaction, are the store's shared strings for
+        a ``senid`` / ``tname`` index's keys and are stored in their place
+        (:meth:`~repro.storage.blockstore.BlockStore.record_names`)."""
         txs = block.transactions
         pairs: list[tuple[Any, int]] = []
         for position, tx in enumerate(txs):
             key = self._extract(tx)
             if key is not None:
-                pairs.append((key, position))
+                pairs.append((key if names is None else names[position], position))
         self.add_entries(block.height, pairs,
                          lambda position: txs[position].to_bytes())
 
@@ -170,7 +162,7 @@ class LayeredIndex:
         self._bucket_bits = {}
         for bid, tree in self._trees.items():
             bits = 0
-            for key, _position in tree.range(None, None):
+            for key in tree.keys():
                 bits |= 1 << histogram.bucket_of(key)
             if bits:
                 self._bucket_bits[bid] = bits
@@ -217,7 +209,7 @@ class LayeredIndex:
     def has_tree(self, bid: int) -> bool:
         return bid in self._trees
 
-    def tree(self, bid: int) -> SecondLevelTree:
+    def tree(self, bid: int) -> SortedRun:
         if bid not in self._trees:
             raise IndexError_(
                 f"layered index on {self.column!r} has no entries for block {bid}"
@@ -226,17 +218,16 @@ class LayeredIndex:
 
     def search_block(self, bid: int, value: Any) -> list[int]:
         """Positions (within block ``bid``) of tuples with this value."""
-        if bid not in self._trees:
-            return []
-        return list(self._trees[bid].search(value))
+        tree = self._trees.get(bid)
+        return [] if tree is None else tree.search(value)
 
     def range_block(
         self, bid: int, low: Any = None, high: Any = None
-    ) -> list[tuple[Any, int]]:
-        """(value, position) pairs with value in [low, high], sorted."""
-        if bid not in self._trees:
-            return []
-        return list(self._trees[bid].range(low, high))
+    ) -> tuple[list[Any], list[int]]:
+        """The values in [low, high] within block ``bid``, sorted, and
+        their positions: two parallel lists."""
+        tree = self._trees.get(bid)
+        return ([], []) if tree is None else tree.slices(low, high)
 
     # -- join support ------------------------------------------------------------------
 

@@ -6,9 +6,10 @@ appended block updates all structures in one pass, and it can create a new
 layered index over an existing chain (sampling history for the histogram,
 then backfilling level-1 entries and level-2 trees block by block) from
 the stored records.  Each record's table and sender come from the store's
-scan tags (:meth:`BlockStore.record_names`): other tables' records are
-skipped on them and ``senid`` / ``tname`` keys taken from them, so only
-records keyed on another column are decoded.
+scan tags (:meth:`BlockStore.record_names`): a backfill skips other
+tables' records on them, so it decodes only records keyed on another
+column, and a ``senid`` / ``tname`` key is taken from them at append and
+in a backfill alike, so every such key is the store's shared string.
 
 A reopened node does not read its chain back for the first two: a
 :class:`ChainBackfill` hears the blocks the store's segment parse has
@@ -137,7 +138,6 @@ class IndexManager:
         """``backfill`` holds the chain the store's parse already handed
         over; without one, the whole chain is read back."""
         self._store = store
-        self._order = order
         self._histogram_depth = histogram_depth
         if backfill is None:
             backfill = ChainBackfill(order)
@@ -153,8 +153,12 @@ class IndexManager:
     def _on_block(self, block: Block, location: BlockLocation) -> None:
         self.block_index.add_block(block, location)
         self.table_index.add_block(block)
-        for index in self._layered.values():
-            index.add_block(block)
+        if not self._layered:
+            return
+        tnames, senids = self._store.record_names(block.height)
+        names = {"senid": senids, "tname": tnames}
+        for (_table, column), index in self._layered.items():
+            index.add_block(block, names.get(column))
 
     # -- layered index creation ----------------------------------------------------
 
@@ -163,15 +167,16 @@ class IndexManager:
         column: str,
         table: Optional[str] = None,
         schema: Optional[TableSchema] = None,
-        authenticated: bool = False,
+        tree_factory: Optional[TreeFactory] = None,
     ) -> LayeredIndex:
         """Create (and backfill) a layered index on ``column``.
 
         System columns (``senid``, ``tname``, ``ts``, ``tid``) may be
         indexed globally (``table=None``) - the paper's tracking indexes
         span *all* tables.  Application columns need the table's
-        ``schema``.  ``authenticated=True`` builds the ALI variant whose
-        second level is a Merkle B-tree (thin-client support).
+        ``schema``.  ``tree_factory`` overrides the level-2 build: the
+        ALI variant passes :func:`repro.mht.mbtree.ali_tree_factory`,
+        whose second level is a Merkle B-tree (thin-client support).
         """
         key = (table.lower() if table else None, column.lower())
         if key in self._layered:
@@ -198,24 +203,11 @@ class IndexManager:
                 [value for _height, pairs, _records in sampled
                  for value, _position in pairs],
                 self._histogram_depth)
-        tree_factory: Optional[TreeFactory] = None
-        if authenticated:
-            # local import: mht depends on index/common, never on manager
-            from ..common.hashing import hash_leaf
-            from ..mht.mbtree import MBTree
-
-            def tree_factory(pairs: Any, record_at: Any) -> Any:  # type: ignore[misc]
-                def digest(key: Any, position: int) -> bytes:
-                    return hash_leaf(record_at(position))
-
-                return MBTree.bulk_load(pairs, order=self._order, digest_fn=digest)
-
         index = LayeredIndex(
             column=lowered,
             extractor=extractor,
             continuous=continuous,
             histogram=histogram,
-            order=self._order,
             tree_factory=tree_factory,
         )
         for height, pairs, records in itertools.chain(sampled, blocks):

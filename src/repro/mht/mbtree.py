@@ -9,20 +9,23 @@ its children's digests.  A range query then admits a *verification object*
 soundness (nothing forged) and completeness (nothing withheld) using the
 boundary records just outside the range.
 
-The implementation keeps the sorted entries in packed n-ary levels
-(fan-out = ``order``), which is exactly the digest structure of a
-bulk-loaded, always-full MB-tree - blocks are immutable so no
-insert/rebalance path is needed.
+An MB-tree is a :class:`~repro.index.sorted_run.SortedRun` - the packed
+sorted entries level 2 of the plain layered index also uses, searched
+with ``bisect`` - in ``(key, repr(payload))`` order, with the digests
+kept in packed n-ary levels (fan-out = ``order``) above it.  That is
+exactly the digest structure of a bulk-loaded, always-full MB-tree:
+blocks are immutable, so no insert/rebalance path is needed.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..common.errors import IndexError_, VerificationError
 from ..common.hashing import hash_concat, hash_leaf
+from ..index.layered import RecordAt, TreeFactory
+from ..index.sorted_run import SortedRun
 
 #: Root digest of an MB-tree with no entries.
 EMPTY_MB_ROOT = hash_leaf(b"mbtree-empty")
@@ -34,8 +37,10 @@ def _default_digest(key: Any, payload: Any) -> bytes:
     return hash_leaf(repr((key, payload)).encode("utf-8"))
 
 
-class MBTree:
+class MBTree(SortedRun):
     """Static Merkle B-tree over sorted (key, payload) entries."""
+
+    __slots__ = ("_order", "_levels")
 
     def __init__(
         self,
@@ -50,9 +55,8 @@ class MBTree:
         keys = [key for key, _ in entries]
         if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
             raise IndexError_("MB-tree entries must be sorted by key")
+        super().__init__(keys, [payload for _, payload in entries])
         self._order = order
-        self._keys = keys
-        self._payloads = [payload for _, payload in entries]
         self._levels: list[list[bytes]] = [list(digests)]
         while len(self._levels[-1]) > 1:
             prev = self._levels[-1]
@@ -75,9 +79,6 @@ class MBTree:
         digests = [digest(key, payload) for key, payload in entries]
         return cls(entries, digests, order=order)
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     @property
     def order(self) -> int:
         return self._order
@@ -87,46 +88,6 @@ class MBTree:
         if not self._keys:
             return EMPTY_MB_ROOT
         return self._levels[-1][0]
-
-    # -- SecondLevelTree protocol (drop-in for the layered index) -----------
-
-    def search(self, key: Any) -> list[Any]:
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key)
-        return self._payloads[lo:hi]
-
-    def keys(self) -> list[Any]:
-        """The distinct keys, in order."""
-        return list(dict.fromkeys(self._keys))
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[tuple[Any, Any]]:
-        lo, hi = self._range_indices(low, high, include_low, include_high)
-        for i in range(lo, hi + 1):
-            yield self._keys[i], self._payloads[i]
-
-    def _range_indices(
-        self, low: Any, high: Any, include_low: bool = True, include_high: bool = True
-    ) -> tuple[int, int]:
-        """Inclusive index range of matching entries (lo > hi when empty)."""
-        if low is None:
-            lo = 0
-        elif include_low:
-            lo = bisect.bisect_left(self._keys, low)
-        else:
-            lo = bisect.bisect_right(self._keys, low)
-        if high is None:
-            hi = len(self._keys) - 1
-        elif include_high:
-            hi = bisect.bisect_right(self._keys, high) - 1
-        else:
-            hi = bisect.bisect_left(self._keys, high) - 1
-        return lo, hi
 
     # -- verification objects --------------------------------------------------
 
@@ -143,7 +104,8 @@ class MBTree:
                 total=0, start=0, covered=0, order=self._order,
                 has_left_boundary=False, has_right_boundary=False, fills=(),
             )
-        lo, hi = self._range_indices(low, high)
+        lo, hi = self._span(low, high, True, True)
+        hi -= 1  # inclusive: lo > hi when nothing matches
         if lo > hi:  # empty result: sandwich the gap between two boundaries
             start = max(lo - 1, 0)
             end = min(lo, n - 1)
@@ -181,6 +143,18 @@ class MBTree:
             (self._keys[i], self._payloads[i])
             for i in range(proof.start, proof.start + proof.covered)
         ]
+
+
+def ali_tree_factory(order: int) -> TreeFactory:
+    """Level 2 of the authenticated layered index: an MB-tree per block
+    whose leaf digests hash the keyed positions' stored records."""
+
+    def build(pairs: Sequence[tuple[Any, int]], record_at: RecordAt) -> MBTree:
+        return MBTree.bulk_load(
+            pairs, order=order,
+            digest_fn=lambda key, position: hash_leaf(record_at(position)))
+
+    return build
 
 
 @dataclasses.dataclass(frozen=True)

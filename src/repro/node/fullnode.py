@@ -21,6 +21,7 @@ from ..consensus.base import Checkpoint, ConsensusEngine, ReplyCallback
 from ..crypto.keys import KeyPair
 from ..index.manager import ChainBackfill, IndexManager
 from ..ledger import CRASH_TORN, CheckpointRecord, CommitLog, LedgerPipeline
+from ..mht.mbtree import ali_tree_factory
 from ..model.block import Block
 from ..model.catalog import Catalog
 from ..model.genesis import make_genesis
@@ -382,8 +383,9 @@ class FullNode(SqlNode):
         """Create a layered index (ALI when ``authenticated``)."""
         schema = self.catalog.get(table) if table else None
         return self.indexes.create_layered_index(
-            column, table=table, schema=schema, authenticated=authenticated
-        )
+            column, table=table, schema=schema,
+            tree_factory=(ali_tree_factory(self.config.bptree_order)
+                          if authenticated else None))
 
     def refresh_statistics(self) -> dict[str, int]:
         """Re-sample histograms for every continuous layered index.

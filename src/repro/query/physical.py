@@ -220,7 +220,7 @@ class LayeredLookup(_LeafOperator):
             tree = tree_of(bid)
             if tree is None:
                 continue
-            positions = [position for _key, position in tree.range(low, high)]
+            positions = tree.payloads(low, high)
             if not positions:
                 continue
             for tx in read(bid, positions, tracker):
@@ -839,28 +839,26 @@ class MergeJoin(_LeafOperator):
     def _merge_block_pair(
         self, lbid: int, rbid: int
     ) -> Iterator[tuple[Transaction, Transaction]]:
-        left_entries = self._left_index.range_block(lbid)   # sorted (key, pos)
-        right_entries = self._right_index.range_block(rbid)
+        left_keys, left_positions = self._left_index.range_block(lbid)
+        right_keys, right_positions = self._right_index.range_block(rbid)
         read, tracker = self.scanner.positional_read()
         i = j = 0
-        while i < len(left_entries) and j < len(right_entries):
-            lkey = left_entries[i][0]
-            rkey = right_entries[j][0]
+        while i < len(left_keys) and j < len(right_keys):
+            lkey = left_keys[i]
+            rkey = right_keys[j]
             if lkey < rkey:
                 i += 1
             elif lkey > rkey:
                 j += 1
             else:
                 i_end = i
-                while i_end < len(left_entries) and left_entries[i_end][0] == lkey:
+                while i_end < len(left_keys) and left_keys[i_end] == lkey:
                     i_end += 1
                 j_end = j
-                while j_end < len(right_entries) and right_entries[j_end][0] == rkey:
+                while j_end < len(right_keys) and right_keys[j_end] == rkey:
                     j_end += 1
-                left_txs = list(read(
-                    lbid, [pos for _, pos in left_entries[i:i_end]], tracker))
-                right_txs = list(read(
-                    rbid, [pos for _, pos in right_entries[j:j_end]], tracker))
+                left_txs = list(read(lbid, left_positions[i:i_end], tracker))
+                right_txs = list(read(rbid, right_positions[j:j_end], tracker))
                 for ltx in left_txs:
                     if ltx.tname != self._left.name or not in_window(ltx, self._window):
                         continue
@@ -975,12 +973,12 @@ class OnOffMergeJoin(_LeafOperator):
             yield from self._merge_block(bid)
 
     def _merge_block(self, bid: int) -> Iterator[tuple[Transaction, tuple]]:
-        entries = self._index.range_block(bid)  # sorted (key, position)
+        keys, positions = self._index.range_block(bid)
         off_rows, off_key = self._off_rows, self._off_key
         read, tracker = self.scanner.positional_read()
         i = j = 0
-        while i < len(entries) and j < len(off_rows):
-            lkey = entries[i][0]
+        while i < len(keys) and j < len(off_rows):
+            lkey = keys[i]
             rkey = off_rows[j][off_key]
             if rkey is None or lkey > rkey:
                 j += 1
@@ -988,12 +986,12 @@ class OnOffMergeJoin(_LeafOperator):
                 i += 1
             else:
                 i_end = i
-                while i_end < len(entries) and entries[i_end][0] == lkey:
+                while i_end < len(keys) and keys[i_end] == lkey:
                     i_end += 1
                 j_end = j
                 while j_end < len(off_rows) and off_rows[j_end][off_key] == rkey:
                     j_end += 1
-                txs = list(read(bid, [pos for _, pos in entries[i:i_end]], tracker))
+                txs = list(read(bid, positions[i:i_end], tracker))
                 for tx in txs:
                     if (tx.tname != self._onchain.name
                             or not in_window(tx, self._window)):

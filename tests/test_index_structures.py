@@ -1,7 +1,7 @@
 """Tests for the block-level, table-level and layered indexes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generator import (
@@ -116,6 +116,10 @@ class TestLevelOneBitmaps:
     @given(blocks=st.lists(st.lists(st.integers(0, 100), max_size=4),
                            max_size=12),
            start=_bounds, end=_bounds)
+    # a late block below an early one's min_ts, or above a later one's
+    # max_ts: the window's bisect bounds must still reach it
+    @example(blocks=[[5], [50], [60], [3]], start=None, end=4)
+    @example(blocks=[[90], [10], [20]], start=50, end=None)
     def test_window_bitmap_equals_reference_loop(self, blocks, start, end):
         # transaction timestamps jump back and forth between blocks; only
         # the packaging timestamps (the heights) are monotone
@@ -144,7 +148,7 @@ class TestLevelOneBitmaps:
             self, blocks, bounds, low, high):
         histogram = EqualDepthHistogram(sorted(set(bounds)))
         index = LayeredIndex("v", lambda tx: tx.values[0], continuous=True,
-                             histogram=histogram, order=4)
+                             histogram=histogram)
         mask = 0
         for bucket in histogram.buckets_overlapping(low, high):
             mask |= 1 << bucket
@@ -203,7 +207,6 @@ class TestLayeredIndexDiscrete:
     def build(self):
         index = LayeredIndex(
             column="senid", extractor=lambda tx: tx.senid, continuous=False,
-            order=4,
         )
         index.add_block(make_block(0, [("t", "org1", (), 0),
                                        ("t", "org2", (), 1)]))
@@ -257,7 +260,7 @@ class TestLayeredIndexContinuous:
         hist = EqualDepthHistogram([100.0, 200.0, 300.0])
         index = LayeredIndex(
             column="amount", extractor=lambda tx: tx.values[0],
-            continuous=True, histogram=hist, order=4,
+            continuous=True, histogram=hist,
         )
         index.add_block(make_block(0, [("t", "s", (50.0,), 0),
                                        ("t", "s", (150.0,), 1)]))
@@ -278,7 +281,7 @@ class TestLayeredIndexContinuous:
 
     def test_range_block(self):
         index = self.build()
-        assert index.range_block(0, 100.0, 200.0) == [(150.0, 1)]
+        assert index.range_block(0, 100.0, 200.0) == ([150.0], [1])
 
     def test_block_value_bounds_from_buckets(self):
         index = self.build()
@@ -490,7 +493,6 @@ class TestBackfillFromRecords:
                 assert bucket_ranges(index.histogram) == bucket_ranges(histogram)
             reference = LayeredIndex(
                 column, extractor, index.continuous, histogram=histogram,
-                order=order,
                 tree_factory=ali_factory(order) if authenticated else None)
             for height in range(store.height):
                 reference.add_block(store.read_block(height))
@@ -603,3 +605,24 @@ class TestBackfillFromRecords:
             assert position in index.search_block(height, name)
         finally:
             node.close()
+
+
+class TestAppendedKeys:
+    """A block appended after a global ``senid`` / ``tname`` index exists
+    is keyed on the store's names, as the backfill is."""
+
+    @pytest.mark.parametrize("column", ["senid", "tname"])
+    def test_appended_keys_are_the_stores_names(self, column):
+        node = mixed_node()
+        index = node.create_index(column)
+        created_at = node.store.height
+        for height in range(created_at, created_at + 5):
+            node.apply_batch(mixed_block(height))
+        store = node.store
+        names = {name: name for height in range(store.height)
+                 for column_names in store.record_names(height)
+                 for name in column_names}
+        keys = [key for height in range(created_at, store.height)
+                for key, _position in index.tree(height).range()]
+        assert len(keys) == 30
+        assert all(key is names[key] for key in keys)
