@@ -141,20 +141,38 @@ class BlockIndex:
 
         A block qualifies when its [min_ts, max_ts] transaction-timestamp
         range overlaps the window; ``None`` bounds are open.  This is the
-        ``BI(c, e)`` step of Algorithms 1-3.  Only the entries between
-        the first whose running ``max_ts`` reaches ``s`` and the last whose
-        suffix-minimum ``min_ts`` is at most ``e`` are tested: every entry
-        outside lies wholly before or after the window.
+        ``BI(c, e)`` step of Algorithms 1-3.  Entries before the first
+        whose running ``max_ts`` reaches ``s``, and after the last whose
+        suffix-minimum ``min_ts`` is at most ``e``, lie wholly outside.
+        Entries from the first whose suffix-minimum ``min_ts`` is at
+        least ``s`` to the last whose running ``max_ts`` is at most ``e``
+        lie wholly inside, and are set as one run; only the edge entries
+        between are tested one by one.
         """
-        lo = 0 if start_ts is None else bisect_left(self._max_ts_prefix, start_ts)
-        hi = len(self._entries)
+        entries, prefix = self._entries, self._max_ts_prefix
+        at, suffix = self._min_ts_at, self._min_ts_suffix
+        lo, hi = 0, len(entries)
+        first, last = 0, hi - 1
+        if start_ts is not None:
+            lo = bisect_left(prefix, start_ts)
+            # every entry after the last stack pair below s has a
+            # suffix-minimum min_ts of at least s
+            k = bisect_left(suffix, start_ts)
+            first = at[k - 1] + 1 if k else 0
         if end_ts is not None:
             # the last stack pair with min_ts <= e: every entry after its
             # index has a later min_ts above e
-            k = bisect_right(self._min_ts_suffix, end_ts)
-            hi = self._min_ts_at[k - 1] + 1 if k else 0
-        bits = 0
-        for entry in self._entries[lo:hi]:
+            k = bisect_right(suffix, end_ts)
+            hi = at[k - 1] + 1 if k else 0
+            last = bisect_right(prefix, end_ts) - 1
+        if first <= last:
+            # block ids are the entries' positions (see all_blocks_bitmap)
+            bits = ((1 << (last - first + 1)) - 1) << entries[first].bid
+            edges = entries[lo:first] + entries[last + 1:hi]
+        else:
+            bits = 0
+            edges = entries[lo:hi]
+        for entry in edges:
             if ((start_ts is None or entry.max_ts >= start_ts)
                     and (end_ts is None or entry.min_ts <= end_ts)):
                 bits |= 1 << entry.bid

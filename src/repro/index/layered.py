@@ -85,8 +85,10 @@ class LayeredIndex:
         self._tree_factory = tree_factory or _default_tree_factory
         # level 1, discrete: value -> block bitmap
         self._value_bitmaps: dict[Any, Bitmap] = {}
-        # level 1, continuous: block id -> bucket bitmap (int)
+        # level 1, continuous: block id -> bucket bitmap (int), and the
+        # same bits by bucket: bucket -> bitmap of the blocks holding it
         self._bucket_bits: dict[int, int] = {}
+        self._bucket_blocks: dict[int, int] = {}
         # level 2: block id -> tree (only blocks with indexed values); its
         # keys are also the block's distinct values (join intersect test)
         self._trees: dict[int, SortedRun] = {}
@@ -134,11 +136,7 @@ class LayeredIndex:
         if not pairs:
             return
         if self.continuous:
-            assert self.histogram is not None
-            bits = 0
-            for key, _ in pairs:
-                bits |= 1 << self.histogram.bucket_of(key)
-            self._bucket_bits[bid] = bits
+            self._add_buckets(bid, [key for key, _ in pairs])
         else:
             for value in {key for key, _ in pairs}:
                 self._value_bitmaps.setdefault(value, Bitmap()).set(bid)
@@ -160,12 +158,27 @@ class LayeredIndex:
             )
         self.histogram = histogram
         self._bucket_bits = {}
+        self._bucket_blocks = {}
         for bid, tree in self._trees.items():
-            bits = 0
-            for key in tree.keys():
-                bits |= 1 << histogram.bucket_of(key)
-            if bits:
-                self._bucket_bits[bid] = bits
+            self._add_buckets(bid, tree.keys())
+
+    def _add_buckets(self, bid: int, keys: Sequence[Any]) -> None:
+        """Block ``bid``'s continuous level-1 entry: the buckets its keys
+        fall in, set in its bucket bitmap and the block set in theirs."""
+        assert self.histogram is not None
+        bucket_of = self.histogram.bucket_of
+        bits = 0
+        for key in keys:
+            bits |= 1 << bucket_of(key)
+        if not bits:
+            return
+        self._bucket_bits[bid] = bits
+        block, by_bucket = 1 << bid, self._bucket_blocks
+        while bits:
+            lowest = bits & -bits
+            bucket = lowest.bit_length() - 1
+            by_bucket[bucket] = by_bucket.get(bucket, 0) | block
+            bits ^= lowest
 
     # -- level-1 filtering -------------------------------------------------------
 
@@ -190,13 +203,9 @@ class LayeredIndex:
         """
         if self.continuous:
             assert self.histogram is not None
-            mask = 0
+            blocks, by_bucket = 0, self._bucket_blocks
             for bucket in self.histogram.buckets_overlapping(low, high):
-                mask |= 1 << bucket
-            blocks = 0
-            for bid, bits in self._bucket_bits.items():
-                if bits & mask:
-                    blocks |= 1 << bid
+                blocks |= by_bucket.get(bucket, 0)
             return Bitmap(blocks)
         result = Bitmap()
         for value, bitmap in self._value_bitmaps.items():

@@ -146,6 +146,9 @@ class IndexManager:
         self.table_index = backfill.table_index
         #: (table or None, column) -> LayeredIndex
         self._layered: dict[tuple[Optional[str], str], LayeredIndex] = {}
+        #: counts layered-index creations: a query plan memoised per
+        #: statement text holds only while the set is unchanged
+        self.version = 0
         store.add_listener(self._on_block)
 
     # -- maintenance ------------------------------------------------------------
@@ -213,6 +216,7 @@ class IndexManager:
         for height, pairs, records in itertools.chain(sampled, blocks):
             index.add_entries(height, pairs, records.__getitem__)
         self._layered[key] = index
+        self.version += 1
         return index
 
     def _keyed_blocks(

@@ -12,7 +12,7 @@ on SenID for tracking query").
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..model.block import Block
 from .bitmap import Bitmap
@@ -26,6 +26,8 @@ class TableBitmapIndex:
         self._senders: dict[str, Bitmap] = {}
         self._counts: dict[str, int] = {}
         self._num_blocks = 0
+        #: :meth:`total_tuples` until the next block (None: not summed yet)
+        self._total: Optional[int] = None
 
     @property
     def num_blocks(self) -> int:
@@ -44,6 +46,7 @@ class TableBitmapIndex:
             self._counts[tx.tname] = self._counts.get(tx.tname, 0) + 1
             _bitmap(self._senders, tx.senid).set(bid)
         self._num_blocks = max(self._num_blocks, bid + 1)
+        self._total = None
 
     def blocks_for_table(self, tname: str) -> Bitmap:
         """Bitmap of blocks containing table ``tname`` (copy; empty if none)."""
@@ -64,6 +67,13 @@ class TableBitmapIndex:
     def tuple_count(self, tname: str) -> int:
         """Total transactions of ``tname`` across the chain."""
         return self._counts.get(tname.lower(), 0)
+
+    def total_tuples(self) -> int:
+        """:meth:`tuple_count` summed over every table present, summed
+        once per appended block."""
+        if self._total is None:
+            self._total = sum(self.tuple_count(t) for t in self._tables)
+        return self._total
 
     def selectivity(self, tname: str) -> float:
         """Fraction of blocks containing the table - the k/n of eq. (2)."""

@@ -20,6 +20,9 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, TableSchema] = {}
+        #: counts registrations: a query plan memoised per statement text
+        #: holds only while it is unchanged
+        self.version = 0
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -35,6 +38,7 @@ class Catalog:
         if not replace and schema.name in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
         self._tables[schema.name] = schema
+        self.version += 1
 
     def get(self, name: str) -> TableSchema:
         lowered = name.lower()
@@ -54,4 +58,5 @@ class Catalog:
                 if schema.name not in self._tables:
                     self._tables[schema.name] = schema
                     registered.append(schema)
+                    self.version += 1
         return registered

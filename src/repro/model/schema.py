@@ -50,6 +50,12 @@ class TableSchema:
 
     name: str
     app_columns: tuple[Column, ...]
+    #: :attr:`column_names` and their positions in :attr:`all_columns`,
+    #: built once
+    _names: tuple[str, ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
+    _positions: dict[str, int] = dataclasses.field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -62,6 +68,12 @@ class TableSchema:
                     f"duplicate or reserved column {col.name!r} in table {self.name!r}"
                 )
             seen.add(lowered)
+        names = tuple(col.name for col in self.all_columns)
+        positions: dict[str, int] = {}
+        for i, name in enumerate(names):
+            positions.setdefault(name, i)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def create(
@@ -90,21 +102,20 @@ class TableSchema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.all_columns)
+        return self._names
 
     def column_index(self, name: str) -> int:
         """Position of ``name`` within :attr:`all_columns`."""
-        lowered = name.lower()
-        for i, col in enumerate(self.all_columns):
-            if col.name == lowered:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        position = self._positions.get(name.lower())
+        if position is None:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return position
 
     def column_type(self, name: str) -> ColumnType:
         return self.all_columns[self.column_index(name)].ctype
 
     def has_column(self, name: str) -> bool:
-        return name.lower() in self.column_names
+        return name.lower() in self._positions
 
     def validate_app_values(self, values: Sequence[Any]) -> tuple[Any, ...]:
         """Validate application-level values for an INSERT."""

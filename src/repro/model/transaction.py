@@ -28,8 +28,9 @@ tuple read.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import struct
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..common.codec import (
     TAG_BYTES,
@@ -48,7 +49,7 @@ from ..common.errors import CodecError, SignatureError
 from ..common.hashing import sha256
 from ..crypto.keys import KeyPair, address_of
 from ..crypto.schnorr import verify as schnorr_verify
-from .schema import TableSchema
+from .schema import SYSTEM_COLUMN_NAMES, TableSchema
 
 #: ``tid`` value of a transaction that has not been sequenced yet.
 UNASSIGNED_TID = -1
@@ -75,6 +76,9 @@ _VALUE_CACHE_ENTRIES = 4096
 _values: dict[bytes, str] = {}
 
 _unpack_double = struct.Struct(">d").unpack_from
+
+#: schema positions below this are the system columns, one field each
+_SYSTEM_WIDTH = len(SYSTEM_COLUMN_NAMES)
 
 
 @dataclasses.dataclass(slots=True)
@@ -223,7 +227,10 @@ class Transaction:
 
     def get(self, column: str, schema: TableSchema) -> Any:
         """Value of ``column`` according to ``schema``."""
-        return self.row()[schema.column_index(column)]
+        position = schema.column_index(column)
+        if position < _SYSTEM_WIDTH:
+            return getattr(self, SYSTEM_COLUMN_NAMES[position])
+        return self.values[position - _SYSTEM_WIDTH]
 
     # -- wire format ------------------------------------------------------
     #
@@ -325,6 +332,15 @@ class Transaction:
         the fields.
         """
         return self._wire is None or _encode(self) == self._wire
+
+
+def column_getter(position: int) -> Callable[[Transaction], Any]:
+    """Reads the column at ``position`` of a schema's columns off a
+    transaction: a system column's field, or an application value."""
+    if position < _SYSTEM_WIDTH:
+        return operator.attrgetter(SYSTEM_COLUMN_NAMES[position])
+    index = position - _SYSTEM_WIDTH
+    return lambda tx: tx.values[index]
 
 
 def _encode(tx: Transaction) -> bytes:

@@ -102,16 +102,18 @@ class SqlNode:
     ) -> Optional[QueryResult]:
         """One-stop SQL entry point: routes writes to consensus, reads to
         :meth:`query`.  Returns ``None`` for writes (they commit async)."""
+        if not isinstance(parse(sql), (nodes.CreateTable, nodes.Insert)):
+            # a read binds its values where it is planned
+            return self.query(sql, params, method=method)
         statement = prepare(sql, params)
         if isinstance(statement, nodes.CreateTable):
             self.create_table(sql, keypair=keypair)
             return None
-        if isinstance(statement, nodes.Insert):
-            self.insert(
-                statement.table, statement.values, keypair=keypair, sender=sender
-            )
-            return None
-        return self.query(statement, method=method)
+        assert isinstance(statement, nodes.Insert)
+        self.insert(
+            statement.table, statement.values, keypair=keypair, sender=sender
+        )
+        return None
 
     def _read_statement(
         self,

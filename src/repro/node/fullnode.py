@@ -369,8 +369,11 @@ class FullNode(SqlNode):
         channel_member: Optional[str] = None,
     ) -> QueryResult:
         """Execute a read statement against local state."""
-        statement = self._read_statement(sql, params, channel_member)
-        return self.engine.execute(statement, method=method)
+        if channel_member is not None:
+            # the check reads the bound statement: a TRACE's table can
+            # be a parameter
+            self._read_statement(sql, params, channel_member)
+        return self.engine.execute(sql, params, method=method)
 
     # -- index administration ------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from ..offchain.adapter import OffChainDatabase
 from ..query.engine import MethodArg
 from ..query.result import QueryResult
 from ..sqlparser import nodes
-from ..sqlparser.parser import prepare
+from ..sqlparser.parser import parse, prepare
 from .fullnode import FullNode
 
 
@@ -141,29 +141,31 @@ class SebdbNetwork:
     ) -> Optional[QueryResult]:
         """Run one statement.  Writes are submitted (CREATE also commits so
         follow-up INSERTs validate); reads execute on ``node``."""
+        if not isinstance(parse(sql), (nodes.CreateTable, nodes.Insert)):
+            # a read binds its values where it is planned
+            return self.nodes[node].query(sql, params, method=method)
         statement = prepare(sql, params)
         if isinstance(statement, nodes.CreateTable):
             self.nodes[node].create_table(sql, keypair=keypair)
             self.commit()
             return None
-        if isinstance(statement, nodes.Insert):
-            if self.consensus is None:
-                schema = self.nodes[node].catalog.get(statement.table)
-                validated = schema.validate_app_values(statement.values)
-                tx = Transaction.create(
-                    schema.name,
-                    validated,
-                    ts=int(self.bus.clock.now_ms()) + len(self._pending),
-                    keypair=keypair,
-                    sender=sender if keypair is None else None,
-                )
-                self._pending.append(tx)
-            else:
-                self.nodes[node].insert(
-                    statement.table, statement.values, keypair=keypair, sender=sender
-                )
-            return None
-        return self.nodes[node].query(statement, method=method)
+        assert isinstance(statement, nodes.Insert)
+        if self.consensus is None:
+            schema = self.nodes[node].catalog.get(statement.table)
+            validated = schema.validate_app_values(statement.values)
+            tx = Transaction.create(
+                schema.name,
+                validated,
+                ts=int(self.bus.clock.now_ms()) + len(self._pending),
+                keypair=keypair,
+                sender=sender if keypair is None else None,
+            )
+            self._pending.append(tx)
+        else:
+            self.nodes[node].insert(
+                statement.table, statement.values, keypair=keypair, sender=sender
+            )
+        return None
 
     def insert_many(
         self,

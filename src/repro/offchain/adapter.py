@@ -22,6 +22,9 @@ class OffChainDatabase:
     def __init__(self, path: Optional[Path | str] = None) -> None:
         self._conn = sqlite3.connect(str(path) if path else ":memory:")
         self._conn.row_factory = sqlite3.Row
+        #: counts table creations: a query plan memoised per statement
+        #: text (which read the tables' columns) holds only while unchanged
+        self.version = 0
 
     def close(self) -> None:
         self._conn.close()
@@ -56,6 +59,7 @@ class OffChainDatabase:
             f"CREATE TABLE IF NOT EXISTS {_q(name)} ({', '.join(defs)})"
         )
         self._conn.commit()
+        self.version += 1
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
         """Bulk insert; returns the number of rows inserted."""

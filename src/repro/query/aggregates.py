@@ -13,13 +13,13 @@ semantics.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..common.errors import QueryError
 from ..model.schema import TableSchema
 from ..model.transaction import Transaction
 from ..sqlparser.nodes import Aggregate, ColumnRef, Select
-from .operators import tx_value
+from .operators import schema_resolver
 
 
 def compute_aggregate(func: str, values: Sequence[Any]) -> Any:
@@ -40,14 +40,12 @@ def compute_aggregate(func: str, values: Sequence[Any]) -> Any:
 
 
 def _aggregate_over(
-    item: Aggregate, schema: TableSchema, txs: Sequence[Transaction]
+    item: Aggregate, get: Optional[Callable[[Transaction], Any]],
+    txs: Sequence[Transaction],
 ) -> Any:
-    if item.column is None:  # COUNT(*)
+    if get is None:  # COUNT(*)
         return len(txs)
-    values = [
-        v for v in (tx_value(tx, item.column.column, schema) for tx in txs)
-        if v is not None
-    ]
+    values = [v for v in map(get, txs) if v is not None]
     return compute_aggregate(item.func, values)
 
 
@@ -71,33 +69,43 @@ def aggregate_columns(stmt: Select) -> tuple[str, ...]:
     )
 
 
-def aggregate_rows(
-    stmt: Select, schema: TableSchema, txs: Sequence[Transaction]
-) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:
-    """Materialize an aggregated (optionally grouped) result."""
-    columns = aggregate_columns(stmt)
+def aggregator(
+    stmt: Select, schema: TableSchema
+) -> Callable[[Sequence[Transaction]], list[tuple[Any, ...]]]:
+    """The aggregated (optionally grouped) rows of a statement, as a
+    function of its input transactions; every column it reads is
+    resolved once, here."""
+    resolve = schema_resolver(schema)
+    items = [
+        (item, resolve(item.column) if item.column is not None else None)
+        for item in stmt.projection if isinstance(item, Aggregate)
+    ]
     group_col: Optional[ColumnRef] = stmt.group_by
     if group_col is None:
-        row = tuple(
-            _aggregate_over(item, schema, txs) for item in stmt.projection
-            if isinstance(item, Aggregate)
-        )
-        return columns, [row]
-    # grouped: one output row per distinct group key, in key order
-    groups: dict[Any, list[Transaction]] = {}
-    for tx in txs:
-        key = tx_value(tx, group_col.column, schema)
-        groups.setdefault(key, []).append(tx)
-    rows: list[tuple[Any, ...]] = []
-    for key in sorted(groups, key=lambda k: (k is None, k)):
-        member_txs = groups[key]
-        row = tuple(
-            key if not isinstance(item, Aggregate)
-            else _aggregate_over(item, schema, member_txs)
-            for item in stmt.projection
-        )
-        rows.append(row)
-    return columns, rows
+        return lambda txs: [tuple(
+            _aggregate_over(item, get, txs) for item, get in items
+        )]
+    group_key = resolve(group_col)
+    getters = [
+        (item, resolve(item.column) if item.column is not None else None)
+        if isinstance(item, Aggregate) else None
+        for item in stmt.projection
+    ]
+
+    def grouped(txs: Sequence[Transaction]) -> list[tuple[Any, ...]]:
+        # one output row per distinct group key, in key order
+        groups: dict[Any, list[Transaction]] = {}
+        for tx in txs:
+            groups.setdefault(group_key(tx), []).append(tx)
+        rows: list[tuple[Any, ...]] = []
+        for key in sorted(groups, key=lambda k: (k is None, k)):
+            member_txs = groups[key]
+            rows.append(tuple(
+                key if pick is None else _aggregate_over(pick[0], pick[1], member_txs)
+                for pick in getters
+            ))
+        return rows
+    return grouped
 
 
 def resolve_order_index(columns: tuple[str, ...], column: ColumnRef) -> int:

@@ -27,7 +27,7 @@ from ..index.manager import IndexManager
 from ..model.catalog import Catalog
 from ..offchain.adapter import OffChainDatabase
 from ..sqlparser import nodes
-from ..sqlparser.parser import prepare
+from ..sqlparser.parser import parse, prepare
 from ..storage.blockstore import BlockStore
 from .logical import LScan
 from .optimizer import Optimizer
@@ -120,11 +120,12 @@ class QueryEngine:
         operator pipeline as the result is iterated, and a consumer that
         stops early stops the underlying block reads too.
         """
-        statement = prepare(statement, params)
+        if isinstance(statement, str):
+            statement = parse(statement)
         resolved = _resolve_method(method)
         if isinstance(statement, nodes.Explain):
             return explain_plan(
-                self._optimizer.plan(statement.statement, resolved),
+                self._optimizer.plan(statement.statement, resolved, params),
                 statement.analyze,
             )
         if isinstance(statement, (nodes.CreateTable, nodes.Insert)):
@@ -136,7 +137,8 @@ class QueryEngine:
             statement, (nodes.Select, nodes.Trace, nodes.GetBlock)
         ):
             raise QueryError(f"unsupported statement {type(statement).__name__}")
-        return run_plan(self._optimizer.plan(statement, resolved), stream)
+        return run_plan(
+            self._optimizer.plan(statement, resolved, params), stream)
 
     def plan(
         self,
@@ -145,10 +147,11 @@ class QueryEngine:
         method: MethodArg = None,
     ) -> PhysicalPlan:
         """Compile a read statement to its physical plan without running it."""
-        statement = prepare(statement, params)
+        if isinstance(statement, str):
+            statement = parse(statement)
         if isinstance(statement, nodes.Explain):
             statement = statement.statement
-        return self._optimizer.plan(statement, _resolve_method(method))
+        return self._optimizer.plan(statement, _resolve_method(method), params)
 
     def explain(
         self, statement: Union[str, nodes.Statement],

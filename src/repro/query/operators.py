@@ -8,11 +8,12 @@ algorithms that evaluate them are the operators of :mod:`physical`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Sequence
+import operator
+from typing import Any, Callable, Optional, Sequence
 
 from ..common.errors import QueryError
-from ..model.schema import TableSchema
-from ..model.transaction import Transaction
+from ..model.schema import SYSTEM_COLUMN_NAMES, TableSchema
+from ..model.transaction import Transaction, column_getter
 from ..sqlparser.nodes import (
     And,
     Between,
@@ -49,6 +50,170 @@ def predicate_matches(tx: Transaction, predicate: Optional[Predicate],
     if isinstance(predicate, Or):
         return any(predicate_matches(tx, p, schema) for p in predicate.parts)
     raise QueryError(f"unsupported predicate node {type(predicate).__name__}")
+
+
+# -- predicates compiled to column positions --------------------------------
+#
+# The functions below resolve every column a predicate or projection names
+# once, to a getter that reads it off a row by position, so evaluating a
+# row never looks a name up.  They agree with :func:`predicate_matches`
+# and :func:`project` row for row, errors included: a column no side
+# declares resolves to a getter that fails, when a row reaches it, the way
+# the name lookup fails (so a statement over no rows still succeeds).
+
+#: one element of an operator's stream -> whether a predicate keeps it
+RowTest = Callable[[Any], bool]
+#: reads one column's value off an element
+Getter = Callable[[Any], Any]
+#: resolves a column reference to its getter
+Resolver = Callable[[ColumnRef], Getter]
+
+_COMPARE: dict[CompareOp, Callable[[Any, Any], Any]] = {
+    CompareOp.EQ: operator.eq,
+    CompareOp.NE: operator.ne,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+}
+
+
+def schema_resolver(schema: TableSchema) -> Resolver:
+    """Columns of ``schema`` read off a transaction by position."""
+    def resolve(ref: ColumnRef) -> Getter:
+        name = ref.column
+        if not schema.has_column(name):
+            return lambda _tx: schema.column_index(name)  # raises SchemaError
+        return column_getter(schema.column_index(name))
+    return resolve
+
+
+def offchain_resolver(name: str, columns: Sequence[str]) -> Resolver:
+    """Columns of an off-chain row, as :func:`pseudo_tx` under
+    :func:`pseudo_schema` would read them: a system column is the pseudo
+    transaction's constant, any other the row's value at its position."""
+    schema = pseudo_schema(name, columns)
+    pseudo = pseudo_tx(name, columns, ())
+    resolve_tx = schema_resolver(schema)
+
+    def resolve(ref: ColumnRef) -> Getter:
+        if not schema.has_column(ref.column):
+            return resolve_tx(ref)
+        position = schema.column_index(ref.column)
+        if position < len(SYSTEM_COLUMN_NAMES):
+            value = getattr(pseudo, SYSTEM_COLUMN_NAMES[position])
+            return lambda _row: value
+        index = position - len(SYSTEM_COLUMN_NAMES)
+        return lambda row: row[index]
+    return resolve
+
+
+def side_resolver(
+    lschema: TableSchema,
+    rschema: TableSchema,
+    refs: tuple[TableRef, TableRef],
+    right: Resolver,
+) -> Resolver:
+    """Columns of a joined ``(left, right)`` pair, each resolved to its
+    side by qualifier first (:func:`qualifier_side` over the join's two
+    FROM entries ``refs``), then by which side declares the name; a name
+    both sides declare must be qualified (system columns default to the
+    left/on-chain side).  ``right`` reads the right element (a
+    transaction, or an off-chain row)."""
+    left = schema_resolver(lschema)
+
+    def resolve(ref: ColumnRef) -> Getter:
+        side = resolve_join_side(ref, lschema, rschema, refs)
+        if side == "left":
+            get = left(ref)
+            return lambda pair: get(pair[0])
+        if side == "right":
+            get = right(ref)
+            return lambda pair: get(pair[1])
+        if side == "residual":
+            message = (f"ambiguous column {ref.column!r} in join WHERE - "
+                       f"qualify it with a table alias or name")
+        else:
+            message = f"neither join side has column {ref.column!r}"
+
+        def fail(_pair: Any) -> Any:
+            raise QueryError(message)
+        return fail
+    return resolve
+
+
+def predicate_binder(
+    predicate: Predicate, resolve: Resolver
+) -> Callable[[Predicate], RowTest]:
+    """Resolve ``predicate``'s columns once; the result turns any bound
+    copy of it (the same tree with its own values) into a row test."""
+    if isinstance(predicate, Comparison):
+        get, compare = resolve(predicate.column), _COMPARE[predicate.op]
+
+        def bind_comparison(bound: Predicate) -> RowTest:
+            value = bound.value  # type: ignore[union-attr]
+
+            def accept(row: Any) -> bool:
+                left = get(row)
+                return left is not None and value is not None and compare(left, value)
+            return accept
+        return bind_comparison
+    if isinstance(predicate, Between):
+        get = resolve(predicate.column)
+
+        def bind_between(bound: Predicate) -> RowTest:
+            low, high = bound.low, bound.high  # type: ignore[union-attr]
+
+            def accept(row: Any) -> bool:
+                left = get(row)
+                if left is None:
+                    return False
+                return low <= left <= high
+            return accept
+        return bind_between
+    if isinstance(predicate, And):
+        binders = [predicate_binder(part, resolve) for part in predicate.parts]
+
+        def bind_and(bound: Predicate) -> RowTest:
+            tests = [b(part) for b, part in zip(binders, bound.parts)]  # type: ignore[union-attr]
+
+            def accept(row: Any) -> bool:
+                for test in tests:
+                    if not test(row):
+                        return False
+                return True
+            return accept
+        return bind_and
+    if isinstance(predicate, Or):
+        binders = [predicate_binder(part, resolve) for part in predicate.parts]
+
+        def bind_or(bound: Predicate) -> RowTest:
+            tests = [b(part) for b, part in zip(binders, bound.parts)]  # type: ignore[union-attr]
+
+            def accept(row: Any) -> bool:
+                for test in tests:
+                    if test(row):
+                        return True
+                return False
+            return accept
+        return bind_or
+    kind = type(predicate).__name__
+
+    def bind_unsupported(_bound: Predicate) -> RowTest:
+        def accept(_row: Any) -> bool:
+            raise QueryError(f"unsupported predicate node {kind}")
+        return accept
+    return bind_unsupported
+
+
+def row_builder(
+    schema: TableSchema, projection: Sequence[ColumnRef]
+) -> Callable[[Transaction], tuple[Any, ...]]:
+    """:func:`project` for one projection, its columns resolved once."""
+    if not projection:
+        return Transaction.row
+    getters = [schema_resolver(schema)(ref) for ref in projection]
+    return lambda tx: tuple([get(tx) for get in getters])
 
 
 @dataclasses.dataclass
@@ -105,46 +270,6 @@ def extract_constraints(predicate: Optional[Predicate]) -> dict[str, RangeConstr
                 constraint.tighten_low(atom.value)
             # NE gives no usable range
     return constraints
-
-
-def pair_matches(
-    predicate: Predicate,
-    ltx: Transaction,
-    lschema: TableSchema,
-    rtx: Transaction,
-    rschema: TableSchema,
-    refs: tuple[TableRef, TableRef],
-) -> bool:
-    """Evaluate a residual WHERE over a joined (left, right) pair.
-
-    Columns resolve by qualifier first (:func:`qualifier_side` over the
-    join's two FROM entries ``refs``), then by which side declares the
-    name; a name both sides declare must be qualified (system columns
-    default to the left/on-chain side).
-    """
-    if isinstance(predicate, And):
-        return all(
-            pair_matches(p, ltx, lschema, rtx, rschema, refs)
-            for p in predicate.parts
-        )
-    if isinstance(predicate, Or):
-        return any(
-            pair_matches(p, ltx, lschema, rtx, rschema, refs)
-            for p in predicate.parts
-        )
-    column = predicate.column  # Comparison | Between
-    side = resolve_join_side(column, lschema, rschema, refs)
-    if side == "residual":
-        raise QueryError(
-            f"ambiguous column {column.column!r} in join WHERE - "
-            f"qualify it with a table alias or name"
-        )
-    if side == "none":
-        raise QueryError(
-            f"neither join side has column {column.column!r}"
-        )
-    tx, schema = (ltx, lschema) if side == "left" else (rtx, rschema)
-    return predicate_matches(tx, predicate, schema)
 
 
 def qualifier_side(

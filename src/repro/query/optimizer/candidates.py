@@ -9,43 +9,36 @@ from ..plan import CandidateInfo, PhysicalPlan
 
 
 @dataclasses.dataclass
-class Candidate:
-    """One enumerated plan: an estimate plus a thunk that builds it.
+class Candidate(CandidateInfo):
+    """One enumerated plan: its waterfall row plus a thunk that builds it.
 
     ``build`` is a zero-argument callable closing over the lowered
     statement and the decision this candidate represents; building is
     deferred so EXPLAIN can show the waterfall without compiling every
     rejected alternative, and so the fuzz oracle can build the same
-    candidate repeatedly.
+    candidate repeatedly.  The row's fields (``label`` - a stable
+    human-readable identity, e.g. ``select:layered(amount)`` or
+    ``join:hash(bitmap, build=left)`` - and the estimates) are
+    :class:`CandidateInfo`'s.
     """
 
-    #: stable human-readable identity, e.g. ``select:layered(amount)``
-    #: or ``join:hash(bitmap, build=left)``
-    label: str
     #: source family: select / join / trace / offchain / block / fanout
-    kind: str
-    est_cost_ms: float
-    est_rows: int = 0
-    est_seeks: int = 0
-    build: Callable[[], PhysicalPlan] = lambda: None  # type: ignore[assignment,return-value]
+    kind: str = ""
+    build: Callable[[], PhysicalPlan] = dataclasses.field(  # type: ignore[assignment]
+        default=lambda: None, compare=False, repr=False)
     #: extra detail for docs/debugging, not part of the identity
     detail: str = ""
 
     def info(self, chosen: bool = False) -> CandidateInfo:
-        """The EXPLAIN-waterfall row for this candidate."""
+        """This candidate's waterfall row on its own."""
         return CandidateInfo(
-            label=self.label,
-            est_cost_ms=self.est_cost_ms,
-            est_rows=self.est_rows,
-            est_seeks=self.est_seeks,
-            chosen=chosen,
-        )
+            self.label, self.est_cost_ms, self.est_rows, self.est_seeks, chosen)
 
 
 def attach(plan: PhysicalPlan, ranked: list[Candidate]) -> PhysicalPlan:
-    """Record the waterfall on a built plan (index 0 is the chosen one)."""
-    plan.candidates = [
-        candidate.info(chosen=(rank == 0))
-        for rank, candidate in enumerate(ranked)
-    ]
+    """Record the waterfall on a plan built from ``ranked[0]``: the
+    ranking's own candidates, the first flagged chosen.  ``ranked`` is
+    the caller's private ranking, handed over to the plan."""
+    ranked[0].chosen = True
+    plan.candidates = ranked  # type: ignore[assignment]
     return plan

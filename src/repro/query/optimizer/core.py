@@ -22,11 +22,22 @@ distinct-value bitmaps (discrete) via ``estimate_matching_tuples``.
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import Any, Callable, Mapping, Optional, Sequence
 
+from ...index.layered import LayeredIndex
 from ...index.manager import IndexManager
 from ...sqlparser import nodes
-from ..logical import LBlockLookup, LJoin, LOffScan, LScan, LTrace, LogicalPlan
+from ...sqlparser.parser import Binder
+from ..logical import (
+    LBlockLookup,
+    LJoin,
+    LOffScan,
+    LScan,
+    LTrace,
+    LogicalPlan,
+    Lowering,
+)
 from ..plan import (
     AccessPath,
     JoinDecision,
@@ -39,20 +50,31 @@ from ..plan import (
     estimate_matching_tuples,
     pick_access_path,
     rank_access_paths,
+    usable_indexes,
 )
 from .candidates import Candidate, attach
 
+#: statements an optimizer keeps planned; full, it starts over, as the
+#: parser's text cache does at the same size
+PREPARED_ENTRIES = 512
 
-def estimate_scan_rows(planner: Planner, scan: LScan) -> int:
+#: costs one statement's enumerated candidates for one call's lowered plan
+Ranker = Callable[[LogicalPlan, Optional[AccessPath]], list[Candidate]]
+
+
+def estimate_scan_rows(
+    planner: Planner, scan: LScan, usable: Mapping[str, LayeredIndex]
+) -> int:
     """Estimated tuples a scan side feeds its consumer, after pushdowns.
 
     The most selective constrained conjunct with a usable layered index
-    bounds the estimate; without one, every tuple of the table passes.
+    (``usable``, by column) bounds the estimate; without one, every
+    tuple of the table passes.
     """
     tuples = planner.indexes.table_index.tuple_count(scan.schema.name)
     best: Optional[int] = None
     for column, constraint in scan.constraints.items():
-        index = planner.indexes.layered(column, scan.schema.name)
+        index = usable.get(column)
         if index is None:
             continue
         if constraint.low is None and constraint.high is None:
@@ -66,19 +88,57 @@ def default_trace_path(indexes: IndexManager, trace: LTrace) -> AccessPath:
     """Algorithm 1's structural rule: layered when the index each given
     dimension needs exists (``senid`` for an operator, ``tname`` for an
     operation on its own), else the table-level bitmaps."""
+    return _trace_rule(
+        trace,
+        indexes.layered("senid") is not None,
+        indexes.layered("tname") is not None,
+    )
+
+
+def _trace_rule(trace: LTrace, has_senid: bool, has_tname: bool) -> AccessPath:
+    """:func:`default_trace_path` over the two indexes' presence."""
     layered_ok = not (
-        (trace.operator is not None and indexes.layered("senid") is None)
+        (trace.operator is not None and not has_senid)
         or (trace.operation is not None and trace.operator is None
-            and indexes.layered("tname") is None)
+            and not has_tname)
     )
     return AccessPath.LAYERED if layered_ok else AccessPath.BITMAP
 
 
+@dataclasses.dataclass
+class Prepared:
+    """The once-per-text half of planning one read statement.
+
+    ``binder`` substitutes a call's parameters; ``lowering`` and
+    ``ranker`` are filled by the first call that needs them, through the
+    same code every later call reads: the lowering of the statement's
+    shape (tables, WHERE split, column positions) and its candidate
+    enumeration (labels, kinds, decisions, build recipes).  Valid while
+    the planner's :attr:`~repro.query.plan.Planner.schema_version` is
+    ``version``.
+    """
+
+    version: tuple[int, int, int]
+    binder: Binder
+    lowering: Optional[Lowering] = None
+    ranker: Optional[Ranker] = None
+
+
 class Optimizer:
-    """Cost-ranked plan search over a single node's Planner."""
+    """Cost-ranked plan search over a single node's Planner.
+
+    Planning a statement splits in two.  Once per statement text (the
+    parsed statement, placeholders unbound, is the key; a change to the
+    catalog, the layered-index set or the off-chain tables misses): the
+    binder's slots, the lowered shape and the candidate enumeration, kept
+    in a :class:`Prepared`.  Per call: substitute the values, extract the
+    range constraints, cost each enumerated candidate against the chain
+    as it is now, and build the cheapest.  Nothing is keyed on values.
+    """
 
     def __init__(self, planner: Planner) -> None:
         self._planner = planner
+        self._prepared: dict[nodes.Statement, Prepared] = {}
 
     @property
     def planner(self) -> Planner:
@@ -90,46 +150,33 @@ class Optimizer:
         self,
         statement: nodes.Statement,
         method: Optional[AccessPath] = None,
+        params: Sequence[Any] = (),
     ) -> list[Candidate]:
         """Enumerate and cost every candidate plan, chosen first.
 
-        A forced ``method`` pins the chosen candidate (legacy benchmark
-        semantics); the rest of the enumeration still trails it in the
-        waterfall, cost-ranked.
+        ``params`` bind the statement's placeholders, one each: a
+        placeholder left unbound is a ``ParseError``, not a value to plan
+        with.  A forced ``method`` pins the chosen candidate (legacy
+        benchmark semantics); the rest of the enumeration still trails it
+        in the waterfall, cost-ranked.
         """
-        lplan = self._planner.lower(statement)
-        source = lplan.unwrap_source()
-        if isinstance(source, LScan):
-            return self._rank_select(lplan, source, method)
-        if isinstance(source, LJoin):
-            return self._rank_join(lplan, source, method)
-        if isinstance(source, LTrace):
-            return self._rank_trace(lplan, source, method)
-        if isinstance(source, LOffScan):
-            return [Candidate(
-                label="offchain:rdbms",
-                kind="offchain",
-                est_cost_ms=0.0,
-                build=lambda: self._planner.build(lplan),
-                detail="local RDBMS is authoritative; no on-chain I/O",
-            )]
-        assert isinstance(source, LBlockLookup)
-        cost = self._planner.store.cost
-        return [Candidate(
-            label="block:index-lookup",
-            kind="block",
-            est_cost_ms=cost.seek_ms + cost.transfer_ms,
-            est_seeks=1,
-            build=lambda: self._planner.build(lplan),
-        )]
+        prepared = self._prepare(statement)
+        bound = prepared.binder(params)
+        if prepared.lowering is None:
+            prepared.lowering = self._planner.lowering(statement)
+        lplan = prepared.lowering(bound)
+        if prepared.ranker is None:
+            prepared.ranker = self._ranker(lplan)
+        return prepared.ranker(lplan, method)
 
     def plan(
         self,
         statement: nodes.Statement,
         method: Optional[AccessPath] = None,
+        params: Sequence[Any] = (),
     ) -> PhysicalPlan:
         """Build the chosen candidate, waterfall attached."""
-        ranked = self.rank(statement, method)
+        ranked = self.rank(statement, method, params)
         return attach(ranked[0].build(), ranked)
 
     def force(self, candidate: Candidate) -> PhysicalPlan:
@@ -138,24 +185,68 @@ class Optimizer:
         plan.candidates = [candidate.info(chosen=True)]
         return plan
 
+    # -- the once-per-text half ---------------------------------------------
+
+    def _prepare(self, statement: nodes.Statement) -> Prepared:
+        """``statement``'s memo entry, new when missing or stale."""
+        version = self._planner.schema_version
+        prepared = self._prepared.get(statement)
+        if prepared is None or prepared.version != version:
+            if len(self._prepared) >= PREPARED_ENTRIES:
+                self._prepared.clear()
+            prepared = self._prepared[statement] = Prepared(
+                version, Binder(statement))
+        return prepared
+
+    def _ranker(self, lplan: LogicalPlan) -> Ranker:
+        """Enumerate the candidates of ``lplan``'s shape; the result costs
+        them for any lowered plan of the same statement."""
+        source = lplan.unwrap_source()
+        if isinstance(source, LScan):
+            return self._select_ranker(source)
+        if isinstance(source, LJoin):
+            return self._join_ranker(source)
+        if isinstance(source, LTrace):
+            return self._trace_ranker()
+        planner = self._planner
+        if isinstance(source, LOffScan):
+            return lambda lplan, _method: [Candidate(
+                label="offchain:rdbms",
+                kind="offchain",
+                est_cost_ms=0.0,
+                build=lambda: planner.build(lplan),
+                detail="local RDBMS is authoritative; no on-chain I/O",
+            )]
+        assert isinstance(source, LBlockLookup)
+        return lambda lplan, _method: [Candidate(
+            label="block:index-lookup",
+            kind="block",
+            est_cost_ms=planner.store.cost.seek_ms + planner.store.cost.transfer_ms,
+            est_seeks=1,
+            build=lambda: planner.build(lplan),
+        )]
+
     # -- SELECT ------------------------------------------------------------
 
-    def _rank_select(
-        self,
-        lplan: LogicalPlan,
-        scan: LScan,
-        method: Optional[AccessPath],
-    ) -> list[Candidate]:
+    def _select_ranker(self, scan: LScan) -> Ranker:
         planner = self._planner
-        ranked = rank_access_paths(
-            planner.store, planner.indexes, scan.schema.name,
-            dict(scan.constraints),
-        )
-        if method is not None:
-            # a forced layered path no index can serve is an error here
-            forced = pick_access_path(ranked, scan.schema.name, method)
-            ranked = [forced] + [c for c in ranked if c is not forced]
-        return [self._select_candidate(lplan, choice) for choice in ranked]
+        table = scan.schema.name
+        # the constrained columns are the WHERE's, whatever its values
+        usable = usable_indexes(planner.indexes, table, scan.constraints)
+
+        def rank(lplan: LogicalPlan, method: Optional[AccessPath]) -> list[Candidate]:
+            scan = lplan.unwrap_source()
+            assert isinstance(scan, LScan)
+            ranked = rank_access_paths(
+                planner.store, planner.indexes, table, scan.constraints,
+                usable,
+            )
+            if method is not None:
+                # a forced layered path no index can serve is an error here
+                forced = pick_access_path(ranked, table, method)
+                ranked = [forced] + [c for c in ranked if c is not forced]
+            return [self._select_candidate(lplan, choice) for choice in ranked]
+        return rank
 
     def _select_candidate(
         self, lplan: LogicalPlan, choice: PathChoice
@@ -174,21 +265,47 @@ class Optimizer:
 
     # -- joins -------------------------------------------------------------
 
-    def _rank_join(
-        self,
-        lplan: LogicalPlan,
-        join: LJoin,
-        method: Optional[AccessPath],
-    ) -> list[Candidate]:
-        if join.kind == "onchain":
-            candidates = self._enumerate_onchain_join(lplan, join)
+    def _join_ranker(self, join: LJoin) -> Ranker:
+        planner = self._planner
+        indexes = planner.indexes
+        left = join.left.schema.name
+        left_usable = usable_indexes(indexes, left, join.left.constraints)
+        merge = indexes.layered(join.left_column, left) is not None
+        if isinstance(join.right, LScan):
+            right = join.right.schema.name
+            right_usable = usable_indexes(
+                indexes, right, join.right.constraints)
+            merge = merge and indexes.layered(
+                join.right_column, right) is not None
+
+            def enumerate_join(lplan: LogicalPlan) -> list[Candidate]:
+                join = lplan.unwrap_source()
+                assert isinstance(join, LJoin) and isinstance(join.right, LScan)
+                return self._onchain_join_candidates(
+                    lplan, estimate_scan_rows(planner, join.left, left_usable),
+                    estimate_scan_rows(planner, join.right, right_usable),
+                    (left, right), merge,
+                )
         else:
-            candidates = self._enumerate_onoff_join(lplan, join)
-        candidates.sort(key=lambda c: (c.est_cost_ms, c.label))
-        if method is not None:
+            off_table = join.right.table.name
+
+            def enumerate_join(lplan: LogicalPlan) -> list[Candidate]:
+                join = lplan.unwrap_source()
+                assert isinstance(join, LJoin)
+                return self._onoff_join_candidates(
+                    lplan, estimate_scan_rows(planner, join.left, left_usable),
+                    left, off_table, merge,
+                )
+        kind = join.kind
+
+        def rank(lplan: LogicalPlan, method: Optional[AccessPath]) -> list[Candidate]:
+            candidates = enumerate_join(lplan)
+            candidates.sort(key=lambda c: (c.est_cost_ms, c.label))
+            if method is None:
+                return candidates
             # the forced method always hashes build-right / merges -
             # exactly the operator the paper's per-method figures measure
-            forced_label = _forced_join_label(method, join.kind)
+            forced_label = _forced_join_label(method, kind)
             forced = [c for c in candidates if c.label == forced_label]
             if forced:
                 rest = [c for c in candidates if c.label != forced_label]
@@ -200,25 +317,27 @@ class Optimizer:
                 label=forced_label,
                 kind="join",
                 est_cost_ms=float("inf"),
-                build=lambda: self._planner.build(lplan, decision),
+                build=lambda: planner.build(lplan, decision),
                 detail="forced method without the required indexes",
             )]
-        return candidates
+        return rank
 
-    def _enumerate_onchain_join(
-        self, lplan: LogicalPlan, join: LJoin
+    def _onchain_join_candidates(
+        self,
+        lplan: LogicalPlan,
+        left_rows: int,
+        right_rows: int,
+        tables: tuple[str, str],
+        merge: bool,
     ) -> list[Candidate]:
         planner = self._planner
         store, indexes = planner.store, planner.indexes
         cost = store.cost
-        assert isinstance(join.right, LScan)
-        left_rows = estimate_scan_rows(planner, join.left)
-        right_rows = estimate_scan_rows(planner, join.right)
         avg_block = avg_block_size(store)
         n = store.height
         k_union = len(
-            indexes.table_index.blocks_for_table(join.left.schema.name)
-            | indexes.table_index.blocks_for_table(join.right.schema.name)
+            indexes.table_index.blocks_for_table(tables[0])
+            | indexes.table_index.blocks_for_table(tables[1])
         )
         candidates: list[Candidate] = []
         for path, k in ((AccessPath.SCAN, n), (AccessPath.BITMAP, k_union)):
@@ -236,17 +355,11 @@ class Optimizer:
                     est_rows=min(left_rows, right_rows),
                     est_seeks=k,
                     build=(
-                        lambda d=decision: self._planner.build(lplan, d)
+                        lambda d=decision: planner.build(lplan, d)
                     ),
                     detail=f"build side holds ~{build_rows} tuples",
                 ))
-        has_indexes = (
-            indexes.layered(join.left_column, join.left.schema.name) is not None
-            and indexes.layered(
-                join.right_column, join.right.schema.name
-            ) is not None
-        )
-        if has_indexes:
+        if merge:
             decision = JoinDecision(method=AccessPath.LAYERED)
             candidates.append(Candidate(
                 label="join:merge(layered)",
@@ -254,28 +367,29 @@ class Optimizer:
                 est_cost_ms=cost.estimate_merge_join(left_rows, right_rows),
                 est_rows=min(left_rows, right_rows),
                 est_seeks=left_rows + right_rows,
-                build=lambda d=decision: self._planner.build(lplan, d),
+                build=lambda d=decision: planner.build(lplan, d),
                 detail="Algorithm 2 over both sides' layered indexes",
             ))
         return candidates
 
-    def _enumerate_onoff_join(
-        self, lplan: LogicalPlan, join: LJoin
+    def _onoff_join_candidates(
+        self,
+        lplan: LogicalPlan,
+        on_rows: int,
+        on_table: str,
+        off_table: str,
+        merge: bool,
     ) -> list[Candidate]:
         planner = self._planner
         store, indexes = planner.store, planner.indexes
         cost = store.cost
-        assert isinstance(join.right, LOffScan)
-        on_rows = estimate_scan_rows(planner, join.left)
         off_rows = (
-            planner.offchain.count(join.right.table.name)
+            planner.offchain.count(off_table)
             if planner.offchain is not None else 0
         )
         avg_block = avg_block_size(store)
         n = store.height
-        k = len(
-            indexes.table_index.blocks_for_table(join.left.schema.name)
-        )
+        k = len(indexes.table_index.blocks_for_table(on_table))
         candidates: list[Candidate] = []
         for path, blocks in ((AccessPath.SCAN, n), (AccessPath.BITMAP, k)):
             decision = JoinDecision(method=path)
@@ -289,9 +403,9 @@ class Optimizer:
                 ),
                 est_rows=min(on_rows, max(off_rows, 1)),
                 est_seeks=blocks,
-                build=lambda d=decision: self._planner.build(lplan, d),
+                build=lambda d=decision: planner.build(lplan, d),
             ))
-        if indexes.layered(join.left_column, join.left.schema.name) is not None:
+        if merge:
             decision = JoinDecision(method=AccessPath.LAYERED)
             candidates.append(Candidate(
                 label="join:merge(layered)",
@@ -300,78 +414,72 @@ class Optimizer:
                 + cost.estimate_sort(off_rows),
                 est_rows=min(on_rows, max(off_rows, 1)),
                 est_seeks=on_rows,
-                build=lambda d=decision: self._planner.build(lplan, d),
+                build=lambda d=decision: planner.build(lplan, d),
                 detail="Algorithm 3: off-chain [min,max] prunes level 1",
             ))
         return candidates
 
     # -- TRACE -------------------------------------------------------------
 
-    def _rank_trace(
-        self,
-        lplan: LogicalPlan,
-        trace: LTrace,
-        method: Optional[AccessPath],
-    ) -> list[Candidate]:
+    def _trace_ranker(self) -> Ranker:
         """Algorithm 1 keeps its structural rule for the default (the
         paper's TRACE variants are defined by index availability, not
         cost), so the chosen candidate leads even when the model ranks a
         scan cheaper on a short chain; the alternatives trail, costed."""
-        chosen = (
-            method if method is not None
-            else default_trace_path(self._planner.indexes, trace)
+        planner = self._planner
+        store, indexes = planner.store, planner.indexes
+        has_senid = indexes.layered("senid") is not None
+        has_tname = indexes.layered("tname") is not None
+        layered, bitmap, scan = (
+            (path, f"trace:{path.value}", TraceDecision(method=path))
+            for path in (AccessPath.LAYERED, AccessPath.BITMAP, AccessPath.SCAN)
         )
-        order = [chosen] + [
-            p for p in (AccessPath.LAYERED, AccessPath.BITMAP, AccessPath.SCAN)
-            if p is not chosen
-        ]
-        # the chain statistics are the same for all three paths: taken once
-        store, indexes = self._planner.store, self._planner.indexes
-        cost = store.cost
-        avg_block = avg_block_size(store)
-        n = store.height
-        total_blocks = max(len(indexes.block_index), 1)
-        total_tuples = sum(
-            indexes.table_index.tuple_count(t)
-            for t in indexes.table_index.table_names
-        )
-        # matching blocks under the tighter of the two system dimensions
-        k_blocks = total_blocks
-        if trace.operator is not None:
-            k_blocks = min(
-                k_blocks,
-                len(indexes.table_index.blocks_for_sender(trace.operator)),
-            )
-        if trace.operation is not None:
-            k_blocks = min(
-                k_blocks,
-                len(indexes.table_index.blocks_for_table(trace.operation)),
-            )
-        # discrete-uniform estimate of p over the candidate blocks
-        p_rows = max(1, total_tuples * k_blocks // total_blocks)
-        # path -> (est_cost_ms, est_rows, est_seeks)
-        costed = {
-            AccessPath.SCAN: (cost.estimate_scan(n, avg_block), 0, n),
-            AccessPath.BITMAP: (
-                cost.estimate_bitmap(k_blocks, avg_block), 0, k_blocks),
-            AccessPath.LAYERED: (cost.estimate_layered(p_rows), p_rows, p_rows),
-        }
 
-        def candidate(path: AccessPath) -> Candidate:
-            est, rows, seeks = costed[path]
-            decision = TraceDecision(method=path)
-            return Candidate(
-                label=f"trace:{path.value}",
-                kind="trace",
-                est_cost_ms=est,
-                est_rows=rows,
-                est_seeks=seeks,
-                build=lambda: self._planner.build(lplan, decision),
+        def rank(lplan: LogicalPlan, method: Optional[AccessPath]) -> list[Candidate]:
+            trace = lplan.source
+            assert isinstance(trace, LTrace)
+            chosen = (
+                method if method is not None
+                else _trace_rule(trace, has_senid, has_tname)
             )
-
-        head, *tail = [candidate(path) for path in order]
-        tail.sort(key=lambda c: (c.est_cost_ms, c.label))
-        return [head] + tail
+            # the chain statistics are the same for all three paths
+            cost = store.cost
+            avg_block = avg_block_size(store)
+            n = store.height
+            total_blocks = max(len(indexes.block_index), 1)
+            total_tuples = indexes.table_index.total_tuples()
+            # matching blocks under the tighter of the two system dimensions
+            k_blocks = total_blocks
+            if trace.operator is not None:
+                k_blocks = min(
+                    k_blocks,
+                    len(indexes.table_index.blocks_for_sender(trace.operator)),
+                )
+            if trace.operation is not None:
+                k_blocks = min(
+                    k_blocks,
+                    len(indexes.table_index.blocks_for_table(trace.operation)),
+                )
+            # discrete-uniform estimate of p over the candidate blocks
+            p_rows = max(1, total_tuples * k_blocks // total_blocks)
+            head: list[Candidate] = []
+            tail: list[Candidate] = []
+            for (path, label, decision), est, rows, seeks in (
+                (layered, cost.estimate_layered(p_rows), p_rows, p_rows),
+                (bitmap, cost.estimate_bitmap(k_blocks, avg_block), 0, k_blocks),
+                (scan, cost.estimate_scan(n, avg_block), 0, n),
+            ):
+                (head if path is chosen else tail).append(Candidate(
+                    label=label,
+                    kind="trace",
+                    est_cost_ms=est,
+                    est_rows=rows,
+                    est_seeks=seeks,
+                    build=lambda d=decision: planner.build(lplan, d),
+                ))
+            tail.sort(key=lambda c: (c.est_cost_ms, c.label))
+            return head + tail
+        return rank
 
 
 def _forced_join_label(method: AccessPath, kind: str) -> str:

@@ -33,7 +33,7 @@ from ...common.errors import QueryError
 from ...sqlparser import nodes
 from .. import physical as phys
 from ..aggregates import aggregate_columns, resolve_order_index
-from ..logical import LAggregate, LScan, LSort, LTrace, LogicalPlan
+from ..logical import LAggregate, LProject, LScan, LSort, LTrace, LogicalPlan
 from ..operators import projected_columns
 from ..plan import (
     AccessPath,
@@ -109,12 +109,13 @@ def _build_fanout(
     if isinstance(head, LAggregate):
         columns = aggregate_columns(stmt)
         root: phys.PhysicalOperator = phys.Aggregate(
-            phys.ShardMerge(inputs, shard_ids), stmt, schema
+            phys.ShardMerge(inputs, shard_ids), stmt, head.evaluate
         )
     else:
+        assert isinstance(head, LProject) and head.row is not None
         columns = projected_columns(schema, stmt.projection)
         subplans: list[phys.PhysicalOperator] = [
-            phys.Project(part, schema, stmt.projection) for part in inputs
+            phys.Project(part, stmt.projection, head.row) for part in inputs
         ]
         sort = next((n for n in rest if isinstance(n, LSort)), None)
         if sort is not None and sort_below_merge:

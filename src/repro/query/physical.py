@@ -32,13 +32,12 @@ from ..common.errors import QueryError
 from ..index.bitmap import Bitmap
 from ..index.layered import LayeredIndex, ranges_intersect
 from ..model.schema import TableSchema
-from ..model.transaction import SCHEMA_TNAME, Transaction
+from ..model.transaction import SCHEMA_TNAME, Transaction, column_getter
 from ..offchain.adapter import OffChainDatabase
-from ..sqlparser.nodes import ColumnRef, Select, TimeWindow
+from ..sqlparser.nodes import ColumnRef, Predicate, Select, TimeWindow, predicate_text
 from ..storage.blockstore import BlockStore
 from ..storage.costmodel import CostModel
-from .aggregates import aggregate_rows
-from .operators import RangeConstraint, project
+from .operators import RangeConstraint
 
 Row = tuple[Optional[Transaction], tuple[Any, ...]]
 
@@ -53,7 +52,7 @@ def in_window(tx: Transaction, window: Optional[TimeWindow]) -> bool:
     return True
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class OperatorStats:
     """Per-operator execution counters (EXPLAIN ANALYZE)."""
 
@@ -86,13 +85,15 @@ class PhysicalOperator:
     """One node of the physical plan: a restartless row generator."""
 
     name = "Operator"
+    #: the planner's estimates, set on the operators it has them for
+    est_rows: Optional[int] = None
+    est_cost_ms: Optional[float] = None
+    #: set on every operator of a tree EXPLAIN ANALYZE times
+    timed = False
 
     def __init__(self, children: Sequence["PhysicalOperator"] = ()) -> None:
         self.children = tuple(children)
-        self.stats = OperatorStats(inputs=tuple(c.stats for c in self.children))
-        self.est_rows: Optional[int] = None
-        self.est_cost_ms: Optional[float] = None
-        self.timed = False
+        self.stats = OperatorStats(inputs=tuple([c.stats for c in self.children]))
 
     # -- contract ----------------------------------------------------------
 
@@ -384,7 +385,8 @@ class BlockLookup(_LeafOperator):
 
 
 class Filter(PhysicalOperator):
-    """Keep elements satisfying a residual predicate."""
+    """Keep elements satisfying a residual predicate (``accept`` is its
+    row test; the predicate itself is rendered only by EXPLAIN)."""
 
     name = "Filter"
 
@@ -392,14 +394,14 @@ class Filter(PhysicalOperator):
         self,
         child: PhysicalOperator,
         accept: Callable[[Any], bool],
-        label: str = "",
+        predicate: Predicate,
     ) -> None:
         super().__init__((child,))
         self._accept = accept
-        self._label = label
+        self._predicate = predicate
 
     def describe(self) -> str:
-        return self._label
+        return predicate_text(self._predicate)
 
     def _rows(self) -> Iterator[Any]:
         stats = self.stats
@@ -417,12 +419,12 @@ class Project(PhysicalOperator):
     def __init__(
         self,
         child: PhysicalOperator,
-        schema: TableSchema,
         projection: Sequence[ColumnRef],
+        row: Callable[[Transaction], tuple[Any, ...]],
     ) -> None:
         super().__init__((child,))
-        self._schema = schema
         self._projection = tuple(projection)
+        self._row = row
 
     def describe(self) -> str:
         if not self._projection:
@@ -430,10 +432,10 @@ class Project(PhysicalOperator):
         return ", ".join(str(ref) for ref in self._projection)
 
     def _rows(self) -> Iterator[Row]:
-        stats, schema, projection = self.stats, self._schema, self._projection
+        stats, row = self.stats, self._row
         for tx in self.children[0].execute():
             stats.rows_out += 1
-            yield tx, project(tx, schema, projection)
+            yield tx, row(tx)
 
 
 class TraceRows(PhysicalOperator):
@@ -531,11 +533,15 @@ class Aggregate(PhysicalOperator):
 
     name = "Aggregate"
 
-    def __init__(self, child: PhysicalOperator, stmt: Select,
-                 schema: TableSchema) -> None:
+    def __init__(
+        self,
+        child: PhysicalOperator,
+        stmt: Select,
+        evaluate: Callable[[Sequence[Transaction]], list[tuple[Any, ...]]],
+    ) -> None:
         super().__init__((child,))
         self._stmt = stmt
-        self._schema = schema
+        self._evaluate = evaluate
 
     def describe(self) -> str:
         items = ", ".join(
@@ -547,9 +553,7 @@ class Aggregate(PhysicalOperator):
         return items
 
     def _rows(self) -> Iterator[Row]:
-        txs = list(self.children[0].execute())
-        _columns, rows = aggregate_rows(self._stmt, self._schema, txs)
-        for values in rows:
+        for values in self._evaluate(list(self.children[0].execute())):
             self.stats.rows_out += 1
             yield None, values
 
@@ -726,8 +730,8 @@ class HashJoin(_LeafOperator):
         self._candidate = candidate
         self._left = left
         self._right = right
-        self._left_key = left.column_index(left_column)
-        self._right_key = right.column_index(right_column)
+        self._left_key = column_getter(left.column_index(left_column))
+        self._right_key = column_getter(right.column_index(right_column))
         self._window = window
         self._left_accept = left_accept
         self._right_accept = right_accept
@@ -765,7 +769,7 @@ class HashJoin(_LeafOperator):
                 # to both sides, each under its own accept predicate
                 if tx.tname == build_name and (
                         build_accept is None or build_accept(tx)):
-                    key = tx.row()[build_key]
+                    key = build_key(tx)
                     if key is not None:
                         build.setdefault(key, []).append(tx)
                 if tx.tname == probe_name and (
@@ -773,7 +777,7 @@ class HashJoin(_LeafOperator):
                     probes.append(tx)
         stats = self.stats
         for tx in probes:
-            key = tx.row()[probe_key]
+            key = probe_key(tx)
             if key is None:
                 continue
             for match in build.get(key, ()):
@@ -898,7 +902,7 @@ class OnOffHashJoin(_LeafOperator):
         self._candidate = candidate
         self._offchain = offchain
         self._onchain = onchain
-        self._on_key = onchain.column_index(on_column)
+        self._on_key = column_getter(onchain.column_index(on_column))
         self._off_table = off_table
         self._off_key = off_key
         self._window = window
@@ -924,7 +928,7 @@ class OnOffHashJoin(_LeafOperator):
                     continue
                 if self._on_accept is not None and not self._on_accept(tx):
                     continue
-                key = tx.row()[self._on_key]
+                key = self._on_key(tx)
                 if key is None:
                     continue
                 for row in build.get(key, ()):

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from ..common.errors import CatalogError, ForcedPathError, QueryError
 from ..index.bitmap import Bitmap
 from ..index.layered import LayeredIndex
 from ..index.manager import IndexManager
 from ..model.catalog import Catalog
-from ..model.schema import TableSchema
-from ..model.transaction import Transaction
 from ..offchain.adapter import OffChainDatabase
 from ..sqlparser import nodes
 from ..sqlparser.nodes import predicate_text
@@ -51,6 +49,7 @@ from .logical import (
     LAggregate,
     LBlockLookup,
     LDistinct,
+    LFilter,
     LJoin,
     LLimit,
     LOffScan,
@@ -59,15 +58,13 @@ from .logical import (
     LSort,
     LTrace,
     LogicalPlan,
+    Lowering,
     lower,
+    lowering,
 )
 from .operators import (
     RangeConstraint,
-    pair_matches,
-    predicate_matches,
     projected_columns,
-    pseudo_schema,
-    pseudo_tx,
     qualifier_side,
 )
 
@@ -86,6 +83,7 @@ __all__ = [
     "pick_access_path",
     "rank_access_paths",
     "resolve_join_projection",
+    "usable_indexes",
     "window_bitmap",
 ]
 
@@ -156,15 +154,33 @@ def path_rank_key(choice: PathChoice) -> tuple:
     )
 
 
+def usable_indexes(
+    indexes: IndexManager, table: str, columns: Iterable[str]
+) -> dict[str, LayeredIndex]:
+    """The layered index serving each of ``columns`` on ``table``, for
+    the columns one has."""
+    usable = {}
+    for column in columns:
+        index = indexes.layered(column, table)
+        if index is not None:
+            usable[column] = index
+    return usable
+
+
 def rank_access_paths(
     store: BlockStore,
     indexes: IndexManager,
     table: str,
-    constraints: dict[str, RangeConstraint],
+    constraints: Mapping[str, RangeConstraint],
+    usable: Optional[Mapping[str, LayeredIndex]] = None,
 ) -> list[PathChoice]:
     """Every applicable access path for a single-table select, cheapest
     first under :func:`path_rank_key` (one layered entry per usable
-    constrained index - the per-conjunct enumeration)."""
+    constrained index - the per-conjunct enumeration).  ``usable`` is
+    :func:`usable_indexes` of the constrained columns, looked up when
+    not given."""
+    if usable is None:
+        usable = usable_indexes(indexes, table, constraints)
     n = store.height
     avg_block = avg_block_size(store)
     cost = store.cost
@@ -185,7 +201,7 @@ def rank_access_paths(
     )
     table_tuples = indexes.table_index.tuple_count(table)
     for column, constraint in constraints.items():
-        index = indexes.layered(column, table)
+        index = usable.get(column)
         if index is None:
             continue
         if constraint.low is None and constraint.high is None:
@@ -225,11 +241,7 @@ def pick_access_path(
 
 def avg_block_size(store: BlockStore) -> int:
     """Average packaged-block size f, sampled from the newest 16 blocks."""
-    if store.height == 0:
-        return 0
-    sample = min(store.height, 16)
-    total = sum(store.block_size(h) for h in range(store.height - sample, store.height))
-    return total // sample
+    return store.recent_block_size()
 
 
 # -- physical plans ---------------------------------------------------------
@@ -277,12 +289,6 @@ class TraceDecision:
 
 #: off-chain scans and GET BLOCK have no physical freedom: ``None``
 Decision = Union[SelectDecision, JoinDecision, TraceDecision, None]
-
-
-def _tx_accept(
-    predicate: nodes.Predicate, schema: TableSchema
-) -> Callable[[Transaction], bool]:
-    return lambda tx: predicate_matches(tx, predicate, schema)
 
 
 @dataclasses.dataclass
@@ -461,6 +467,21 @@ class Planner:
 
     # -- entry points ------------------------------------------------------
 
+    @property
+    def schema_version(self) -> tuple[int, int, int]:
+        """Changes whenever what lowering and enumeration read changes:
+        the catalog, the layered-index set, the off-chain tables."""
+        offchain = self._offchain
+        return (
+            self._catalog.version,
+            self._indexes.version,
+            offchain.version if offchain is not None else 0,
+        )
+
+    def lowering(self, statement: nodes.Statement) -> Lowering:
+        """Lower a read statement as far as its text allows (once per text)."""
+        return lowering(statement, self._catalog, self._offchain)
+
     def lower(self, statement: nodes.Statement) -> LogicalPlan:
         """Bind a read statement into the logical IR."""
         return lower(statement, self._catalog, self._offchain)
@@ -538,12 +559,8 @@ class Planner:
             root = phys.SeqScan(store, candidate, schema, scan.window)
         root.est_rows = choice.est_rows or None
         root.est_cost_ms = choice.est_cost_ms
-        if scan.predicate is not None:
-            root = phys.Filter(
-                root,
-                _tx_accept(scan.predicate, schema),
-                predicate_text(scan.predicate),
-            )
+        if scan.accept is not None:
+            root = phys.Filter(root, scan.accept, scan.predicate)
         return root
 
     def _build_select(
@@ -556,11 +573,11 @@ class Planner:
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         if isinstance(head, LAggregate):
             columns = aggregate_columns(stmt)
-            root = phys.Aggregate(root, stmt, scan.schema)
+            root = phys.Aggregate(root, stmt, head.evaluate)
         else:
-            assert isinstance(head, LProject)
+            assert isinstance(head, LProject) and head.row is not None
             columns = projected_columns(scan.schema, stmt.projection)
-            root = phys.Project(root, scan.schema, stmt.projection)
+            root = phys.Project(root, stmt.projection, head.row)
         root = finish_pipeline(root, rest, columns)
         return PhysicalPlan(
             root=root, columns=columns, access_path=choice.path.value,
@@ -577,17 +594,9 @@ class Planner:
         root: phys.PhysicalOperator = phys.OffchainScan(
             offchain, scan.table.name
         )
-        residual = lplan.residual()
-        if residual is not None:
-            schema = pseudo_schema(scan.table.name, columns)
-            where = residual
-
-            def accept(item: phys.Row) -> bool:
-                return predicate_matches(
-                    pseudo_tx(scan.table.name, columns, item[1]), where, schema
-                )
-
-            root = phys.Filter(root, accept, predicate_text(residual))
+        if isinstance(lplan.source, LFilter):
+            root = phys.Filter(
+                root, lplan.source.accept, lplan.source.predicate)
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         assert isinstance(head, LProject)
         if head.items:
@@ -615,12 +624,7 @@ class Planner:
         left_col, right_col = join.left_column, join.right_column
         window = join.left.window
         left_pred, right_pred = join.left.predicate, join.right.predicate
-        left_accept = (
-            _tx_accept(left_pred, left) if left_pred is not None else None
-        )
-        right_accept = (
-            _tx_accept(right_pred, right) if right_pred is not None else None
-        )
+        left_accept, right_accept = join.left.accept, join.right.accept
         pushed = " AND ".join(
             predicate_text(p) for p in (left_pred, right_pred) if p is not None
         )
@@ -667,11 +671,10 @@ class Planner:
         onchain, on_col = join.left.schema, join.left_column
         off_table, off_col = join.right.table.name, join.right_column
         window = join.left.window
-        on_accept, pushed = None, ""
+        on_accept, pushed = join.left.accept, ""
         if join.left.predicate is not None:
-            on_accept = _tx_accept(join.left.predicate, onchain)
             pushed = predicate_text(join.left.predicate)
-        off_columns = offchain.columns(off_table)
+        off_columns = join.right.columns
         if off_col not in off_columns:
             raise QueryError(
                 f"off-chain table {off_table!r} has no column {off_col!r}"
@@ -722,32 +725,18 @@ class Planner:
     ) -> PhysicalPlan:
         stmt = lplan.statement
         assert isinstance(stmt, nodes.Select)
-        residual = lplan.residual()
         left_schema = join.left.schema
         right = join.right
         refs = (join.left.table, right.table)
         if isinstance(right, LScan):
             root = self._onchain_join_leaf(join, decision)
-            right_schema = right.schema
-            right_columns = right_schema.column_names
-
-            def accept(pair: tuple[Transaction, Any]) -> bool:
-                return pair_matches(
-                    residual, pair[0], left_schema, pair[1], right_schema, refs
-                )
+            right_columns: Sequence[str] = right.schema.column_names
         else:
             root = self._onoff_join_leaf(join, decision)
-            right_name, right_columns = right.table.name, right.columns
-            right_schema = pseudo_schema(right_name, right_columns)
-
-            def accept(pair: tuple[Transaction, Any]) -> bool:
-                return pair_matches(
-                    residual, pair[0], left_schema,
-                    pseudo_tx(right_name, right_columns, pair[1]),
-                    right_schema, refs,
-                )
-        if residual is not None:
-            root = phys.Filter(root, accept, predicate_text(residual))
+            right_columns = right.columns
+        if isinstance(lplan.source, LFilter):
+            root = phys.Filter(
+                root, lplan.source.accept, lplan.source.predicate)
         head, rest = lplan.pipeline[0], lplan.pipeline[1:]
         assert isinstance(head, LProject)
         root, columns = self._join_rows(

@@ -318,7 +318,7 @@ class ShardedNode(SqlNode):
         )
         if isinstance(target, int):
             # one shard owns the statement outright: delegate it whole
-            return self.shards[target].query(statement, method=method)
+            return self.shards[target].query(sql, params, method=method)
         if explain:
             return explain_plan(target, statement.analyze)
         return run_plan(target)

@@ -16,7 +16,7 @@ strings, TRUE/FALSE/NULL, and ``?`` placeholders bound at execution.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..common.errors import ParseError
 from .lexer import Token, TokenType, tokenize
@@ -70,14 +70,121 @@ def prepare(sql: Union[str, Statement], params: Sequence[Any]) -> Statement:
 
 def bind(statement: Statement, params: tuple[Any, ...]) -> Statement:
     """Substitute ``?`` placeholders left-to-right with ``params``."""
-    binder = _Binder(params)
-    bound = binder.bind(statement)
-    if binder.remaining():
-        raise ParseError(
-            f"{binder.remaining()} unused bind parameter(s) "
-            f"(statement has {binder.consumed} placeholder(s))"
-        )
-    return bound
+    return Binder(statement)(params)
+
+
+def _holds_placeholder(*values: Any) -> bool:
+    return any(value is PLACEHOLDER for value in values)
+
+
+class Binder:
+    """A statement's placeholders as numbered slots, bound by one call.
+
+    Compiling walks the statement once, depth-first and left to right,
+    numbering each ``?`` and keeping, per node that holds one, a
+    function that rebuilds that node from the parameters; nodes without
+    a placeholder are shared by every bound copy.  A call then only
+    substitutes values.
+    """
+
+    def __init__(self, statement: Statement) -> None:
+        self.slots = 0
+        rebuild = self._compile(statement)
+        self._rebuild = rebuild if rebuild is not None else (lambda _p: statement)
+
+    def __call__(self, params: Sequence[Any]) -> Statement:
+        """The statement with ``params`` in its slots, one each."""
+        if len(params) < self.slots:
+            raise ParseError("not enough bind parameters for the placeholders")
+        if len(params) > self.slots:
+            raise ParseError(
+                f"{len(params) - self.slots} unused bind parameter(s) "
+                f"(statement has {self.slots} placeholder(s))"
+            )
+        return self._rebuild(params)
+
+    def _value(self, value: Any) -> Callable[[Sequence[Any]], Any]:
+        """A getter for one value: its slot's parameter, or the literal."""
+        if value is PLACEHOLDER:
+            slot = self.slots
+            self.slots += 1
+            return lambda p: p[slot]
+        return lambda _p: value
+
+    def _compile(self, node: Any) -> Optional[Callable[[Sequence[Any]], Any]]:
+        """``node`` rebuilt from the parameters, or None without a placeholder."""
+        if isinstance(node, Explain):
+            inner = self._compile(node.statement)
+            if inner is None:
+                return None
+            analyze = node.analyze
+            return lambda p: Explain(statement=inner(p), analyze=analyze)
+        if isinstance(node, Insert):
+            if not _holds_placeholder(*node.values):
+                return None
+            table = node.table
+            values = [self._value(v) for v in node.values]
+            return lambda p: Insert(table, tuple(v(p) for v in values))
+        if isinstance(node, Select):
+            where = self._compile(node.where)
+            window = self._compile(node.window)
+            if where is None and window is None:
+                return None
+            return lambda p: Select(
+                projection=node.projection,
+                tables=node.tables,
+                join_on=node.join_on,
+                where=where(p) if where is not None else node.where,
+                group_by=node.group_by,
+                order_by=node.order_by,
+                window=window(p) if window is not None else node.window,
+                limit=node.limit,
+                distinct=node.distinct,
+            )
+        if isinstance(node, Trace):
+            # bind in the statement's textual order: window precedes the
+            # OPERATOR/OPERATION clauses in TRACE [s, e] OPERATOR = ...
+            window = self._compile(node.window)
+            if window is None and not _holds_placeholder(node.operator, node.operation):
+                return None
+            operator, operation = self._value(node.operator), self._value(node.operation)
+            return lambda p: Trace(
+                operator=operator(p),
+                operation=operation(p),
+                window=window(p) if window is not None else node.window,
+            )
+        if isinstance(node, GetBlock):
+            if node.value is not PLACEHOLDER:
+                return None
+            kind, value = node.kind, self._value(node.value)
+            return lambda p: GetBlock(kind, value(p))
+        if isinstance(node, TimeWindow):
+            if not _holds_placeholder(node.start, node.end):
+                return None
+            start, end = self._value(node.start), self._value(node.end)
+            return lambda p: TimeWindow(start(p), end(p))
+        if isinstance(node, Comparison):
+            if node.value is not PLACEHOLDER:
+                return None
+            column, op, value = node.column, node.op, self._value(node.value)
+            return lambda p: Comparison(column, op, value(p))
+        if isinstance(node, Between):
+            if not _holds_placeholder(node.low, node.high):
+                return None
+            column = node.column
+            low, high = self._value(node.low), self._value(node.high)
+            return lambda p: Between(column, low(p), high(p))
+        if isinstance(node, (And, Or)):
+            parts = [self._compile(part) for part in node.parts]
+            if all(part is None for part in parts):
+                return None
+            kind = type(node)
+            rebuilt = [
+                part if part is not None else (lambda _p, q=q: q)
+                for part, q in zip(parts, node.parts)
+            ]
+            return lambda p: kind(tuple(part(p) for part in rebuilt))
+        return None
 
 
 class _Parser:
@@ -426,65 +533,3 @@ class _Parser:
         if token.type is not TokenType.OPERATOR or token.value not in ops:
             raise ParseError(f"expected comparison operator, got {token.value!r}", token.position)
         return Comparison(column=column, op=ops[token.value], value=self._literal())
-
-
-class _Binder:
-    """Replaces placeholders depth-first, left-to-right."""
-
-    def __init__(self, params: tuple[Any, ...]) -> None:
-        self._params = list(params)
-        self.consumed = 0
-
-    def remaining(self) -> int:
-        return len(self._params)
-
-    def _take(self) -> Any:
-        if not self._params:
-            raise ParseError("not enough bind parameters for the placeholders")
-        self.consumed += 1
-        return self._params.pop(0)
-
-    def value(self, v: Any) -> Any:
-        return self._take() if v is PLACEHOLDER else v
-
-    def bind(self, node: Any) -> Any:
-        if node is PLACEHOLDER:
-            return self._take()
-        if isinstance(node, Explain):
-            return Explain(statement=self.bind(node.statement), analyze=node.analyze)
-        if isinstance(node, Insert):
-            return Insert(node.table, tuple(self.value(v) for v in node.values))
-        if isinstance(node, Select):
-            return Select(
-                projection=node.projection,
-                tables=node.tables,
-                join_on=node.join_on,
-                where=self.bind(node.where) if node.where else None,
-                group_by=node.group_by,
-                order_by=node.order_by,
-                window=self.bind(node.window) if node.window else None,
-                limit=node.limit,
-                distinct=node.distinct,
-            )
-        if isinstance(node, Trace):
-            # bind in the statement's textual order: window precedes the
-            # OPERATOR/OPERATION clauses in TRACE [s, e] OPERATOR = ...
-            window = self.bind(node.window) if node.window else None
-            return Trace(
-                operator=self.value(node.operator),
-                operation=self.value(node.operation),
-                window=window,
-            )
-        if isinstance(node, GetBlock):
-            return GetBlock(node.kind, self.value(node.value))
-        if isinstance(node, TimeWindow):
-            return TimeWindow(self.value(node.start), self.value(node.end))
-        if isinstance(node, Comparison):
-            return Comparison(node.column, node.op, self.value(node.value))
-        if isinstance(node, Between):
-            return Between(node.column, self.value(node.low), self.value(node.high))
-        if isinstance(node, And):
-            return And(tuple(self.bind(p) for p in node.parts))
-        if isinstance(node, Or):
-            return Or(tuple(self.bind(p) for p in node.parts))
-        return node

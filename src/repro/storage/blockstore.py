@@ -48,9 +48,13 @@ from ..common.lru import LRUCache
 from ..model.block import Block, BlockHeader
 from ..model.transaction import Transaction
 from .costmodel import CostModel
+from .scan import StoreScanner
 from .segment import BlockLocation, SegmentStore
 
 Listener = Callable[[Block, BlockLocation], None]
+
+#: blocks the optimizer's average block size f samples, newest first
+RECENT_BLOCKS = 16
 
 
 class RecoverySink(Protocol):
@@ -78,6 +82,9 @@ class BlockStore:
             self.config.data_dir, self.config.segment_file_size
         )
         self._locations: list[BlockLocation] = []
+        #: stored bytes of the newest ``RECENT_BLOCKS`` blocks, kept at
+        #: append for :meth:`recent_block_size`
+        self._recent_bytes = 0
         #: per block: each transaction's offset in the block and length,
         #: flat - ``[offset_0, length_0, offset_1, length_1, ...]``
         self._tx_offsets: list[array] = []
@@ -200,7 +207,7 @@ class BlockStore:
                     segment=segment, offset=offset,
                     length=reader.position - offset,
                 )
-                self._locations.append(location)
+                self._add_location(location)
                 self._tx_offsets.append(tx_offsets)
                 self._add_tags(txs)
                 self._headers.append(header)
@@ -213,6 +220,7 @@ class BlockStore:
 
     def _reset_chain_state(self) -> None:
         self._locations = []
+        self._recent_bytes = 0
         self._tx_offsets = []
         self._tx_tables = []
         self._tx_senders = []
@@ -293,7 +301,7 @@ class BlockStore:
         location = self._segments.append(data)
         # appending is one seek at most (sequential after the first write)
         self.cost.record_write(len(data), seeks=0)
-        self._locations.append(location)
+        self._add_location(location)
         self._tx_offsets.append(offsets)
         self._add_tags(block.transactions)
         self._headers.append(block.header)
@@ -301,6 +309,15 @@ class BlockStore:
         if notify:
             self.notify_append_listeners(block, location)
         return location
+
+    def _add_location(self, location: BlockLocation) -> None:
+        """Admit the next block's location; the newest blocks' byte sum
+        takes it in and drops the block that leaves the window."""
+        locations = self._locations
+        locations.append(location)
+        self._recent_bytes += location.length
+        if len(locations) > RECENT_BLOCKS:
+            self._recent_bytes -= locations[-RECENT_BLOCKS - 1].length
 
     def _add_tags(self, txs: Sequence[Transaction]) -> None:
         """Record a new block's scan tags, from its decoded transactions."""
@@ -540,10 +557,8 @@ class BlockStore:
         offsets = self._tx_offsets[height]
         return _check_block_framing(data, offsets), data, offsets
 
-    def scanner(self, tracker: CostModel) -> "StoreScanner":
+    def scanner(self, tracker: CostModel) -> StoreScanner:
         """The scan interface query operators must read through."""
-        from .scan import StoreScanner
-
         return StoreScanner(self, tracker)
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
@@ -555,6 +570,12 @@ class BlockStore:
     def block_size(self, height: int) -> int:
         self._check_height(height)
         return self._locations[height].length
+
+    def recent_block_size(self) -> int:
+        """Average stored size of the newest ``RECENT_BLOCKS`` blocks (of
+        all of them on a shorter chain); 0 on an empty chain."""
+        sample = min(len(self._locations), RECENT_BLOCKS)
+        return self._recent_bytes // sample if sample else 0
 
     def location(self, height: int) -> BlockLocation:
         """Physical location of a stored block."""

@@ -120,6 +120,14 @@ class TestLevelOneBitmaps:
     # max_ts: the window's bisect bounds must still reach it
     @example(blocks=[[5], [50], [60], [3]], start=None, end=4)
     @example(blocks=[[90], [10], [20]], start=50, end=None)
+    # out-of-order timestamps on both edges of the run set whole: blocks
+    # before it reaching into the window, blocks after it reaching back
+    @example(blocks=[[5, 40], [2], [30], [35, 45], [50], [10, 60], [99]],
+             start=30, end=50)
+    @example(blocks=[[60], [1, 20], [25], [28], [95], [21, 22]],
+             start=20, end=30)
+    # a window inside one block's range
+    @example(blocks=[[10], [20, 90], [95]], start=40, end=60)
     def test_window_bitmap_equals_reference_loop(self, blocks, start, end):
         # transaction timestamps jump back and forth between blocks; only
         # the packaging timestamps (the heights) are monotone

@@ -49,6 +49,75 @@ def build_store(num_blocks=4, config=None):
     return store
 
 
+def sixteen_block_average(store):
+    """The optimizer's block size f as a loop: the newest 16 blocks'
+    stored sizes (all of them on a shorter chain), averaged."""
+    if store.height == 0:
+        return 0
+    sample = min(store.height, 16)
+    return sum(store.block_size(h)
+               for h in range(store.height - sample, store.height)) // sample
+
+
+def grow(store, blocks, seed):
+    """Append ``blocks`` blocks of 1-9 transactions each."""
+    rng = random.Random(seed)
+    if store.height == 0:
+        store.append_block(make_genesis())
+    tid = 0
+    for _ in range(blocks):
+        count = rng.randint(1, 9)
+        block = make_block(store.tip_hash, store.height, count=count,
+                           start_tid=tid)
+        store.append_block(block)
+        tid += count
+
+
+class TestRecentBlockSize:
+    """``BlockStore.recent_block_size`` keeps the sum the optimizer's
+    average block size once re-summed on every ranking."""
+
+    def test_matches_the_loop_across_appends(self):
+        store = BlockStore()
+        assert store.recent_block_size() == 0
+        store.append_block(make_genesis())
+        rng = random.Random(7)
+        tid = 0
+        for height in range(1, 40):
+            # shorter than the window first, then sliding past it
+            count = rng.randint(1, 9)
+            store.append_block(make_block(store.tip_hash, height,
+                                          count=count, start_tid=tid))
+            tid += count
+            assert store.recent_block_size() == sixteen_block_average(store)
+
+    @pytest.mark.parametrize("blocks", [5, 30])
+    def test_after_reopen(self, tmp_path, blocks):
+        config = SebdbConfig.in_memory(data_dir=tmp_path)
+        store = BlockStore(config)
+        grow(store, blocks, seed=blocks)
+        expected = store.recent_block_size()
+        assert expected == sixteen_block_average(store)
+        store.close()
+        reopened = BlockStore(config)
+        assert reopened.height == blocks + 1
+        assert reopened.recent_block_size() == expected
+        reopened.close()
+
+    def test_after_a_trusted_checkpoint_fallback(self, tmp_path):
+        config = SebdbConfig.in_memory(data_dir=tmp_path)
+        store = BlockStore(config)
+        grow(store, 25, seed=3)
+        expected = sixteen_block_average(store)
+        store.close()
+        # an anchor the chain does not reproduce: the whole store is
+        # parsed again from an emptied chain state
+        reopened = BlockStore(config, trusted_checkpoint=(10, b"\x00" * 32))
+        assert reopened.recovery_report["trusted_fallback"] is True
+        assert reopened.recent_block_size() == expected
+        reopened.close()
+
+
 class TestSegmentStore:
     def test_append_read_roundtrip(self):
         seg = SegmentStore(None, 1024)
