@@ -246,6 +246,21 @@ FUZZ_CORPUS = [
     ("TRACE OPERATOR = 'org1'", None),
     ("TRACE OPERATION = 'transfer'", None),
     ("TRACE [350, 820] OPERATOR = 'org3', OPERATION = 'transfer'", None),
+    # windowed joins: both sides of an on-chain join, the self-join's
+    # pushed intake and the on/off join's pushed intake keep the window
+    ("SELECT * FROM transfer, distribute "
+     "ON transfer.organization = distribute.organization "
+     "WINDOW [300, 700]", None),
+    ("SELECT * FROM donate a, donate b ON a.amount = b.amount "
+     "WHERE b.amount > 300 WINDOW [300, 700]", None),
+    ("SELECT * FROM onchain.distribute, offchain.doneeinfo "
+     "ON distribute.donee = doneeinfo.donee "
+     "WHERE distribute.amount > 200 WINDOW [300, 700]", None),
+    # TRACE on one dimension inside a window, and the schema log, which
+    # no trace ever returns
+    ("TRACE [300, 700] OPERATION = 'donate'", None),
+    ("TRACE [350, 820] OPERATOR = 'org3'", None),
+    ("TRACE OPERATION = '__schema__'", None),
 ]
 
 
