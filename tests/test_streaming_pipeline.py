@@ -14,8 +14,15 @@ The read path compiles to a tree of generator-based physical operators
 import itertools
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.common.config import SebdbConfig
 from repro.common.errors import ParseError
+from repro.model.transaction import SCHEMA_TNAME, Transaction
+from repro.node import FullNode
+from repro.query.physical import equal_runs, row_test
+from repro.sqlparser.nodes import TimeWindow
 
 K = 3
 
@@ -132,7 +139,7 @@ def test_only_leaf_operators_do_io(chain):
 
 def test_operator_row_counts_are_consistent(chain):
     result = run(chain, "SELECT donor, amount FROM donate WHERE amount > 100")
-    ops = {type(op).__name__: op for op in result.plan.operators()}
+    ops = {op.name: op for op in result.plan.operators()}
     scan, filt = ops["BitmapScan"], ops["Filter"]
     assert filt.stats.rows_in == scan.stats.rows_out
     assert filt.stats.rows_out == len(result.rows)
@@ -170,7 +177,7 @@ def test_order_by_blocks_limit_pushdown_in_plan(chain):
     result = run(chain, "SELECT donor, amount FROM donate "
                         "WHERE amount > 100 ORDER BY amount LIMIT 5",
                  method="layered")
-    names = [type(op).__name__ for op in result.plan.operators()]
+    names = [op.name for op in result.plan.operators()]
     # Limit sits above the blocking Sort: the early stop cannot reach the
     # scan, so an ordered LIMIT still reads every matching tuple
     assert names.index("Limit") < names.index("Sort")
@@ -241,3 +248,58 @@ def test_streaming_result_is_lazy(chain):
     assert result.plan.cost().seeks > seeks_after_first
     assert len(rest) + 1 == len(result.rows)
     assert not result.is_streaming
+
+
+# -- the leaves' one row test and the merge joins' one walk ------------------
+
+TABLES = ("donate", "transfer", SCHEMA_TNAME)
+BOUNDS = st.one_of(st.none(), st.integers(0, 20))
+
+
+@given(
+    tname=st.sampled_from(TABLES), senid=st.sampled_from(("org1", "org2")),
+    ts=st.integers(0, 20), table=st.one_of(st.none(), st.sampled_from(TABLES)),
+    sender=st.one_of(st.none(), st.sampled_from(("org1", "org2"))),
+    window=st.one_of(st.none(), st.tuples(BOUNDS, BOUNDS)),
+    accept=st.one_of(st.none(), st.booleans()),
+)
+def test_row_test_matches_its_definition(tname, senid, ts, table, sender,
+                                         window, accept):
+    assume(table is not None or sender is not None)
+    tx = Transaction.create(tname, ("x",), ts=ts, sender=senid)
+    start, end = window if window is not None else (None, None)
+    expected = (tname != SCHEMA_TNAME
+                and (table is None or tname == table)
+                and (sender is None or senid == sender)
+                and (start is None or ts >= start)
+                and (end is None or ts <= end)
+                and accept is not False)
+    test = row_test(
+        table, sender, None if window is None else TimeWindow(start, end),
+        None if accept is None else (lambda _tx: accept))
+    assert test(tx) is expected
+
+
+@given(st.lists(st.integers(0, 6)), st.lists(st.integers(0, 6)))
+def test_equal_runs_pairs_exactly_the_equal_keys(left, right):
+    left.sort()
+    right.sort()
+    pairs = [(a, b) for i, i_end, j, j_end in equal_runs(left, right)
+             for a in range(i, i_end) for b in range(j, j_end)]
+    assert pairs == [(a, b) for a, key in enumerate(left)
+                     for b, other in enumerate(right) if key == other]
+
+
+def test_layered_trace_keeps_block_order_over_an_mb_tree():
+    # an MB-tree orders equal keys by payload repr ('10' before '9'); a
+    # layered TRACE still returns each block's rows in block order
+    node = FullNode("trace-order", config=SebdbConfig.in_memory())
+    node.execute("CREATE TABLE t (k int)")
+    node.apply_batch([Transaction.create("t", (i,), ts=i, sender="org1")
+                      for i in range(12)])
+    node.create_index("senid", authenticated=True)
+    sql = "TRACE OPERATOR = 'org1'"
+    layered = node.query(sql, method="layered")
+    assert [row[4] for row in layered.rows] == [(i,) for i in range(12)]
+    assert layered.rows == node.query(sql, method="scan").rows
+    node.close()
