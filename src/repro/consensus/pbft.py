@@ -103,7 +103,8 @@ class _Replica:
         self.states: dict[int, _SeqState] = {}
         self.byzantine: Optional[str] = None
         self.view_change_votes: dict[int, set[str]] = {}
-        self.pending_requests: list[tuple[Transaction, float]] = []
+        #: digest -> request not yet executed, in first-arrival order
+        self.pending_requests: dict[bytes, Transaction] = {}
         #: running digest chain over executed batches (checkpoint material)
         self.exec_digest = b"\x00" * 32
         #: (seq, digest) -> replicas that announced that checkpoint
@@ -216,10 +217,11 @@ class _Replica:
     def on_request(self, _src: str, message: dict[str, Any]) -> None:
         """Every replica tracks requests so backups can detect a dead primary."""
         tx: Transaction = message["tx"]
-        now = self.cluster.bus.clock.now_ms()
-        self.pending_requests.append((tx, now))
+        digest = tx.hash()
+        if not self.cluster.was_executed(digest):
+            self.pending_requests.setdefault(digest, tx)
         if self.is_primary:
-            self.cluster.enqueue(self, tx)
+            self.cluster.enqueue(self, tx, digest)
         else:
             self.cluster.bus.schedule(
                 self.cluster.request_timeout_ms, self._check_progress
@@ -237,17 +239,8 @@ class _Replica:
             return
         self.start_view_change(self.view + 1)
 
-    def _prune_pending(self) -> None:
-        """Drop executed requests from ``pending_requests``."""
-        self.pending_requests = [
-            (tx, t0)
-            for tx, t0 in self.pending_requests
-            if not self.cluster.was_executed(tx)
-        ]
-
     def _has_stuck_requests(self) -> bool:
-        """Prune executed requests; True when any are still undelivered."""
-        self._prune_pending()
+        """True when a request this replica saw is still unexecuted."""
         return bool(self.pending_requests)
 
     def on_pre_prepare(self, src: str, message: dict[str, Any]) -> None:
@@ -348,7 +341,6 @@ class _Replica:
 
     def try_execute(self) -> None:
         """Execute committed sequences strictly in order."""
-        executed = False
         while True:
             state = self.states.get(self.last_executed + 1)
             if state is None or not state.committed or state.batch is None:
@@ -362,10 +354,6 @@ class _Replica:
                 self, self.last_executed, state.batch, batch_digest
             )
             self._maybe_emit_checkpoint(self.last_executed)
-            executed = True
-        if executed and self.is_primary:
-            # backups prune on their progress timers; the primary arms none
-            self._prune_pending()
 
     # -- view change -------------------------------------------------------------------
 
@@ -748,7 +736,7 @@ class PBFTCluster(ConsensusEngine):
         replica.last_executed = -1
         replica.states = {}
         replica.view_change_votes = {}
-        replica.pending_requests = []
+        replica.pending_requests = {}
         replica.exec_digest = b"\x00" * 32
         replica.checkpoint_votes = {}
         replica.stable_checkpoint = None
@@ -804,9 +792,9 @@ class PBFTCluster(ConsensusEngine):
 
     # -- primary-side batching ------------------------------------------------------
 
-    def enqueue(self, primary: _Replica, tx: Transaction) -> None:
-        """Buffer a request at the primary; a full batch is proposed."""
-        digest = tx.hash()
+    def enqueue(self, primary: _Replica, tx: Transaction, digest: bytes) -> None:
+        """Buffer a request (``digest`` its hash) at the primary; a full
+        batch is proposed."""
         if digest in self._in_pipeline or digest in self._executed_digests:
             return  # a retry of a request already buffered, proposed or done
         self._in_pipeline.add(digest)
@@ -817,8 +805,6 @@ class PBFTCluster(ConsensusEngine):
     def _propose(self, batch: list[Transaction], replica: Optional[_Replica] = None) -> None:
         if not batch:
             return
-        for tx in batch:
-            self._in_pipeline.add(tx.hash())
         primary = replica
         if primary is None or not primary.is_primary:
             view = max(r.view for r in self.replicas)
@@ -833,18 +819,12 @@ class PBFTCluster(ConsensusEngine):
         ``exclude`` holds hashes the new primary already re-proposed for
         in-flight sequences, so they are not proposed a second time.
         """
-        stuck = []
-        seen: set[bytes] = set()
-        for tx, _ in new_primary.pending_requests:
-            digest = tx.hash()
-            if (digest in exclude or digest in seen
-                    or digest in self._executed_digests):
-                continue
-            seen.add(digest)
-            stuck.append(tx)
-        new_primary.pending_requests = []
+        stuck = [(digest, tx) for digest, tx in new_primary.pending_requests.items()
+                 if digest not in exclude]
+        new_primary.pending_requests = {}
         if stuck:
-            self._propose(stuck, new_primary)
+            self._in_pipeline.update(digest for digest, _ in stuck)
+            self._propose([tx for _, tx in stuck], new_primary)
 
     # -- execution plumbing --------------------------------------------------------------
 
@@ -853,8 +833,8 @@ class PBFTCluster(ConsensusEngine):
         horizon = max(seqs) if seqs else -1
         return max(horizon, max(r.last_executed for r in self.replicas))
 
-    def was_executed(self, tx: Transaction) -> bool:
-        return tx.hash() in self._executed_digests
+    def was_executed(self, digest: bytes) -> bool:
+        return digest in self._executed_digests
 
     def _ack_source(self) -> str:
         """Bus id the cluster's client-facing acks originate from.
@@ -899,21 +879,24 @@ class PBFTCluster(ConsensusEngine):
             # at a new sequence while the old one also survives, so filter
             # every transaction already delivered (cross-batch and within
             # this batch) before handing the rest to the SEBDB nodes
-            fresh: list[Transaction] = []
+            fresh: list[tuple[Transaction, Optional[ReplyCallback]]] = []
             for tx in batch:
                 tx_digest = tx.hash()
                 if tx_digest in self._executed_digests:
                     continue
-                # done, not in flight: enqueue's dedup now finds it here
+                # done, not in flight: enqueue's dedup now finds it here,
+                # and no replica tracks it any more
                 self._in_pipeline.discard(tx_digest)
                 self._executed_digests.add(tx_digest)
-                fresh.append(tx)
+                for peer in self.replicas:
+                    peer.pending_requests.pop(tx_digest, None)
+                fresh.append((tx, self._replies.pop(tx_digest, None)))
             if not fresh:
                 return
             # the acks ride the executing replica's client link - lossy,
             # partitionable, and dead when that replica is
             self.finish_commit(
-                [(tx, self._replies.pop(tx.hash(), None)) for tx in fresh],
+                fresh,
                 replica.node_id, self.bus.clock.now_ms(),
                 SUBMIT_LATENCY_MS,
             )

@@ -18,6 +18,7 @@ from repro.consensus import (
     TendermintEngine,
 )
 from repro.consensus.base import SerialLane
+from repro.consensus.pbft import REQUEST
 from repro.model import Transaction
 from repro.network import MessageBus
 
@@ -249,6 +250,24 @@ class TestPBFT:
         cluster.flush()
         bus.run_until_idle()
         assert cluster.stats.committed == 300
+
+    def test_request_after_execution_is_not_tracked(self):
+        """A REQUEST that reaches the replicas after its transaction
+        executed (a client retry) enters no replica's pending table, so
+        no progress timer finds it stuck."""
+        bus = MessageBus(seed=8)
+        cluster = PBFTCluster(bus, n=4, batch_txs=1, timeout_ms=20)
+        collect_chains(cluster)
+        tx = make_tx(0)
+        cluster.submit(tx)
+        bus.run_until_idle()
+        assert cluster.stats.committed == 1
+        for replica in cluster.replicas:
+            replica.handle("client", {"kind": REQUEST, "tx": tx})
+        assert [len(r.pending_requests) for r in cluster.replicas] == [0] * 4
+        bus.run_until_idle()
+        assert cluster.stats.committed == 1
+        assert [r.view for r in cluster.replicas] == [0] * 4
 
     def test_primary_crash_triggers_view_change(self):
         cluster, chains, replies = self.run_cluster(
