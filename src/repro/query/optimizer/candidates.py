@@ -26,8 +26,6 @@ class Candidate(CandidateInfo):
     kind: str = ""
     build: Callable[[], PhysicalPlan] = dataclasses.field(  # type: ignore[assignment]
         default=lambda: None, compare=False, repr=False)
-    #: extra detail for docs/debugging, not part of the identity
-    detail: str = ""
 
     def info(self, chosen: bool = False) -> CandidateInfo:
         """This candidate's waterfall row on its own."""

@@ -215,7 +215,6 @@ class Optimizer:
                 kind="offchain",
                 est_cost_ms=0.0,
                 build=lambda: planner.build(lplan),
-                detail="local RDBMS is authoritative; no on-chain I/O",
             )]
         assert isinstance(source, LBlockLookup)
         return lambda lplan, _method: [Candidate(
@@ -318,7 +317,6 @@ class Optimizer:
                 kind="join",
                 est_cost_ms=float("inf"),
                 build=lambda: planner.build(lplan, decision),
-                detail="forced method without the required indexes",
             )]
         return rank
 
@@ -357,7 +355,6 @@ class Optimizer:
                     build=(
                         lambda d=decision: planner.build(lplan, d)
                     ),
-                    detail=f"build side holds ~{build_rows} tuples",
                 ))
         if merge:
             decision = JoinDecision(method=AccessPath.LAYERED)
@@ -368,7 +365,6 @@ class Optimizer:
                 est_rows=min(left_rows, right_rows),
                 est_seeks=left_rows + right_rows,
                 build=lambda d=decision: planner.build(lplan, d),
-                detail="Algorithm 2 over both sides' layered indexes",
             ))
         return candidates
 
@@ -415,7 +411,6 @@ class Optimizer:
                 est_rows=min(on_rows, max(off_rows, 1)),
                 est_seeks=on_rows,
                 build=lambda d=decision: planner.build(lplan, d),
-                detail="Algorithm 3: off-chain [min,max] prunes level 1",
             ))
         return candidates
 

@@ -193,7 +193,6 @@ def rank_sharded_select(
         planners: ShardPlanners = shard_planners,
         ranked: list[ShardRanking] = rankings,
         sort_below_merge: bool = True,
-        detail: str = "",
     ) -> Candidate:
         """A uniform ``path`` on every shard, or each shard's cheapest
         when ``path`` is None."""
@@ -213,20 +212,12 @@ def rank_sharded_select(
             build=lambda: _build_fanout(
                 planners, ranked, choices, sort_below_merge
             ),
-            detail=detail,
         )
 
     if method is not None:
-        candidates = [fanout_candidate(
-            f"fanout:uniform({method.value})", method,
-            detail="forced method on every shard",
-        )]
+        candidates = [fanout_candidate(f"fanout:uniform({method.value})", method)]
     else:
-        candidates = [fanout_candidate(
-            "fanout:per-shard-best", None,
-            detail=f"{len(shard_planners)} shard(s), each picks its "
-            f"cheapest path",
-        )]
+        candidates = [fanout_candidate("fanout:per-shard-best", None)]
         # layered is only enumerated when every shard can serve it
         candidates += [
             fanout_candidate(f"fanout:uniform({path.value})", path)
@@ -238,16 +229,11 @@ def rank_sharded_select(
         ]
     if ordered and not (stmt.has_aggregates or stmt.group_by is not None):
         candidates.append(fanout_candidate(
-            "fanout:global-sort", method,
-            sort_below_merge=False,
-            detail="one blocking sort above the merge instead of "
-            "per-shard sorts",
-        ))
+            "fanout:global-sort", method, sort_below_merge=False))
     if unpruned is not None and len(unpruned) > len(shard_planners):
         candidates.append(fanout_candidate(
             f"fanout:all-shards({len(unpruned)})", None,
             planners=unpruned, ranked=_shard_rankings(unpruned, stmt),
-            detail="partition pruning disabled",
         ))
     head, tail = candidates[0], candidates[1:]
     tail.sort(key=lambda c: (c.est_cost_ms, c.label))
