@@ -71,6 +71,8 @@ class ThinClient:
         self._servers = {id(n): AuthQueryServer(n) for n in self._nodes}
         self._rng = random.Random(seed)
         self._headers: list[BlockHeader] = []
+        #: block hash of the last local header (None while there is none)
+        self._tip_hash: Optional[bytes] = None
         self._byz_ratio = byzantine_ratio
         self._max_byz = (len(self._nodes) - 1) // 3
         #: leaf digest -> decoded transaction of every record verified so
@@ -80,18 +82,26 @@ class ThinClient:
     # -- header sync (what a thin client actually stores) ---------------------
 
     def sync_headers(self, from_node: Optional[FullNode] = None) -> int:
-        """Download block headers; returns the new local height."""
+        """Download block headers; returns the new local height.
+
+        When the served list is longer and its first new header links to
+        the local tip, only the new headers are checked and appended to
+        the local ones: the server's copy of the prefix is never adopted.
+        Any other list (shorter, forked, or not linking) is checked link
+        by link from the start and adopted whole if it holds.
+        """
         node = from_node or self._rng.choice(self._nodes)
         headers = node.store.headers
-        # verify the header chain before adopting it
-        prev = None
-        for header in headers:
-            if prev is not None and header.prev_hash != prev.block_hash():
-                raise VerificationError(
-                    f"header chain broken at height {header.height}"
-                )
-            prev = header
-        self._headers = headers
+        local = self._headers
+        if local and len(headers) > len(local) and (
+                headers[len(local)].prev_hash == self._tip_hash):
+            suffix = headers[len(local):]
+            self._tip_hash = _check_links(suffix)
+            self._headers = local + suffix
+        else:
+            # verify the header chain before adopting it
+            self._tip_hash = _check_links(headers)
+            self._headers = headers
         return len(self._headers)
 
     @property
@@ -135,7 +145,7 @@ class ThinClient:
         )
         return AuthenticatedAnswer(
             transactions=result.transactions,
-            vo_size_bytes=vo.size_bytes(),
+            vo_size_bytes=result.vo_size_bytes,
             digests_sampled=sampled,
             digests_matched=matched,
             residual_risk=digest_error_probability(
@@ -263,7 +273,7 @@ class ThinClient:
         )
         return AuthenticatedAnswer(
             transactions=both,
-            vo_size_bytes=vo_op.size_bytes() + vo_kind.size_bytes(),
+            vo_size_bytes=by_operator.vo_size_bytes + by_operation.vo_size_bytes,
             digests_sampled=sampled_a + sampled_b,
             digests_matched=min(matched_a, matched_b),
             residual_risk=digest_error_probability(
@@ -305,6 +315,19 @@ class ThinClient:
             f"no digest reached {m} matching copies from {sampled} auxiliary "
             f"nodes (best: {best[1]})"
         )
+
+
+def _check_links(headers: list[BlockHeader]) -> Optional[bytes]:
+    """Check that each header names the one before it as ``prev_hash``;
+    return the last one's block hash (None for no headers)."""
+    tip = None
+    for header in headers:
+        if tip is not None and header.prev_hash != tip:
+            raise VerificationError(
+                f"header chain broken at height {header.height}"
+            )
+        tip = header.block_hash()
+    return tip
 
 
 def _key_extractor(

@@ -28,20 +28,38 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..common.errors import IndexError_
+from ..common.hashing import hash_leaf
 from ..model.block import Block
 from .bitmap import Bitmap
 from .histogram import EqualDepthHistogram
 from .sorted_run import SortedRun
 
-RecordAt = Callable[[int], bytes]  # position in a block -> stored record
+#: position in a block -> the leaf digest (``hash_leaf``) of its stored
+#: record; see :func:`leaf_digests`
+LeafDigestAt = Callable[[int], bytes]
 #: Builds a level-2 run from (key, position) pairs; receives the block's
-#: records so authenticated factories can hash them into leaf digests.
-TreeFactory = Callable[[Sequence[tuple[Any, Any]], RecordAt], SortedRun]
+#: record digests so authenticated factories can use them as leaves.
+TreeFactory = Callable[[Sequence[tuple[Any, Any]], LeafDigestAt], SortedRun]
 Extractor = Callable[..., Any]  # Transaction -> key value (or None to skip)
 
 
+def leaf_digests(record_at: Callable[[int], bytes]) -> LeafDigestAt:
+    """The leaf digests of one block's stored records (``record_at``:
+    position -> record), each hashed on first use and kept, so every
+    index built over the block shares one digest object per record."""
+    digests: dict[int, bytes] = {}
+
+    def digest_at(position: int) -> bytes:
+        digest = digests.get(position)
+        if digest is None:
+            digest = digests[position] = hash_leaf(record_at(position))
+        return digest
+
+    return digest_at
+
+
 def _default_tree_factory(pairs: Sequence[tuple[Any, Any]],
-                          record_at: RecordAt) -> SortedRun:
+                          leaf_digest: LeafDigestAt) -> SortedRun:
     """Plain level 2: the pairs stably sorted on the key, so a key's
     positions stay in block order."""
     return SortedRun.bulk_load(pairs)
@@ -83,6 +101,10 @@ class LayeredIndex:
         self.histogram = histogram
         self._extract = extractor
         self._tree_factory = tree_factory or _default_tree_factory
+        #: whether a key's positions leave level 2 in block order: a plain
+        #: run keeps them so, another factory's (an ALI's MB-tree orders
+        #: equal keys by payload repr) may not
+        self.keys_in_block_order = tree_factory is None
         # level 1, discrete: value -> block bitmap
         self._value_bitmaps: dict[Any, Bitmap] = {}
         # level 1, continuous: block id -> bucket bitmap (int), and the
@@ -108,26 +130,31 @@ class LayeredIndex:
     # -- maintenance -----------------------------------------------------------
 
     def add_block(self, block: Block,
-                  names: Optional[Sequence[str]] = None) -> None:
+                  names: Optional[Sequence[str]] = None,
+                  leaf_digest: Optional[LeafDigestAt] = None) -> None:
         """Append-time update: :meth:`add_entries` keyed by the extractor.
         ``names``, one per transaction, are the store's shared strings for
         a ``senid`` / ``tname`` index's keys and are stored in their place
-        (:meth:`~repro.storage.blockstore.BlockStore.record_names`)."""
+        (:meth:`~repro.storage.blockstore.BlockStore.record_names`).
+        ``leaf_digest`` is the block's record digests shared with the
+        other indexes (by default this index's own)."""
         txs = block.transactions
         pairs: list[tuple[Any, int]] = []
         for position, tx in enumerate(txs):
             key = self._extract(tx)
             if key is not None:
                 pairs.append((key if names is None else names[position], position))
-        self.add_entries(block.height, pairs,
-                         lambda position: txs[position].to_bytes())
+        if leaf_digest is None:
+            leaf_digest = leaf_digests(lambda position: txs[position].to_bytes())
+        self.add_entries(block.height, pairs, leaf_digest)
 
     def add_entries(self, bid: int, pairs: list[tuple[Any, int]],
-                    record_at: RecordAt) -> None:
+                    leaf_digest: LeafDigestAt) -> None:
         """Level-1 entry + bulk-loaded level-2 tree of block ``bid`` from
         its ``(key, position)`` pairs (NULL and skipped keys left out);
-        ``record_at(position)`` is the stored record an ALI leaf hashes.
-        The one build path, for append time and the manager's backfill."""
+        ``leaf_digest(position)`` is the stored record's digest an ALI
+        leaf holds.  The one build path, for append time and the
+        manager's backfill."""
         if bid < self._num_blocks:
             raise IndexError_(
                 f"layered index on {self.column!r} already covers block {bid}"
@@ -140,7 +167,7 @@ class LayeredIndex:
         else:
             for value in {key for key, _ in pairs}:
                 self._value_bitmaps.setdefault(value, Bitmap()).set(bid)
-        self._trees[bid] = self._tree_factory(pairs, record_at)
+        self._trees[bid] = self._tree_factory(pairs, leaf_digest)
 
     def refresh_histogram(self, histogram: EqualDepthHistogram) -> None:
         """Swap in a freshly sampled histogram and rebucket level 1.

@@ -29,7 +29,7 @@ from ..storage.blockstore import BlockStore
 from ..storage.segment import BlockLocation
 from .block_index import BlockIndex
 from .histogram import EqualDepthHistogram
-from .layered import LayeredIndex, TreeFactory
+from .layered import LayeredIndex, TreeFactory, leaf_digests
 from .table_index import TableBitmapIndex
 
 #: System columns a layered index may target without a table schema.
@@ -160,8 +160,10 @@ class IndexManager:
             return
         tnames, senids = self._store.record_names(block.height)
         names = {"senid": senids, "tname": tnames}
+        txs = block.transactions
+        digests = leaf_digests(lambda position: txs[position].to_bytes())
         for (_table, column), index in self._layered.items():
-            index.add_block(block, names.get(column))
+            index.add_block(block, names.get(column), digests)
 
     # -- layered index creation ----------------------------------------------------
 
@@ -214,7 +216,7 @@ class IndexManager:
             tree_factory=tree_factory,
         )
         for height, pairs, records in itertools.chain(sampled, blocks):
-            index.add_entries(height, pairs, records.__getitem__)
+            index.add_entries(height, pairs, leaf_digests(records.__getitem__))
         self._layered[key] = index
         self.version += 1
         return index

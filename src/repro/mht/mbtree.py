@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..common.errors import IndexError_, VerificationError
 from ..common.hashing import hash_concat, hash_leaf
-from ..index.layered import RecordAt, TreeFactory
+from ..index.layered import LeafDigestAt, TreeFactory
 from ..index.sorted_run import SortedRun
 
 #: Root digest of an MB-tree with no entries.
@@ -40,7 +40,7 @@ def _default_digest(key: Any, payload: Any) -> bytes:
 class MBTree(SortedRun):
     """Static Merkle B-tree over sorted (key, payload) entries."""
 
-    __slots__ = ("_order", "_levels")
+    __slots__ = ("_order", "_levels", "root")
 
     def __init__(
         self,
@@ -57,14 +57,17 @@ class MBTree(SortedRun):
             raise IndexError_("MB-tree entries must be sorted by key")
         super().__init__(keys, [payload for _, payload in entries])
         self._order = order
-        self._levels: list[list[bytes]] = [list(digests)]
+        # tuples: a proof's fills are slices of them, taken as they are
+        self._levels: list[tuple[bytes, ...]] = [tuple(digests)]
         while len(self._levels[-1]) > 1:
             prev = self._levels[-1]
-            nxt = [
+            self._levels.append(tuple([
                 hash_concat(prev[i : i + order])
                 for i in range(0, len(prev), order)
-            ]
-            self._levels.append(nxt)
+            ]))
+        #: the root digest (:data:`EMPTY_MB_ROOT` for no entries): what an
+        #: auxiliary node digests for every block a query visits
+        self.root: bytes = self._levels[-1][0] if keys else EMPTY_MB_ROOT
 
     @classmethod
     def bulk_load(
@@ -83,12 +86,6 @@ class MBTree(SortedRun):
     def order(self) -> int:
         return self._order
 
-    @property
-    def root(self) -> bytes:
-        if not self._keys:
-            return EMPTY_MB_ROOT
-        return self._levels[-1][0]
-
     # -- verification objects --------------------------------------------------
 
     def range_proof(self, low: Any = None, high: Any = None) -> "MBRangeProof":
@@ -99,11 +96,9 @@ class MBTree(SortedRun):
         recompute the root from the covered leaf span.
         """
         n = len(self._keys)
+        order = self._order
         if n == 0:
-            return MBRangeProof(
-                total=0, start=0, covered=0, order=self._order,
-                has_left_boundary=False, has_right_boundary=False, fills=(),
-            )
+            return MBRangeProof(0, 0, 0, order, False, False, ())
         lo, hi = self._span(low, high, True, True)
         hi -= 1  # inclusive: lo > hi when nothing matches
         if lo > hi:  # empty result: sandwich the gap between two boundaries
@@ -112,25 +107,17 @@ class MBTree(SortedRun):
         else:
             start = lo - 1 if lo > 0 else lo
             end = hi + 1 if hi < n - 1 else hi
-        fills: list[tuple[tuple[bytes, ...], tuple[bytes, ...]]] = []
+        fills = []
         span_lo, span_hi = start, end
         for level in self._levels[:-1]:
-            parent_lo = span_lo // self._order
-            parent_hi = span_hi // self._order
-            left_fill = tuple(level[parent_lo * self._order : span_lo])
-            group_end = min((parent_hi + 1) * self._order, len(level))
-            right_fill = tuple(level[span_hi + 1 : group_end])
-            fills.append((left_fill, right_fill))
+            parent_lo = span_lo // order
+            parent_hi = span_hi // order
+            fills.append((level[parent_lo * order : span_lo],
+                          level[span_hi + 1 : (parent_hi + 1) * order]))
             span_lo, span_hi = parent_lo, parent_hi
         return MBRangeProof(
-            total=n,
-            start=start,
-            covered=end - start + 1,
-            order=self._order,
-            has_left_boundary=lo > 0,
-            has_right_boundary=(hi if lo <= hi else lo - 1) < n - 1,
-            fills=tuple(fills),
-        )
+            n, start, end - start + 1, order, lo > 0,
+            (hi if lo <= hi else lo - 1) < n - 1, tuple(fills))
 
     def covered_payloads(self, proof: "MBRangeProof") -> list[tuple[Any, Any]]:
         """(key, payload) of every leaf the proof covers, in order.
@@ -139,27 +126,34 @@ class MBTree(SortedRun):
         records included, as in the paper's Example 4 where T_k and T_p
         travel with the VO).
         """
-        return [
-            (self._keys[i], self._payloads[i])
-            for i in range(proof.start, proof.start + proof.covered)
-        ]
+        end = proof.start + proof.covered
+        return list(zip(self._keys[proof.start : end],
+                        self._payloads[proof.start : end]))
+
+    def covered_positions(self, proof: "MBRangeProof") -> list[Any]:
+        """The payloads alone of :meth:`covered_payloads`: the block
+        positions of the records a VO ships for ``proof``."""
+        return self._payloads[proof.start : proof.start + proof.covered]
 
 
 def ali_tree_factory(order: int) -> TreeFactory:
     """Level 2 of the authenticated layered index: an MB-tree per block
-    whose leaf digests hash the keyed positions' stored records."""
+    whose leaf digests are the keyed positions' stored-record digests."""
 
-    def build(pairs: Sequence[tuple[Any, int]], record_at: RecordAt) -> MBTree:
+    def build(pairs: Sequence[tuple[Any, int]], leaf_digest: LeafDigestAt) -> MBTree:
         return MBTree.bulk_load(
             pairs, order=order,
-            digest_fn=lambda key, position: hash_leaf(record_at(position)))
+            digest_fn=lambda key, position: leaf_digest(position))
 
     return build
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class MBRangeProof:
     """Verification object of one MB-tree range query.
+
+    Slotted and built positionally: one is made per visited block of
+    every authenticated query.
 
     Attributes
     ----------
@@ -187,10 +181,10 @@ class MBRangeProof:
 
     def size_bytes(self) -> int:
         """VO size metric of Figs 17: digests carried by this proof."""
-        return sum(
-            sum(map(len, left)) + sum(map(len, right))
-            for left, right in self.fills
-        ) + 16  # small fixed overhead for the counters/flags
+        size = 16  # small fixed overhead for the counters/flags
+        for left, right in self.fills:
+            size += sum(map(len, left)) + sum(map(len, right))
+        return size
 
 
 def reconstruct_root(proof: MBRangeProof, leaf_digests: Sequence[bytes]) -> bytes:
@@ -208,28 +202,28 @@ def reconstruct_root(proof: MBRangeProof, leaf_digests: Sequence[bytes]) -> byte
         raise VerificationError(
             f"proof covers {proof.covered} leaves, got {len(leaf_digests)}"
         )
-    level = list(leaf_digests)
+    order = proof.order
+    if order < 2:
+        raise VerificationError(f"proof claims fan-out {order}, below 2")
+    level = leaf_digests
     span_lo = proof.start
     count = proof.total
     for left_fill, right_fill in proof.fills:
-        parent_lo = span_lo // proof.order
+        parent_lo = span_lo // order
         span_hi = span_lo + len(level) - 1
-        parent_hi = span_hi // proof.order
-        if len(left_fill) != span_lo - parent_lo * proof.order:
+        parent_hi = span_hi // order
+        if len(left_fill) != span_lo - parent_lo * order:
             raise VerificationError("left fill length mismatch")
-        group_end = min((parent_hi + 1) * proof.order, count)
-        if len(right_fill) != group_end - span_hi - 1:
+        if len(right_fill) != min((parent_hi + 1) * order, count) - span_hi - 1:
             raise VerificationError("right fill length mismatch")
-        full = list(left_fill) + level + list(right_fill)
-        parents = []
-        for i in range(0, len(full), proof.order):
-            parents.append(hash_concat(full[i : i + proof.order]))
-        level = parents
+        full = [*left_fill, *level, *right_fill]
+        if len(full) <= order:  # one parent group: the top levels' case
+            level = [hash_concat(full)]
+        else:
+            level = [hash_concat(full[i : i + order])
+                     for i in range(0, len(full), order)]
         span_lo = parent_lo
-        count = -(-count // proof.order)
-    if count != len(level) or len(level) != 1:
-        # a single-level tree has no fills; handle count==len path
-        if len(level) == 1 and count == 1:
-            return level[0]
+        count = -(-count // order)
+    if count != 1 or len(level) != 1:
         raise VerificationError("proof did not reduce to a single root")
     return level[0]

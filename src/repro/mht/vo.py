@@ -21,15 +21,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Optional, Sequence
 
-from ..common.errors import VerificationError
+from ..common.errors import CodecError, VerificationError
 from ..common.hashing import hash_concat, hash_leaf
 from ..model.transaction import Transaction
 from .mbtree import MBRangeProof, reconstruct_root
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class BlockVO:
-    """Proof material for one visited block."""
+    """Proof material for one visited block (slotted and built
+    positionally: one is made per visited block of every query)."""
 
     height: int
     #: serialized covered records (boundaries included), in MB-tree order
@@ -62,6 +63,8 @@ class VerifiedResult:
     transactions: tuple[Transaction, ...]
     digest: bytes
     blocks_verified: int
+    #: the verified VO's :meth:`QueryVO.size_bytes`, summed on the way
+    vo_size_bytes: int
 
 
 KeyFn = Callable[[Transaction], Any]
@@ -122,17 +125,22 @@ def verify_query_vo(
     roots: list[bytes] = []
     matched: list[Transaction] = []
     seen_heights: set[int] = set()
+    size = 16
+    low, high = vo.low, vo.high
     for block_vo in vo.blocks:
-        if block_vo.height in seen_heights:
-            raise VerificationError(f"duplicate block {block_vo.height} in VO")
-        if block_vo.height >= vo.chain_height:
+        height = block_vo.height
+        if height in seen_heights:
+            raise VerificationError(f"duplicate block {height} in VO")
+        if height >= vo.chain_height:
             raise VerificationError(
-                f"VO references block {block_vo.height} beyond snapshot "
+                f"VO references block {height} beyond snapshot "
                 f"height {vo.chain_height}"
             )
-        seen_heights.add(block_vo.height)
-        roots.append(
-            _verify_block_vo(block_vo, vo.low, vo.high, key_of, matched, rows))
+        seen_heights.add(height)
+        root, block_size = _verify_block_vo(
+            block_vo, low, high, key_of, matched, rows)
+        roots.append(root)
+        size += block_size
     digest = hash_concat(roots)
     if expected_digest is not None and digest != expected_digest:
         raise VerificationError(
@@ -141,9 +149,7 @@ def verify_query_vo(
         )
     if extra_filter is not None:
         matched = [tx for tx in matched if extra_filter(tx)]
-    return VerifiedResult(
-        transactions=tuple(matched), digest=digest, blocks_verified=len(roots)
-    )
+    return VerifiedResult(tuple(matched), digest, len(roots), size)
 
 
 def _verify_block_vo(
@@ -153,70 +159,98 @@ def _verify_block_vo(
     key_of: KeyFn,
     matched_out: list[Transaction],
     rows: dict[bytes, Transaction],
-) -> bytes:
-    """Verify one block's proof; append its matches; return the MB-root."""
+) -> tuple[bytes, int]:
+    """Verify one block's proof; append its matches; return the MB-root
+    and the block's :meth:`BlockVO.size_bytes`.
+
+    One pass over the records: each is hashed, looked up in ``rows`` (or
+    decoded and added), keyed, checked to sort after the one before and,
+    between the boundaries, to lie in the range.
+    """
     proof = block_vo.proof
     records = block_vo.records
-    if len(records) != proof.covered:
+    height = block_vo.height
+    covered = len(records)
+    if covered != proof.covered:
         raise VerificationError(
-            f"block {block_vo.height}: {len(records)} records for "
+            f"block {height}: {covered} records for "
             f"a proof covering {proof.covered}"
         )
-    leaf_digests = [hash_leaf(raw) for raw in records]
-    txs = []
-    for raw, digest in zip(records, leaf_digests):
-        tx = rows.get(digest)
-        if tx is None:
-            tx = Transaction.from_bytes(raw)
-            if len(rows) >= ROW_CACHE_ENTRIES:
-                rows.clear()
-            rows[digest] = tx
-        txs.append(tx)
-    keys = [key_of(tx) for tx in txs]
-    if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
-        raise VerificationError(
-            f"block {block_vo.height}: records not sorted by index key"
-        )
-    start, end = 0, len(txs)
+    # the records between the boundaries are the block's result
+    first, last = 0, covered
     if proof.has_left_boundary:
-        if not txs:
+        if not covered:
             raise VerificationError("left boundary claimed but no records")
-        if low is not None and not keys[0] < low:
-            raise VerificationError(
-                f"block {block_vo.height}: left boundary key {keys[0]!r} "
-                f"not below range start {low!r}"
-            )
-        start = 1
+        first = 1
     elif proof.start != 0:
         raise VerificationError(
-            f"block {block_vo.height}: no left boundary but proof does not "
+            f"block {height}: no left boundary but proof does not "
             f"start at the first entry"
         )
     if proof.has_right_boundary:
-        if not txs:
+        if not covered:
             raise VerificationError("right boundary claimed but no records")
-        if high is not None and not keys[-1] > high:
-            raise VerificationError(
-                f"block {block_vo.height}: right boundary key {keys[-1]!r} "
-                f"not above range end {high!r}"
-            )
-        end -= 1
-    elif proof.start + proof.covered != proof.total:
+        last -= 1
+    elif proof.start + covered != proof.total:
         raise VerificationError(
-            f"block {block_vo.height}: no right boundary but proof does not "
+            f"block {height}: no right boundary but proof does not "
             f"reach the last entry"
         )
-    for tx, key in zip(txs[start:end], keys[start:end]):
-        if low is not None and key < low:
+    leaf, get = hash_leaf, rows.get
+    digests: list[bytes] = []
+    append = digests.append
+    previous = key = None
+    for i, raw in enumerate(records):
+        digest = leaf(raw)
+        append(digest)
+        tx = get(digest)
+        if tx is None:
+            tx = _decode_row(raw, digest, rows, height)
+        key = key_of(tx)
+        if i:
+            if previous > key:
+                raise VerificationError(
+                    f"block {height}: records not sorted by index key"
+                )
+        elif first and low is not None and not key < low:
             raise VerificationError(
-                f"block {block_vo.height}: result key {key!r} below range"
+                f"block {height}: left boundary key {key!r} "
+                f"not below range start {low!r}"
             )
-        if high is not None and key > high:
-            raise VerificationError(
-                f"block {block_vo.height}: result key {key!r} above range"
-            )
-        matched_out.append(tx)
-    return reconstruct_root(proof, leaf_digests)
+        previous = key
+        if first <= i < last:
+            if low is not None and key < low:
+                raise VerificationError(
+                    f"block {height}: result key {key!r} below range"
+                )
+            if high is not None and key > high:
+                raise VerificationError(
+                    f"block {height}: result key {key!r} above range"
+                )
+            matched_out.append(tx)
+    if last < covered and high is not None and not key > high:
+        raise VerificationError(
+            f"block {height}: right boundary key {key!r} "
+            f"not above range end {high!r}"
+        )
+    size = sum(map(len, records)) + proof.size_bytes()
+    return reconstruct_root(proof, digests), size
+
+
+def _decode_row(raw: bytes, digest: bytes,
+                rows: dict[bytes, Transaction], height: int) -> Transaction:
+    """Decode a shipped record the row map does not hold, and add it
+    (clearing the map first when it is full)."""
+    try:
+        tx = Transaction.from_bytes(raw)
+    except CodecError as exc:
+        raise VerificationError(
+            f"block {height}: a shipped record does not decode: {exc}"
+        ) from exc
+    if len(rows) >= ROW_CACHE_ENTRIES:
+        rows.clear()
+    rows[digest] = tx
+    return tx
 
 
 def digest_of_roots(roots: Sequence[bytes]) -> bytes:

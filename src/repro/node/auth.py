@@ -61,8 +61,8 @@ class AuthQueryServer:
                 f"no index on {column!r}"
                 + (f" of table {table!r}" if table else "")
             )
-        probe_bid = next(iter(index.first_level_bitmap()), None)
-        if probe_bid is not None and not isinstance(index.tree(probe_bid), MBTree):
+        probe = next(iter(index.trees.values()), None)
+        if probe is not None and not isinstance(probe, MBTree):
             raise QueryError(
                 f"index on {column!r} is not authenticated - create it with "
                 f"authenticated=True"
@@ -110,15 +110,13 @@ class AuthQueryServer:
         index = self._ali(column, table)
         store = self._node.store
         h = store.height if height is None else height
+        trees, read = index.trees, store.read_records_at
         blocks: list[BlockVO] = []
         for bid in self._candidate_blocks(index, low, high, h, window, table):
-            tree = index.tree(bid)
-            assert isinstance(tree, MBTree)
+            tree = trees[bid]
             proof = tree.range_proof(low, high)
-            covered = tree.covered_payloads(proof)
-            records = tuple(store.read_records_at(
-                bid, [position for _key, position in covered]))
-            blocks.append(BlockVO(height=bid, records=records, proof=proof))
+            blocks.append(BlockVO(
+                bid, tuple(read(bid, tree.covered_positions(proof))), proof))
         return QueryVO(
             chain_height=h, column=column, low=low, high=high,
             blocks=tuple(blocks),
@@ -174,9 +172,7 @@ class AuthQueryServer:
     ) -> bytes:
         """Digest over the MB-roots the query must visit at snapshot ``height``."""
         index = self._ali(column, table)
-        roots = []
-        for bid in self._candidate_blocks(index, low, high, height, window, table):
-            tree = index.tree(bid)
-            assert isinstance(tree, MBTree)
-            roots.append(tree.root)
-        return digest_of_roots(roots)
+        trees = index.trees
+        return digest_of_roots([
+            trees[bid].root for bid in
+            self._candidate_blocks(index, low, high, height, window, table)])

@@ -229,15 +229,21 @@ def range_positions(index: LayeredIndex, low: Any, high: Any) -> Positions:
 
 
 def key_positions(index: LayeredIndex, key: Any) -> Positions:
-    """The positions holding ``key`` in ``index``, in block order (an
-    MB-tree orders equal keys by payload repr): Algorithm 1 on one index."""
+    """The positions holding ``key`` in ``index``, in block order:
+    Algorithm 1 on one index.  Sorted only when the index's level 2 does
+    not keep them so (an MB-tree orders equal keys by payload repr)."""
     tree_of = index.trees.get
 
     def positions(candidate: Bitmap) -> list[tuple[int, Sequence[int]]]:
-        return [(bid, sorted(found)) for bid in candidate
+        return [(bid, found) for bid in candidate
                 if (tree := tree_of(bid)) is not None
                 and (found := tree.search(key))]
-    return positions
+    if index.keys_in_block_order:
+        return positions
+
+    def sorted_positions(candidate: Bitmap) -> list[tuple[int, Sequence[int]]]:
+        return [(bid, sorted(found)) for bid, found in positions(candidate)]
+    return sorted_positions
 
 
 def common_positions(index: LayeredIndex, key: Any, other: LayeredIndex,

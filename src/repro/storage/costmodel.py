@@ -60,6 +60,14 @@ class CostModel:
         self.page_transfers += self.pages_for(nbytes)
         self.bytes_read += nbytes
 
+    def record_point_reads(self, lengths: list[int]) -> None:
+        """Record one :meth:`record_read` per entry of ``lengths``: a
+        seek plus its pages for each."""
+        page_size = self.page_size
+        self.seeks += len(lengths)
+        self.page_transfers += sum([-(-n // page_size) for n in lengths])
+        self.bytes_read += sum(lengths)
+
     def record_write(self, nbytes: int, seeks: int = 0) -> None:
         """Record an (append) write; appends are seek-free after the first."""
         self.seeks += seeks

@@ -435,10 +435,10 @@ def bucket_ranges(histogram):
 
 
 def ali_factory(order):
-    def build(pairs, record_at):
+    def build(pairs, leaf_digest):
         return MBTree.bulk_load(
             pairs, order=order,
-            digest_fn=lambda key, position: hash_leaf(record_at(position)))
+            digest_fn=lambda key, position: leaf_digest(position))
 
     return build
 
@@ -634,3 +634,33 @@ class TestAppendedKeys:
                 for key, _position in index.tree(height).range()]
         assert len(keys) == 30
         assert all(key is names[key] for key in keys)
+
+
+class TestSharedLeafDigests:
+    """The authenticated indexes of an appended block hash each of its
+    records once and share that digest."""
+
+    def test_appended_block_holds_one_digest_per_record(self):
+        node = mixed_node()
+        indexes = [node.create_index("senid", authenticated=True),
+                   node.create_index("tname", authenticated=True),
+                   node.create_index("amount", table="donate",
+                                     authenticated=True)]
+        node.apply_batch(mixed_block(13))  # after creation
+        height = node.store.height - 1
+        _header, records = node.store.read_records(height)
+        order = node.config.bptree_order
+        digests = {}
+        for index in indexes:
+            tree = index.tree(height)
+            pairs = list(tree.range(None, None))
+            assert len(pairs) > 1
+            # the root an independently hashed tree over the same records has
+            assert tree.root == MBTree.bulk_load(
+                pairs, order=order,
+                digest_fn=lambda key, position: hash_leaf(records[position]),
+            ).root
+            for (_key, position), digest in zip(pairs, tree._levels[0]):
+                assert digest == hash_leaf(records[position])
+                assert digests.setdefault(position, digest) is digest
+        assert sorted(digests) == list(range(len(records)))
